@@ -2,7 +2,8 @@
 
 A single declarative YAML config drives full runs (``run``); every stage
 is also exposed as its own subcommand for shell-pipeline composition.
-Exit codes: 0 success, 1 validation failure, 2 stage failure.
+Exit codes: 0 success, 1 validation failure, 2 stage failure or unreadable
+input.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from corpusprep import ngram_lm, pipeline, subword
 from corpusprep.config import ConfigError, load_config
-from corpusprep.core import read_jsonl, write_jsonl, write_rejects
+from corpusprep.core import JsonlReadError, read_jsonl, write_jsonl, write_rejects
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except pipeline.StageFailure as e:
         print(f"stage failure: {e}", file=sys.stderr)
+        return EXIT_STAGE
+    except JsonlReadError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return EXIT_STAGE
 
 

@@ -30,7 +30,8 @@ KNOWN_STAGES = (
     "pack",
 )
 
-SEQ_LEN_PRESETS = (512, 1024, 8096, 8192)
+# packed.bin stores window positions and pad_count as u16
+MAX_SEQ_LEN = 65535
 
 
 class ConfigError(ValueError):
@@ -169,6 +170,11 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
     errors.extend(cfg.pack.mask.validate())
     if cfg.pack.seq_len < 2:
         errors.append(f"pack.seq_len: {cfg.pack.seq_len} < 2")
+    elif cfg.pack.seq_len > MAX_SEQ_LEN:
+        errors.append(
+            f"pack.seq_len: {cfg.pack.seq_len} > {MAX_SEQ_LEN} "
+            "(packed.bin stores positions and pad_count as u16)"
+        )
     if "lm_score" in cfg.stages:
         if not cfg.lm.model_path:
             errors.append("lm.model_path: required by lm_score stage")

@@ -171,6 +171,53 @@ class LshIndex:
         return pairs
 
 
+def _signature_hits(mat: np.ndarray, x: int, cands: list, threshold: float):
+    """Which rows *cands* of the signature matrix have an estimated Jaccard
+    with row *x* that clears *threshold*. ``matches / k`` is the float64
+    ``np.mean`` of the equality mask, so this agrees bit for bit with
+    ``estimate_jaccard(a, b) >= threshold``."""
+    matches = np.count_nonzero(mat[cands] == mat[x], axis=1)
+    return matches / mat.shape[1] >= threshold
+
+
+def _link_bucket(members: list, uf: UnionFind, similar) -> None:
+    """Union the verified pairs of one LSH bucket, skipping every pair whose
+    ends are already connected.
+
+    Each member is verified against the earlier members outside its own
+    component: first one representative per component, then, for the
+    components whose representative missed, their remaining members. A
+    component joins when any of its members verifies, so the components
+    equal those of verifying every pair in the bucket."""
+    if len({uf.find(m) for m in members}) < 2:
+        return
+    groups: dict = {}  # component root -> earlier bucket members in it
+    for x in members:
+        rx = uf.find(x)
+        others = [r for r in groups if r != rx]
+        if others:
+            hits = similar(x, [groups[r][0] for r in others])
+            linked = {r for r, hit in zip(others, hits) if hit}
+            missed = [r for r, hit in zip(others, hits) if not hit]
+            rest = [(r, m) for r in missed for m in groups[r][1:]]
+            if rest:
+                hits = similar(x, [m for _, m in rest])
+                linked.update(r for (r, _), hit in zip(rest, hits) if hit)
+            if linked:
+                for r in linked:
+                    uf.union(x, r)
+                # extend the largest member list by the others
+                parts = sorted(
+                    (groups.pop(r) for r in linked | {rx} if r in groups), key=len
+                )
+                merged = parts.pop()
+                for part in parts:
+                    merged.extend(part)
+                rx = uf.find(x)
+                groups[rx] = merged
+        groups.setdefault(rx, []).append(x)
+
+
 def find_duplicate_clusters(
     signatures: dict,
     bands: int,
@@ -180,19 +227,38 @@ def find_duplicate_clusters(
 ) -> list[list]:
     """Cluster documents whose banded signatures collide and whose Jaccard
     estimate clears *threshold*. Pass *shingle_sets* to verify candidates
-    with true Jaccard instead of the signature estimate."""
+    with true Jaccard instead of the signature estimate.
+
+    The clusters are the connected components of the verified candidate
+    pairs. Buckets are verified one at a time (see ``_link_bucket``), so on
+    templated pages, where one bucket holds hundreds of near-identical
+    members, the work grows with the bucket's size instead of its square."""
+    ids = sorted(signatures)
+    if not ids:
+        return []
+    sigs = [signatures[i] for i in ids]
+    if len({(s.k, s.perm_seed) for s in sigs}) > 1:
+        raise ValueError("signatures differ in length or permutation family")
     index = LshIndex(bands=bands, rows=rows)
-    for doc_id in sorted(signatures):
-        index.insert(doc_id, signatures[doc_id])
+    for i, sig in enumerate(sigs):
+        index.insert(i, sig)
+    if shingle_sets is None:
+        mat = np.stack([s.values for s in sigs])
+
+        def similar(x, cands):
+            return _signature_hits(mat, x, cands, threshold)
+
+    else:
+        sets = [shingle_sets[i] for i in ids]
+
+        def similar(x, cands):
+            return [true_jaccard(sets[x], sets[c]) >= threshold for c in cands]
+
     uf = UnionFind()
-    for x, y in sorted(index.candidate_pairs()):
-        if shingle_sets is not None:
-            sim = true_jaccard(shingle_sets[x], shingle_sets[y])
-        else:
-            sim = estimate_jaccard(signatures[x], signatures[y])
-        if sim >= threshold:
-            uf.union(x, y)
-    return uf.clusters(min_size=2)
+    for members in index.buckets.values():
+        if len(members) > 1:
+            _link_bucket(members, uf, similar)
+    return [[ids[i] for i in cluster] for cluster in uf.clusters(min_size=2)]
 
 
 def dedup_near(

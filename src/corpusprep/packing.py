@@ -29,7 +29,6 @@ DEFAULT_MAX_SPAN = 10
 ACTION_MASK = 0
 ACTION_RANDOM = 1
 ACTION_KEEP = 2
-ACTION_NAMES = {ACTION_MASK: "mask", ACTION_RANDOM: "random", ACTION_KEEP: "keep"}
 
 
 @dataclass
@@ -41,9 +40,6 @@ class PackedSequence:
     @property
     def seq_len(self) -> int:
         return len(self.tokens)
-
-    def attention_segments(self) -> list:
-        return [(s, e) for s, e, _ in self.boundaries]
 
 
 def pack_greedy(

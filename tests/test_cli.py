@@ -19,6 +19,13 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(workspace)]) == EXIT_OK
         assert "config ok" in capsys.readouterr().out
 
+    def test_seq_len_over_u16_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["pack"]["seq_len"] = 70000
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        assert "pack.seq_len: 70000 > 65535" in capsys.readouterr().err
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -45,6 +52,14 @@ class TestRunCommand:
         report = workspace.parent / "work" / "report.json"
         assert main(["stats", "--report", str(report)]) == EXIT_OK
         assert "Source" in capsys.readouterr().out
+
+    def test_invalid_utf8_input_exits_2(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        with open(cfg["input"], "ab") as fh:
+            fh.write(b'{"id": "bad", "source": "s", "text": "\xff\xfe"}\n')
+        assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "invalid UTF-8" in err and err.count("\n") == 1
 
     def test_resume_flag(self, workspace, capsys):
         main(["run", "--config", str(workspace)])

@@ -103,6 +103,14 @@ class TestValidate:
         errors = validate(cfg, check_paths=False)
         assert any("gap" in e for e in errors)
 
+    def test_seq_len_limited_to_u16(self):
+        cfg = self.base()
+        cfg.pack.seq_len = 65535
+        assert validate(cfg, check_paths=False) == []
+        cfg.pack.seq_len = 70000
+        errors = validate(cfg, check_paths=False)
+        assert len(errors) == 1 and "pack.seq_len: 70000 > 65535" in errors[0]
+
     def test_stage_specific_requirements(self):
         cfg = self.base()
         cfg.stages = ["lm_score", "token_count"]

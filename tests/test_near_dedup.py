@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corpusprep import near_dedup
 from corpusprep.core import Document
 from corpusprep.near_dedup import (
     NearDupConfig,
+    ShingleSet,
     UnionFind,
     dedup_near,
     estimate_jaccard,
@@ -15,13 +18,13 @@ from corpusprep.near_dedup import (
     true_jaccard,
 )
 
+from near_dedup_reference import candidate_pairs, reference_clusters, verified_pairs
+
 K = 112
 SEED = 1
 
 
 def sig_of_hashes(hashes, k=K, seed=SEED):
-    from corpusprep.near_dedup import ShingleSet
-
     return minhash_signature(ShingleSet(frozenset(hashes), 5), k, seed)
 
 
@@ -50,8 +53,6 @@ class TestMinHash:
         assert (pair.values <= singleton.values).all()
 
     def test_empty_set_rejected(self):
-        from corpusprep.near_dedup import ShingleSet
-
         with pytest.raises(ValueError):
             minhash_signature(ShingleSet(frozenset(), 5), K, SEED)
 
@@ -171,6 +172,121 @@ class TestClustering:
                     hits += 1
                     break
         assert hits / trials >= expected - 0.03
+
+
+def planted_sets(seed, n_chains, chain_len, shift, size, n_near_miss):
+    """Shingle sets of chains whose neighbours share size - shift of size
+    elements, so that A~B and B~C can hold while A≁C, plus near misses:
+    chain members with a third of their elements replaced, which share
+    buckets with a chain without belonging to it."""
+    rng = np.random.default_rng(seed)
+
+    def fresh(n):
+        return rng.integers(0, 2**64, n, dtype=np.uint64).tolist()
+
+    sets = {}
+    for c in range(n_chains):
+        pool = fresh(size + shift * (chain_len - 1))
+        for j in range(chain_len):
+            sets[f"c{c}-{j}"] = pool[j * shift : j * shift + size]
+    chain_ids = sorted(sets)
+    keep = size * 2 // 3
+    for m in range(n_near_miss):
+        base = sets[chain_ids[int(rng.integers(len(chain_ids)))]]
+        sets[f"m{m}"] = base[:keep] + fresh(size - keep)
+    return {i: ShingleSet(frozenset(v), 5) for i, v in sets.items()}
+
+
+def signatures_of(sets, k):
+    return {i: minhash_signature(s, k, SEED) for i, s in sets.items()}
+
+
+class TestClustersMatchReference:
+    """Per-bucket verification skips only pairs that are already connected,
+    so its clusters equal those of verifying every candidate pair."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_chains=st.integers(1, 3),
+        chain_len=st.integers(1, 6),
+        shift=st.integers(1, 6),
+        size=st.integers(12, 40),
+        n_near_miss=st.integers(0, 4),
+        layout=st.sampled_from([(8, 2), (4, 4), (16, 1), (14, 8)]),
+        threshold=st.sampled_from([0.5, 0.7, 0.8]),
+    )
+    def test_equals_brute_force(
+        self, seed, n_chains, chain_len, shift, size, n_near_miss, layout, threshold
+    ):
+        bands, rows = layout
+        sets = planted_sets(seed, n_chains, chain_len, shift, size, n_near_miss)
+        sigs = signatures_of(sets, bands * rows)
+        for exact in (None, sets):
+            assert find_duplicate_clusters(
+                sigs, bands, rows, threshold, exact
+            ) == reference_clusters(sigs, bands, rows, threshold, exact)
+
+    def test_planted_corpus_has_chains_and_mixed_buckets(self):
+        # the shapes the property test relies on: a verified chain whose
+        # ends fail verification, and a bucket spanning several components
+        bands, rows, threshold = 8, 2, 0.7
+        sets = planted_sets(0, 3, 6, 4, 40, 4)
+        sigs = signatures_of(sets, bands * rows)
+        clusters = find_duplicate_clusters(sigs, bands, rows, threshold, sets)
+        assert clusters == reference_clusters(sigs, bands, rows, threshold, sets)
+        component = {i: i for i in sets}
+        for cluster in clusters:
+            for i in cluster:
+                component[i] = cluster[0]
+        verified = set(verified_pairs(sigs, bands, rows, threshold, sets))
+        unverified = set(candidate_pairs(sigs, bands, rows)) - verified
+        assert any(
+            (x, y) in verified and (y, z) in verified and component[x] == component[z]
+            for x, z in unverified
+            for y in sets
+        )
+        assert any(
+            component[x] != component[z] for x, z in unverified
+        ), "no candidate pair spans two components"
+
+
+def replace_one_word(text, rng, lang):
+    lines = [line.split() for line in text.split("\n")]
+    line = lines[int(rng.integers(len(lines)))]
+    line[int(rng.integers(len(line)))] = lang.words[int(rng.integers(len(lang.words)))]
+    return "\n".join(" ".join(words) for words in lines)
+
+
+class TestTemplatedPages:
+    def test_verified_pairs_grow_linearly(self, lang, monkeypatch):
+        # 2,000 pages, each one word away from one of two templates: every
+        # page shares buckets with hundreds of others, but each needs only a
+        # few verifications before it joins its template's cluster
+        rng = np.random.default_rng(0)
+        cfg = NearDupConfig()
+        templates = [lang.document(rng, 8, 13) for _ in range(2)]
+        pages = {
+            f"t{t}-{p:04d}": replace_one_word(template, rng, lang)
+            for t, template in enumerate(templates)
+            for p in range(1000)
+        }
+        sigs = {i: minhash_signature(shingles(x), cfg.num_perm, cfg.perm_seed)
+                for i, x in pages.items()}
+        verified = 0
+        hits = near_dedup._signature_hits
+
+        def counting_hits(mat, x, cands, threshold):
+            nonlocal verified
+            verified += len(cands)
+            return hits(mat, x, cands, threshold)
+
+        monkeypatch.setattr(near_dedup, "_signature_hits", counting_hits)
+        clusters = find_duplicate_clusters(sigs, cfg.bands, cfg.rows, cfg.threshold)
+        assert clusters == [
+            sorted(i for i in pages if i.startswith(f"t{t}-")) for t in range(2)
+        ]
+        assert verified <= cfg.bands * len(pages)
 
 
 class TestDedupNear:
