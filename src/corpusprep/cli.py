@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-A single declarative YAML config drives full runs (``run``); every stage
-is also exposed as its own subcommand for shell-pipeline composition.
-Exit codes: 0 success, 1 validation failure, 2 stage failure or unreadable
-input.
+A single declarative YAML config drives full runs (``run``); every pipeline
+stage is also its own subcommand (``dedup_exact`` -> ``dedup-exact``) for
+shell-pipeline composition. Exit codes: 0 success, 1 validation failure,
+2 stage failure or unreadable input.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from corpusprep import ngram_lm, pipeline, subword
-from corpusprep.config import ConfigError, load_config
+from corpusprep.config import KNOWN_STAGES, ConfigError, load_config
 from corpusprep.core import JsonlReadError, read_jsonl, write_jsonl, write_rejects
 
 EXIT_OK = 0
@@ -24,11 +23,6 @@ EXIT_STAGE = 2
 
 def _add_config_arg(p):
     p.add_argument("--config", required=True, help="pipeline config YAML")
-
-
-def _add_io_args(p):
-    p.add_argument("--input", required=True, help="input JSONL")
-    p.add_argument("--output", required=True, help="output JSONL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,17 +42,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="render the report table for a finished run")
     p.add_argument("--report", required=True, help="path to report.json")
 
-    for stage in ("filter", "dedup-exact", "dedup-near", "lm-score", "token-count",
-                  "sample"):
-        p = sub.add_parser(stage, help=f"run only the {stage} stage")
+    for stage in KNOWN_STAGES:
+        p = sub.add_parser(stage.replace("_", "-"), help=f"run only the {stage} stage")
         _add_config_arg(p)
-        _add_io_args(p)
-
-    p = sub.add_parser("pack", help="pack and mask tokenized documents")
-    _add_config_arg(p)
-    p.add_argument("--input", required=True, help="input JSONL")
-    p.add_argument("--output", required=True, help="output .bin path")
-    p.add_argument("--sidecar", default=None, help="metadata JSONL path")
+        p.add_argument("--input", required=True, help="input JSONL")
+        p.add_argument(
+            "--output",
+            required=True,
+            help="output .bin path, metadata beside it as .meta.jsonl"
+            if stage == "pack"
+            else "output JSONL, rejects beside it as .rejects",
+        )
 
     p = sub.add_parser("lm-train", help="train the n-gram LM on a reference corpus")
     p.add_argument("--input", required=True, help="reference corpus JSONL")
@@ -74,22 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STAGE_FNS = {
-    "filter": pipeline.stage_filter,
-    "dedup-exact": pipeline.stage_dedup_exact,
-    "dedup-near": pipeline.stage_dedup_near,
-    "lm-score": pipeline.stage_lm_score,
-    "token-count": pipeline.stage_token_count,
-    "sample": pipeline.stage_sample,
-}
-
-
-def _run_single_stage(args) -> int:
+def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
     docs = list(read_jsonl(args.input))
-    kept, stats, rejects = _STAGE_FNS[args.command](docs, cfg)
-    write_jsonl(kept, args.output)
-    write_rejects(rejects, args.output + ".rejects")
+    if stage == "pack":
+        stats = pipeline.pack_docs(docs, cfg, args.output)
+    else:
+        docs, stats = pipeline.run_stage(stage, docs, cfg, None)
+        write_jsonl(docs, args.output)
+        write_rejects(stats.rejects, args.output + ".rejects")
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
     return EXIT_OK
 
@@ -117,18 +104,9 @@ def main(argv=None) -> int:
                 print(pipeline.report_table(json.load(fh)))
             return EXIT_OK
 
-        if args.command in _STAGE_FNS:
-            return _run_single_stage(args)
-
-        if args.command == "pack":
-            cfg = load_config(args.config)
-            docs = list(read_jsonl(args.input))
-            sidecar = args.sidecar or str(Path(args.output).with_suffix(".meta.jsonl"))
-            _, stats, _ = pipeline.stage_pack(
-                docs, cfg, out_bin=args.output, out_sidecar=sidecar
-            )
-            print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
-            return EXIT_OK
+        stage = args.command.replace("-", "_")
+        if stage in KNOWN_STAGES:
+            return _run_single_stage(stage, args)
 
         if args.command == "lm-train":
             docs = read_jsonl(args.input)
@@ -162,6 +140,9 @@ def main(argv=None) -> int:
         return EXIT_STAGE
     except JsonlReadError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return EXIT_STAGE
+    except OSError as e:
+        print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_STAGE
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -73,7 +73,6 @@ class PipelineConfig:
     work_dir: str
     stages: list = field(default_factory=lambda: list(KNOWN_STAGES))
     seed: int = 0
-    workers: int = 1
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
     near_dedup: NearDupConfig = field(default_factory=NearDupConfig)
     lm: LmConfig = field(default_factory=LmConfig)
@@ -88,7 +87,8 @@ class PipelineConfig:
 
 
 def _build(raw: dict) -> tuple[PipelineConfig, list[str]]:
-    errors: list[str] = []
+    known = {f.name for f in fields(PipelineConfig)}
+    errors = [f"{key}: unknown config key" for key in raw if key not in known]
 
     def section(name, cls, default=None):
         data = raw.get(name)
@@ -141,7 +141,6 @@ def _build(raw: dict) -> tuple[PipelineConfig, list[str]]:
         work_dir=str(raw.get("work_dir", "")),
         stages=list(raw.get("stages", list(KNOWN_STAGES))),
         seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
         heuristics=section("heuristics", HeuristicConfig),
         near_dedup=section("near_dedup", NearDupConfig),
         lm=lm,

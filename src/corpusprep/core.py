@@ -124,6 +124,8 @@ class StageStats:
     per_source: dict = field(default_factory=dict)  # source -> SourceStats
     extra: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    # sidecar records {"id", "stage", "reason"}; kept out of to_dict
+    rejects: list = field(default_factory=list, repr=False)
     _t0: float = field(default_factory=time.monotonic, repr=False)
 
     def _src(self, source: str) -> SourceStats:
@@ -143,8 +145,19 @@ class StageStats:
         s.docs_out += 1
         s.words_out += doc.word_count
 
-    def record_reject(self, doc: Document, reason: str) -> None:
+    def record_reject(
+        self, doc: Document, reason: str, detail: Optional[str] = None
+    ) -> None:
+        """Count *reason* and log the sidecar record; a *detail* is written
+        as ``reason:detail`` in the sidecar only."""
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
+        self.rejects.append(
+            {
+                "id": doc.id,
+                "stage": self.stage,
+                "reason": reason if detail is None else f"{reason}:{detail}",
+            }
+        )
         s = self._src(doc.source)
         s.rejected_docs += 1
         s.rejected_words += doc.word_count
@@ -231,11 +244,7 @@ def write_rejects(records: Iterable[dict], path) -> int:
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            line = json.dumps(
-                {"id": rec["id"], "stage": rec["stage"], "reason": rec["reason"]},
-                ensure_ascii=False,
-                separators=(", ", ": "),
-            )
-            fh.write(line + "\n")
+            fh.write(json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")))
+            fh.write("\n")
             n += 1
     return n

@@ -42,9 +42,7 @@ def exact_key(doc: Document) -> ExactKey:
     return ExactKey(text_hash=text_digest(doc.text), url_key=url_key)
 
 
-def dedup_exact(
-    docs: Iterable[Document], rejects: Optional[list] = None
-) -> tuple[list[Document], StageStats]:
+def dedup_exact(docs: Iterable[Document]) -> tuple[list[Document], StageStats]:
     """Keep the first occurrence per text hash, then per URL key.
 
     Input must already be in a deterministic order (the pipeline sorts by
@@ -59,17 +57,9 @@ def dedup_exact(
         key = exact_key(doc)
         if key.text_hash in seen_text:
             stats.record_reject(doc, "exact_text")
-            if rejects is not None:
-                rejects.append(
-                    {"id": doc.id, "stage": "dedup_exact", "reason": "exact_text"}
-                )
             continue
         if key.url_key is not None and key.url_key in seen_url:
             stats.record_reject(doc, "exact_url")
-            if rejects is not None:
-                rejects.append(
-                    {"id": doc.id, "stage": "dedup_exact", "reason": "exact_url"}
-                )
             continue
         seen_text.add(key.text_hash)
         if key.url_key is not None:

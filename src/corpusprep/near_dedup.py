@@ -264,7 +264,6 @@ def find_duplicate_clusters(
 def dedup_near(
     docs: Iterable[Document],
     cfg: NearDupConfig,
-    rejects: Optional[list] = None,
     cluster_report: Optional[list] = None,
 ) -> tuple[list[Document], StageStats]:
     """Remove near-duplicates, keeping the longest document per cluster
@@ -299,15 +298,7 @@ def dedup_near(
     kept = []
     for doc in docs:
         if doc.id in removed_to_kept:
-            stats.record_reject(doc, "near_dup")
-            if rejects is not None:
-                rejects.append(
-                    {
-                        "id": doc.id,
-                        "stage": "dedup_near",
-                        "reason": f"near_dup:kept={removed_to_kept[doc.id]}",
-                    }
-                )
+            stats.record_reject(doc, "near_dup", f"kept={removed_to_kept[doc.id]}")
         else:
             stats.record_out(doc)
             kept.append(doc)

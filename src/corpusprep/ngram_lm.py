@@ -243,7 +243,6 @@ def filter_by_perplexity(
     docs: Iterable[Document],
     model: KneserNeyModel,
     policy: PerplexityPolicy,
-    rejects: Optional[list] = None,
 ) -> tuple[list[Document], StageStats]:
     """Drop documents whose perplexity exceeds the policy cutoff.
 
@@ -272,10 +271,6 @@ def filter_by_perplexity(
             verdict.reason = "high_ppl"
         if not verdict.kept:
             stats.record_reject(doc, verdict.reason)
-            if rejects is not None:
-                rejects.append(
-                    {"id": doc.id, "stage": "lm_score", "reason": verdict.reason}
-                )
             continue
         doc.meta[PPL_META_KEY] = f"{verdict.perplexity:.8e}"
         stats.record_out(doc)

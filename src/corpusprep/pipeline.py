@@ -108,14 +108,15 @@ def report_table(report: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# Stage implementations: list[Document] -> (list[Document], StageStats,
-# rejects). The pack stage also writes its binary output.
+# Stage implementations: stage_<name>(docs, cfg, work_dir) -> (docs, stats),
+# one per config.KNOWN_STAGES name, looked up by name at call time. Rejects
+# ride in stats.rejects. Side files go to *work_dir*: clusters.jsonl (skipped
+# when work_dir is None) and packed.bin with its packed.meta.jsonl.
 # --------------------------------------------------------------------------
 
 
-def stage_filter(docs, cfg: PipelineConfig):
+def stage_filter(docs, cfg: PipelineConfig, work_dir):
     stats = StageStats(stage="filter")
-    rejects = []
     kept = []
     for doc in docs:
         doc = doc.with_text(normalize_text(doc.text))
@@ -124,67 +125,60 @@ def stage_filter(docs, cfg: PipelineConfig):
         reason = quality.apply_heuristics(doc, cfg.heuristics)
         if reason is not None:
             stats.record_reject(doc, reason)
-            rejects.append({"id": doc.id, "stage": "filter", "reason": reason})
         else:
             stats.record_out(doc)
             kept.append(doc)
-    return kept, stats.finish(), rejects
+    return kept, stats.finish()
 
 
-def stage_dedup_exact(docs, cfg: PipelineConfig):
-    rejects = []
-    ordered = sorted(docs, key=lambda d: (d.source, d.id))
-    kept, stats = exact_dedup.dedup_exact(ordered, rejects=rejects)
-    return kept, stats, rejects
+def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir):
+    return exact_dedup.dedup_exact(sorted(docs, key=lambda d: (d.source, d.id)))
 
 
-def stage_dedup_near(docs, cfg: PipelineConfig, cluster_report_path=None):
-    rejects = []
+def stage_dedup_near(docs, cfg: PipelineConfig, work_dir):
     clusters = []
-    kept, stats = near_dedup.dedup_near(
-        docs, cfg.near_dedup, rejects=rejects, cluster_report=clusters
-    )
-    if cluster_report_path is not None:
-        with open(cluster_report_path, "w", encoding="utf-8", newline="\n") as fh:
+    kept, stats = near_dedup.dedup_near(docs, cfg.near_dedup, cluster_report=clusters)
+    if work_dir is not None:
+        path = Path(work_dir) / "clusters.jsonl"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for rec in clusters:
                 fh.write(json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")))
                 fh.write("\n")
-    return kept, stats, rejects
+    return kept, stats
 
 
-def stage_lm_score(docs, cfg: PipelineConfig):
+def stage_lm_score(docs, cfg: PipelineConfig, work_dir):
     model = ngram_lm.load_model(cfg.lm.model_path)
-    rejects = []
-    kept, stats = ngram_lm.filter_by_perplexity(
-        docs, model, cfg.lm.policy, rejects=rejects
-    )
-    return kept, stats, rejects
+    return ngram_lm.filter_by_perplexity(docs, model, cfg.lm.policy)
 
 
-def stage_token_count(docs, cfg: PipelineConfig):
+def stage_token_count(docs, cfg: PipelineConfig, work_dir):
     vocab = subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
     stats = StageStats(stage="token_count")
     for doc in docs:
         stats.record_in(doc)
         subword.token_count(doc, vocab)
         stats.record_out(doc)
-    return docs, stats.finish(), []
+    return docs, stats.finish()
 
 
-def stage_sample(docs, cfg: PipelineConfig):
-    rejects = []
-    kept, stats = sampler.sample_to_quota(
+def stage_sample(docs, cfg: PipelineConfig, work_dir):
+    return sampler.sample_to_quota(
         docs,
         cfg.quotas,
         seed=cfg.seed,
         mode=cfg.sample.mode,
         overshoot=cfg.sample.overshoot,
-        rejects=rejects,
     )
-    return kept, stats, rejects
 
 
-def stage_pack(docs, cfg: PipelineConfig, out_bin, out_sidecar):
+def stage_pack(docs, cfg: PipelineConfig, work_dir):
+    return docs, pack_docs(docs, cfg, Path(work_dir) / "packed.bin")
+
+
+def pack_docs(docs, cfg: PipelineConfig, out_bin) -> StageStats:
+    """Pack and mask *docs* into *out_bin*, with its ``.meta.jsonl`` sidecar
+    beside it; every document passes through."""
     vocab = subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
     stats = StageStats(stage="pack")
     for doc in docs:
@@ -212,12 +206,21 @@ def stage_pack(docs, cfg: PipelineConfig, out_bin, out_sidecar):
             )
             yield masked, seq, plan
 
-    n = packing.write_packed(out_bin, out_sidecar, records(), cfg.pack.seq_len)
+    sidecar = Path(out_bin).with_suffix(".meta.jsonl")
+    n = packing.write_packed(out_bin, sidecar, records(), cfg.pack.seq_len)
     for doc in docs:
         stats.record_out(doc)
     stats.extra["windows"] = n
     stats.extra["efficiency"] = f"{efficiency:.6f}"
-    return docs, stats.finish(), []
+    return stats.finish()
+
+
+def run_stage(name: str, docs, cfg: PipelineConfig, work_dir):
+    """Run stage *name*; any error becomes a StageFailure naming it."""
+    try:
+        return globals()[f"stage_{name}"](docs, cfg, work_dir)
+    except Exception as e:
+        raise StageFailure(f"stage {name} failed: {e}") from e
 
 
 def _load_manifest(work_dir: Path) -> Optional[dict]:
@@ -225,7 +228,10 @@ def _load_manifest(work_dir: Path) -> Optional[dict]:
     if not path.exists():
         return None
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:  # truncated or garbled by a crash
+            raise StageFailure(f"corrupt manifest {path}: {e}") from e
 
 
 def _save_manifest(work_dir: Path, manifest: dict) -> None:
@@ -282,37 +288,10 @@ def run_pipeline(
                     f"{completed[idx]} != {stage}"
                 )
             continue
-        try:
-            if stage == "filter":
-                docs, stats, rejects = stage_filter(docs, cfg)
-            elif stage == "dedup_exact":
-                docs, stats, rejects = stage_dedup_exact(docs, cfg)
-            elif stage == "dedup_near":
-                docs, stats, rejects = stage_dedup_near(
-                    docs, cfg, cluster_report_path=work_dir / "clusters.jsonl"
-                )
-            elif stage == "lm_score":
-                docs, stats, rejects = stage_lm_score(docs, cfg)
-            elif stage == "token_count":
-                docs, stats, rejects = stage_token_count(docs, cfg)
-            elif stage == "sample":
-                docs, stats, rejects = stage_sample(docs, cfg)
-            elif stage == "pack":
-                docs, stats, rejects = stage_pack(
-                    docs,
-                    cfg,
-                    out_bin=work_dir / "packed.bin",
-                    out_sidecar=work_dir / "packed.meta.jsonl",
-                )
-            else:
-                raise StageFailure(f"unknown stage {stage!r}")
-        except StageFailure:
-            raise
-        except Exception as e:
-            raise StageFailure(f"stage {stage} failed: {e}") from e
+        docs, stats = run_stage(stage, docs, cfg, work_dir)
 
         write_jsonl(docs, out_path)
-        write_rejects(rejects, rejects_path)
+        write_rejects(stats.rejects, rejects_path)
         stats.check_conservation()
         stats_dicts[stage] = stats.to_dict()
         completed.append(stage)

@@ -77,7 +77,6 @@ def sample_to_quota(
     seed: int = 0,
     mode: str = "quality",
     overshoot: float = DEFAULT_OVERSHOOT,
-    rejects: Optional[list] = None,
 ) -> tuple[list[Document], StageStats]:
     """Greedy per-bucket selection until each token budget is met.
 
@@ -136,8 +135,4 @@ def sample_to_quota(
             kept.append(doc)
         else:
             stats.record_reject(doc, "not_sampled")
-            if rejects is not None:
-                rejects.append(
-                    {"id": doc.id, "stage": "sample", "reason": "not_sampled"}
-                )
     return kept, stats.finish()

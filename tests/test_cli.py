@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from corpusprep.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from corpusprep.config import KNOWN_STAGES
 from corpusprep.core import read_jsonl
 
 from pipeline_fixture import build_workspace
@@ -61,6 +62,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "invalid UTF-8" in err and err.count("\n") == 1
 
+    def test_truncated_manifest_exits_2(self, workspace, capsys):
+        main(["run", "--config", str(workspace)])
+        manifest = workspace.parent / "work" / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "corrupt manifest" in err and err.count("\n") == 1
+
+    def test_unknown_top_level_key_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["stage"] = cfg.pop("stages")
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        assert "stage: unknown config key" in capsys.readouterr().err
+
     def test_resume_flag(self, workspace, capsys):
         main(["run", "--config", str(workspace)])
         capsys.readouterr()
@@ -84,6 +101,26 @@ class TestSingleStageCommands:
         assert stats["stage"] == "filter"
         assert len(list(read_jsonl(out))) == stats["docs_out"]
         assert (tmp_path / "filtered.jsonl.rejects").exists()
+
+    def test_stage_subcommands_from_stage_names(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        out = tmp_path / "x.jsonl"
+        for stage in KNOWN_STAGES[:3]:
+            argv = [stage.replace("_", "-"), "--config", str(workspace),
+                    "--input", cfg["input"], "--output", str(out)]
+            assert main(argv) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["stage"] == stage
+        assert not (tmp_path / "clusters.jsonl").exists()
+
+    def test_missing_input_exits_2(self, workspace, tmp_path, capsys):
+        rc = main(
+            ["filter", "--config", str(workspace),
+             "--input", str(tmp_path / "missing.jsonl"),
+             "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "missing.jsonl" in err and err.count("\n") == 1
 
     def test_lm_train_and_tokenize(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))

@@ -44,6 +44,18 @@ class TestLoadConfig:
             load_config(p, check_paths=False)
         assert any("near_dedup" in e for e in exc.value.errors)
 
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        """A typo like ``stage:`` must not fall back to running all stages,
+        and the removed ``workers`` key is an error, not silently ignored."""
+        p = write_yaml(
+            tmp_path / "c.yaml",
+            {"input": "x", "work_dir": "y", "stage": ["filter"], "workers": 7},
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_config(p, check_paths=False)
+        assert "stage: unknown config key" in exc.value.errors
+        assert "workers: unknown config key" in exc.value.errors
+
     def test_all_violations_collected(self, tmp_path):
         """One load reports every problem, not just the first."""
         p = write_yaml(

@@ -27,14 +27,12 @@ class TestExactKey:
 
 class TestDedupExact:
     def test_keep_first(self):
-        rejects = []
         kept, stats = dedup_exact(
-            [doc("1", "A teksts"), doc("2", "A teksts"), doc("3", "B teksts")],
-            rejects=rejects,
+            [doc("1", "A teksts"), doc("2", "A teksts"), doc("3", "B teksts")]
         )
         assert [d.id for d in kept] == ["1", "3"]
         assert stats.rejected == {"exact_text": 1}
-        assert rejects[0]["id"] == "2"
+        assert stats.rejects[0]["id"] == "2"
 
     def test_all_distinct_identity(self):
         docs = [doc(str(i), f"teksts numur {i}") for i in range(5)]

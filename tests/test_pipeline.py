@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -56,6 +57,23 @@ class TestRun:
             assert set(rec) == {"id", "stage", "reason"}
             assert rec["stage"] == "filter"
 
+    def test_rejects_sidecar_matches_stats(self, ran_workspace):
+        """Each stage's sidecar holds one line per rejected document, and its
+        reasons (any ``:detail`` cut off) count up to the stage's stats."""
+        root, cfg, report = ran_workspace
+        for i, stats in enumerate(report.stages):
+            path = root / "work" / f"{i:02d}_{stats.stage}.jsonl.rejects"
+            records = [json.loads(l) for l in path.read_text("utf-8").splitlines()]
+            assert len(records) == stats.rejected_docs, stats.stage
+            assert {r["stage"] for r in records} <= {stats.stage}
+            reasons = Counter(r["reason"].split(":", 1)[0] for r in records)
+            assert reasons == Counter(stats.rejected), stats.stage
+        near = (root / "work" / "02_dedup_near.jsonl.rejects").read_text("utf-8")
+        assert near and all(
+            json.loads(l)["reason"].startswith("near_dup:kept=")
+            for l in near.splitlines()
+        )
+
     def test_report_round_trips_as_json(self, ran_workspace):
         root, _, report = ran_workspace
         on_disk = json.loads((root / "work" / "report.json").read_text("utf-8"))
@@ -104,6 +122,15 @@ class TestDeterminismAndResume:
             run_pipeline(cfg, fail_after="filter")
         cfg.seed += 1
         with pytest.raises(StageFailure, match="hash"):
+            run_pipeline(cfg, resume=True)
+
+    def test_truncated_manifest_is_stage_failure(self, tmp_path):
+        cfg = load_config(build_workspace(tmp_path, n_docs=100))
+        with pytest.raises(StageFailure):
+            run_pipeline(cfg, fail_after="filter")
+        manifest = tmp_path / "work" / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        with pytest.raises(StageFailure, match="corrupt manifest"):
             run_pipeline(cfg, resume=True)
 
     def test_malformed_input_lines_counted(self, tmp_path):
