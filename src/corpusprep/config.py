@@ -19,6 +19,7 @@ from corpusprep.near_dedup import NearDupConfig
 from corpusprep.packing import MaskConfig
 from corpusprep.quality import HeuristicConfig
 from corpusprep.sampler import BucketQuota, validate_quotas
+from corpusprep.subword import MAX_VOCAB_SIZE
 
 KNOWN_STAGES = (
     "filter",
@@ -173,6 +174,12 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
         errors.append(
             f"pack.seq_len: {cfg.pack.seq_len} > {MAX_SEQ_LEN} "
             "(packed.bin stores positions and pad_count as u16)"
+        )
+    size = cfg.vocab.expected_size
+    if size is not None and size > MAX_VOCAB_SIZE:
+        errors.append(
+            f"vocab.expected_size: {size} > {MAX_VOCAB_SIZE} "
+            "(packed.bin stores token ids as u16)"
         )
     if "lm_score" in cfg.stages:
         if not cfg.lm.model_path:

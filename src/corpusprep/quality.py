@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,16 +60,17 @@ def _char_ratios(text: str) -> tuple[float, float, float]:
     diacritic ratio is over alphabetic characters.
     """
     non_ws = alpha = digit = latvian = 0
-    for ch in text:
+    # classify each distinct character once, weighted by its count
+    for ch, n in Counter(text).items():
         if ch.isspace():
             continue
-        non_ws += 1
+        non_ws += n
         if ch.isalpha():
-            alpha += 1
+            alpha += n
             if ch.lower() in LATVIAN_DIACRITICS:
-                latvian += 1
+                latvian += n
         elif ch.isdigit():
-            digit += 1
+            digit += n
     if non_ws == 0:
         return 0.0, 0.0, 0.0
     latvian_ratio = latvian / alpha if alpha else 0.0

@@ -24,6 +24,9 @@ from corpusprep.core import Document
 SPECIAL_TOKENS = ("<unk>", "<pad>", "<mask>", "<s>", "</s>")
 CONT_PREFIX = b"##"
 
+# packed.bin stores token ids as u16
+MAX_VOCAB_SIZE = 65536
+
 _ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})")
 
 
@@ -126,6 +129,11 @@ def load_vocab(path, expected_size: Optional[int] = None) -> SubwordVocab:
                 )
             seen[token] = lineno
             pieces.append(token)
+    if len(pieces) > MAX_VOCAB_SIZE:
+        raise VocabError(
+            f"{path}: {len(pieces)} tokens > {MAX_VOCAB_SIZE} "
+            "(packed.bin stores token ids as u16)"
+        )
     specials = {}
     for name in SPECIAL_TOKENS:
         token = name.encode("utf-8")

@@ -122,6 +122,23 @@ class TestSingleStageCommands:
         err = capsys.readouterr().err
         assert "missing.jsonl" in err and err.count("\n") == 1
 
+    def test_malformed_model_exits_2(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        payload = json.loads(open(cfg["lm"]["model_path"], encoding="utf-8").read())
+        payload["counts"].append(["<s> viens", 1])  # 2 words in an order-5 model
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        cfg["lm"]["model_path"] = str(bad)
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        rc = main(
+            ["lm-score", "--config", str(workspace), "--input", cfg["input"],
+             "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "bad_model.json" in err and "2 words, order is 5" in err
+        assert err.count("\n") == 1
+
     def test_lm_train_and_tokenize(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         model_out = tmp_path / "lm.json"

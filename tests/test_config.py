@@ -123,6 +123,14 @@ class TestValidate:
         errors = validate(cfg, check_paths=False)
         assert len(errors) == 1 and "pack.seq_len: 70000 > 65535" in errors[0]
 
+    def test_vocab_size_limited_to_u16_ids(self):
+        cfg = self.base()
+        cfg.vocab.expected_size = 65536
+        assert validate(cfg, check_paths=False) == []
+        cfg.vocab.expected_size = 65537
+        errors = validate(cfg, check_paths=False)
+        assert len(errors) == 1 and "vocab.expected_size: 65537 > 65536" in errors[0]
+
     def test_stage_specific_requirements(self):
         cfg = self.base()
         cfg.stages = ["lm_score", "token_count"]

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusprep.core import Document
 from corpusprep.ngram_lm import (
@@ -17,6 +21,7 @@ from corpusprep.ngram_lm import (
     train_kn_sentences,
 )
 from corpusprep.synthetic import SyntheticLanguage, shuffle_words
+from kn_recursive_reference import RecursiveKN
 from kn_reference import ReferenceKN
 
 
@@ -139,6 +144,151 @@ class TestSerialization:
         path.write_text('{"order": 5}')
         with pytest.raises(ValueError):
             KneserNeyModel.load(path)
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_save_load_save_byte_identical(self, tmp_path, order):
+        model = train_kn_sentences(golden_corpus(), order=order)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        model.save(first)
+        KneserNeyModel.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("order, sha256", [
+        (1, "b5d4782b9d2e61dd73bf49031a20a44bdaa97c589a90cd3cde95f1c28b1b8312"),
+        (3, "81749e3610941ac260140e29fb0ff23e7ed969801c0fb56e9c5adf9bb1b15369"),
+        (5, "8550398a66a8804d80f970c9b76471844a8b3815c5eadd4ee092fa1eab413c2f"),
+    ])
+    def test_trainer_output_bytes_pinned(self, tmp_path, order, sha256):
+        # digests of the files the recursive scorer's trainer wrote
+        path = tmp_path / "m.json"
+        train_kn_sentences(golden_corpus(), order=order).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def golden_corpus():
+    rng = random.Random(1234)
+    words = "viens divi trīs četri pieci seši septiņi astoņi deviņi desmit Rīga".split()
+    lines = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 9)))
+             for _ in range(80)]
+    return lines + ["reti vārdi vienreiz", "", "   "]
+
+
+class TestMalformedModelFile:
+    def _write(self, tmp_path, mutate):
+        payload = {
+            "format": "kn-ngram-v1", "order": 3, "min_count": 2,
+            "vocab": [UNK, BOS, EOS, "a", "b"],
+            "discounts": {"1": 0.5, "2": 0.5, "3": 0.5},
+            "counts": [[f"{BOS} {BOS} a", 2], [f"{BOS} a b", 2], ["a b </s>", 1]],
+        }
+        mutate(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_well_formed_file_loads(self, tmp_path):
+        model = KneserNeyModel.load(self._write(tmp_path, lambda p: None))
+        assert model.prob("b", (BOS, "a")) > model.prob("a", (BOS, "a"))
+
+    @pytest.mark.parametrize("mutate, needle", [
+        (lambda p: p["counts"].append(["a b", 1]), "2 words, order is 3"),
+        (lambda p: p["counts"].append(["a b a b", 1]), "4 words, order is 3"),
+        (lambda p: p["counts"].append(["a b a", 0]), "count 0"),
+        (lambda p: p["counts"].append(["a b a", -2]), "count -2"),
+        (lambda p: p["counts"].append(["a b a", 1.5]), "count 1.5"),
+        (lambda p: p["counts"].append(["a b a", "3"]), "count '3'"),
+        (lambda p: p["counts"].append(["a b a", True]), "count True"),
+        (lambda p: p["counts"].append(["a zz a", 1]), "'zz' is not in the vocab"),
+        (lambda p: p["counts"].append(["a b a"]), "not enough values"),
+        (lambda p: p["vocab"].remove(UNK), f"lacks {UNK}"),
+        (lambda p: p["vocab"].remove(BOS), f"lacks {BOS}"),
+        (lambda p: p["vocab"].remove(EOS), f"lacks {EOS}"),
+        (lambda p: p["discounts"].pop("2"), "discount of order 2"),
+        (lambda p: p["discounts"].update({"1": -0.5}), "discount of order 1"),
+        (lambda p: p.update(order=0), "order 0"),
+    ])
+    def test_rejected_with_one_line(self, tmp_path, mutate, needle):
+        path = self._write(tmp_path, mutate)
+        with pytest.raises(ValueError) as info:
+            KneserNeyModel.load(path)
+        message = str(info.value)
+        assert needle in message and str(path) in message
+        assert "\n" not in message
+
+
+CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]
+OOV = "zz"
+
+
+class TestCompiledMatchesRecursion:
+    """The compiled scorer against the recursive one, compared with ==."""
+
+    @staticmethod
+    def _assert_same(model, oracle, contexts, sentences):
+        words = model.vocab + [OOV]
+        for ctx in contexts:
+            for w in words:
+                assert model.prob(w, ctx) == oracle.prob(w, ctx), (w, ctx)
+        for sent in sentences:
+            assert model.sentence_logprob(sent) == oracle.sentence_logprob(sent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        min_count=st.integers(1, 2),
+        sentences=st.lists(
+            st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_random_corpora(self, order, min_count, sentences, data):
+        text = [" ".join(s) for s in sentences]
+        model = train_kn_sentences(text, order=order, min_count=min_count)
+        ref = ReferenceKN(text, order=order, min_count=min_count)
+        assert model.vocab == ref.vocab
+        oracle = RecursiveKN(order, ref.vocab, ref.counts[order], min_count)
+        assert model.discounts == oracle.discounts
+
+        # every context of the training corpus, so every order interpolates
+        contexts = []
+        for s in sentences:
+            seq = [BOS] * (order - 1) + [model.map_word(w) for w in s]
+            contexts += [tuple(seq[i:i + order - 1]) for i in range(len(s))]
+        symbols = CORPUS_WORDS + [OOV, UNK, BOS, EOS]
+        contexts += data.draw(st.lists(
+            st.lists(st.sampled_from(symbols), max_size=order + 1).map(tuple),
+            min_size=5, max_size=20,
+        ))  # shorter than order-1, full length and longer, OOV words included
+        contexts += [(OOV, "a"), ("a", OOV), (OOV,) * 4, ()]
+        extra = data.draw(st.lists(
+            st.lists(st.sampled_from(CORPUS_WORDS + [OOV, "Z"]), max_size=6),
+            max_size=5,
+        ))
+        self._assert_same(model, oracle, contexts, sentences + extra)
+
+    def test_vocab_past_int64_gram_ids(self):
+        vocab = [UNK, BOS, EOS] + [f"w{i:04d}" for i in range(7000)]
+        order = 5
+        assert (len(vocab) + 1) ** order > 2**63
+        rng = random.Random(3)
+        sentences = [[rng.choice(vocab[-20:] + vocab[3:8]) for _ in range(6)]
+                     for _ in range(40)]
+        top = {}
+        for s in sentences:
+            seq = [BOS] * (order - 1) + s + [EOS]
+            for i in range(len(seq) - order + 1):
+                gram = tuple(seq[i:i + order])
+                top[gram] = top.get(gram, 0) + 1
+        model = KneserNeyModel(order, vocab, top, min_count=1)
+        oracle = RecursiveKN(order, vocab, top, min_count=1)
+        contexts = [g[:-1] for g in top] + [g[1:] for g in top]
+        contexts += [(OOV, "w6999"), ("w6999", OOV, "w0001", UNK), ()]
+        for ctx in contexts:
+            for w in vocab[:10] + vocab[-25:] + [OOV]:
+                assert model.prob(w, ctx) == oracle.prob(w, ctx), (w, ctx)
+        for s in sentences + [["w6999", OOV, "w0000"]]:
+            assert model.sentence_logprob(s) == oracle.sentence_logprob(s)
 
 
 class TestFilter:

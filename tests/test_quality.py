@@ -3,7 +3,13 @@ import dataclasses
 from hypothesis import given, strategies as st
 
 from corpusprep.core import Document
-from corpusprep.quality import HeuristicConfig, apply_heuristics, strip_boilerplate
+from corpusprep.quality import (
+    LATVIAN_DIACRITICS,
+    HeuristicConfig,
+    _char_ratios,
+    apply_heuristics,
+    strip_boilerplate,
+)
 
 LATVIAN_PARAGRAPH = (
     "Rīga ir Latvijas galvaspilsēta un lielākā pilsēta visās Baltijas valstīs. "
@@ -98,3 +104,40 @@ class TestApplyHeuristics:
         d = doc(text)
         if apply_heuristics(d, base) is None:
             assert apply_heuristics(d, loose) is None
+
+
+def char_ratios_per_character(text):
+    """The per-character loop _char_ratios replaces, kept as its oracle."""
+    non_ws = alpha = digit = latvian = 0
+    for ch in text:
+        if ch.isspace():
+            continue
+        non_ws += 1
+        if ch.isalpha():
+            alpha += 1
+            if ch.lower() in LATVIAN_DIACRITICS:
+                latvian += 1
+        elif ch.isdigit():
+            digit += 1
+    if non_ws == 0:
+        return 0.0, 0.0, 0.0
+    latvian_ratio = latvian / alpha if alpha else 0.0
+    return alpha / non_ws, digit / non_ws, latvian_ratio
+
+
+class TestCharRatios:
+    # isdigit() but not a decimal digit (\d): superscripts, circled digits;
+    # numeric but neither alpha nor digit: vulgar fractions, roman numerals
+    TRICKY = "²³¹①½⅓ⅫĀČĒĢĪĶĻŅŠŪŽāčēģīķļņšūžǅß\u00a0\u2003\t\n٣"
+
+    @given(st.text(max_size=200))
+    def test_equals_per_character_loop(self, text):
+        assert _char_ratios(text) == char_ratios_per_character(text)
+
+    @given(st.text(alphabet=TRICKY + "ab1 ", max_size=200))
+    def test_equals_per_character_loop_on_tricky_characters(self, text):
+        assert _char_ratios(text) == char_ratios_per_character(text)
+
+    def test_uppercase_latvian_and_unicode_digits(self):
+        alpha, digit, latvian = _char_ratios("ĀČ ab ²½")
+        assert (alpha, digit, latvian) == (4 / 6, 1 / 6, 2 / 4)

@@ -44,6 +44,14 @@ class TestVocabFile:
         with pytest.raises(VocabError, match="size"):
             load_vocab(path, expected_size=99999)
 
+    def test_more_than_u16_ids_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(make_basic_vocab(size=65536)) + "\n", encoding="utf-8")
+        assert load_vocab(path).size == 65536
+        path.write_text("\n".join(make_basic_vocab(size=65537)) + "\n", encoding="utf-8")
+        with pytest.raises(VocabError, match="65537 tokens > 65536"):
+            load_vocab(path)
+
     def test_save_load_byte_identical(self, tmp_path, small_vocab):
         p1 = tmp_path / "a.txt"
         p2 = tmp_path / "b.txt"
