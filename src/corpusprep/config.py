@@ -16,7 +16,7 @@ import yaml
 
 from corpusprep.ngram_lm import PerplexityPolicy
 from corpusprep.near_dedup import NearDupConfig
-from corpusprep.packing import MaskConfig
+from corpusprep.packing import MAX_SEQ_LEN, MaskConfig
 from corpusprep.quality import HeuristicConfig
 from corpusprep.sampler import BucketQuota, validate_quotas
 from corpusprep.subword import MAX_VOCAB_SIZE
@@ -30,9 +30,6 @@ KNOWN_STAGES = (
     "sample",
     "pack",
 )
-
-# packed.bin stores window positions and pad_count as u16
-MAX_SEQ_LEN = 65535
 
 
 class ConfigError(ValueError):

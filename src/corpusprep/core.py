@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-_WS_RUN = re.compile(r"\s+")
+# Whitespace that changes under collapsing: a run of two or more, or one
+# character other than a plain space or newline (those already collapse
+# to themselves, so they are not matched and cost no callback).
+_WS_RUN = re.compile(r"\s{2,}|[^\S \n]")
 
 TOKEN_COUNT_META_KEY = "token_count"
 

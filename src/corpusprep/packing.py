@@ -15,6 +15,7 @@ never selected and spans never cross document boundaries.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import struct
@@ -25,6 +26,9 @@ import numpy as np
 
 DEFAULT_GEOM_P = 0.2
 DEFAULT_MAX_SPAN = 10
+
+# packed.bin stores window positions and pad_count as u16
+MAX_SEQ_LEN = 65535
 
 ACTION_MASK = 0
 ACTION_RANDOM = 1
@@ -137,30 +141,29 @@ def sample_spans(
     target = int(rate * segment_length)
     if target <= 0 or segment_length <= 0:
         return []
-    cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span))
-    occupied = np.zeros(segment_length, dtype=bool)
+    cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span)).tolist()
+    occupied = bytearray(segment_length)
     spans: list[tuple[int, int]] = []
     covered = 0
     while covered < target:
-        length = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
+        length = bisect.bisect_right(cdf, rng.random()) + 1
         length = min(length, target - covered, segment_length)
         placed = False
         for _ in range(32):
             start = int(rng.integers(0, segment_length - length + 1))
-            if not occupied[start : start + length].any():
+            if 1 not in occupied[start : start + length]:
                 placed = True
                 break
         if not placed:
             # fragmented: place into the first free run (trimmed to fit)
-            free = np.flatnonzero(~occupied)
-            if free.size == 0:
+            start = occupied.find(0)
+            if start < 0:
                 break
-            start = int(free[0])
             run = 1
             while run < length and start + run < segment_length and not occupied[start + run]:
                 run += 1
             length = min(length, run)
-        occupied[start : start + length] = True
+        occupied[start : start + length] = b"\x01" * length
         spans.append((start, length))
         covered += length
     return sorted(spans)
@@ -221,12 +224,10 @@ def apply_masking(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, MaskPlan]:
     """Produce masked tokens and the plan; input sequence is not modified."""
-    tokens = seq.tokens.copy()
+    tokens = seq.tokens.tolist()
     positions: list[int] = []
     for start, end, _doc_id in seq.boundaries:
-        maskable = [
-            i for i in range(start, end) if int(seq.tokens[i]) not in special_ids
-        ]
+        maskable = [i for i in range(start, end) if tokens[i] not in special_ids]
         if not maskable:
             continue
         if cfg.scheme == "span":
@@ -240,21 +241,23 @@ def apply_masking(
             n_pick = int(cfg.rate * len(maskable))
             if n_pick > 0:
                 picks = rng.choice(len(maskable), size=n_pick, replace=False)
-                positions.extend(maskable[i] for i in sorted(picks))
+                positions.extend(maskable[i] for i in sorted(picks.tolist()))
     positions.sort()
 
     random_candidates = _random_candidates(vocab_size, special_ids)
+    masked = list(tokens)
     actions: list[int] = []
     originals: list[int] = []
     for pos in positions:
-        originals.append(int(seq.tokens[pos]))
+        originals.append(tokens[pos])
         u = rng.random()
         if u < cfg.p_mask:
             actions.append(ACTION_MASK)
-            tokens[pos] = mask_id
+            masked[pos] = mask_id
         elif u < cfg.p_mask + cfg.p_random:
             actions.append(ACTION_RANDOM)
-            tokens[pos] = random_candidates[rng.integers(0, len(random_candidates))]
+            k = rng.integers(0, len(random_candidates))
+            masked[pos] = int(random_candidates[k])
         else:
             actions.append(ACTION_KEEP)
     plan = MaskPlan(
@@ -264,7 +267,7 @@ def apply_masking(
         rate=cfg.rate,
         scheme=cfg.scheme,
     )
-    return tokens, plan
+    return np.array(masked, dtype=np.uint16), plan
 
 
 def window_rng(run_seed: int, window_index: int) -> np.random.Generator:
@@ -296,6 +299,11 @@ def write_packed(
     records: Iterable[tuple[np.ndarray, PackedSequence, MaskPlan]],
     seq_len: int,
 ) -> int:
+    if not 2 <= seq_len <= MAX_SEQ_LEN:
+        raise ValueError(
+            f"seq_len {seq_len} outside 2..{MAX_SEQ_LEN} "
+            "(packed.bin stores positions and pad_count as u16)"
+        )
     n = 0
     with open(path, "wb") as fh, open(
         sidecar_path, "w", encoding="utf-8", newline="\n"

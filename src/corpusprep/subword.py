@@ -10,6 +10,12 @@ Words (whitespace-delimited) are segmented over their UTF-8 bytes by
 greedy longest-match-first; a byte with no matching piece becomes <unk>.
 For <unk>-free text, detokenize() recovers the exact byte sequence of the
 whitespace-normalized input.
+
+Each word type is segmented once per loaded vocabulary: tokenize() keeps a
+word -> ids memo on the SubwordVocab, bounded at WORD_CACHE_SIZE entries
+(once full, new words are segmented but not stored). A word's ids depend
+only on its bytes and the vocabulary, so the output does not depend on
+the memo.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ CONT_PREFIX = b"##"
 
 # packed.bin stores token ids as u16
 MAX_VOCAB_SIZE = 65536
+
+# Most word types a vocabulary memoizes; later new words are segmented
+# without being stored, so memory stays bounded on open-vocabulary text.
+WORD_CACHE_SIZE = 1 << 16
 
 _ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})")
 
@@ -68,6 +78,8 @@ class SubwordVocab:
     continuation: dict = field(init=False)  # bytes -> id (## pieces, stripped)
     _max_init: int = field(init=False, default=0)
     _max_cont: int = field(init=False, default=0)
+    # word -> segmentation ids, filled by tokenize()
+    _word_ids: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial = {}
@@ -162,28 +174,45 @@ def _match_longest(data: bytes, pos: int, table: dict, max_len: int) -> Optional
     return None
 
 
+def _segment(word: str, vocab: SubwordVocab) -> tuple[int, ...]:
+    """Greedy longest-match ids of one whitespace-free word."""
+    data = word.encode("utf-8")
+    ids: list[int] = []
+    pos = 0
+    first = True
+    while pos < len(data):
+        if first:
+            piece_id = _match_longest(data, pos, vocab.initial, vocab._max_init)
+        else:
+            piece_id = _match_longest(
+                data, pos, vocab.continuation, vocab._max_cont
+            )
+        if piece_id is None:
+            ids.append(vocab.unk_id)
+            pos += 1
+        else:
+            piece = vocab.pieces[piece_id]
+            pos += len(piece) - (0 if first else len(CONT_PREFIX))
+            ids.append(piece_id)
+        first = False
+    return tuple(ids)
+
+
 def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
-    """Greedy longest-match segmentation of each whitespace-split word."""
+    """Greedy longest-match segmentation of each whitespace-split word.
+
+    A word's ids depend only on the word and the vocabulary, so each word
+    type is segmented once and then read from the vocabulary's memo.
+    """
+    memo = vocab._word_ids
     ids: list[int] = []
     for word in text.split():
-        data = word.encode("utf-8")
-        pos = 0
-        first = True
-        while pos < len(data):
-            if first:
-                piece_id = _match_longest(data, pos, vocab.initial, vocab._max_init)
-            else:
-                piece_id = _match_longest(
-                    data, pos, vocab.continuation, vocab._max_cont
-                )
-            if piece_id is None:
-                ids.append(vocab.unk_id)
-                pos += 1
-            else:
-                piece = vocab.pieces[piece_id]
-                pos += len(piece) - (0 if first else len(CONT_PREFIX))
-                ids.append(piece_id)
-            first = False
+        seg = memo.get(word)
+        if seg is None:
+            seg = _segment(word, vocab)
+            if len(memo) < WORD_CACHE_SIZE:
+                memo[word] = seg
+        ids += seg
     return ids
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import unicodedata
 
 import pytest
@@ -12,6 +13,33 @@ from corpusprep.core import (
     word_count,
     write_jsonl,
 )
+
+
+def _normalize_text_reference(text: str) -> str:
+    """normalize_text as it was before the whitespace pattern skipped lone
+    spaces and newlines: every maximal whitespace run goes through the
+    callback."""
+
+    def collapse(m):
+        run = m.group(0)
+        return "\n" if ("\n" in run or "\r" in run) else " "
+
+    text = unicodedata.normalize("NFC", text)
+    return re.sub(r"\s+", collapse, text).strip()
+
+
+_WHITESPACE = [" ", "\n", "\r", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1f",
+               "\x85", "\u2003", "\xa0", "\u3000", "\u2028"]
+
+# Arbitrary Unicode chunks, each followed by a run of one to three
+# whitespace pieces, so lone and mixed runs of every kind are frequent
+_WHITESPACE_TEXT = st.lists(
+    st.tuples(
+        st.one_of(st.text(min_size=1, max_size=3), st.sampled_from(["a", "ā", "a\u0304"])),
+        st.lists(st.sampled_from(_WHITESPACE), min_size=1, max_size=3).map("".join),
+    ),
+    max_size=12,
+).map(lambda parts: "".join(w + ws for w, ws in parts))
 
 
 class TestNormalizeText:
@@ -30,10 +58,14 @@ class TestNormalizeText:
     def test_preserves_line_structure(self):
         assert normalize_text("one  line\n\n  two \t line\n") == "one line\ntwo line"
 
-    @given(st.text(max_size=200))
+    @given(st.one_of(st.text(max_size=200), _WHITESPACE_TEXT))
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    @given(st.one_of(st.text(max_size=200), _WHITESPACE_TEXT))
+    def test_matches_collapse_of_every_run(self, text):
+        assert normalize_text(text) == _normalize_text_reference(text)
 
     @given(st.text(alphabet=st.sampled_from("ab \t"), max_size=100))
     def test_ascii_whitespace_collapse_nonincreasing(self, text):

@@ -1,14 +1,18 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import masking_reference
 from corpusprep.packing import (
     ACTION_KEEP,
     ACTION_MASK,
     ACTION_RANDOM,
     MaskConfig,
+    MaskPlan,
+    PackedSequence,
     apply_masking,
     pack_greedy,
     read_packed,
@@ -227,6 +231,99 @@ class TestApplyMasking:
         assert p1.positions == p2.positions and p1.actions == p2.actions
 
 
+_RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
+
+
+class TestMaskingMatchesReference:
+    """The list/bytearray masking loop against the numpy-scalar one kept in
+    tests/masking_reference.py, compared with ==, including the generator
+    state afterwards (the same draws were made)."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 120),
+        _RATES,
+        st.floats(0.05, 0.95),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    def test_sample_spans(self, length, rate, geom_p, max_span, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_spans(length, rate, geom_p, max_span, rng)
+        assert got == masking_reference.sample_spans(
+            length, rate, geom_p, max_span, ref_rng
+        )
+        assert rng.random() == ref_rng.random()
+
+    def test_sample_spans_draw_on_cdf_boundary(self):
+        # a draw equal to a cdf value must take the longer span, as
+        # np.searchsorted(..., side="right") does
+        cdf = np.cumsum(truncated_geometric_pmf(0.3, 6)).tolist()
+
+        class BoundaryRng:
+            def __init__(self):
+                self.draws = iter(cdf[:-1] * 50)
+                self.gen = np.random.default_rng(0)
+
+            def random(self):
+                return next(self.draws)
+
+            def integers(self, low, high):
+                return self.gen.integers(low, high)
+
+        got = sample_spans(200, 0.5, 0.3, 6, BoundaryRng())
+        assert got == masking_reference.sample_spans(200, 0.5, 0.3, 6, BoundaryRng())
+        assert {ln for _, ln in got} >= {2, 3, 4, 5, 6}
+
+    def test_sample_spans_fragmented_fallback(self):
+        # at rate 0.95 some draw misses 32 times and the first-free-run
+        # fallback trims a span; both versions must agree there too
+        for seed in range(20):
+            got = sample_spans(40, 0.95, 0.1, 10, np.random.default_rng(seed))
+            ref = masking_reference.sample_spans(
+                40, 0.95, 0.1, 10, np.random.default_rng(seed)
+            )
+            assert got == ref
+            assert sum(ln for _, ln in got) == 38
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 40), min_size=0, max_size=60),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([8, 16, 33, 64]),
+        st.booleans(),
+        st.sampled_from(["span", "token"]),
+        _RATES,
+        st.sampled_from([(0.8, 0.1), (1.0, 0.0), (0.0, 1.0), (0.3, 0.3)]),
+        st.integers(0, 2**32),
+    )
+    def test_apply_masking(self, docs, seq_len, split, scheme, rate, action_p, seed):
+        # ids 0..40 include the specials, so segments hold special tokens
+        # inside as well as at their edges
+        wins, _ = pack_greedy(
+            [(f"d{i}", ids) for i, ids in enumerate(docs)],
+            seq_len, BOS, EOS, PAD, split=split,
+        )
+        cfg = MaskConfig(
+            scheme=scheme, rate=rate, p_mask=action_p[0], p_random=action_p[1]
+        )
+        for i, w in enumerate(wins):
+            before = w.tokens.copy()
+            masked, plan = apply_masking(
+                w, cfg, MASK, SPECIALS, 41, window_rng(seed, i)
+            )
+            ref_masked, ref_plan = masking_reference.apply_masking(
+                w, cfg, MASK, SPECIALS, 41, window_rng(seed, i)
+            )
+            assert masked.dtype == ref_masked.dtype == np.uint16
+            assert masked.tolist() == ref_masked.tolist()
+            assert plan == ref_plan
+            assert np.array_equal(w.tokens, before)
+
+
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
         docs = lognormal_token_docs(50, VOCAB, SPECIALS, mean_len=100, seed=8)
@@ -257,3 +354,59 @@ class TestBinaryFormat:
         p.write_bytes(b"NOPE" + b"\x00" * 10)
         with pytest.raises(ValueError, match="magic"):
             list(read_packed(p))
+
+    def test_seq_len_out_of_range_rejected_before_writing(self, tmp_path):
+        for seq_len in (1, 65536):
+            bin_path = tmp_path / f"p{seq_len}.bin"
+            side_path = tmp_path / f"p{seq_len}.meta.jsonl"
+            with pytest.raises(ValueError, match="outside 2..65535"):
+                write_packed(bin_path, side_path, [], seq_len)
+            assert not bin_path.exists() and not side_path.exists()
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data(), st.integers(2, 40), st.integers(0, 5))
+    def test_round_trip_property(self, tmp_path_factory, data, seq_len, n_windows):
+        records = []
+        for _ in range(n_windows):
+            # non-pad prefix cut into document segments; the rest is padding,
+            # up to a window that is all padding
+            n_real = data.draw(st.integers(0, seq_len))
+            cuts = data.draw(
+                st.lists(st.integers(1, max(n_real - 1, 1)), max_size=4, unique=True)
+            )
+            edges = sorted({0, n_real, *[c for c in cuts if c < n_real]})
+            bounds = [(a, b, f"doc{a}") for a, b in zip(edges, edges[1:])]
+            words = st.integers(0, 65535)
+            tokens = np.array(
+                data.draw(st.lists(words, min_size=seq_len, max_size=seq_len)),
+                dtype=np.uint16,
+            )
+            positions = sorted(
+                data.draw(st.sets(st.integers(0, max(n_real - 1, 0)), max_size=n_real))
+            )
+            plan = MaskPlan(
+                positions=positions,
+                actions=[data.draw(st.sampled_from([0, 1, 2])) for _ in positions],
+                originals=[data.draw(words) for _ in positions],
+                rate=0.3,
+                scheme="span",
+            )
+            seq = PackedSequence(
+                tokens=tokens.copy(), boundaries=bounds, pad_count=seq_len - n_real
+            )
+            records.append((tokens, seq, plan))
+        out = tmp_path_factory.mktemp("rt")
+        n = write_packed(out / "p.bin", out / "p.meta.jsonl", records, seq_len)
+        back = list(read_packed(out / "p.bin"))
+        assert n == len(back) == n_windows
+        for rec, (tokens, seq, plan) in zip(back, records):
+            assert rec["tokens"].tolist() == tokens.tolist()
+            assert rec["pad_count"] == seq.pad_count
+            assert rec["boundaries"] == [(s, e) for s, e, _ in seq.boundaries]
+            assert rec["masks"] == list(
+                zip(plan.positions, plan.actions, plan.originals)
+            )
+        side = (out / "p.meta.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["doc_ids"] for line in side] == [
+            [d for _, _, d in seq.boundaries] for _, seq, _ in records
+        ]

@@ -1,8 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from corpusprep import subword
 from corpusprep.core import Document
 from corpusprep.subword import (
+    SPECIAL_TOKENS,
+    SubwordVocab,
     VocabError,
     detokenize,
     escape_token,
@@ -13,6 +18,7 @@ from corpusprep.subword import (
     unescape_token,
 )
 from corpusprep.synthetic import make_basic_vocab
+from subword_reference import tokenize as reference_tokenize
 
 
 class TestVocabFile:
@@ -119,6 +125,74 @@ class TestTokenize:
         a, b = " ".join(parts[:k]), " ".join(parts[k:])
         whole = len(tokenize(a + " " + b, small_vocab))
         assert len(tokenize(a, small_vocab)) + len(tokenize(b, small_vocab)) == whole
+
+
+def _gappy_vocab() -> SubwordVocab:
+    """Byte-fallback vocabulary with multi-byte word-initial and continuation
+    pieces, and bytes that have no piece: "q" at word start, 0xAB (second
+    byte of "ī") as a continuation, and 0xE2 (lead byte of "€") anywhere."""
+    dropped = {"q", "##\\xab", "\\xe2", "##\\xe2"}
+    tokens = [t for t in make_basic_vocab() if t not in dropped]
+    tokens += ["ab", "abc", "rī", "rīga", "##bc", "##ga", "##ī", "##īg", "##\\xab\\x80"]
+    pieces = [unescape_token(t) for t in tokens]
+    return SubwordVocab(
+        pieces=pieces,
+        specials={name: pieces.index(name.encode()) for name in SPECIAL_TOKENS},
+    )
+
+
+_WARM_VOCAB = _gappy_vocab()
+
+# Words the vocabulary knows, their case variants, bytes it lacks and
+# arbitrary characters, joined by ASCII and Unicode whitespace
+_TOKENIZER_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["a", "b", "c", "q", "ab", "abc", "AB", "Abc", "rīga", "RĪGA", "ī",
+             "Ī", "€", "ā", "##", " ", "\t", "\n", "\x85", "\u2003", "\xa0",
+             "\u3000", "\x1c"]
+        ),
+        st.characters(),
+    ),
+    max_size=40,
+).map("".join)
+
+
+class TestTokenizeMatchesReference:
+    """The memoized tokenizer against the per-occurrence segmentation kept in
+    tests/subword_reference.py, compared with ==."""
+
+    def test_vocab_covers_unk_and_continuations(self):
+        v = _gappy_vocab()
+        ids = reference_tokenize("qa abc rīga ī €", v)
+        assert v.unk_id in ids
+        assert any(v.pieces[i].startswith(b"##") for i in ids)
+
+    @given(_TOKENIZER_TEXT)
+    @example("ab AB Ab rīga RĪGA ab")
+    def test_fresh_vocab(self, text):
+        v = _gappy_vocab()
+        assert tokenize(text, v) == reference_tokenize(text, v)
+
+    @given(_TOKENIZER_TEXT)
+    def test_warm_memo(self, text):
+        tokenize(text, _WARM_VOCAB)
+        assert tokenize(text, _WARM_VOCAB) == reference_tokenize(text, _WARM_VOCAB)
+
+    @given(_TOKENIZER_TEXT)
+    def test_full_memo(self, text):
+        v = _gappy_vocab()
+        with mock.patch.object(subword, "WORD_CACHE_SIZE", 2):
+            tokenize("ab qab", v)
+            assert tokenize(text, v) == reference_tokenize(text, v)
+            assert tokenize(text, v) == reference_tokenize(text, v)
+        assert len(v._word_ids) == 2
+
+    def test_memo_filled_by_tokenize_not_load(self, small_vocab_path):
+        v = load_vocab(small_vocab_path)
+        assert v._word_ids == {}
+        tokenize("ab ab ba", v)
+        assert sorted(v._word_ids) == ["ab", "ba"]
 
 
 class TestTokenCount:
