@@ -71,10 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
     docs = list(read_jsonl(args.input))
+    get_vocab = pipeline.vocab_loader(cfg)
     if stage == "pack":
-        stats = pipeline.pack_docs(docs, cfg, args.output)
+        stats = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
     else:
-        docs, stats = pipeline.run_stage(stage, docs, cfg, None)
+        docs, stats = pipeline.run_stage(stage, docs, cfg, None, get_vocab)
         write_jsonl(docs, args.output)
         write_rejects(stats.rejects, args.output + ".rejects")
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))

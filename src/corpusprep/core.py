@@ -199,6 +199,20 @@ class StageStats:
             "extra": {k: self.extra[k] for k in sorted(self.extra)},
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "StageStats":
+        """Inverse of to_dict (wall_time and rejects are not serialized)."""
+        return cls(
+            stage=d["stage"],
+            docs_in=d["docs_in"],
+            docs_out=d["docs_out"],
+            words_in=d["words_in"],
+            words_out=d["words_out"],
+            rejected=dict(d["rejected"]),
+            per_source={s: SourceStats(**v) for s, v in d["per_source"].items()},
+            extra=dict(d["extra"]),
+        )
+
 
 class JsonlReadError(IOError):
     pass

@@ -7,20 +7,21 @@ window, so padding only ever occupies the tail of the final window and
 global efficiency stays above 99% on any realistic corpus.
 
 Mask plans select floor(rate * maskable) positions per document segment,
-via non-overlapping truncated-geometric spans (span scheme) or uniform
-positions (token scheme). Selected positions receive
-mask/random/keep actions (default 80/10/10). Pad and special positions are
-never selected and spans never cross document boundaries.
+where maskable excludes every special id, <unk> inside a document included.
+The span scheme covers the maskable positions with truncated-geometric spans
+placed as a uniformly random composition of the unmasked gaps (T5's
+random_spans_noise_mask); the token scheme picks positions uniformly. Each
+selected position gets a mask/random/keep action (default 80/10/10). Spans
+never cross document boundaries; all draws are batched per window.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,51 +123,40 @@ def sample_spans(
     rate: float,
     geom_p: float = DEFAULT_GEOM_P,
     max_span: int = DEFAULT_MAX_SPAN,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Non-overlapping (start, length) spans covering ~rate of the segment.
+    """Non-overlapping (start, length) spans, sorted by start, covering
+    exactly floor(rate * segment_length) positions.
 
-    Span lengths are truncated-geometric; the final span is clamped to the
-    remaining budget so coverage stops exactly when it reaches
-    floor(rate * segment_length).
+    Span lengths are truncated-geometric, drawn in one batch and cut where
+    they reach the target; the last one is clamped and the lengths are
+    shuffled, so the clamped span lands anywhere. The unmasked gaps between
+    spans are a uniformly random composition of the rest of the segment.
     """
-    if not 0.0 < rate < 1.0 and rate != 1.0:
+    if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
     if not 0.0 < geom_p < 1.0:
         raise ValueError("geom_p must be in (0, 1)")
     if max_span < 1:
         raise ValueError("max_span must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     target = int(rate * segment_length)
-    if target <= 0 or segment_length <= 0:
+    if target <= 0:
         return []
-    cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span)).tolist()
-    occupied = bytearray(segment_length)
-    spans: list[tuple[int, int]] = []
-    covered = 0
-    while covered < target:
-        length = bisect.bisect_right(cdf, rng.random()) + 1
-        length = min(length, target - covered, segment_length)
-        placed = False
-        for _ in range(32):
-            start = int(rng.integers(0, segment_length - length + 1))
-            if 1 not in occupied[start : start + length]:
-                placed = True
-                break
-        if not placed:
-            # fragmented: place into the first free run (trimmed to fit)
-            start = occupied.find(0)
-            if start < 0:
-                break
-            run = 1
-            while run < length and start + run < segment_length and not occupied[start + run]:
-                run += 1
-            length = min(length, run)
-        occupied[start : start + length] = b"\x01" * length
-        spans.append((start, length))
-        covered += length
-    return sorted(spans)
+    # searching the cdf without its last value keeps lengths <= max_span
+    # when the float cdf ends a hair below 1
+    cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span))[:-1]
+    lengths = np.searchsorted(cdf, rng.random(target), side="right") + 1
+    ends = np.cumsum(lengths)
+    k = int(np.searchsorted(ends, target)) + 1
+    lengths = lengths[:k]
+    lengths[-1] -= ends[k - 1] - target
+    lengths = rng.permutation(lengths)
+    # stars and bars: span i is the slot_i-th of k spans among the
+    # segment_length - target unmasked positions
+    slots = np.sort(rng.choice(segment_length - target + k, size=k, replace=False))
+    starts = slots - np.arange(k) + np.cumsum(lengths) - lengths
+    return list(zip(starts.tolist(), lengths.tolist()))
 
 
 @dataclass
@@ -189,6 +179,9 @@ class MaskConfig:
             errors.append(f"mask.geom_p: {self.geom_p} outside (0, 1)")
         if self.max_span < 1:
             errors.append("mask.max_span: must be >= 1")
+        for name in ("p_mask", "p_random"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                errors.append(f"mask.{name}: {getattr(self, name)} outside [0, 1]")
         if self.p_mask + self.p_random > 1.0:
             errors.append("mask: p_mask + p_random > 1")
         return errors
@@ -203,18 +196,6 @@ class MaskPlan:
     scheme: str
 
 
-_CANDIDATE_CACHE: dict = {}
-
-
-def _random_candidates(vocab_size: int, special_ids: frozenset) -> np.ndarray:
-    key = (vocab_size, special_ids)
-    if key not in _CANDIDATE_CACHE:
-        _CANDIDATE_CACHE[key] = np.array(
-            [i for i in range(vocab_size) if i not in special_ids], dtype=np.uint16
-        )
-    return _CANDIDATE_CACHE[key]
-
-
 def apply_masking(
     seq: PackedSequence,
     cfg: MaskConfig,
@@ -224,50 +205,40 @@ def apply_masking(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, MaskPlan]:
     """Produce masked tokens and the plan; input sequence is not modified."""
-    tokens = seq.tokens.tolist()
-    positions: list[int] = []
+    specials = np.array(sorted(special_ids), dtype=np.int64)
+    special = np.isin(seq.tokens, specials)
+    picked = [np.zeros(0, dtype=np.int64)]
     for start, end, _doc_id in seq.boundaries:
-        maskable = [i for i in range(start, end) if tokens[i] not in special_ids]
-        if not maskable:
-            continue
+        maskable = start + np.flatnonzero(~special[start:end])
+        n = len(maskable)
         if cfg.scheme == "span":
-            # maskable positions are contiguous (specials only at edges)
-            base = maskable[0]
-            for s, ln in sample_spans(
-                len(maskable), cfg.rate, cfg.geom_p, cfg.max_span, rng
-            ):
-                positions.extend(range(base + s, base + s + ln))
+            spans = sample_spans(n, cfg.rate, cfg.geom_p, cfg.max_span, rng=rng)
+            picks = [s + j for s, ln in spans for j in range(ln)]
         else:
-            n_pick = int(cfg.rate * len(maskable))
-            if n_pick > 0:
-                picks = rng.choice(len(maskable), size=n_pick, replace=False)
-                positions.extend(maskable[i] for i in sorted(picks.tolist()))
-    positions.sort()
+            picks = np.sort(rng.choice(n, size=int(cfg.rate * n), replace=False))
+        picked.append(maskable[picks])
+    positions = np.concatenate(picked)
 
-    random_candidates = _random_candidates(vocab_size, special_ids)
-    masked = list(tokens)
-    actions: list[int] = []
-    originals: list[int] = []
-    for pos in positions:
-        originals.append(tokens[pos])
-        u = rng.random()
-        if u < cfg.p_mask:
-            actions.append(ACTION_MASK)
-            masked[pos] = mask_id
-        elif u < cfg.p_mask + cfg.p_random:
-            actions.append(ACTION_RANDOM)
-            k = rng.integers(0, len(random_candidates))
-            masked[pos] = int(random_candidates[k])
-        else:
-            actions.append(ACTION_KEEP)
+    u = rng.random(len(positions))
+    actions = np.full(len(positions), ACTION_KEEP, dtype=np.uint8)
+    actions[u < cfg.p_mask + cfg.p_random] = ACTION_RANDOM
+    actions[u < cfg.p_mask] = ACTION_MASK
+    masked = seq.tokens.copy()
+    masked[positions[actions == ACTION_MASK]] = mask_id
+    randomized = positions[actions == ACTION_RANDOM]
+    # the r-th non-special id is r plus the count of specials j with
+    # specials[j] - j (the non-special ids below it) <= r
+    r = rng.integers(0, vocab_size - len(specials), size=len(randomized))
+    skip = specials - np.arange(len(specials))
+    masked[randomized] = r + np.searchsorted(skip, r, side="right")
     plan = MaskPlan(
-        positions=positions,
-        actions=actions,
-        originals=originals,
+        positions=positions.tolist(),
+        actions=actions.tolist(),
+        originals=seq.tokens[positions].tolist(),
         rate=cfg.rate,
         scheme=cfg.scheme,
     )
-    return np.array(masked, dtype=np.uint16), plan
+    return masked, plan
 
 
 def window_rng(run_seed: int, window_index: int) -> np.random.Generator:
@@ -279,18 +250,17 @@ def window_rng(run_seed: int, window_index: int) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-# ---------------------------------------------------------------------------
-# Binary record stream (documented in README): file header
-#   magic b"PKSQ", u16 version=1, u32 seq_len
-# then per window:
-#   u16 tokens[seq_len] (masked), u16 pad_count, u16 n_bounds,
-#   n_bounds * (u32 start, u32 end), u16 n_masked,
-#   n_masked * (u16 position, u8 action, u16 original_id)
-# Document ids per window live in the JSONL sidecar.
-# ---------------------------------------------------------------------------
-
+# packed.bin (documented in README): MAGIC and _HEADER, then per window
+# u16 tokens[seq_len] (masked), _COUNTS, n_bounds * BOUND_DTYPE, _N_MASKED,
+# n_masked * MASK_DTYPE, all little-endian. Document ids per window live in
+# the JSONL sidecar.
 MAGIC = b"PKSQ"
 VERSION = 1
+_HEADER = struct.Struct("<HI")  # version, seq_len
+_COUNTS = struct.Struct("<HH")  # pad_count, n_bounds
+_N_MASKED = struct.Struct("<H")  # n_masked
+BOUND_DTYPE = np.dtype([("start", "<u4"), ("end", "<u4")])
+MASK_DTYPE = np.dtype([("pos", "<u2"), ("action", "u1"), ("orig", "<u2")])
 
 
 def write_packed(
@@ -308,17 +278,23 @@ def write_packed(
     with open(path, "wb") as fh, open(
         sidecar_path, "w", encoding="utf-8", newline="\n"
     ) as side:
-        fh.write(MAGIC + struct.pack("<HI", VERSION, seq_len))
+        fh.write(MAGIC + _HEADER.pack(VERSION, seq_len))
         for masked_tokens, seq, plan in records:
-            fh.write(masked_tokens.astype("<u2").tobytes())
-            fh.write(struct.pack("<HH", seq.pad_count, len(seq.boundaries)))
-            for start, end, _doc_id in seq.boundaries:
-                fh.write(struct.pack("<II", start, end))
-            fh.write(struct.pack("<H", len(plan.positions)))
-            for pos, action, orig in zip(
-                plan.positions, plan.actions, plan.originals
-            ):
-                fh.write(struct.pack("<HBH", pos, action, orig))
+            bounds = np.array([b[:2] for b in seq.boundaries], dtype=BOUND_DTYPE)
+            masks = np.rec.fromarrays(
+                [plan.positions, plan.actions, plan.originals], dtype=MASK_DTYPE
+            )
+            fh.write(
+                b"".join(
+                    (
+                        masked_tokens.astype("<u2").tobytes(),
+                        _COUNTS.pack(seq.pad_count, len(bounds)),
+                        bounds.tobytes(),
+                        _N_MASKED.pack(len(masks)),
+                        masks.tobytes(),
+                    )
+                )
+            )
             meta = {
                 "window": n,
                 "doc_ids": [d for _, _, d in seq.boundaries],
@@ -334,26 +310,33 @@ def write_packed(
 
 
 def read_packed(path) -> Iterator[dict]:
-    """Yield per-window dicts from a packed binary stream."""
+    """Yield per-window dicts from a packed binary stream; a record cut
+    short raises ValueError naming the path and the window."""
     with open(path, "rb") as fh:
-        header = fh.read(len(MAGIC) + 6)
-        if header[: len(MAGIC)] != MAGIC:
-            raise ValueError(f"{path}: bad magic")
-        version, seq_len = struct.unpack("<HI", header[len(MAGIC):])
+        header = fh.read(len(MAGIC) + _HEADER.size)
+        if header[: len(MAGIC)] != MAGIC or len(header) != len(MAGIC) + _HEADER.size:
+            raise ValueError(f"{path}: bad magic or short header")
+        version, seq_len = _HEADER.unpack(header[len(MAGIC):])
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        while True:
-            buf = fh.read(seq_len * 2)
-            if not buf:
-                return
-            tokens = np.frombuffer(buf, dtype="<u2")
-            pad_count, n_bounds = struct.unpack("<HH", fh.read(4))
-            bounds = [struct.unpack("<II", fh.read(8)) for _ in range(n_bounds)]
-            (n_masked,) = struct.unpack("<H", fh.read(2))
-            masks = [struct.unpack("<HBH", fh.read(5)) for _ in range(n_masked)]
+        window = 0
+
+        def read(size: int) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: window {window} truncated")
+            return buf
+
+        while head := fh.read(2 * seq_len):
+            tokens = np.frombuffer(head + read(2 * seq_len - len(head)), "<u2")
+            pad_count, n_bounds = _COUNTS.unpack(read(_COUNTS.size))
+            bounds = np.frombuffer(read(n_bounds * BOUND_DTYPE.itemsize), BOUND_DTYPE)
+            (n_masked,) = _N_MASKED.unpack(read(_N_MASKED.size))
+            masks = np.frombuffer(read(n_masked * MASK_DTYPE.itemsize), MASK_DTYPE)
             yield {
                 "tokens": tokens,
                 "pad_count": pad_count,
-                "boundaries": bounds,
-                "masks": masks,
+                "boundaries": bounds.tolist(),
+                "masks": masks.tolist(),
             }
+            window += 1

@@ -8,12 +8,13 @@ seed, so reruns with an identical config and input are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from corpusprep import exact_dedup, near_dedup, ngram_lm, packing, quality, sampler, subword
 from corpusprep.config import PipelineConfig
@@ -108,14 +109,23 @@ def report_table(report: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# Stage implementations: stage_<name>(docs, cfg, work_dir) -> (docs, stats),
-# one per config.KNOWN_STAGES name, looked up by name at call time. Rejects
-# ride in stats.rejects. Side files go to *work_dir*: clusters.jsonl (skipped
-# when work_dir is None) and packed.bin with its packed.meta.jsonl.
+# Stage implementations: stage_<name>(docs, cfg, work_dir, get_vocab) ->
+# (docs, stats), one per config.KNOWN_STAGES name, looked up by name at call
+# time. Rejects ride in stats.rejects. Side files go to *work_dir*:
+# clusters.jsonl (skipped when work_dir is None) and packed.bin with its
+# packed.meta.jsonl. *get_vocab* is one run's vocab_loader, so token_count
+# and pack share one loaded vocabulary and its word-segmentation memo.
 # --------------------------------------------------------------------------
 
 
-def stage_filter(docs, cfg: PipelineConfig, work_dir):
+def vocab_loader(cfg: PipelineConfig) -> Callable[[], subword.SubwordVocab]:
+    """A function returning *cfg*'s vocabulary, loaded on its first call."""
+    return functools.cache(
+        lambda: subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
+    )
+
+
+def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
     stats = StageStats(stage="filter")
     kept = []
     for doc in docs:
@@ -131,11 +141,11 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir):
     return kept, stats.finish()
 
 
-def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir):
+def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, get_vocab):
     return exact_dedup.dedup_exact(sorted(docs, key=lambda d: (d.source, d.id)))
 
 
-def stage_dedup_near(docs, cfg: PipelineConfig, work_dir):
+def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, get_vocab):
     clusters = []
     kept, stats = near_dedup.dedup_near(docs, cfg.near_dedup, cluster_report=clusters)
     if work_dir is not None:
@@ -147,13 +157,13 @@ def stage_dedup_near(docs, cfg: PipelineConfig, work_dir):
     return kept, stats
 
 
-def stage_lm_score(docs, cfg: PipelineConfig, work_dir):
+def stage_lm_score(docs, cfg: PipelineConfig, work_dir, get_vocab):
     model = ngram_lm.load_model(cfg.lm.model_path)
     return ngram_lm.filter_by_perplexity(docs, model, cfg.lm.policy)
 
 
-def stage_token_count(docs, cfg: PipelineConfig, work_dir):
-    vocab = subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
+def stage_token_count(docs, cfg: PipelineConfig, work_dir, get_vocab):
+    vocab = get_vocab()
     stats = StageStats(stage="token_count")
     for doc in docs:
         stats.record_in(doc)
@@ -162,7 +172,7 @@ def stage_token_count(docs, cfg: PipelineConfig, work_dir):
     return docs, stats.finish()
 
 
-def stage_sample(docs, cfg: PipelineConfig, work_dir):
+def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
     return sampler.sample_to_quota(
         docs,
         cfg.quotas,
@@ -172,14 +182,13 @@ def stage_sample(docs, cfg: PipelineConfig, work_dir):
     )
 
 
-def stage_pack(docs, cfg: PipelineConfig, work_dir):
-    return docs, pack_docs(docs, cfg, Path(work_dir) / "packed.bin")
+def stage_pack(docs, cfg: PipelineConfig, work_dir, get_vocab):
+    return docs, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", get_vocab())
 
 
-def pack_docs(docs, cfg: PipelineConfig, out_bin) -> StageStats:
+def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
     """Pack and mask *docs* into *out_bin*, with its ``.meta.jsonl`` sidecar
     beside it; every document passes through."""
-    vocab = subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
     stats = StageStats(stage="pack")
     for doc in docs:
         stats.record_in(doc)
@@ -215,10 +224,10 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin) -> StageStats:
     return stats.finish()
 
 
-def run_stage(name: str, docs, cfg: PipelineConfig, work_dir):
+def run_stage(name: str, docs, cfg: PipelineConfig, work_dir, get_vocab):
     """Run stage *name*; any error becomes a StageFailure naming it."""
     try:
-        return globals()[f"stage_{name}"](docs, cfg, work_dir)
+        return globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
 
@@ -277,6 +286,7 @@ def run_pipeline(
 
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
     stats_dicts = dict(stage_stats_cache)
+    get_vocab = vocab_loader(cfg)
 
     for idx, stage in enumerate(cfg.stages):
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
@@ -288,7 +298,7 @@ def run_pipeline(
                     f"{completed[idx]} != {stage}"
                 )
             continue
-        docs, stats = run_stage(stage, docs, cfg, work_dir)
+        docs, stats = run_stage(stage, docs, cfg, work_dir, get_vocab)
 
         write_jsonl(docs, out_path)
         write_rejects(stats.rejects, rejects_path)
@@ -312,21 +322,8 @@ def run_pipeline(
         if fail_after == stage:
             raise StageFailure(f"injected failure after stage {stage}")
 
-    report.stages = [_stats_from_dict(stats_dicts[s]) for s in cfg.stages]
+    report.stages = [StageStats.from_dict(stats_dicts[s]) for s in cfg.stages]
     report.total_wall_time = time.monotonic() - t0
     report.save(work_dir / REPORT_NAME)
     return report
 
-
-def _stats_from_dict(d: dict) -> StageStats:
-    from corpusprep.core import SourceStats
-
-    stats = StageStats(stage=d["stage"])
-    stats.docs_in = d["docs_in"]
-    stats.docs_out = d["docs_out"]
-    stats.words_in = d["words_in"]
-    stats.words_out = d["words_out"]
-    stats.rejected = dict(d["rejected"])
-    stats.per_source = {s: SourceStats(**v) for s, v in d["per_source"].items()}
-    stats.extra = dict(d["extra"])
-    return stats

@@ -27,6 +27,13 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         assert "pack.seq_len: 70000 > 65535" in capsys.readouterr().err
 
+    def test_mask_probability_outside_unit_interval_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["pack"]["mask"] = {"p_mask": -0.5, "p_random": 1.2}
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        assert "mask.p_mask: -0.5 outside [0, 1]" in capsys.readouterr().err
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -174,5 +181,8 @@ class TestPackCommand:
              "--output", str(out)]
         )
         assert rc == EXIT_OK
-        assert out.exists()
-        assert (tmp_path / "repacked.meta.jsonl").exists()
+        work = workspace.parent / "work"
+        assert out.read_bytes() == (work / "packed.bin").read_bytes()
+        assert (tmp_path / "repacked.meta.jsonl").read_bytes() == (
+            work / "packed.meta.jsonl"
+        ).read_bytes()

@@ -131,6 +131,15 @@ class TestValidate:
         errors = validate(cfg, check_paths=False)
         assert len(errors) == 1 and "vocab.expected_size: 65537 > 65536" in errors[0]
 
+    def test_mask_probabilities_each_within_unit_interval(self):
+        cfg = self.base()
+        cfg.pack.mask.p_mask, cfg.pack.mask.p_random = -0.5, 1.2
+        errors = validate(cfg, check_paths=False)
+        assert errors == [
+            "mask.p_mask: -0.5 outside [0, 1]",
+            "mask.p_random: 1.2 outside [0, 1]",
+        ]
+
     def test_stage_specific_requirements(self):
         cfg = self.base()
         cfg.stages = ["lm_score", "token_count"]

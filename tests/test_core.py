@@ -149,3 +149,15 @@ class TestStageStats:
         assert stats.docs_out == 6
         assert stats.rejected == {"because": 4}
         assert stats.words_out <= stats.words_in
+
+    def test_dict_round_trip(self):
+        stats = StageStats(stage="t")
+        for i in range(5):
+            doc = Document(id=str(i), source="s" + str(i % 2), text="a b " * i)
+            stats.record_in(doc)
+            if i == 3:
+                stats.record_reject(doc, "short")
+            else:
+                stats.record_out(doc)
+        stats.extra["windows"] = 3
+        assert StageStats.from_dict(stats.to_dict()).to_dict() == stats.to_dict()

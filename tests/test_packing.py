@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import masking_reference
 from corpusprep.packing import (
     ACTION_KEEP,
     ACTION_MASK,
@@ -105,6 +104,9 @@ class TestPackGreedy:
         assert 0 < eff <= 1.0
 
 
+_RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
+
+
 class TestSampleSpans:
     def test_tiny_rate_empty(self):
         rng = np.random.default_rng(0)
@@ -147,6 +149,45 @@ class TestSampleSpans:
         assert abs(covered / total - 0.3) <= 0.005
         assert abs(np.mean(lengths) - expected_mean) <= 0.02 * expected_mean
 
+    def test_span_lengths_follow_truncated_geometric(self):
+        pmf = truncated_geometric_pmf(0.2, 10)
+        rng = np.random.default_rng(11)
+        counts = np.zeros(10)
+        for _ in range(2_000):
+            for _, ln in sample_spans(1000, 0.3, geom_p=0.2, max_span=10, rng=rng):
+                counts[ln - 1] += 1
+        total_variation = 0.5 * np.abs(counts / counts.sum() - pmf).sum()
+        assert total_variation <= 0.02
+
+    def test_coverage_balanced_across_segment(self):
+        # the clamped span must not favour one end of the segment
+        L, rate = 80, 0.15
+        rng = np.random.default_rng(12)
+        covered = np.zeros(L)
+        for _ in range(40_000):
+            for start, ln in sample_spans(L, rate, rng=rng):
+                covered[start : start + ln] += 1
+        halves = covered.reshape(2, -1).sum(axis=1) / (40_000 * L / 2)
+        assert abs(halves[0] - halves[1]) <= 0.004
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 120),
+        _RATES,
+        st.floats(0.05, 0.95),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    def test_span_invariants(self, length, rate, geom_p, max_span, seed):
+        spans = sample_spans(
+            length, rate, geom_p, max_span, rng=np.random.default_rng(seed)
+        )
+        assert sum(ln for _, ln in spans) == int(rate * length)
+        assert all(1 <= ln <= max_span for _, ln in spans)
+        ends = [0] + [s + ln for s, ln in spans]
+        assert all(end <= s for end, (s, _) in zip(ends, spans))
+        assert ends[-1] <= length
+
     def test_deterministic_given_seed(self):
         a = sample_spans(300, 0.25, rng=np.random.default_rng(9))
         b = sample_spans(300, 0.25, rng=np.random.default_rng(9))
@@ -187,6 +228,38 @@ class TestApplyMasking:
             for pos in plan.positions:
                 assert int(w.tokens[pos]) not in SPECIALS
                 assert pos < w.seq_len - w.pad_count
+
+    def test_unk_inside_documents_never_masked(self):
+        # the tokenizer emits <unk> (a special id) inside documents
+        unk = 0
+        docs = []
+        for i in range(12):
+            ids = list(range(100 + i, 140 + i))
+            ids[7] = ids[19] = ids[30] = unk
+            docs.append((f"doc{i}", ids))
+        wins, _ = pack_greedy(docs, 128, BOS, EOS, PAD)
+        for scheme in ("span", "token"):
+            cfg = MaskConfig(scheme=scheme, rate=0.5)
+            for seed in range(50):
+                for i, w in enumerate(wins):
+                    _, plan = apply_masking(
+                        w, cfg, MASK, SPECIALS, VOCAB, window_rng(seed, i)
+                    )
+                    assert unk in w.tokens.tolist()
+                    assert not SPECIALS & {int(w.tokens[p]) for p in plan.positions}
+
+    def test_random_ids_are_exactly_the_non_special_ids(self):
+        specials = frozenset({0, 3, 7, 8, 20})  # not one contiguous run
+        docs = [(f"d{i}", [1, 2, 4, 5, 6] * 20) for i in range(4)]
+        wins, _ = pack_greedy(docs, 128, bos_id=3, eos_id=7, pad_id=0)
+        cfg = MaskConfig(scheme="token", rate=0.5, p_mask=0.0, p_random=1.0)
+        drawn = Counter()
+        for seed in range(20):
+            for i, w in enumerate(wins):
+                rng = window_rng(seed, i)
+                masked, plan = apply_masking(w, cfg, 8, specials, 25, rng)
+                drawn.update(masked[plan.positions].tolist())
+        assert set(drawn) == set(range(25)) - specials
 
     def test_spans_stay_within_document_segments(self):
         w = self._window(seed=2)
@@ -231,60 +304,8 @@ class TestApplyMasking:
         assert p1.positions == p2.positions and p1.actions == p2.actions
 
 
-_RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
-
-
-class TestMaskingMatchesReference:
-    """The list/bytearray masking loop against the numpy-scalar one kept in
-    tests/masking_reference.py, compared with ==, including the generator
-    state afterwards (the same draws were made)."""
-
-    @settings(deadline=None, max_examples=200)
-    @given(
-        st.integers(0, 120),
-        _RATES,
-        st.floats(0.05, 0.95),
-        st.integers(1, 12),
-        st.integers(0, 2**32),
-    )
-    def test_sample_spans(self, length, rate, geom_p, max_span, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_spans(length, rate, geom_p, max_span, rng)
-        assert got == masking_reference.sample_spans(
-            length, rate, geom_p, max_span, ref_rng
-        )
-        assert rng.random() == ref_rng.random()
-
-    def test_sample_spans_draw_on_cdf_boundary(self):
-        # a draw equal to a cdf value must take the longer span, as
-        # np.searchsorted(..., side="right") does
-        cdf = np.cumsum(truncated_geometric_pmf(0.3, 6)).tolist()
-
-        class BoundaryRng:
-            def __init__(self):
-                self.draws = iter(cdf[:-1] * 50)
-                self.gen = np.random.default_rng(0)
-
-            def random(self):
-                return next(self.draws)
-
-            def integers(self, low, high):
-                return self.gen.integers(low, high)
-
-        got = sample_spans(200, 0.5, 0.3, 6, BoundaryRng())
-        assert got == masking_reference.sample_spans(200, 0.5, 0.3, 6, BoundaryRng())
-        assert {ln for _, ln in got} >= {2, 3, 4, 5, 6}
-
-    def test_sample_spans_fragmented_fallback(self):
-        # at rate 0.95 some draw misses 32 times and the first-free-run
-        # fallback trims a span; both versions must agree there too
-        for seed in range(20):
-            got = sample_spans(40, 0.95, 0.1, 10, np.random.default_rng(seed))
-            ref = masking_reference.sample_spans(
-                40, 0.95, 0.1, 10, np.random.default_rng(seed)
-            )
-            assert got == ref
-            assert sum(ln for _, ln in got) == 38
+class TestMaskingInvariants:
+    """Properties of every mask plan, whatever the generator draws."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -300,7 +321,7 @@ class TestMaskingMatchesReference:
         st.sampled_from([(0.8, 0.1), (1.0, 0.0), (0.0, 1.0), (0.3, 0.3)]),
         st.integers(0, 2**32),
     )
-    def test_apply_masking(self, docs, seq_len, split, scheme, rate, action_p, seed):
+    def test_plan_invariants(self, docs, seq_len, split, scheme, rate, action_p, seed):
         # ids 0..40 include the specials, so segments hold special tokens
         # inside as well as at their edges
         wins, _ = pack_greedy(
@@ -315,13 +336,25 @@ class TestMaskingMatchesReference:
             masked, plan = apply_masking(
                 w, cfg, MASK, SPECIALS, 41, window_rng(seed, i)
             )
-            ref_masked, ref_plan = masking_reference.apply_masking(
-                w, cfg, MASK, SPECIALS, 41, window_rng(seed, i)
-            )
-            assert masked.dtype == ref_masked.dtype == np.uint16
-            assert masked.tolist() == ref_masked.tolist()
-            assert plan == ref_plan
             assert np.array_equal(w.tokens, before)
+            assert masked.dtype == np.uint16 and len(masked) == seq_len
+            tokens = before.tolist()
+            assert plan.positions == sorted(set(plan.positions))
+            for s, e, _ in w.boundaries:
+                n_maskable = sum(t not in SPECIALS for t in tokens[s:e])
+                in_segment = [p for p in plan.positions if s <= p < e]
+                assert len(in_segment) == int(rate * n_maskable)
+            assert plan.originals == [tokens[p] for p in plan.positions]
+            assert len(plan.actions) == len(plan.positions)
+            for p, action, orig in zip(plan.positions, plan.actions, plan.originals):
+                if action == ACTION_MASK:
+                    assert masked[p] == MASK
+                elif action == ACTION_RANDOM:
+                    assert 0 <= masked[p] < 41 and int(masked[p]) not in SPECIALS
+                else:
+                    assert action == ACTION_KEEP and masked[p] == orig
+            unplanned = sorted(set(range(seq_len)) - set(plan.positions))
+            assert masked[unplanned].tolist() == before[unplanned].tolist()
 
 
 class TestBinaryFormat:
@@ -354,6 +387,34 @@ class TestBinaryFormat:
         p.write_bytes(b"NOPE" + b"\x00" * 10)
         with pytest.raises(ValueError, match="magic"):
             list(read_packed(p))
+
+    @pytest.mark.parametrize("part", ["tokens", "counts", "bounds", "masks"])
+    def test_truncated_file_rejected(self, tmp_path, part):
+        seq_len = 16
+        bounds = [(0, 6, "a"), (6, 12, "b")]
+        plan = MaskPlan(
+            positions=[1, 2, 8], actions=[0, 1, 2], originals=[7, 8, 9],
+            rate=0.3, scheme="span",
+        )
+        seq = PackedSequence(
+            tokens=np.arange(seq_len, dtype=np.uint16), boundaries=bounds,
+            pad_count=4,
+        )
+        path = tmp_path / "p.bin"
+        write_packed(path, tmp_path / "p.meta.jsonl", [(seq.tokens, seq, plan)] * 2, seq_len)
+        record = 2 * seq_len + 4 + 8 * len(bounds) + 2 + 5 * len(plan.positions)
+        header = 10
+        assert path.stat().st_size == header + 2 * record
+        into_record = {
+            "tokens": seq_len,
+            "counts": 2 * seq_len + 2,
+            "bounds": 2 * seq_len + 4 + 12,
+            "masks": record - 3,
+        }[part]
+        data = path.read_bytes()
+        path.write_bytes(data[: header + record + into_record])
+        with pytest.raises(ValueError, match=r"p\.bin: window 1 truncated"):
+            list(read_packed(path))
 
     def test_seq_len_out_of_range_rejected_before_writing(self, tmp_path):
         for seq_len in (1, 65536):

@@ -24,6 +24,24 @@ def ran_workspace(tmp_path_factory):
 
 
 class TestRun:
+    def test_vocabulary_loaded_once_per_run(self, tmp_path, monkeypatch):
+        from corpusprep import subword
+
+        calls = []
+        real = subword.load_vocab
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subword, "load_vocab", counting)
+        cfg = load_config(build_workspace(tmp_path, n_docs=60))
+        assert {"token_count", "pack"} <= set(cfg.stages)
+        run_pipeline(cfg)
+        assert len(calls) == 1
+        run_pipeline(cfg)
+        assert len(calls) == 2
+
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
         work = root / "work"
