@@ -13,16 +13,24 @@ import argparse
 
 import numpy as np
 
-from corpusprep.near_dedup import LshIndex, ShingleSet, minhash_signature
+from corpusprep.near_dedup import LshIndex, minhash_signature
 
 
 def pair_at_jaccard(rng, j: float, n: int = 400):
-    """Two random uint64 sets with |A∩B| / |A∪B| == round-off of j."""
+    """Two random sorted uint64 sets with |A∩B| / |A∪B| == round-off of j."""
     k = int(round(2 * n * j / (1 + j)))  # overlap size so J = k/(2n-k)
     base = rng.integers(0, 2**64, size=2 * n - k, dtype=np.uint64)
-    a = frozenset(base[:n].tolist())
-    b = frozenset(base[n - k:].tolist())
-    return ShingleSet(shingles=a, n=5), ShingleSet(shingles=b, n=5)
+    return np.unique(base[:n]), np.unique(base[n - k:])
+
+
+def candidate_pairs(index: LshIndex, mat) -> set:
+    """Pairs of signature rows that share at least one LSH bucket."""
+    pairs = set()
+    for ids in index.buckets(mat):
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                pairs.add((ids[i], ids[j]))
+    return pairs
 
 
 def main() -> None:
@@ -44,9 +52,8 @@ def main() -> None:
         for t in range(args.trials):
             sa, sb = pair_at_jaccard(rng, float(j))
             index = LshIndex(bands=args.bands, rows=args.rows)
-            index.insert("a", minhash_signature(sa, args.num_perm, perm_seed=t))
-            index.insert("b", minhash_signature(sb, args.num_perm, perm_seed=t))
-            hits += ("a", "b") in set(index.candidate_pairs())
+            mat = minhash_signature([sa, sb], args.num_perm, perm_seed=t)
+            hits += (0, 1) in candidate_pairs(index, mat)
         theory = 1.0 - (1.0 - float(j) ** args.rows) ** args.bands
         print(f"{j:>8.2f}  {hits / args.trials:>9.3f}  {theory:>7.3f}")
 

@@ -68,9 +68,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate(config_path) -> int:
+    """Check the config, then load the vocabulary and the LM the configured
+    stages will use, so a file they reject fails here and not mid-run."""
+    cfg = load_config(config_path)
+    if "token_count" in cfg.stages or "pack" in cfg.stages:
+        subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
+    if "lm_score" in cfg.stages:
+        try:
+            ngram_lm.load_model(cfg.lm.model_path)
+        except ValueError as e:
+            print(f"model error: {e}", file=sys.stderr)
+            return EXIT_VALIDATION
+    print("config ok")
+    return EXIT_OK
+
+
 def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
     docs = list(read_jsonl(args.input))
+    if stage == "dedup_near":
+        pipeline.check_unique_ids(docs, args.input)
     get_vocab = pipeline.vocab_loader(cfg)
     if stage == "pack":
         stats = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
@@ -86,9 +104,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            load_config(args.config)
-            print("config ok")
-            return EXIT_OK
+            return _validate(args.config)
 
         if args.command == "run":
             cfg = load_config(args.config)

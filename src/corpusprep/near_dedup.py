@@ -1,17 +1,24 @@
 """MinHash-LSH near-duplicate detection over word 5-gram shingles.
 
+Shingles: each lowercased word type is hashed once with blake2b (memoized),
+n consecutive word hashes are combined by a Karp-Rabin polynomial mod 2^64,
+and each value is finished with splitmix64, so that the multiply-add family
+below does not see the polynomial's low-bit structure.
+
 Signatures use a seeded multiply-add family over the 64-bit ring: with an
 odd multiplier, h(x) = a*x + b (mod 2^64) is a bijection of the hash
 universe, so per-position signature collisions estimate Jaccard similarity
-in the usual way. Candidate pairs come from LSH banding; pairs whose
-estimated (or, in exact-verify mode, true) Jaccard clears the threshold are
-merged with union-find.
+in the usual way. All documents are signed into one (n_docs, k) matrix.
+Candidate pairs come from LSH banding of its rows; pairs whose estimated
+(or, in exact-verify mode, true) Jaccard clears the threshold are merged
+with union-find.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -19,80 +26,81 @@ import numpy as np
 from corpusprep.core import Document, StageStats
 
 DEFAULT_SHINGLE_N = 5
+# Karp-Rabin base: an odd 64-bit multiplier (Steele & Vigna's LCG constant)
+SHINGLE_BASE = np.uint64(0xD1342543DE82EF95)
+# Most word types whose hashes are memoized, so memory stays bounded
+WORD_MEMO_SIZE = 1 << 16
+# Most bytes of one signing chunk's products, so that signing needs no
+# corpus-sized temporary
+SIGN_CHUNK_BYTES = 4 << 20
 
 
-def hash64(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
+def _word_hash(word: str) -> bytes:
+    return hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
 
 
-@dataclass(frozen=True)
-class ShingleSet:
-    shingles: frozenset  # 64-bit hashes of word n-grams
-    n: int
-
-
-def shingles(text: str, n: int = DEFAULT_SHINGLE_N) -> ShingleSet:
-    """Hashed set of consecutive n-word windows of the lowercased text.
-
-    Texts shorter than n words degenerate to a single whole-text shingle.
-    """
+def shingles(text: str, n: int = DEFAULT_SHINGLE_N) -> np.ndarray:
+    """Sorted unique uint64 hashes of the consecutive n-word windows of the
+    lowercased text. A text of fewer than n words, the empty text included,
+    gives one shingle."""
     if n < 1:
         raise ValueError("shingle order must be >= 1")
     words = text.lower().split()
-    if len(words) < n:
-        grams = [" ".join(words)]
-    else:
-        grams = [" ".join(words[i : i + n]) for i in range(len(words) - n + 1)]
-    hashes = frozenset(hash64(g.encode("utf-8")) for g in grams)
-    return ShingleSet(shingles=hashes, n=n)
+    w = np.frombuffer(b"".join(map(_word_hash, words)), dtype="<u8")
+    m = max(len(words) - n + 1, 1)
+    z = np.zeros(m, dtype=np.uint64)
+    for j in range(min(n, len(words))):
+        z *= SHINGLE_BASE
+        z += w[j : j + m]
+    # splitmix64 finalizer (Steele, Lea and Flood 2014), a bijection
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.unique(z)
 
 
-def true_jaccard(a: ShingleSet, b: ShingleSet) -> float:
-    union = len(a.shingles | b.shingles)
-    if union == 0:
-        return 1.0
-    return len(a.shingles & b.shingles) / union
+def true_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """|a & b| / |a | b| of two sorted unique shingle arrays."""
+    shared = np.intersect1d(a, b, assume_unique=True).size
+    union = a.size + b.size - shared
+    return shared / union if union else 1.0
 
 
-@dataclass
-class MinHashSignature:
-    values: np.ndarray  # uint64, length k
-    perm_seed: int
+def minhash_signature(sets: list, k: int, perm_seed: int) -> np.ndarray:
+    """The (len(sets), k) uint64 MinHash matrix: entry (i, j) is the least
+    (a_j * x + b_j) mod 2^64 over x in sets[i].
 
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-
-_PERM_CACHE: dict = {}
-
-
-def _permutation_params(k: int, perm_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (k, perm_seed)
-    if key not in _PERM_CACHE:
-        rng = np.random.default_rng(perm_seed)
-        a = rng.integers(0, 2**64, size=k, dtype=np.uint64) | np.uint64(1)
-        b = rng.integers(0, 2**64, size=k, dtype=np.uint64)
-        _PERM_CACHE[key] = (a, b)
-    return _PERM_CACHE[key]
-
-
-def minhash_signature(s: ShingleSet, k: int, perm_seed: int) -> MinHashSignature:
-    if not s.shingles:
+    The shingles of all sets are signed in chunks of at most
+    SIGN_CHUNK_BYTES of products; a chunk's per-set minima are taken with
+    ``np.minimum.reduceat`` and folded into the rows of the sets it
+    overlaps."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    if not sizes.all():
         raise ValueError("cannot sketch an empty shingle set")
-    a, b = _permutation_params(k, perm_seed)
-    x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    # uint64 arithmetic wraps mod 2^64 by construction
-    hashed = a[:, None] * x[None, :] + b[:, None]
-    return MinHashSignature(values=hashed.min(axis=1), perm_seed=perm_seed)
-
-
-def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
-    if a.k != b.k:
-        raise ValueError(f"signature length mismatch: {a.k} vs {b.k}")
-    if a.perm_seed != b.perm_seed:
-        raise ValueError("signatures from different permutation families")
-    return float(np.mean(a.values == b.values))
+    rng = np.random.default_rng(perm_seed)
+    a = rng.integers(0, 2**64, size=k, dtype=np.uint64) | np.uint64(1)
+    b = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+    out = np.full((len(sets), k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    if not sets:
+        return out
+    x = np.concatenate(sets)
+    starts = np.cumsum(sizes) - sizes
+    step = max(1, SIGN_CHUNK_BYTES // (8 * k))
+    for lo in range(0, len(x), step):
+        hi = min(lo + step, len(x))
+        # sets d0 .. d1-1 overlap shingles lo .. hi-1
+        d0 = int(np.searchsorted(starts, lo, side="right")) - 1
+        d1 = int(np.searchsorted(starts, hi, side="left"))
+        # uint64 arithmetic wraps mod 2^64 by construction
+        h = np.multiply.outer(a, x[lo:hi])
+        h += b[:, None]
+        part = np.minimum.reduceat(h, np.maximum(starts[d0:d1], lo) - lo, axis=1)
+        np.minimum(out[d0:d1], part.T, out=out[d0:d1])
+    return out
 
 
 class UnionFind:
@@ -149,33 +157,33 @@ class NearDupConfig:
 
 @dataclass
 class LshIndex:
+    """LSH banding of a signature matrix: rows that agree on all *rows*
+    columns of one band share that band's bucket."""
+
     bands: int
     rows: int
-    buckets: dict = field(default_factory=dict)  # (band, bytes) -> [ids]
 
-    def insert(self, doc_id, sig: MinHashSignature) -> None:
-        r = self.rows
-        for band in range(self.bands):
-            key = (band, sig.values[band * r : (band + 1) * r].tobytes())
-            self.buckets.setdefault(key, []).append(doc_id)
-
-    def candidate_pairs(self) -> set:
-        pairs = set()
-        for ids in self.buckets.values():
-            if len(ids) < 2:
-                continue
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    x, y = ids[i], ids[j]
-                    pairs.add((x, y) if x <= y else (y, x))
-        return pairs
+    def buckets(self, mat: np.ndarray) -> list[list[int]]:
+        """Every bucket of *mat*'s rows with two or more members, band by
+        band, each a list of row indices in ascending order."""
+        if mat.shape[1] != self.bands * self.rows:
+            raise ValueError(f"signature length {mat.shape[1]} != {self.bands}*{self.rows}")
+        key = np.dtype((np.void, 8 * self.rows))
+        out = []
+        for lo in range(0, mat.shape[1], self.rows):
+            band = np.ascontiguousarray(mat[:, lo : lo + self.rows]).view(key).ravel()
+            buckets: dict = {}
+            for i, k in enumerate(band.tolist()):
+                buckets.setdefault(k, []).append(i)
+            out.extend(ids for ids in buckets.values() if len(ids) > 1)
+        return out
 
 
 def _signature_hits(mat: np.ndarray, x: int, cands: list, threshold: float):
     """Which rows *cands* of the signature matrix have an estimated Jaccard
     with row *x* that clears *threshold*. ``matches / k`` is the float64
-    ``np.mean`` of the equality mask, so this agrees bit for bit with
-    ``estimate_jaccard(a, b) >= threshold``."""
+    ``np.mean`` of the equality mask, so this agrees bit for bit with the
+    test reference's ``estimate_jaccard(a, b) >= threshold``."""
     matches = np.count_nonzero(mat[cands] == mat[x], axis=1)
     return matches / mat.shape[1] >= threshold
 
@@ -219,46 +227,32 @@ def _link_bucket(members: list, uf: UnionFind, similar) -> None:
 
 
 def find_duplicate_clusters(
-    signatures: dict,
+    mat: np.ndarray,
     bands: int,
     rows: int,
     threshold: float = 0.7,
-    shingle_sets: Optional[dict] = None,
-) -> list[list]:
-    """Cluster documents whose banded signatures collide and whose Jaccard
-    estimate clears *threshold*. Pass *shingle_sets* to verify candidates
-    with true Jaccard instead of the signature estimate.
+    shingle_sets: Optional[list] = None,
+) -> list[list[int]]:
+    """Cluster the rows of the signature matrix *mat* whose bands collide
+    and whose Jaccard estimate clears *threshold*. Pass *shingle_sets*, one
+    per row, to verify candidates with true Jaccard instead of the
+    signature estimate. Returns clusters of row indices, each sorted, in
+    sorted order.
 
     The clusters are the connected components of the verified candidate
     pairs. Buckets are verified one at a time (see ``_link_bucket``), so on
     templated pages, where one bucket holds hundreds of near-identical
     members, the work grows with the bucket's size instead of its square."""
-    ids = sorted(signatures)
-    if not ids:
-        return []
-    sigs = [signatures[i] for i in ids]
-    if len({(s.k, s.perm_seed) for s in sigs}) > 1:
-        raise ValueError("signatures differ in length or permutation family")
-    index = LshIndex(bands=bands, rows=rows)
-    for i, sig in enumerate(sigs):
-        index.insert(i, sig)
-    if shingle_sets is None:
-        mat = np.stack([s.values for s in sigs])
 
-        def similar(x, cands):
+    def similar(x, cands):
+        if shingle_sets is None:
             return _signature_hits(mat, x, cands, threshold)
-
-    else:
-        sets = [shingle_sets[i] for i in ids]
-
-        def similar(x, cands):
-            return [true_jaccard(sets[x], sets[c]) >= threshold for c in cands]
+        return [true_jaccard(shingle_sets[x], shingle_sets[c]) >= threshold for c in cands]
 
     uf = UnionFind()
-    for members in index.buckets.values():
-        if len(members) > 1:
-            _link_bucket(members, uf, similar)
-    return [[ids[i] for i in cluster] for cluster in uf.clusters(min_size=2)]
+    for members in LshIndex(bands=bands, rows=rows).buckets(mat):
+        _link_bucket(members, uf, similar)
+    return uf.clusters(min_size=2)
 
 
 def dedup_near(
@@ -271,21 +265,19 @@ def dedup_near(
     stats = StageStats(stage="dedup_near")
     docs = list(docs)
     by_id = {}
-    signatures = {}
-    shingle_sets = {} if cfg.exact_verify else None
+    sets = []
     for doc in docs:
         stats.record_in(doc)
         if doc.id in by_id:
             raise ValueError(f"duplicate document id {doc.id!r}")
         by_id[doc.id] = doc
-        s = shingles(doc.text, cfg.shingle_n)
-        if shingle_sets is not None:
-            shingle_sets[doc.id] = s
-        signatures[doc.id] = minhash_signature(s, cfg.num_perm, cfg.perm_seed)
+        sets.append(shingles(doc.text, cfg.shingle_n))
 
+    mat = minhash_signature(sets, cfg.num_perm, cfg.perm_seed)
     clusters = find_duplicate_clusters(
-        signatures, cfg.bands, cfg.rows, cfg.threshold, shingle_sets
+        mat, cfg.bands, cfg.rows, cfg.threshold, sets if cfg.exact_verify else None
     )
+    clusters = sorted(sorted(docs[i].id for i in cluster) for cluster in clusters)
     removed_to_kept = {}
     for cluster in clusters:
         keeper = min(cluster, key=lambda i: (-by_id[i].word_count, i))

@@ -232,6 +232,15 @@ def run_stage(name: str, docs, cfg: PipelineConfig, work_dir, get_vocab):
         raise StageFailure(f"stage {name} failed: {e}") from e
 
 
+def check_unique_ids(docs: list, source) -> None:
+    """StageFailure naming the first repeated document id in *docs*."""
+    seen = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise StageFailure(f"duplicate document id {doc.id!r} in {source}")
+        seen.add(doc.id)
+
+
 def _load_manifest(work_dir: Path) -> Optional[dict]:
     path = work_dir / MANIFEST_NAME
     if not path.exists():
@@ -283,6 +292,7 @@ def run_pipeline(
     else:
         docs = list(read_jsonl(cfg.input, diagnostics=diagnostics))
         n_diagnostics = len(diagnostics)
+        check_unique_ids(docs, cfg.input)
 
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
     stats_dicts = dict(stage_stats_cache)

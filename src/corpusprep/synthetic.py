@@ -61,26 +61,6 @@ class SyntheticLanguage:
         return "\n".join(self.sentence(rng, sentence_len) for _ in range(n_sentences))
 
 
-def make_corpus(
-    n_docs: int,
-    seed: int = 0,
-    source: str = "synthetic",
-    n_sentences: int = 5,
-    sentence_len: int = 12,
-    lang: SyntheticLanguage | None = None,
-) -> list[Document]:
-    lang = lang or SyntheticLanguage()
-    rng = np.random.default_rng(seed)
-    return [
-        Document(
-            id=f"{source}-{i:06d}",
-            source=source,
-            text=lang.document(rng, n_sentences, sentence_len),
-        )
-        for i in range(n_docs)
-    ]
-
-
 def shuffle_words(text: str, rng: np.random.Generator) -> str:
     words = text.split()
     order = rng.permutation(len(words))

@@ -19,8 +19,6 @@ from corpusprep.config import load_config
 from corpusprep.core import Document
 from corpusprep.exact_dedup import dedup_exact
 from corpusprep.near_dedup import (
-    ShingleSet,
-    estimate_jaccard,
     find_duplicate_clusters,
     minhash_signature,
     shingles,
@@ -55,6 +53,7 @@ from corpusprep.synthetic import (
 )
 
 from kn_reference import ReferenceKN
+from near_dedup_reference import estimate_jaccard
 from pipeline_fixture import build_workspace, workdir_bytes
 
 
@@ -70,11 +69,12 @@ class TestNearDedupOracle:
         t0 = time.monotonic()
         docs, _ = make_near_duplicate_corpus(n_docs=500)
         sh = {d.id: shingles(d.text) for d in docs}
-        sig = {d.id: minhash_signature(sh[d.id], k=112, perm_seed=1) for d in docs}
+        ids = sorted(sh)
+        sig = minhash_signature([sh[i] for i in ids], k=112, perm_seed=1)
 
         clusters = find_duplicate_clusters(sig, bands=14, rows=8, threshold=0.7)
         co_clustered = {
-            pair for c in clusters for pair in combinations(sorted(c), 2)
+            (ids[x], ids[y]) for c in clusters for x, y in combinations(c, 2)
         }
 
         high, caught, spurious = 0, 0, 0
@@ -111,14 +111,10 @@ class TestMinHashUnbiasedness:
             n = int(rng.integers(50, 500))
             base = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)
             overlap = int(rng.integers(0, n + 1))
-            a = frozenset(base[:n].tolist())
-            b = frozenset(base[n - overlap : 2 * n - overlap].tolist())
-            sa = ShingleSet(shingles=a, n=5)
-            sb = ShingleSet(shingles=b, n=5)
-            est = estimate_jaccard(
-                minhash_signature(sa, k=112, perm_seed=i),
-                minhash_signature(sb, k=112, perm_seed=i),
-            )
+            sa = np.unique(base[:n])
+            sb = np.unique(base[n - overlap : 2 * n - overlap])
+            sig = minhash_signature([sa, sb], k=112, perm_seed=i)
+            est = estimate_jaccard(sig[0], sig[1])
             err = abs(est - true_jaccard(sa, sb))
             assert err <= bound, f"pair {i}: error {err:.4f} > {bound:.4f}"
             errors.append(err)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -33,6 +34,26 @@ class TestValidateCommand:
         workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         assert "mask.p_mask: -0.5 outside [0, 1]" in capsys.readouterr().err
+
+    def test_vocabulary_without_mask_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        vocab = Path(cfg["vocab"]["path"])
+        lines = vocab.read_text("utf-8").splitlines()
+        vocab.write_text("\n".join(t for t in lines if t != "<mask>") + "\n", encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "missing special token <mask>" in err and err.count("\n") == 1
+
+    def test_model_with_wrong_gram_length_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        model = Path(cfg["lm"]["model_path"])
+        payload = json.loads(model.read_text("utf-8"))
+        payload["counts"].append(["<s> viens", 1])  # 2 words in an order-5 model
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "model.json" in err and "2 words, order is 5" in err
+        assert err.count("\n") == 1
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -85,6 +106,17 @@ class TestRunCommand:
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         assert "stage: unknown config key" in capsys.readouterr().err
 
+    def test_duplicate_id_exits_2_before_any_stage_output(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        first = Path(cfg["input"]).read_text("utf-8").splitlines()[0]
+        with open(cfg["input"], "a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        doc_id = json.loads(first)["id"]
+        assert f"duplicate document id {doc_id!r}" in err and err.count("\n") == 1
+        assert not list((workspace.parent / "work").glob("*.jsonl*"))
+
     def test_resume_flag(self, workspace, capsys):
         main(["run", "--config", str(workspace)])
         capsys.readouterr()
@@ -118,6 +150,20 @@ class TestSingleStageCommands:
             assert main(argv) == EXIT_OK
             assert json.loads(capsys.readouterr().out)["stage"] == stage
         assert not (tmp_path / "clusters.jsonl").exists()
+
+    def test_dedup_near_rejects_duplicate_id(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        lines = Path(cfg["input"]).read_text("utf-8").splitlines()
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        rc = main(["dedup-near", "--config", str(workspace),
+                   "--input", str(dup), "--output", str(out)])
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "duplicate document id" in err and "dup.jsonl" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, workspace, tmp_path, capsys):
         rc = main(

@@ -1,69 +1,118 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusprep import near_dedup
 from corpusprep.core import Document
 from corpusprep.near_dedup import (
     NearDupConfig,
-    ShingleSet,
     UnionFind,
     dedup_near,
-    estimate_jaccard,
     find_duplicate_clusters,
     minhash_signature,
     shingles,
     true_jaccard,
 )
 
-from near_dedup_reference import candidate_pairs, reference_clusters, verified_pairs
+from near_dedup_reference import (
+    candidate_pairs,
+    estimate_jaccard,
+    reference_clusters,
+    reference_shingles,
+    reference_signature,
+    verified_pairs,
+)
 
 K = 112
 SEED = 1
 
 
+def shingle_set(hashes):
+    return np.unique(np.array(list(hashes), dtype=np.uint64))
+
+
 def sig_of_hashes(hashes, k=K, seed=SEED):
-    return minhash_signature(ShingleSet(frozenset(hashes), 5), k, seed)
+    return minhash_signature([shingle_set(hashes)], k, seed)[0]
+
+
+# separators str.split() breaks on, beyond the ASCII ones
+UNICODE_SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u1680", "\u2003",
+                  "\u2028", "\u2029", "\u202f", "\u3000"]
+CASE_VARIANTS = ["Rīga", "RĪGA", "rīga", "ŠĶĒRSLIS", "šķērslis", "Straße", "STRASSE",
+                 "İstanbul", "ΣΟΦΙΑ", "σοφια"]
+
+
+@st.composite
+def texts(draw):
+    """Texts of a few words, often repeated or case variants of each other,
+    joined by runs of Unicode whitespace."""
+    word = st.one_of(st.sampled_from(CASE_VARIANTS), st.text(min_size=1, max_size=6))
+    words = draw(st.lists(word, max_size=12))
+    seps = draw(st.lists(st.text(st.sampled_from(UNICODE_SPACES), min_size=1, max_size=3),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    return seps[0] + "".join(w + sep for w, sep in zip(words, seps[1:]))
 
 
 class TestShingles:
     def test_window_count(self):
         s = shingles("a b c d e f", 5)
-        assert len(s.shingles) == 2
+        assert len(s) == 2
 
     def test_short_text_single_shingle(self):
-        assert len(shingles("tikai trīs vārdi", 5).shingles) == 1
+        assert len(shingles("tikai trīs vārdi", 5)) == 1
+        assert len(shingles("", 5)) == 1
 
     def test_determinism_and_case(self):
-        assert shingles("A B C D E F").shingles == shingles("a b c d e f").shingles
+        assert np.array_equal(shingles("A B C D E F"), shingles("a b c d e f"))
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=st.one_of(texts(), st.text()), n=st.integers(1, 6))
+    @example(text="", n=5)
+    @example(text="viens", n=5)
+    @example(text="viens divi trīs četri", n=5)
+    @example(text="viens divi trīs četri pieci", n=5)
+    @example(text="Viens VIENS viens\u3000viens\xa0vIeNs viens", n=3)
+    def test_equals_reference(self, text, n):
+        s = shingles(text, n)
+        assert s.dtype == np.uint64
+        assert s.tolist() == reference_shingles(text, n)
+
+
+class TestTrueJaccard:
+    def test_counts_shared_and_distinct_shingles(self):
+        a, b = shingle_set([1, 2, 3, 4]), shingle_set([3, 4, 5])
+        assert true_jaccard(a, b) == 2 / 5
+        assert true_jaccard(a, a) == 1.0
+        assert true_jaccard(shingle_set([]), shingle_set([])) == 1.0
 
 
 class TestMinHash:
     def test_identical_sets_identical_signatures(self):
         a = sig_of_hashes(range(100))
         b = sig_of_hashes(range(100))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_singleton_is_permuted_value(self):
         singleton = sig_of_hashes([12345])
         pair = sig_of_hashes([12345, 99999])
         # min over {x} equals h_i(x); adding elements can only lower minima
-        assert (pair.values <= singleton.values).all()
+        assert (pair <= singleton).all()
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            minhash_signature(ShingleSet(frozenset(), 5), K, SEED)
+            minhash_signature([shingle_set([1]), shingle_set([])], K, SEED)
 
     def test_mismatched_signatures_rejected(self):
         a = sig_of_hashes(range(10))
         b = sig_of_hashes(range(10), k=56)
         with pytest.raises(ValueError):
             estimate_jaccard(a, b)
-        c = sig_of_hashes(range(10), seed=2)
+        mat = minhash_signature([shingle_set(range(10))] * 2, 56, SEED)
         with pytest.raises(ValueError):
-            estimate_jaccard(a, c)
+            find_duplicate_clusters(mat, 14, 8)
 
     def test_self_similarity_is_one(self):
         a = sig_of_hashes(range(50))
@@ -107,6 +156,28 @@ class TestMinHash:
         assert np.mean(errors) <= 3.0 / math.sqrt(K)
 
 
+class TestSignatureMatrix:
+    @settings(deadline=None, max_examples=120)
+    @given(
+        sets=st.lists(
+            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+            max_size=8,
+        ),
+        k=st.sampled_from([1, 3, 16]),
+        perm_seed=st.integers(0, 2**32 - 1),
+        rows_per_chunk=st.sampled_from([None, 1, 2, 3, 7]),
+    )
+    def test_rows_equal_per_document_minimum(self, sets, k, perm_seed, rows_per_chunk):
+        # small chunk budgets put chunk boundaries inside and between sets
+        budget = near_dedup.SIGN_CHUNK_BYTES if rows_per_chunk is None else 8 * k * rows_per_chunk
+        arrays = [np.array(s, dtype=np.uint64) for s in sets]
+        with mock.patch.object(near_dedup, "SIGN_CHUNK_BYTES", budget):
+            mat = minhash_signature(arrays, k, perm_seed)
+        assert mat.shape == (len(sets), k) and mat.dtype == np.uint64
+        for row, s in zip(mat, sets):
+            assert row.tolist() == reference_signature(s, k, perm_seed)
+
+
 class TestUnionFind:
     def test_transitive_chain(self):
         uf = UnionFind()
@@ -123,21 +194,17 @@ class TestUnionFind:
 
 class TestClustering:
     def _signatures(self, texts):
-        return {
-            i: minhash_signature(shingles(t), K, SEED) for i, t in texts.items()
-        }
+        return minhash_signature([shingles(t) for t in texts], K, SEED)
 
     def test_identical_docs_cluster(self, lang):
         rng = np.random.default_rng(0)
         text = lang.document(rng, 10, 15)
-        sigs = self._signatures({"a": text, "b": text})
-        assert find_duplicate_clusters(sigs, 14, 8) == [["a", "b"]]
+        sigs = self._signatures([text, text])
+        assert find_duplicate_clusters(sigs, 14, 8) == [[0, 1]]
 
     def test_unrelated_docs_no_clusters(self, lang):
         rng = np.random.default_rng(1)
-        sigs = self._signatures(
-            {f"d{i}": lang.document(rng, 10, 15) for i in range(100)}
-        )
+        sigs = self._signatures([lang.document(rng, 10, 15) for _ in range(100)])
         assert find_duplicate_clusters(sigs, 14, 8) == []
 
     def test_chain_merges_transitively(self):
@@ -147,12 +214,8 @@ class TestClustering:
         a = pool[0:1000]
         b = pool[100:1100]
         c = pool[200:1200]
-        sigs = {
-            "A": sig_of_hashes(a),
-            "B": sig_of_hashes(b),
-            "C": sig_of_hashes(c),
-        }
-        assert find_duplicate_clusters(sigs, 14, 8, threshold=0.7) == [["A", "B", "C"]]
+        sigs = minhash_signature([shingle_set(x) for x in (a, b, c)], K, SEED)
+        assert find_duplicate_clusters(sigs, 14, 8, threshold=0.7) == [[0, 1, 2]]
 
     def test_lsh_candidate_recall_at_08(self):
         # empirical banding recall at s=0.8 within 0.03 of 1-(1-s^r)^b
@@ -168,7 +231,7 @@ class TestClustering:
             sa, sb = sig_of_hashes(a), sig_of_hashes(b)
             for band in range(bands):
                 lo, hi = band * rows, (band + 1) * rows
-                if np.array_equal(sa.values[lo:hi], sb.values[lo:hi]):
+                if np.array_equal(sa[lo:hi], sb[lo:hi]):
                     hits += 1
                     break
         assert hits / trials >= expected - 0.03
@@ -178,27 +241,24 @@ def planted_sets(seed, n_chains, chain_len, shift, size, n_near_miss):
     """Shingle sets of chains whose neighbours share size - shift of size
     elements, so that A~B and B~C can hold while A≁C, plus near misses:
     chain members with a third of their elements replaced, which share
-    buckets with a chain without belonging to it."""
+    buckets with a chain without belonging to it. Returns one sorted uint64
+    array per set."""
     rng = np.random.default_rng(seed)
 
     def fresh(n):
         return rng.integers(0, 2**64, n, dtype=np.uint64).tolist()
 
-    sets = {}
+    sets = []
     for c in range(n_chains):
         pool = fresh(size + shift * (chain_len - 1))
         for j in range(chain_len):
-            sets[f"c{c}-{j}"] = pool[j * shift : j * shift + size]
-    chain_ids = sorted(sets)
+            sets.append(pool[j * shift : j * shift + size])
+    n_chained = len(sets)
     keep = size * 2 // 3
     for m in range(n_near_miss):
-        base = sets[chain_ids[int(rng.integers(len(chain_ids)))]]
-        sets[f"m{m}"] = base[:keep] + fresh(size - keep)
-    return {i: ShingleSet(frozenset(v), 5) for i, v in sets.items()}
-
-
-def signatures_of(sets, k):
-    return {i: minhash_signature(s, k, SEED) for i, s in sets.items()}
+        base = sets[int(rng.integers(n_chained))]
+        sets.append(base[:keep] + fresh(size - keep))
+    return [shingle_set(v) for v in sets]
 
 
 class TestClustersMatchReference:
@@ -221,7 +281,7 @@ class TestClustersMatchReference:
     ):
         bands, rows = layout
         sets = planted_sets(seed, n_chains, chain_len, shift, size, n_near_miss)
-        sigs = signatures_of(sets, bands * rows)
+        sigs = minhash_signature(sets, bands * rows, SEED)
         for exact in (None, sets):
             assert find_duplicate_clusters(
                 sigs, bands, rows, threshold, exact
@@ -232,10 +292,10 @@ class TestClustersMatchReference:
         # ends fail verification, and a bucket spanning several components
         bands, rows, threshold = 8, 2, 0.7
         sets = planted_sets(0, 3, 6, 4, 40, 4)
-        sigs = signatures_of(sets, bands * rows)
+        sigs = minhash_signature(sets, bands * rows, SEED)
         clusters = find_duplicate_clusters(sigs, bands, rows, threshold, sets)
         assert clusters == reference_clusters(sigs, bands, rows, threshold, sets)
-        component = {i: i for i in sets}
+        component = list(range(len(sets)))
         for cluster in clusters:
             for i in cluster:
                 component[i] = cluster[0]
@@ -244,7 +304,7 @@ class TestClustersMatchReference:
         assert any(
             (x, y) in verified and (y, z) in verified and component[x] == component[z]
             for x, z in unverified
-            for y in sets
+            for y in range(len(sets))
         )
         assert any(
             component[x] != component[z] for x, z in unverified
@@ -266,13 +326,9 @@ class TestTemplatedPages:
         rng = np.random.default_rng(0)
         cfg = NearDupConfig()
         templates = [lang.document(rng, 8, 13) for _ in range(2)]
-        pages = {
-            f"t{t}-{p:04d}": replace_one_word(template, rng, lang)
-            for t, template in enumerate(templates)
-            for p in range(1000)
-        }
-        sigs = {i: minhash_signature(shingles(x), cfg.num_perm, cfg.perm_seed)
-                for i, x in pages.items()}
+        pages = [replace_one_word(template, rng, lang) for template in templates
+                 for _ in range(1000)]
+        sigs = minhash_signature([shingles(x) for x in pages], cfg.num_perm, cfg.perm_seed)
         verified = 0
         hits = near_dedup._signature_hits
 
@@ -283,9 +339,7 @@ class TestTemplatedPages:
 
         monkeypatch.setattr(near_dedup, "_signature_hits", counting_hits)
         clusters = find_duplicate_clusters(sigs, cfg.bands, cfg.rows, cfg.threshold)
-        assert clusters == [
-            sorted(i for i in pages if i.startswith(f"t{t}-")) for t in range(2)
-        ]
+        assert clusters == [list(range(1000)), list(range(1000, 2000))]
         assert verified <= cfg.bands * len(pages)
 
 
@@ -315,6 +369,10 @@ class TestDedupNear:
         kept, stats = dedup_near(docs, NearDupConfig())
         assert len(kept) == 50
         assert stats.rejected_docs == 0
+
+    def test_empty_corpus(self):
+        kept, stats = dedup_near([], NearDupConfig())
+        assert kept == [] and stats.extra["clusters"] == 0
 
     def test_exact_verify_mode(self, lang):
         rng = np.random.default_rng(8)
