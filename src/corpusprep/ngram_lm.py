@@ -7,17 +7,40 @@ vocabulary, so every in-vocabulary word has strictly positive probability
 in every context. One discount per order, D = n1 / (n1 + 2*n2) from that
 order's counts-of-counts.
 
-The model is compiled once when it is built. Every word gets an integer id
-(out-of-vocabulary words share one extra id) and an n-gram becomes one
-Python int in base |vocab|+1. Per order o >= 2 one table maps a seen
-context to its interpolation weight D * types / total and one maps a seen
-o-gram to max(c - D, 0) / total; the unigram level is a list over ids.
-Scoring runs bottom-up with no recursion: start from the unigram value and,
-for o = 2..order, interpolate while the order-o context is seen. A context
-unseen at order o is unseen at every higher order, because each lower table
-holds the suffixes of the one above, so the loop stops there. These are the
-float operations of the textbook recursion in the same order, so every
-probability is bit-identical to it.
+The model is a sorted-array trie (KenLM's, Heafield 2011, section 3), built
+with numpy when the model is trained or loaded. Every word gets an integer
+id; out-of-vocabulary words share one extra id, so with V = |vocab| the ids
+are 0..V and B = V+1. Level 1 has one row per id. A row at level k >= 2 is
+a k-word window, keyed by
+
+    (row of its (k-1)-word suffix at level k-1) * B + (id of its oldest word)
+
+and each level is one sorted int64 key array, so a row is the index of its
+key and a lookup is one binary search. The rows of level k are the k-grams
+(the top-order grams at the highest level, the suffixes of the grams one
+level up below it) and the contexts of the (k+1)-grams. A context that is
+no gram's suffix, such as the run of start symbols before a sentence, gets
+a context-only row that never enters the counts. Per level k >= 2 one
+float64 array holds alpha = max(c - D, 0) / total for each gram row (0.0
+for a context-only row), and one holds lam = D * types / total for each
+row of level k-1 that is a context of a k-gram (1.0 for a row that is
+not); the unigram level is one array over the ids. The key, alpha and
+lam arrays have one more entry, for the row of a window not in the trie.
+
+A document is scored in one pass over the ids of all its sentences, each
+padded with order-1 start symbols and closed with the end symbol. Per
+order k there is one searchsorted over all positions: the k-gram ending at
+position i extends the (k-1)-gram ending there by the word k-1 places back,
+and the context of the token at i is the (k-1)-gram ending at i-1. Starting
+from the unigram value, each order applies p = alpha + lam * p. Where the
+context is unseen, the gram is unseen too, so this is 0.0 + 1.0 * p, which
+is p exactly: the textbook recursion's back-off needs no mask. A context
+unseen at order k is unseen at every higher order, because each lower
+level holds the suffixes of the one above. Numpy multiplies and adds in
+separate steps, with no fused multiply-add, so these are the recursion's
+float operations in its order and every probability is bit-identical to
+it; math.log and the sums run in Python, per sentence and then per
+document.
 
 Sentences are newline-separated, lowercased, whitespace-tokenized, padded
 with order-1 start symbols and closed with an end symbol; words seen fewer
@@ -28,9 +51,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from operator import ne
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -47,10 +71,12 @@ DEFAULT_MIN_COUNT = 2
 
 MODEL_FORMAT = "kn-ngram-v1"
 
+GRAM_CHUNK = 8192  # grams checked and mapped to ids at a time
 
-def _discount(table: dict) -> float:
-    counts = Counter(table.values())
-    n1, n2 = counts.get(1, 0), counts.get(2, 0)
+
+def _discount(counts: np.ndarray) -> float:
+    n1 = int(np.count_nonzero(counts == 1))
+    n2 = int(np.count_nonzero(counts == 2))
     if n1 > 0 and n2 > 0:
         return n1 / (n1 + 2.0 * n2)
     return 0.5  # degenerate counts-of-counts; keep smoothing mass positive
@@ -60,14 +86,69 @@ def sentence_tokens(line: str) -> list[str]:
     return line.lower().split()
 
 
+def _gram_ids(gram: str, c, ids: dict, order: int) -> list[int]:
+    """The word ids of one gram; ValueError if the gram is malformed."""
+    words = str.split(gram, " ")
+    if len(words) != order:
+        raise ValueError(f"gram {gram!r} has {len(words)} words, order is {order}")
+    if type(c) is not int or c < 1:
+        raise ValueError(f"gram {gram!r} has count {c!r}, not a positive int")
+    try:
+        return [ids[w] for w in words]
+    except KeyError as e:
+        raise ValueError(f"gram {gram!r}: word {e.args[0]!r} is not in the "
+                         "vocab") from None
+
+
+def _chunk_ids(grams: list, counts: list, ids: dict, order: int) -> Optional[list]:
+    """The word ids of a chunk of grams, or None if one is malformed."""
+    if (set(map(type, counts)) != {int} or min(counts) < 1
+            or set(map(str.count, grams, repeat(" "))) != {order - 1}):
+        return None
+    try:
+        return list(map(ids.__getitem__, " ".join(grams).split(" ")))
+    except KeyError:
+        return None
+
+
+def _encode(pairs, ids: dict, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word ids (n, order) and counts of (gram, count) pairs, read
+    GRAM_CHUNK pairs at a time; ValueError names the first malformed gram."""
+    pairs = iter(pairs)
+    id_parts, count_parts = [np.empty((0, order), np.int32)], [np.empty(0, np.int64)]
+    total = 0
+    while chunk := list(islice(pairs, GRAM_CHUNK)):
+        grams = [g for g, _ in chunk]
+        counts = [c for _, c in chunk]
+        flat = _chunk_ids(grams, counts, ids, order)
+        if flat is None:  # check gram by gram, so the first bad one is named
+            flat = [i for g, c in chunk for i in _gram_ids(g, c, ids, order)]
+        total += sum(counts)
+        if total >= 2**63:  # every sum of counts is taken in int64
+            raise ValueError("the counts sum past 2**63 - 1")
+        id_parts.append(np.array(flat, np.int32).reshape(len(chunk), order))
+        count_parts.append(np.array(counts, np.int64))
+    return np.concatenate(id_parts), np.concatenate(count_parts)
+
+
+def _find(keys: memoryview, key: int) -> int:
+    """Row of *key* in one level's sorted keys, or the level's not-found
+    row len(keys)."""
+    i = bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else len(keys)
+
+
 class KneserNeyModel:
     def __init__(self, order: int, vocab: list[str], top_counts,
                  min_count: int, discounts: Optional[dict] = None):
-        """Compile a model from the count of every top-order n-gram.
+        """Build a model from the count of every top-order n-gram.
 
         top_counts is a dict from word tuples to counts, or an iterable of
-        (words, count) pairs; every gram has *order* words of *vocab* and a
-        positive int count. ValueError names the first gram that does not.
+        (gram, count) pairs whose gram is, as in a model file, one string of
+        words joined by single spaces. Every gram has *order* words of
+        *vocab* and a positive int count, and is listed once; ValueError
+        names the first gram that does not, or a word listed twice in
+        *vocab*.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -75,154 +156,190 @@ class KneserNeyModel:
         self.min_count = min_count
         self.vocab = list(vocab)
         self.vocab_index = ids = {w: i for i, w in enumerate(self.vocab)}
-        # ids 0..V-1 are the vocab, V is every word outside it; an n-gram
-        # is one int in base V+1, its oldest word the leading digit
+        if len(ids) < len(self.vocab):
+            word = next(w for i, w in enumerate(self.vocab) if ids[w] != i)
+            raise ValueError(f"vocab word {word!r} is listed twice")
         oov = len(self.vocab)
         self._oov = oov
-        self._base = base = oov + 1
+        self._base = oov + 1
         self._unk = ids.get(UNK, oov)
         self._eos = ids.get(EOS, oov)
-        bos = ids.get(BOS, oov)
-        self._bos_ctx = sum(bos * base**i for i in range(order - 1))
-        self._ctx_mod = base ** (order - 1)
-
+        self._bos = ids.get(BOS, oov)
         if isinstance(top_counts, dict):
-            top_counts = top_counts.items()
-        top: dict = {}
-        for words, c in top_counts:
-            if len(words) != order:
-                raise ValueError(f"gram {' '.join(words)!r} has {len(words)} "
-                                 f"words, order is {order}")
-            if type(c) is not int or c < 1:
-                raise ValueError(f"gram {' '.join(words)!r} has count {c!r}, "
-                                 "not a positive int")
-            g = 0
-            try:
-                for w in words:
-                    g = g * base + ids[w]
-            except KeyError:
-                raise ValueError(f"gram {' '.join(words)!r}: word {w!r} is "
-                                 "not in the vocab") from None
-            top[g] = c
-        self._top_counts = top
-        self.total_tokens = sum(top.values())
+            top_counts = ((" ".join(g), c) for g, c in top_counts.items())
+        grams, counts = _encode(top_counts, ids, order)
+        self.total_tokens = int(counts.sum())
+        self._build(grams, counts, discounts)
 
-        # counts[o]: o-gram id -> count; raw at the top order, continuation
-        # counts below (distinct predecessors at order o+1).
-        counts = {order: top}
-        for o in range(order - 1, 0, -1):
-            counts[o] = Counter(map((base**o).__rmod__, counts[o + 1]))
-        if discounts is None:
-            discounts = {o: _discount(counts[o]) for o in range(1, order + 1)}
-        self.discounts = discounts
+    def _build(self, grams: np.ndarray, counts: np.ndarray,
+               discounts: Optional[dict]) -> None:
+        order, base = self.order, self._base
+        # Bottom-up: the rows, level by level, of each top gram's k-word
+        # suffix (s) and of the k words before its last word (x), the
+        # context of its (k+1)-word suffix.
+        keys = [np.arange(base, dtype=np.int64)]
+        s_rows = [grams[:, order - 1].astype(np.int64)]
+        x_rows = [grams[:, order - 2].astype(np.int64) if order > 1 else None]
+        n = len(counts)
+        for k in range(2, order + 1):
+            key = s_rows[-1] * base + grams[:, order - k]
+            if k < order:
+                x_key = x_rows[-1] * base + grams[:, order - k - 1]
+                key = np.concatenate([key, x_key])
+            level, rows = np.unique(key, return_inverse=True)
+            keys.append(level)
+            s_rows.append(rows[:n])
+            x_rows.append(rows[n:])
+        top = s_rows[-1]
+        self._counts = np.zeros(len(keys[-1]), np.int64)
+        self._counts[top] = counts
+        if np.count_nonzero(self._counts) < n:  # name the first repeat
+            first = np.zeros(n, bool)
+            first[np.unique(top, return_index=True)[1]] = True
+            words = map(self.vocab.__getitem__, grams[np.argmin(first)].tolist())
+            raise ValueError(f"gram {' '.join(words)!r} is listed twice")
 
-        uni = counts[1]
-        total = sum(uni.values())
+        # Top-down: counts, discount, lam and alpha per level; the
+        # continuation count of a level k-1 row is its number of
+        # predecessors, the level-k gram rows whose key it prefixes.
+        given = discounts
+        discounts = {}
+        c_level = self._counts
+        levels = []
+        for k in range(order, 1, -1):
+            g = np.flatnonzero(c_level)
+            c = c_level[g]
+            d = discounts[k] = given[k] if given else _discount(c)
+            n_ctx = len(keys[k - 2])
+            ctx_of = np.empty(len(keys[k - 1]), np.int64)
+            ctx_of[s_rows[k - 1]] = x_rows[k - 2]
+            ctx = ctx_of[g]
+            types = np.bincount(ctx, minlength=n_ctx)
+            totals = np.zeros(n_ctx, np.int64)
+            np.add.at(totals, ctx, c)
+            seen = np.flatnonzero(types)
+            lam = np.ones(n_ctx + 1)
+            lam[seen] = d * types[seen] / totals[seen]
+            alpha = np.zeros(len(keys[k - 1]) + 1)
+            alpha[g] = np.maximum(c - d, 0.0) / totals[ctx]
+            levels.append((np.append(keys[k - 1], -1), alpha, lam))
+            c_level = np.bincount(keys[k - 1][g] // base, minlength=n_ctx)
+
+        d = discounts[1] = given[1] if given else _discount(c_level)
+        total = int(c_level.sum())
         uniform = 1.0 / self.vocab_size
         if total == 0:
-            self._p1 = [uniform] * base
+            self._p1 = np.full(base, uniform)
         else:
-            d = discounts[1]
-            lam = d * len(uni) / total
-            self._p1 = [max(uni.get(w, 0) - d, 0.0) / total + lam * uniform
-                        for w in range(base)]
-
-        # (lam per seen context, alpha per seen gram, base**(o-1)) for
-        # o = 2..order. The context of an o-gram id g is g // base; the
-        # order-o context of a full context id is ctx % base**(o-1). The
-        # sums run in numpy over the sorted grams, where the grams of one
-        # context are adjacent; on ints converted exactly to float64 its
-        # d * types / total and max(c - d, 0) / total are the same IEEE
-        # operations, in the same order, as Python's.
-        self._levels = []
-        for o in range(2, order + 1):
-            d = discounts[o]
-            grams = sorted(counts[o])
-            n = len(grams)
-            c = np.fromiter(map(counts[o].__getitem__, grams), np.int64, n)
-            ctxs = list(map(base.__rfloordiv__, grams))
-            starts = np.flatnonzero(
-                np.fromiter(map(ne, ctxs, [None] + ctxs[:-1]), bool, n)
-            )
-            totals = np.add.reduceat(c, starts)
-            types = np.diff(starts, append=n)
-            lam = dict(zip(map(ctxs.__getitem__, starts.tolist()),
-                           (d * types / totals).tolist()))
-            alpha = dict(zip(grams, (np.maximum(c - d, 0.0)
-                                     / np.repeat(totals, types)).tolist()))
-            self._levels.append((lam, alpha, base ** (o - 1)))
-
-    def _decode(self, g: int) -> list[str]:
-        words = []
-        for _ in range(self.order):
-            g, w = divmod(g, self._base)
-            words.append(self.vocab[w])
-        return words[::-1]
+            lam = d * np.count_nonzero(c_level) / total
+            self._p1 = np.maximum(c_level - d, 0.0) / total + lam * uniform
+        self.discounts = given or dict(sorted(discounts.items()))
+        # per order 2..order: (keys with a -1 past the end, alpha, lam)
+        self._levels = levels[::-1]
+        # the same arrays as memoryviews, whose items are Python numbers,
+        # for prob()'s one-token lookups
+        self._p1_items = memoryview(self._p1)
+        self._level_items = [(memoryview(k[:-1]), memoryview(a), memoryview(l))
+                             for k, a, l in self._levels]
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def _interpolate(self, w: int, ctx: int) -> float:
-        """p(word id w | full context id ctx), bottom-up."""
-        p = self._p1[w]
-        base = self._base
-        for lam, alpha, mod in self._levels:
-            c = ctx % mod
-            weight = lam.get(c)
-            if weight is None:
-                break
-            p = alpha.get(c * base + w, 0.0) + weight * p
-        return p
-
     def prob(self, word: str, context: tuple) -> float:
         """p(word | context); context longer than order-1 is truncated.
 
         Words outside the vocabulary are not mapped to the unknown token
-        here: they share the out-of-vocabulary id, which no table holds. A
-        context shorter than order-1 matches no table and gives the
+        here: they share the out-of-vocabulary id, which no gram holds. A
+        context shorter than order-1 matches no context and gives the
         unigram value.
         """
         ids = self.vocab_index
         w = ids.get(word, self._oov)
         k = self.order - 1
         context = tuple(context)
+        p = self._p1_items[w]
         if k == 0 or len(context) < k:
-            return self._p1[w]
-        ctx = 0
-        for c in context[-k:]:
-            ctx = ctx * self._base + ids.get(c, self._oov)
-        return self._interpolate(w, ctx)
+            return p
+        ctx = [ids.get(c, self._oov) for c in context[-k:]]
+        base = self._base
+        gram, row = w, ctx[-1]  # level-1 rows of the gram and the context
+        for j, (keys, alpha, lam) in enumerate(self._level_items):
+            gram = _find(keys, gram * base + ctx[-1 - j])
+            p = alpha[gram] + lam[row] * p
+            if j + 1 == k:
+                break
+            row = _find(keys, row * base + ctx[-2 - j])
+            if row == len(keys):  # unseen context: p stays as it is
+                break
+        return p
 
     def map_word(self, w: str) -> str:
         return w if w in self.vocab_index else UNK
 
+    def _token_probs(self, tok: np.ndarray) -> np.ndarray:
+        """p(tok[i] | the order-1 ids before it) at every position i from
+        order-1 on; tok opens with order-1 start symbols."""
+        p = self._p1[tok]
+        base = self._base
+        row = tok  # level-k row of the k-gram ending at each position
+        for k, (keys, alpha, lam) in enumerate(self._levels, start=2):
+            # from here on, row and tail cover positions k-1.. of tok
+            key = row[1:] * base + tok[: 1 - k]
+            at = keys[:-1].searchsorted(key)
+            weight = lam[row[:-1]]
+            row = np.where(keys[at] == key, at, len(keys) - 1)
+            tail = p[k - 1:]
+            np.multiply(weight, tail, out=tail)
+            np.add(alpha[row], tail, out=tail)
+        return p
+
+    def sentences_logprob(self, sentences: list) -> list[tuple[float, int]]:
+        """(natural-log probability incl. the end symbol, tokens scored) of
+        each sentence, a list of words, all scored in one vectorized pass."""
+        get = self.vocab_index.get
+        unk, k = self._unk, self.order - 1
+        pad = [self._bos] * k
+        seq = []
+        for words in sentences:
+            seq += pad
+            seq += map(get, words, repeat(unk))
+            seq.append(self._eos)
+        probs = self._token_probs(np.array(seq, np.int64)).tolist()
+        out = []
+        end = 0
+        for words in sentences:
+            start = end + k
+            end = start + len(words) + 1
+            lp = 0.0
+            for x in probs[start:end]:
+                lp += math.log(x)
+            out.append((lp, end - start))
+        return out
+
     def sentence_logprob(self, words: list[str]) -> tuple[float, int]:
         """Natural-log probability of one sentence incl. the end symbol."""
-        ids = self.vocab_index
-        unk = self._unk
-        seq = [ids.get(w, unk) for w in words]
-        seq.append(self._eos)
-        interpolate = self._interpolate
-        base, mod = self._base, self._ctx_mod
-        ctx = self._bos_ctx
-        lp = 0.0
-        for w in seq:
-            lp += math.log(interpolate(w, ctx))
-            ctx = (ctx * base + w) % mod
-        return lp, len(seq)
+        return self.sentences_logprob([words])[0]
 
     def save(self, path) -> None:
-        counts = sorted(
-            [" ".join(self._decode(g)), c] for g, c in self._top_counts.items()
-        )
+        base = self._base
+        rows = np.flatnonzero(self._counts)
+        counts = self._counts[rows].tolist()
+        words = []  # oldest first: each key's low digit, then its suffix's
+        for keys, _, _ in self._levels[::-1]:
+            key = keys[rows]
+            words.append(key % base)
+            rows = key // base
+        words.append(rows)  # level-1 rows are ids
+        names = np.array(self.vocab, dtype=object)
+        grams = map(" ".join, zip(*(names[w].tolist() for w in words)))
         payload = {
             "format": MODEL_FORMAT,
             "order": self.order,
             "min_count": self.min_count,
             "vocab": self.vocab,
             "discounts": {str(o): d for o, d in sorted(self.discounts.items())},
-            "counts": counts,
+            "counts": sorted(zip(grams, counts)),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False)
@@ -231,8 +348,11 @@ class KneserNeyModel:
     def load(cls, path) -> "KneserNeyModel":
         """Read a model file; ValueError with a one-line message if it is
         not a well-formed kn-ngram-v1 model."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as e:  # not UTF-8 or not JSON
+            raise ValueError(f"{path}: not a {MODEL_FORMAT} model file: {e}") from None
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
         order = payload.get("order")
@@ -250,15 +370,22 @@ class KneserNeyModel:
                 raise ValueError(f"{path}: discount of order {o} is {d!r}, "
                                  "not a float in (0, 1)")
             discounts[o] = d
-        min_count = payload.get("min_count")
-        # only the generator holds the gram list, so it is freed as soon as
-        # the constructor has read it
-        grams = ((str.split(g, " "), c) for g, c in payload.pop("counts", []))
-        del payload
+        grams = payload.pop("counts", [])
+        if not isinstance(grams, list):
+            raise ValueError(f"{path}: counts is not a list")
         try:
-            return cls(order, vocab, grams, min_count, discounts)
+            return cls(order, vocab, _drain(grams), payload.get("min_count"),
+                       discounts)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+def _drain(entries: list):
+    """The items of a list, deleting each chunk of them from it once read."""
+    while entries:
+        chunk = entries[:GRAM_CHUNK]
+        del entries[:GRAM_CHUNK]
+        yield from chunk
 
 
 def train_kn_sentences(
@@ -274,7 +401,7 @@ def train_kn_sentences(
     kept = sorted(w for w, c in word_freq.items() if c >= min_count)
     vocab = [UNK, BOS, EOS] + [w for w in kept if w not in (UNK, BOS, EOS)]
     # grams hold the vocab's strings, not the token copies of the corpus,
-    # so the tokens are freed before the model is compiled
+    # so the tokens are freed before the model is built
     canonical = {w: w for w in vocab}
 
     top_counts: dict = {}
@@ -309,13 +436,10 @@ class PerplexityVerdict:
 
 
 def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
+    sentences = [s for s in map(sentence_tokens, doc.text.split("\n")) if s]
     lp = 0.0
     n = 0
-    for line in doc.text.split("\n"):
-        words = sentence_tokens(line)
-        if not words:
-            continue
-        slp, sn = model.sentence_logprob(words)
+    for slp, sn in model.sentences_logprob(sentences):
         lp += slp
         n += sn
     if n == 0:

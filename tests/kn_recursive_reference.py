@@ -1,11 +1,10 @@
 """The recursive interpolated Kneser-Ney scorer, kept as a bit-exact test
-oracle for the compiled scorer in corpusprep.ngram_lm.
+oracle for the sorted-array trie scorer in corpusprep.ngram_lm.
 
 Tuple-keyed tables per order and a recursive probability function that
-backs off one order per call, as the package scored before it was compiled.
-The compiled model must give ``==`` equal probabilities and sentence
-log-probabilities: it performs the same float operations in the same order.
-"""
+backs off one order per call, as the package once scored. The trie model
+must give ``==`` equal probabilities and sentence log-probabilities: it
+performs the same float operations in the same order."""
 
 from __future__ import annotations
 

@@ -55,6 +55,14 @@ class TestValidateCommand:
         assert "model.json" in err and "2 words, order is 5" in err
         assert err.count("\n") == 1
 
+    def test_model_not_json_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        Path(cfg["lm"]["model_path"]).write_text("not json at all", encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "model.json: not a kn-ngram-v1 model file" in err
+        assert err.count("\n") == 1
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -190,6 +198,21 @@ class TestSingleStageCommands:
         assert rc == EXIT_STAGE
         err = capsys.readouterr().err
         assert "bad_model.json" in err and "2 words, order is 5" in err
+        assert err.count("\n") == 1
+
+    def test_model_not_json_exits_2(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        bad = tmp_path / "bad_model.json"
+        bad.write_text("not json at all", encoding="utf-8")
+        cfg["lm"]["model_path"] = str(bad)
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        rc = main(
+            ["lm-score", "--config", str(workspace), "--input", cfg["input"],
+             "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "bad_model.json: not a kn-ngram-v1 model file" in err
         assert err.count("\n") == 1
 
     def test_lm_train_and_tokenize(self, workspace, tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusprep.core import Document
 from corpusprep.ngram_lm import (
@@ -206,6 +206,11 @@ class TestMalformedModelFile:
         (lambda p: p["discounts"].pop("2"), "discount of order 2"),
         (lambda p: p["discounts"].update({"1": -0.5}), "discount of order 1"),
         (lambda p: p.update(order=0), "order 0"),
+        (lambda p: p["counts"].append([f"{BOS} a b", 1]),
+         f"gram '{BOS} a b' is listed twice"),
+        (lambda p: p["vocab"].append("a"), "vocab word 'a' is listed twice"),
+        (lambda p: p["counts"].extend([["a b a", 2**62], ["b a b", 2**62]]),
+         "past 2**63 - 1"),
     ])
     def test_rejected_with_one_line(self, tmp_path, mutate, needle):
         path = self._write(tmp_path, mutate)
@@ -215,13 +220,23 @@ class TestMalformedModelFile:
         assert needle in message and str(path) in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("content", [b"not json at all", b"\xff\xfe{}"])
+    def test_not_json_or_not_utf8_rejected_with_one_line(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            KneserNeyModel.load(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: not a kn-ngram-v1 model file")
+        assert "\n" not in message
+
 
 CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]
 OOV = "zz"
 
 
 class TestCompiledMatchesRecursion:
-    """The compiled scorer against the recursive one, compared with ==."""
+    """The trie scorer against the recursive one, compared with ==."""
 
     @staticmethod
     def _assert_same(model, oracle, contexts, sentences):
@@ -267,6 +282,30 @@ class TestCompiledMatchesRecursion:
         ))
         self._assert_same(model, oracle, contexts, sentences + extra)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        top=st.dictionaries(
+            st.lists(st.sampled_from(["a", "b", "c", UNK, BOS, EOS]),
+                     min_size=4, max_size=4).map(tuple),
+            st.integers(1, 4), max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_arbitrary_gram_sets(self, order, top, data):
+        # grams that no corpus produces: contexts that are no gram's suffix
+        # anywhere, not only the start-symbol runs of a trained model
+        vocab = [UNK, BOS, EOS, "a", "b", "c"]
+        top = {g[:order]: c for g, c in top.items()}
+        model = KneserNeyModel(order, vocab, top, min_count=1)
+        oracle = RecursiveKN(order, vocab, top, min_count=1)
+        assert model.discounts == oracle.discounts
+        contexts = [g[:-1] for g in top] + [g[1:] for g in top] + data.draw(
+            st.lists(st.lists(st.sampled_from(vocab + [OOV]), max_size=order)
+                     .map(tuple), max_size=10))
+        sentences = [list(g) for g in top] + [["a", OOV, "c", "b"]]
+        self._assert_same(model, oracle, contexts, sentences)
+
     def test_vocab_past_int64_gram_ids(self):
         vocab = [UNK, BOS, EOS] + [f"w{i:04d}" for i in range(7000)]
         order = 5
@@ -289,6 +328,51 @@ class TestCompiledMatchesRecursion:
                 assert model.prob(w, ctx) == oracle.prob(w, ctx), (w, ctx)
         for s in sentences + [["w6999", OOV, "w0000"]]:
             assert model.sentence_logprob(s) == oracle.sentence_logprob(s)
+
+
+class TestDocumentMatchesRecursion:
+    """perplexity() scores all sentences of a document in one vectorized
+    pass; its sums must equal the recursion's, taken sentence by sentence,
+    compared with ==."""
+
+    LINES = st.one_of(
+        st.lists(st.sampled_from(CORPUS_WORDS + [OOV, "A", "Zz"]), max_size=6)
+        .map(" ".join),
+        st.sampled_from(["", "   ", "\t", "e"]),  # blank lines, a one-word sentence
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        min_count=st.integers(1, 2),
+        sentences=st.lists(
+            st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=12,
+        ),
+        lines=st.lists(LINES, max_size=8),
+    )
+    @example(order=5, min_count=2, sentences=[["a", "b", "c"], ["a", "b"], ["d"]],
+             lines=["a b c", "", "zz a", "   ", "b", "A B zz c", "d"])
+    def test_perplexity_equals_sum_of_sentences(self, order, min_count, sentences,
+                                                lines):
+        text = [" ".join(s) for s in sentences]
+        model = train_kn_sentences(text, order=order, min_count=min_count)
+        ref = ReferenceKN(text, order=order, min_count=min_count)
+        oracle = RecursiveKN(order, ref.vocab, ref.counts[order], min_count)
+        doc = "\n".join(lines)
+        lp, n = 0.0, 0
+        for line in doc.split("\n"):
+            words = line.lower().split()
+            if words:
+                slp, sn = oracle.sentence_logprob(words)
+                lp += slp
+                n += sn
+        got = perplexity(model, Document(id="d", source="s", text=doc))
+        assert got.log_prob == lp and got.n_scored_tokens == n
+        if n:
+            assert got.perplexity == math.exp(-lp / n) and got.kept
+        else:
+            assert got.perplexity == math.inf and got.reason == "empty"
 
 
 class TestFilter:

@@ -170,6 +170,25 @@ class TestSampleSpans:
         halves = covered.reshape(2, -1).sum(axis=1) / (40_000 * L / 2)
         assert abs(halves[0] - halves[1]) <= 0.004
 
+    def test_single_position_starts_pass_chi_square(self):
+        # With max_span=1 the starts are a uniformly random k-subset of
+        # range(L). Each position is then covered with probability k/L per
+        # segment, and Pearson's statistic over the per-position counts,
+        # scaled by (L-1)/(L-k) for drawing without replacement, is
+        # chi-square with L-1 degrees of freedom.
+        L, rate, segments = 40, 0.25, 20_000
+        k = int(rate * L)
+        rng = np.random.default_rng(13)
+        covered = np.zeros(L)
+        for _ in range(segments):
+            spans = sample_spans(L, rate, max_span=1, rng=rng)
+            assert len(spans) == k
+            for start, _ in spans:
+                covered[start] += 1
+        expected = segments * k / L
+        statistic = ((covered - expected) ** 2 / expected).sum() * (L - 1) / (L - k)
+        assert statistic < 72.05  # the 0.999 quantile of chi-square(39)
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(0, 120),
