@@ -41,8 +41,6 @@ class ConfigError(ValueError):
 @dataclass
 class LmConfig:
     model_path: Optional[str] = None
-    order: int = 5
-    min_count: int = 2
     policy: PerplexityPolicy = field(default_factory=PerplexityPolicy)
 
 

@@ -3,9 +3,11 @@
 The JSONL interchange schema is exactly
 ``{"id": str, "source": str, "url": str|null, "text": str, "meta": {str: str}}``
 with that key order and alphabetically sorted meta keys, so that
-write(read(f)) is byte-identical for canonical files. A document's subword
-token count, when known, rides in ``meta["token_count"]`` on disk and is
-lifted into ``Document.token_count`` on read.
+write(read(f)) is byte-identical for canonical files. On read, a line must
+be a JSON object with string ``id`` and ``text``; ``source`` may be absent
+(read as "") and ``url`` absent or null; any other line is skipped. A
+document's subword token count, when known, rides in ``meta["token_count"]``
+on disk and is lifted into ``Document.token_count`` on read.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines.
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-import time
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -88,15 +90,25 @@ class Document:
         return json.dumps(record, ensure_ascii=False, separators=(", ", ": "))
 
     @classmethod
-    def from_record(cls, record: dict) -> "Document":
-        if "id" not in record or "text" not in record:
-            raise KeyError("record missing id/text")
+    def from_record(cls, record) -> "Document":
+        """The document of one parsed JSONL value; ValueError unless it is
+        an object whose ``id`` and ``text`` are strings, whose ``source``,
+        when present, is a string and whose ``url`` is a string or null."""
+        if not isinstance(record, dict):
+            raise ValueError(f"not a JSON object: {type(record).__name__}")
+        for key in ("id", "text"):
+            if not isinstance(record.get(key), str):
+                raise ValueError(f"{key!r} missing or not a string")
+        if not isinstance(record.get("source", ""), str):
+            raise ValueError("'source' is not a string")
+        if not isinstance(record.get("url"), (str, type(None))):
+            raise ValueError("'url' is neither a string nor null")
         meta = dict(record.get("meta") or {})
         token_count = meta.pop(TOKEN_COUNT_META_KEY, None)
         return cls(
-            id=str(record["id"]),
-            source=str(record.get("source", "")),
-            text=str(record["text"]),
+            id=record["id"],
+            source=record.get("source", ""),
+            text=record["text"],
             url=record.get("url"),
             meta=meta,
             token_count=int(token_count) if token_count is not None else None,
@@ -116,7 +128,8 @@ class SourceStats:
 @dataclass
 class StageStats:
     """Per-stage accounting; every input doc is counted exactly once as
-    output or reject (transform stages may shrink word counts in place)."""
+    output or reject (transform stages may shrink word counts in place).
+    Build one with ``tally``."""
 
     stage: str
     docs_in: int = 0
@@ -126,48 +139,54 @@ class StageStats:
     rejected: dict = field(default_factory=dict)  # reason -> count
     per_source: dict = field(default_factory=dict)  # source -> SourceStats
     extra: dict = field(default_factory=dict)
-    wall_time: float = 0.0
     # sidecar records {"id", "stage", "reason"}; kept out of to_dict
     rejects: list = field(default_factory=list, repr=False)
-    _t0: float = field(default_factory=time.monotonic, repr=False)
 
-    def _src(self, source: str) -> SourceStats:
-        return self.per_source.setdefault(source, SourceStats())
+    @classmethod
+    def tally(
+        cls,
+        stage: str,
+        docs: list,
+        reasons: Optional[Iterable] = None,
+        extra: Optional[dict] = None,
+    ) -> tuple[list, "StageStats"]:
+        """The kept documents and the stats of *stage* over *docs*.
 
-    def record_in(self, doc: Document) -> None:
-        self.docs_in += 1
-        self.words_in += doc.word_count
-        s = self._src(doc.source)
-        s.docs_in += 1
-        s.words_in += doc.word_count
-
-    def record_out(self, doc: Document) -> None:
-        self.docs_out += 1
-        self.words_out += doc.word_count
-        s = self._src(doc.source)
-        s.docs_out += 1
-        s.words_out += doc.word_count
-
-    def record_reject(
-        self, doc: Document, reason: str, detail: Optional[str] = None
-    ) -> None:
-        """Count *reason* and log the sidecar record; a *detail* is written
-        as ``reason:detail`` in the sidecar only."""
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
-        self.rejects.append(
-            {
-                "id": doc.id,
-                "stage": self.stage,
-                "reason": reason if detail is None else f"{reason}:{detail}",
-            }
-        )
-        s = self._src(doc.source)
-        s.rejected_docs += 1
-        s.rejected_words += doc.word_count
-
-    def finish(self) -> "StageStats":
-        self.wall_time = time.monotonic() - self._t0
-        return self
+        *reasons* holds one verdict per document, in order: None keeps it,
+        a string rejects it for that reason, and a ``(reason, detail)`` pair
+        rejects it with ``reason:detail`` written in the sidecar only.
+        ``reasons=None`` keeps every document; ValueError if the verdicts
+        and the documents differ in number."""
+        stats = cls(stage=stage, extra=dict(extra or {}))
+        if reasons is None:
+            reasons = repeat(None, len(docs))
+        kept = []
+        for doc, reason in zip(docs, reasons, strict=True):
+            s = stats.per_source.get(doc.source)
+            if s is None:
+                s = stats.per_source[doc.source] = SourceStats()
+            s.docs_in += 1
+            s.words_in += doc.word_count
+            if reason is None:
+                s.docs_out += 1
+                s.words_out += doc.word_count
+                kept.append(doc)
+                continue
+            if isinstance(reason, str):
+                logged = reason
+            else:
+                reason, detail = reason
+                logged = f"{reason}:{detail}"
+            stats.rejected[reason] = stats.rejected.get(reason, 0) + 1
+            stats.rejects.append({"id": doc.id, "stage": stage, "reason": logged})
+            s.rejected_docs += 1
+            s.rejected_words += doc.word_count
+        per_source = stats.per_source.values()
+        stats.docs_in = sum(s.docs_in for s in per_source)
+        stats.docs_out = sum(s.docs_out for s in per_source)
+        stats.words_in = sum(s.words_in for s in per_source)
+        stats.words_out = sum(s.words_out for s in per_source)
+        return kept, stats
 
     @property
     def rejected_docs(self) -> int:
@@ -184,8 +203,8 @@ class StageStats:
             assert s.docs_in == s.docs_out + s.rejected_docs, (self.stage, src)
 
     def to_dict(self) -> dict:
-        # wall_time deliberately excluded: serialized stats must be
-        # byte-stable across reruns of an identical configuration.
+        # no timings: serialized stats must be byte-stable across reruns
+        # of an identical configuration
         return {
             "stage": self.stage,
             "docs_in": self.docs_in,
@@ -201,7 +220,7 @@ class StageStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageStats":
-        """Inverse of to_dict (wall_time and rejects are not serialized)."""
+        """Inverse of to_dict (rejects are not serialized)."""
         return cls(
             stage=d["stage"],
             docs_in=d["docs_in"],
@@ -234,10 +253,12 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise JsonlReadError(f"{path}:{lineno}: invalid UTF-8: {e}") from e
+            # JSONDecodeError is a ValueError; nesting past the parser's
+            # depth limit raises RecursionError
             try:
                 record = json.loads(line)
                 doc = Document.from_record(record)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (RecursionError, TypeError, ValueError) as e:
                 if diagnostics is not None:
                     diagnostics.append({"line": lineno, "reason": str(e)})
                 continue

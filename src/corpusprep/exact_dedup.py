@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from corpusprep.core import Document, StageStats, normalize_text
@@ -48,22 +48,23 @@ def dedup_exact(docs: Iterable[Document]) -> tuple[list[Document], StageStats]:
     Input must already be in a deterministic order (the pipeline sorts by
     (source, id) beforehand); output preserves the order of survivors.
     """
-    stats = StageStats(stage="dedup_exact")
+    docs = list(docs)
+    return StageStats.tally("dedup_exact", docs, _verdicts(docs))
+
+
+def _verdicts(docs: list[Document]) -> Iterator[Optional[str]]:
+    """Per document in order: the reject reason, or None for a first
+    occurrence."""
     seen_text: set[bytes] = set()
     seen_url: set[str] = set()
-    kept = []
     for doc in docs:
-        stats.record_in(doc)
         key = exact_key(doc)
         if key.text_hash in seen_text:
-            stats.record_reject(doc, "exact_text")
-            continue
-        if key.url_key is not None and key.url_key in seen_url:
-            stats.record_reject(doc, "exact_url")
-            continue
-        seen_text.add(key.text_hash)
-        if key.url_key is not None:
-            seen_url.add(key.url_key)
-        stats.record_out(doc)
-        kept.append(doc)
-    return kept, stats.finish()
+            yield "exact_text"
+        elif key.url_key is not None and key.url_key in seen_url:
+            yield "exact_url"
+        else:
+            seen_text.add(key.text_hash)
+            if key.url_key is not None:
+                seen_url.add(key.url_key)
+            yield None

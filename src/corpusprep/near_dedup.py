@@ -262,12 +262,10 @@ def dedup_near(
 ) -> tuple[list[Document], StageStats]:
     """Remove near-duplicates, keeping the longest document per cluster
     (ties broken by smallest id). Output preserves input order."""
-    stats = StageStats(stage="dedup_near")
     docs = list(docs)
     by_id = {}
     sets = []
     for doc in docs:
-        stats.record_in(doc)
         if doc.id in by_id:
             raise ValueError(f"duplicate document id {doc.id!r}")
         by_id[doc.id] = doc
@@ -278,21 +276,15 @@ def dedup_near(
         mat, cfg.bands, cfg.rows, cfg.threshold, sets if cfg.exact_verify else None
     )
     clusters = sorted(sorted(docs[i].id for i in cluster) for cluster in clusters)
-    removed_to_kept = {}
+    verdicts = {}  # removed id -> ("near_dup", "kept=<keeper id>")
     for cluster in clusters:
         keeper = min(cluster, key=lambda i: (-by_id[i].word_count, i))
         removed = [i for i in cluster if i != keeper]
         for i in removed:
-            removed_to_kept[i] = keeper
+            verdicts[i] = ("near_dup", f"kept={keeper}")
         if cluster_report is not None:
             cluster_report.append({"kept": keeper, "removed": removed})
-
-    kept = []
-    for doc in docs:
-        if doc.id in removed_to_kept:
-            stats.record_reject(doc, "near_dup", f"kept={removed_to_kept[doc.id]}")
-        else:
-            stats.record_out(doc)
-            kept.append(doc)
-    stats.extra["clusters"] = len(clusters)
-    return kept, stats.finish()
+    reasons = [verdicts.get(doc.id) for doc in docs]
+    return StageStats.tally(
+        "dedup_near", docs, reasons, extra={"clusters": len(clusters)}
+    )

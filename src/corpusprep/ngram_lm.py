@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -129,13 +128,6 @@ def _encode(pairs, ids: dict, order: int) -> tuple[np.ndarray, np.ndarray]:
         id_parts.append(np.array(flat, np.int32).reshape(len(chunk), order))
         count_parts.append(np.array(counts, np.int64))
     return np.concatenate(id_parts), np.concatenate(count_parts)
-
-
-def _find(keys: memoryview, key: int) -> int:
-    """Row of *key* in one level's sorted keys, or the level's not-found
-    row len(keys)."""
-    i = bisect_left(keys, key)
-    return i if i < len(keys) and keys[i] == key else len(keys)
 
 
 class KneserNeyModel:
@@ -236,11 +228,6 @@ class KneserNeyModel:
         self.discounts = given or dict(sorted(discounts.items()))
         # per order 2..order: (keys with a -1 past the end, alpha, lam)
         self._levels = levels[::-1]
-        # the same arrays as memoryviews, whose items are Python numbers,
-        # for prob()'s one-token lookups
-        self._p1_items = memoryview(self._p1)
-        self._level_items = [(memoryview(k[:-1]), memoryview(a), memoryview(l))
-                             for k, a, l in self._levels]
 
     @property
     def vocab_size(self) -> int:
@@ -256,23 +243,13 @@ class KneserNeyModel:
         """
         ids = self.vocab_index
         w = ids.get(word, self._oov)
-        k = self.order - 1
         context = tuple(context)
-        p = self._p1_items[w]
-        if k == 0 or len(context) < k:
-            return p
-        ctx = [ids.get(c, self._oov) for c in context[-k:]]
-        base = self._base
-        gram, row = w, ctx[-1]  # level-1 rows of the gram and the context
-        for j, (keys, alpha, lam) in enumerate(self._level_items):
-            gram = _find(keys, gram * base + ctx[-1 - j])
-            p = alpha[gram] + lam[row] * p
-            if j + 1 == k:
-                break
-            row = _find(keys, row * base + ctx[-2 - j])
-            if row == len(keys):  # unseen context: p stays as it is
-                break
-        return p
+        k = self.order - 1
+        if len(context) < k:
+            return self._p1[w].item()
+        tok = [ids.get(c, self._oov) for c in context[len(context) - k:]]
+        tok.append(w)
+        return self._token_probs(np.array(tok, np.int64))[-1].item()
 
     def map_word(self, w: str) -> str:
         return w if w in self.vocab_index else UNK
@@ -483,7 +460,6 @@ def filter_by_perplexity(
     Each surviving document carries its score in meta["perplexity"] for the
     downstream quality-ordered sampler.
     """
-    stats = StageStats(stage="lm_score")
     docs = list(docs)
     verdicts = [perplexity(model, doc) for doc in docs]
     if policy.kind == "absolute":
@@ -493,23 +469,17 @@ def filter_by_perplexity(
         if not finite:
             raise ValueError("percentile policy on a stream with no scorable docs")
         cutoff = percentile_cutoff(finite, policy.value)
-    stats.extra["cutoff"] = repr(cutoff)
-    kept = []
+    reasons = []
     for doc, verdict in zip(docs, verdicts):
-        stats.record_in(doc)
         if verdict.n_scored_tokens == 0:
-            verdict.kept = False
-            verdict.reason = "empty"
+            reasons.append("empty")
         elif verdict.perplexity > cutoff:
-            verdict.kept = False
-            verdict.reason = "high_ppl"
-        if not verdict.kept:
-            stats.record_reject(doc, verdict.reason)
-            continue
-        doc.meta[PPL_META_KEY] = f"{verdict.perplexity:.8e}"
-        stats.record_out(doc)
-        kept.append(doc)
-    return kept, stats.finish()
+            reasons.append("high_ppl")
+        else:
+            doc.meta[PPL_META_KEY] = f"{verdict.perplexity:.8e}"
+            reasons.append(None)
+    extra = {"cutoff": repr(cutoff)}
+    return StageStats.tally("lm_score", docs, reasons, extra=extra)
 
 
 def load_model(path) -> KneserNeyModel:

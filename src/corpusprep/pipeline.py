@@ -19,7 +19,6 @@ from typing import Callable, Optional
 from corpusprep import exact_dedup, near_dedup, ngram_lm, packing, quality, sampler, subword
 from corpusprep.config import PipelineConfig
 from corpusprep.core import (
-    Document,
     StageStats,
     normalize_text,
     read_jsonl,
@@ -109,10 +108,17 @@ def report_table(report: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# Stage implementations: stage_<name>(docs, cfg, work_dir, get_vocab) ->
-# (docs, stats), one per config.KNOWN_STAGES name, looked up by name at call
-# time. Rejects ride in stats.rejects. Side files go to *work_dir*:
-# clusters.jsonl (skipped when work_dir is None) and packed.bin with its
+# The stage contract. There is one stage_<name>(docs, cfg, work_dir,
+# get_vocab) per config.KNOWN_STAGES name, looked up by name at call time
+# by run_stage, which `run` and the single-stage subcommands both call.
+# *docs* is a list: the previous stage's output, or documents read_jsonl
+# read, which skips every line outside the JSONL schema in core. A stage
+# computes its output documents and one verdict per document: None keeps
+# it, a reason string or a (reason, detail) pair rejects it. It returns
+# StageStats.tally(stage, docs, verdicts), which alone counts documents
+# and words in, out and rejected per source and builds the .rejects
+# records, as (kept, stats). Side files go to *work_dir*: clusters.jsonl
+# (skipped when work_dir is None) and packed.bin with its
 # packed.meta.jsonl. *get_vocab* is one run's vocab_loader, so token_count
 # and pack share one loaded vocabulary and its word-segmentation memo.
 # --------------------------------------------------------------------------
@@ -126,19 +132,12 @@ def vocab_loader(cfg: PipelineConfig) -> Callable[[], subword.SubwordVocab]:
 
 
 def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    stats = StageStats(stage="filter")
-    kept = []
-    for doc in docs:
-        doc = doc.with_text(normalize_text(doc.text))
-        doc = quality.strip_boilerplate(doc)
-        stats.record_in(doc)
-        reason = quality.apply_heuristics(doc, cfg.heuristics)
-        if reason is not None:
-            stats.record_reject(doc, reason)
-        else:
-            stats.record_out(doc)
-            kept.append(doc)
-    return kept, stats.finish()
+    docs = [
+        quality.strip_boilerplate(doc.with_text(normalize_text(doc.text)))
+        for doc in docs
+    ]
+    reasons = [quality.apply_heuristics(doc, cfg.heuristics) for doc in docs]
+    return StageStats.tally("filter", docs, reasons)
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, get_vocab):
@@ -164,12 +163,9 @@ def stage_lm_score(docs, cfg: PipelineConfig, work_dir, get_vocab):
 
 def stage_token_count(docs, cfg: PipelineConfig, work_dir, get_vocab):
     vocab = get_vocab()
-    stats = StageStats(stage="token_count")
     for doc in docs:
-        stats.record_in(doc)
         subword.token_count(doc, vocab)
-        stats.record_out(doc)
-    return docs, stats.finish()
+    return StageStats.tally("token_count", docs)
 
 
 def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
@@ -189,9 +185,6 @@ def stage_pack(docs, cfg: PipelineConfig, work_dir, get_vocab):
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
     """Pack and mask *docs* into *out_bin*, with its ``.meta.jsonl`` sidecar
     beside it; every document passes through."""
-    stats = StageStats(stage="pack")
-    for doc in docs:
-        stats.record_in(doc)
     tokenized = ((doc.id, subword.tokenize(doc.text, vocab)) for doc in docs)
     windows, efficiency = packing.pack_greedy(
         tokenized,
@@ -217,19 +210,24 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
 
     sidecar = Path(out_bin).with_suffix(".meta.jsonl")
     n = packing.write_packed(out_bin, sidecar, records(), cfg.pack.seq_len)
-    for doc in docs:
-        stats.record_out(doc)
-    stats.extra["windows"] = n
-    stats.extra["efficiency"] = f"{efficiency:.6f}"
-    return stats.finish()
+    extra = {"windows": n, "efficiency": f"{efficiency:.6f}"}
+    return StageStats.tally("pack", docs, extra=extra)[1]
 
 
 def run_stage(name: str, docs, cfg: PipelineConfig, work_dir, get_vocab):
-    """Run stage *name*; any error becomes a StageFailure naming it."""
+    """Run stage *name* and print its counts and time to stderr; any error
+    becomes a StageFailure naming it."""
+    t0 = time.monotonic()
     try:
-        return globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
+        docs, stats = globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
+    print(
+        f"[{name}] in={stats.docs_in} out={stats.docs_out} "
+        f"rejected={stats.rejected_docs} ({time.monotonic() - t0:.2f}s)",
+        file=sys.stderr,
+    )
+    return docs, stats
 
 
 def check_unique_ids(docs: list, source) -> None:
@@ -281,7 +279,7 @@ def run_pipeline(
             "manifest config hash does not match; refusing to resume"
         )
     completed = list(manifest["completed"]) if manifest else []
-    stage_stats_cache = dict(manifest["stats"]) if manifest else {}
+    stats_dicts = dict(manifest["stats"]) if manifest else {}
 
     diagnostics: list = []
     if completed:
@@ -295,7 +293,6 @@ def run_pipeline(
         check_unique_ids(docs, cfg.input)
 
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
-    stats_dicts = dict(stage_stats_cache)
     get_vocab = vocab_loader(cfg)
 
     for idx, stage in enumerate(cfg.stages):
@@ -323,11 +320,6 @@ def run_pipeline(
                 "stats": stats_dicts,
                 "diagnostics": n_diagnostics,
             },
-        )
-        print(
-            f"[{stage}] in={stats.docs_in} out={stats.docs_out} "
-            f"rejected={stats.rejected_docs} ({stats.wall_time:.2f}s)",
-            file=sys.stderr,
         )
         if fail_after == stage:
             raise StageFailure(f"injected failure after stage {stage}")

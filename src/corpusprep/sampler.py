@@ -88,18 +88,17 @@ def sample_to_quota(
     errors = validate_quotas(quotas)
     if errors:
         raise ValueError("; ".join(errors))
-    stats = StageStats(stage="sample")
     docs = list(docs)
     for doc in docs:
         if doc.token_count is None:
             raise ValueError(f"document {doc.id!r} has no token_count")
-        stats.record_in(doc)
 
     by_bucket: dict[str, list[Document]] = {q.name: [] for q in quotas}
     for doc in docs:
         by_bucket[assign_bucket(doc.token_count, quotas)].append(doc)
 
     selected: set[str] = set()
+    extra: dict = {}
     warnings = []
     for q in quotas:
         candidates = by_bucket[q.name]
@@ -118,21 +117,14 @@ def sample_to_quota(
             if realized + doc.token_count <= limit:
                 realized += doc.token_count
                 selected.add(doc.id)
-        stats.extra[f"bucket_{q.name}_target"] = q.target_tokens
-        stats.extra[f"bucket_{q.name}_realized"] = realized
+        extra[f"bucket_{q.name}_target"] = q.target_tokens
+        extra[f"bucket_{q.name}_realized"] = realized
         if realized < 0.98 * q.target_tokens:
             warnings.append(
                 f"bucket {q.name}: realized {realized} < 98% of target "
                 f"{q.target_tokens} (insufficient supply)"
             )
     if warnings:
-        stats.extra["warnings"] = warnings
-
-    kept = []
-    for doc in docs:
-        if doc.id in selected:
-            stats.record_out(doc)
-            kept.append(doc)
-        else:
-            stats.record_reject(doc, "not_sampled")
-    return kept, stats.finish()
+        extra["warnings"] = warnings
+    reasons = [None if doc.id in selected else "not_sampled" for doc in docs]
+    return StageStats.tally("sample", docs, reasons, extra=extra)

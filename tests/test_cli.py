@@ -159,6 +159,27 @@ class TestSingleStageCommands:
             assert json.loads(capsys.readouterr().out)["stage"] == stage
         assert not (tmp_path / "clusters.jsonl").exists()
 
+    def test_each_stage_writes_the_bytes_of_run(self, workspace, tmp_path, capsys):
+        """`run` and the single-stage subcommands share one stage path: each
+        subcommand, fed the previous stage's output of `run`, writes `run`'s
+        JSONL and rejects byte for byte."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        assert main(["run", "--config", str(workspace)]) == EXIT_OK
+        work = workspace.parent / "work"
+        prev = cfg["input"]
+        for idx, stage in enumerate(KNOWN_STAGES[:-1]):
+            out = tmp_path / f"{stage}.jsonl"
+            argv = [stage.replace("_", "-"), "--config", str(workspace),
+                    "--input", str(prev), "--output", str(out)]
+            assert main(argv) == EXIT_OK, stage
+            ran = work / f"{idx:02d}_{stage}.jsonl"
+            assert out.read_bytes() == ran.read_bytes(), stage
+            assert (tmp_path / f"{stage}.jsonl.rejects").read_bytes() == (
+                work / f"{ran.name}.rejects"
+            ).read_bytes(), stage
+            prev = ran
+        capsys.readouterr()
+
     def test_dedup_near_rejects_duplicate_id(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         lines = Path(cfg["input"]).read_text("utf-8").splitlines()

@@ -43,6 +43,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(p, check_paths=False)
         assert any("near_dedup" in e for e in exc.value.errors)
+        # the LM file carries its order; lm-train takes --order/--min-count
+        for key in ("order", "min_count"):
+            p = write_yaml(
+                tmp_path / "c.yaml", {"input": "x", "work_dir": "y", "lm": {key: 3}}
+            )
+            with pytest.raises(ConfigError) as exc:
+                load_config(p, check_paths=False)
+            assert any(e.startswith("lm: ") and key in e for e in exc.value.errors)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         """A typo like ``stage:`` must not fall back to running all stages,

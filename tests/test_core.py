@@ -1,6 +1,7 @@
 import json
 import re
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,13 +120,27 @@ class TestJsonl:
     def test_malformed_lines_counted_not_dropped_silently(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         lines = [d.to_json_line() for d in self._docs()]
-        lines.insert(1, "{not json")
-        lines.insert(3, json.dumps({"source": "x", "text": "no id"}))
+        bad = [
+            "{not json",
+            json.dumps({"source": "x", "text": "no id"}),
+            # JSON values that are not objects, though "id" and "text"
+            # are substrings or members of them
+            json.dumps("an id and text"),
+            json.dumps(["id", "text"]),
+            # schema types: id and text strings, source a string, url a
+            # string or null
+            json.dumps({"id": None, "text": None}),
+            json.dumps({"id": 7, "text": "seven"}),
+            json.dumps({"id": "s", "source": None, "text": "no source"}),
+            json.dumps({"id": "u", "text": "bad url", "url": 5}),
+            "[" * 100_000,  # nested past the parser's depth limit
+        ]
+        lines[1:1] = bad
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         diagnostics = []
         docs = list(read_jsonl(path, diagnostics=diagnostics))
-        assert len(docs) == 3
-        assert len(diagnostics) == 2
+        assert [d.id for d in docs] == ["d1", "d2", "d3"]
+        assert [d["line"] for d in diagnostics] == list(range(2, 2 + len(bad)))
 
     def test_invalid_utf8_aborts_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -134,30 +149,74 @@ class TestJsonl:
             list(read_jsonl(path))
 
 
-class TestStageStats:
-    def test_conservation(self):
-        stats = StageStats(stage="t")
-        docs = [Document(id=str(i), source="s" + str(i % 2), text="a b c") for i in range(10)]
-        for i, d in enumerate(docs):
-            stats.record_in(d)
-            if i % 3 == 0:
-                stats.record_reject(d, "because")
-            else:
-                stats.record_out(d)
-        stats.check_conservation()
-        assert stats.docs_in == 10
-        assert stats.docs_out == 6
-        assert stats.rejected == {"because": 4}
-        assert stats.words_out <= stats.words_in
+# A verdict per document: keep, reject for a reason, or reject for a
+# reason with a detail for the sidecar
+_VERDICT = st.one_of(
+    st.none(),
+    st.sampled_from(["short", "dup"]),
+    st.tuples(st.sampled_from(["short", "near_dup"]), st.sampled_from(["kept=a", "x"])),
+)
 
-    def test_dict_round_trip(self):
-        stats = StageStats(stage="t")
-        for i in range(5):
-            doc = Document(id=str(i), source="s" + str(i % 2), text="a b " * i)
-            stats.record_in(doc)
-            if i == 3:
-                stats.record_reject(doc, "short")
-            else:
-                stats.record_out(doc)
-        stats.extra["windows"] = 3
+_DOCS_AND_VERDICTS = st.lists(
+    st.tuples(
+        st.sampled_from(["web", "news", ""]),
+        st.text(alphabet="ab \n", max_size=12),
+        _VERDICT,
+    ),
+    max_size=30,
+).map(
+    lambda rows: (
+        [Document(id=f"d{i}", source=src, text=text)
+         for i, (src, text, _) in enumerate(rows)],
+        [verdict for _, _, verdict in rows],
+    )
+)
+
+
+def _reason(verdict):
+    return verdict if isinstance(verdict, str) else verdict[0]
+
+
+def _logged(verdict):
+    return verdict if isinstance(verdict, str) else f"{verdict[0]}:{verdict[1]}"
+
+
+class TestStageStats:
+    @given(_DOCS_AND_VERDICTS)
+    def test_conservation(self, docs_and_verdicts):
+        docs, verdicts = docs_and_verdicts
+        kept, stats = StageStats.tally("t", docs, verdicts)
+        stats.check_conservation()
+        pairs = list(zip(docs, verdicts))
+        assert kept == [d for d, v in pairs if v is None]
+        assert stats.docs_in == len(docs)
+        assert stats.words_in == sum(d.word_count for d in docs)
+        assert stats.words_out == sum(d.word_count for d in kept)
+        assert stats.rejected == Counter(_reason(v) for _, v in pairs if v is not None)
+        assert stats.rejects == [
+            {"id": d.id, "stage": "t", "reason": _logged(v)} for d, v in pairs if v is not None
+        ]
+        for src, s in stats.per_source.items():
+            mine = [(d, v) for d, v in pairs if d.source == src]
+            assert s.docs_in == len(mine)
+            assert s.rejected_words == sum(d.word_count for d, v in mine if v is not None)
+
+    @given(_DOCS_AND_VERDICTS)
+    def test_dict_round_trip(self, docs_and_verdicts):
+        docs, verdicts = docs_and_verdicts
+        extra = {"windows": 3, "cutoff": "1.5"}
+        _, stats = StageStats.tally("t", docs, verdicts, extra=extra)
         assert StageStats.from_dict(stats.to_dict()).to_dict() == stats.to_dict()
+
+    def test_no_verdicts_keeps_every_document(self):
+        docs = [Document(id=str(i), source="s" + str(i % 2), text="a b c") for i in range(5)]
+        kept, stats = StageStats.tally("t", docs, extra={"windows": 2})
+        assert kept == docs
+        assert (stats.docs_out, stats.rejected, stats.rejects) == (5, {}, [])
+        assert stats.extra == {"windows": 2}
+
+    @pytest.mark.parametrize("n_verdicts", [2, 4])
+    def test_wrong_number_of_verdicts_raises(self, n_verdicts):
+        docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
+        with pytest.raises(ValueError):
+            StageStats.tally("t", docs, [None] * n_verdicts)

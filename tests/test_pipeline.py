@@ -158,8 +158,10 @@ class TestDeterminismAndResume:
         with open(cfg.input, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
             fh.write('{"id": "x"}\n')  # missing required fields
+            fh.write('"an id and text"\n')  # a string, not an object
+            fh.write('{"id": null, "text": null}\n')  # not strings
         report = run_pipeline(cfg)
-        assert report.diagnostics == 2
+        assert report.diagnostics == 4
 
 
 class TestReportTable:
