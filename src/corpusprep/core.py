@@ -5,9 +5,16 @@ The JSONL interchange schema is exactly
 with that key order and alphabetically sorted meta keys, so that
 write(read(f)) is byte-identical for canonical files. On read, a line must
 be a JSON object with string ``id`` and ``text``; ``source`` may be absent
-(read as "") and ``url`` absent or null; any other line is skipped. A
-document's subword token count, when known, rides in ``meta["token_count"]``
-on disk and is lifted into ``Document.token_count`` on read.
+(read as "") and ``url`` absent or null; ``meta`` may be absent, and is
+otherwise an object whose values are strings, with ``meta["token_count"]``,
+when present, matching ``[0-9]+``; any other line is skipped. A document's
+subword token count, when known, rides in ``meta["token_count"]`` on disk
+and is lifted into ``Document.token_count`` on read.
+
+A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
+``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only. They
+are never serialized and ``with_text`` does not copy them, so a document
+read from JSONL is tokenized again when its ids are first needed.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines.
@@ -29,6 +36,7 @@ from typing import Iterable, Iterator, Optional
 _WS_RUN = re.compile(r"\s{2,}|[^\S \n]")
 
 TOKEN_COUNT_META_KEY = "token_count"
+_TOKEN_COUNT_RE = re.compile(r"[0-9]+")
 
 
 def _collapse_run(m: re.Match) -> str:
@@ -61,6 +69,8 @@ class Document:
     meta: dict = field(default_factory=dict)
     token_count: Optional[int] = None
     word_count: int = field(init=False)
+    # (vocab, uint16 ids), filled by subword.token_ids; never serialized
+    token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.word_count = word_count(self.text)
@@ -93,7 +103,9 @@ class Document:
     def from_record(cls, record) -> "Document":
         """The document of one parsed JSONL value; ValueError unless it is
         an object whose ``id`` and ``text`` are strings, whose ``source``,
-        when present, is a string and whose ``url`` is a string or null."""
+        when present, is a string, whose ``url`` is a string or null and
+        whose ``meta``, when present, is an object of strings with a
+        ``token_count``, if any, of ASCII digits."""
         if not isinstance(record, dict):
             raise ValueError(f"not a JSON object: {type(record).__name__}")
         for key in ("id", "text"):
@@ -103,8 +115,15 @@ class Document:
             raise ValueError("'source' is not a string")
         if not isinstance(record.get("url"), (str, type(None))):
             raise ValueError("'url' is neither a string nor null")
-        meta = dict(record.get("meta") or {})
+        meta = record.get("meta", {})
+        if not isinstance(meta, dict) or not all(
+            isinstance(v, str) for v in meta.values()
+        ):
+            raise ValueError("'meta' is not an object of strings")
+        meta = dict(meta)
         token_count = meta.pop(TOKEN_COUNT_META_KEY, None)
+        if token_count is not None and not _TOKEN_COUNT_RE.fullmatch(token_count):
+            raise ValueError(f"'meta.token_count' {token_count!r} is not [0-9]+")
         return cls(
             id=record["id"],
             source=record.get("source", ""),

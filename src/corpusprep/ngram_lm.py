@@ -408,8 +408,6 @@ class PerplexityVerdict:
     perplexity: float
     log_prob: float
     n_scored_tokens: int
-    kept: bool = True
-    reason: Optional[str] = None
 
 
 def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
@@ -420,7 +418,7 @@ def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
         lp += slp
         n += sn
     if n == 0:
-        return PerplexityVerdict(doc.id, math.inf, 0.0, 0, kept=False, reason="empty")
+        return PerplexityVerdict(doc.id, math.inf, 0.0, 0)
     return PerplexityVerdict(doc.id, math.exp(-lp / n), lp, n)
 
 

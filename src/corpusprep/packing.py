@@ -4,7 +4,10 @@ Packing is a sequential first-fit fold: each document's token payload
 (wrapped in <s>/</s> boundary specials) streams into fixed-length windows.
 With splitting enabled a document that does not fit continues in the next
 window, so padding only ever occupies the tail of the final window and
-global efficiency stays above 99% on any realistic corpus.
+global efficiency stays above 99% on any realistic corpus. The windows are
+the rows of one flat uint16 array: one pass of integer arithmetic gives
+each payload its start, one slice assignment copies it in, and its
+boundaries are cut at multiples of seq_len.
 
 Mask plans select floor(rate * maskable) positions per document segment,
 where maskable excludes every special id, <unk> inside a document included.
@@ -21,7 +24,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,14 +51,15 @@ class PackedSequence:
 
 
 def pack_greedy(
-    docs: Iterable[tuple[str, list[int]]],
+    docs: Iterable[tuple[str, Sequence[int]]],
     seq_len: int,
     bos_id: int,
     eos_id: int,
     pad_id: int,
     split: bool = True,
 ) -> tuple[list[PackedSequence], float]:
-    """Pack (doc_id, token_ids) pairs into seq_len windows.
+    """Pack (doc_id, token_ids) pairs into seq_len windows; the ids may be
+    a list or an array.
 
     Returns the windows and the global packing efficiency (non-pad
     fraction). Documents longer than a window are always chunked; with
@@ -63,50 +67,41 @@ def pack_greedy(
     """
     if seq_len < 2:
         raise ValueError("seq_len must be >= 2")
-    windows: list[PackedSequence] = []
-    cur: list[int] = []
-    bounds: list = []
-    total_nonpad = 0
-
-    def flush():
-        nonlocal cur, bounds
-        if not cur and not bounds:
-            return
-        pad_count = seq_len - len(cur)
-        tokens = np.asarray(cur + [pad_id] * pad_count, dtype=np.uint16)
-        windows.append(
-            PackedSequence(tokens=tokens, boundaries=bounds, pad_count=pad_count)
-        )
-        cur, bounds = [], []
-
+    # Each payload <s> ids </s> gets a start in one flat stream of windows;
+    # without split, one that fits a window but would straddle two starts
+    # at the next window, leaving the rest of this one as padding.
+    payloads = []
+    end = 0
     for doc_id, ids in docs:
-        payload = [bos_id] + list(ids) + [eos_id]
-        total_nonpad += len(payload)
-        if not split and len(payload) <= seq_len:
-            if len(payload) > seq_len - len(cur):
-                flush()
-            start = len(cur)
-            cur.extend(payload)
-            bounds.append((start, len(cur), doc_id))
-            if len(cur) == seq_len:
-                flush()
-            continue
-        # streaming split (and chunking of over-long docs)
-        pos = 0
-        while pos < len(payload):
-            space = seq_len - len(cur)
-            if space == 0:
-                flush()
-                space = seq_len
-            take = payload[pos : pos + space]
-            start = len(cur)
-            cur.extend(take)
-            bounds.append((start, len(cur), doc_id))
-            pos += len(take)
-            if len(cur) == seq_len:
-                flush()
-    flush()
-    total_positions = len(windows) * seq_len
+        ids = np.asarray(ids, dtype=np.uint16)
+        length = len(ids) + 2
+        offset = end % seq_len
+        if not split and length <= seq_len < offset + length:
+            end += seq_len - offset
+        payloads.append((end, ids, doc_id))
+        end += length
+    n_windows = -(-end // seq_len)
+    flat = np.full(n_windows * seq_len, pad_id, dtype=np.uint16)
+    bounds: list = [[] for _ in range(n_windows)]
+    total_nonpad = 0
+    for start, ids, doc_id in payloads:
+        stop = start + len(ids) + 2
+        flat[start] = bos_id
+        flat[start + 1 : stop - 1] = ids
+        flat[stop - 1] = eos_id
+        total_nonpad += stop - start
+        # cut the payload at window edges
+        for w in range(start // seq_len, (stop - 1) // seq_len + 1):
+            base = w * seq_len
+            bounds[w].append(
+                (max(start, base) - base, min(stop, base + seq_len) - base, doc_id)
+            )
+    rows = flat.reshape(n_windows, seq_len)
+    windows = [
+        PackedSequence(tokens=row, boundaries=b, pad_count=seq_len - b[-1][1])
+        for row, b in zip(rows, bounds)
+    ]
+    total_positions = n_windows * seq_len
     efficiency = total_nonpad / total_positions if total_positions else 1.0
     return windows, efficiency
 
@@ -134,6 +129,14 @@ def sample_spans(
     shuffled, so the clamped span lands anywhere. The unmasked gaps between
     spans are a uniformly random composition of the rest of the segment.
     """
+    starts, lengths = _span_arrays(segment_length, rate, geom_p, max_span, rng)
+    return list(zip(starts.tolist(), lengths.tolist()))
+
+
+def _span_arrays(
+    segment_length: int, rate: float, geom_p: float, max_span: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and lengths of sample_spans as two int64 arrays."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
     if not 0.0 < geom_p < 1.0:
@@ -142,7 +145,8 @@ def sample_spans(
         raise ValueError("max_span must be >= 1")
     target = int(rate * segment_length)
     if target <= 0:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
     # searching the cdf without its last value keeps lengths <= max_span
     # when the float cdf ends a hair below 1
     cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span))[:-1]
@@ -156,7 +160,7 @@ def sample_spans(
     # segment_length - target unmasked positions
     slots = np.sort(rng.choice(segment_length - target + k, size=k, replace=False))
     starts = slots - np.arange(k) + np.cumsum(lengths) - lengths
-    return list(zip(starts.tolist(), lengths.tolist()))
+    return starts, lengths
 
 
 @dataclass
@@ -212,8 +216,10 @@ def apply_masking(
         maskable = start + np.flatnonzero(~special[start:end])
         n = len(maskable)
         if cfg.scheme == "span":
-            spans = sample_spans(n, cfg.rate, cfg.geom_p, cfg.max_span, rng=rng)
-            picks = [s + j for s, ln in spans for j in range(ln)]
+            starts, lens = _span_arrays(n, cfg.rate, cfg.geom_p, cfg.max_span, rng)
+            # start + j for j < len, for every span at once
+            ends = np.cumsum(lens)
+            picks = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
         else:
             picks = np.sort(rng.choice(n, size=int(cfg.rate * n), replace=False))
         picked.append(maskable[picks])

@@ -120,7 +120,8 @@ def report_table(report: dict) -> str:
 # records, as (kept, stats). Side files go to *work_dir*: clusters.jsonl
 # (skipped when work_dir is None) and packed.bin with its
 # packed.meta.jsonl. *get_vocab* is one run's vocab_loader, so token_count
-# and pack share one loaded vocabulary and its word-segmentation memo.
+# and pack share one loaded vocabulary and its word-segmentation memo, and
+# pack reads the ids subword.token_ids kept on each document at token_count.
 # --------------------------------------------------------------------------
 
 
@@ -185,7 +186,7 @@ def stage_pack(docs, cfg: PipelineConfig, work_dir, get_vocab):
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
     """Pack and mask *docs* into *out_bin*, with its ``.meta.jsonl`` sidecar
     beside it; every document passes through."""
-    tokenized = ((doc.id, subword.tokenize(doc.text, vocab)) for doc in docs)
+    tokenized = ((doc.id, subword.token_ids(doc, vocab)) for doc in docs)
     windows, efficiency = packing.pack_greedy(
         tokenized,
         cfg.pack.seq_len,

@@ -16,6 +16,11 @@ word -> ids memo on the SubwordVocab, bounded at WORD_CACHE_SIZE entries
 (once full, new words are segmented but not stored). A word's ids depend
 only on its bytes and the vocabulary, so the output does not depend on
 the memo.
+
+A run tokenizes each document once: token_ids() keeps a document's ids as
+a uint16 array on ``Document.token_ids`` for the vocabulary that made them,
+so the token_count and pack stages share one tokenization. The ids live in
+memory only; a document read from JSONL is tokenized on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from corpusprep.core import Document
 
@@ -228,7 +235,19 @@ def detokenize(ids, vocab: SubwordVocab) -> bytes:
     return b" ".join(bytes(w) for w in words)
 
 
+def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:
+    """*doc*'s ids under *vocab* as a uint16 array: tokenized on the first
+    call for this document and vocabulary object, then read from
+    ``doc.token_ids``."""
+    cached = doc.token_ids
+    if cached is not None and cached[0] is vocab:
+        return cached[1]
+    ids = np.array(tokenize(doc.text, vocab), dtype=np.uint16)
+    doc.token_ids = (vocab, ids)
+    return ids
+
+
 def token_count(doc: Document, vocab: SubwordVocab) -> int:
-    n = len(tokenize(doc.text, vocab))
+    n = len(token_ids(doc, vocab))
     doc.token_count = n
     return n

@@ -134,6 +134,11 @@ class TestJsonl:
             json.dumps({"id": "s", "source": None, "text": "no source"}),
             json.dumps({"id": "u", "text": "bad url", "url": 5}),
             "[" * 100_000,  # nested past the parser's depth limit
+            # meta an object of strings, its token_count ASCII digits
+            json.dumps({"id": "m1", "text": "t", "meta": [["k", "v"]]}),
+            json.dumps({"id": "m2", "text": "t", "meta": {"k": 1}}),
+            json.dumps({"id": "m3", "text": "t", "meta": {"token_count": 3.9}}),
+            json.dumps({"id": "m4", "text": "t", "meta": {"token_count": "-4"}}),
         ]
         lines[1:1] = bad
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -115,8 +115,7 @@ class TestPerplexity:
         m = train_kn_sentences(["a b", "a b"], order=2)
         v = perplexity(m, Document(id="e", source="s", text=""))
         assert v.n_scored_tokens == 0
-        assert not v.kept
-        assert v.reason == "empty"
+        assert v.perplexity == math.inf
 
     def test_perplexity_at_least_one(self):
         m = train_kn_sentences(["a b", "a b"], order=2)
@@ -370,9 +369,9 @@ class TestDocumentMatchesRecursion:
         got = perplexity(model, Document(id="d", source="s", text=doc))
         assert got.log_prob == lp and got.n_scored_tokens == n
         if n:
-            assert got.perplexity == math.exp(-lp / n) and got.kept
+            assert got.perplexity == math.exp(-lp / n)
         else:
-            assert got.perplexity == math.inf and got.reason == "empty"
+            assert got.perplexity == math.inf and got.n_scored_tokens == 0
 
 
 class TestFilter:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusprep.packing import (
     ACTION_KEEP,
@@ -21,6 +21,7 @@ from corpusprep.packing import (
     write_packed,
 )
 from corpusprep.synthetic import lognormal_token_docs
+from packing_reference import pack_greedy as reference_pack_greedy
 
 BOS, EOS, PAD, MASK = 3, 4, 1, 2
 SPECIALS = frozenset({0, 1, 2, 3, 4})
@@ -102,6 +103,39 @@ class TestPackGreedy:
         non_pad = sum(seq_len - w.pad_count for w in wins)
         assert non_pad == sum(lengths) + 2 * len(lengths)
         assert 0 < eff <= 1.0
+
+    @settings(deadline=None, max_examples=120)
+    @example((64, []), True, False, 0)
+    @given(
+        st.sampled_from([2, 3, 64, 512]).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, 3 * n), max_size=12)
+            )
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_reference(self, seq_len_and_lengths, split, as_array, seed):
+        """The array packer against the list packer kept in
+        tests/packing_reference.py, compared with ==."""
+        seq_len, lengths = seq_len_and_lengths
+        rng = np.random.default_rng(seed)
+        docs = [
+            (f"d{i}", rng.integers(0, 2**16, size=n, dtype=np.uint16))
+            for i, n in enumerate(lengths)
+        ]
+        if not as_array:
+            docs = [(doc_id, ids.tolist()) for doc_id, ids in docs]
+        got, got_eff = pack_greedy(iter(docs), seq_len, BOS, EOS, PAD, split=split)
+        want, want_eff = reference_pack_greedy(docs, seq_len, BOS, EOS, PAD, split=split)
+        assert got_eff == want_eff
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tokens.dtype == np.uint16
+            assert g.tokens.tolist() == w.tokens.tolist()
+            assert g.boundaries == w.boundaries
+            assert g.pad_count == w.pad_count
 
 
 _RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
@@ -218,6 +252,14 @@ class TestApplyMasking:
         docs = lognormal_token_docs(40, VOCAB, SPECIALS, mean_len=150, seed=seed)
         wins, _ = pack_greedy(docs, seq_len, BOS, EOS, PAD)
         return wins[0]
+
+    def test_span_positions_are_the_sampled_spans(self):
+        # one document of ordinary ids: its maskable positions are 1..300
+        wins, _ = pack_greedy([("d", list(range(100, 400)))], 512, BOS, EOS, PAD)
+        cfg = MaskConfig(scheme="span", rate=0.3)
+        _, plan = apply_masking(wins[0], cfg, MASK, SPECIALS, VOCAB, window_rng(5, 0))
+        spans = sample_spans(300, cfg.rate, cfg.geom_p, cfg.max_span, rng=window_rng(5, 0))
+        assert plan.positions == [1 + s + j for s, ln in spans for j in range(ln)]
 
     def test_zero_positions_identity(self):
         w = self._window()

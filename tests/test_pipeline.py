@@ -42,6 +42,23 @@ class TestRun:
         run_pipeline(cfg)
         assert len(calls) == 2
 
+    def test_each_document_tokenized_once_per_run(self, tmp_path, monkeypatch):
+        from corpusprep import subword
+
+        texts = []
+        real = subword.tokenize
+
+        def counting(text, vocab):
+            texts.append(text)
+            return real(text, vocab)
+
+        monkeypatch.setattr(subword, "tokenize", counting)
+        cfg = load_config(build_workspace(tmp_path, n_docs=120))
+        report = run_pipeline(cfg)
+        stats = {s.stage: s for s in report.stages}
+        assert stats["pack"].docs_in > 0
+        assert len(texts) == stats["token_count"].docs_in
+
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
         work = root / "work"
@@ -118,12 +135,15 @@ class TestDeterminismAndResume:
                 hb.encode(), b""
             ), name
 
-    def test_resume_after_failure_matches_clean_run(self, tmp_path):
+    # after token_count or sample, pack runs on documents read back from
+    # JSONL, which carry no token ids and are tokenized again
+    @pytest.mark.parametrize("fail_after", ["lm_score", "token_count", "sample"])
+    def test_resume_after_failure_matches_clean_run(self, tmp_path, fail_after):
         cfg_a = load_config(build_workspace(tmp_path / "a", n_docs=300))
         cfg_b = load_config(build_workspace(tmp_path / "b", n_docs=300))
         run_pipeline(cfg_a)
         with pytest.raises(StageFailure, match="injected"):
-            run_pipeline(cfg_b, fail_after="lm_score")
+            run_pipeline(cfg_b, fail_after=fail_after)
         run_pipeline(cfg_b, resume=True)
         a = workdir_bytes(tmp_path / "a" / "work")
         b = workdir_bytes(tmp_path / "b" / "work")
@@ -160,8 +180,13 @@ class TestDeterminismAndResume:
             fh.write('{"id": "x"}\n')  # missing required fields
             fh.write('"an id and text"\n')  # a string, not an object
             fh.write('{"id": null, "text": null}\n')  # not strings
+            # meta not an object of strings, or token_count not [0-9]+
+            fh.write('{"id": "m1", "text": "t", "meta": [["k", "v"]]}\n')
+            fh.write('{"id": "m2", "text": "t", "meta": {"k": 1}}\n')
+            fh.write('{"id": "m3", "text": "t", "meta": {"token_count": 3.9}}\n')
+            fh.write('{"id": "m4", "text": "t", "meta": {"token_count": "-4"}}\n')
         report = run_pipeline(cfg)
-        assert report.diagnostics == 4
+        assert report.diagnostics == 8
 
 
 class TestReportTable:

@@ -1,5 +1,6 @@
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -14,6 +15,7 @@ from corpusprep.subword import (
     load_vocab,
     save_vocab,
     token_count,
+    token_ids,
     tokenize,
     unescape_token,
 )
@@ -209,3 +211,59 @@ class TestTokenCount:
         text = " ".join(lang.words[:7])
         doc = Document(id="d", source="s", text=text)
         assert token_count(doc, small_vocab) == len(tokenize(text, small_vocab))
+
+
+class TestTokenIds:
+    """subword.token_ids tokenizes once per (document, vocabulary object)
+    and keeps the ids on the document, in memory only."""
+
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        texts = []
+        real = subword.tokenize
+
+        def counting(text, vocab):
+            texts.append(text)
+            return real(text, vocab)
+
+        monkeypatch.setattr(subword, "tokenize", counting)
+        return texts
+
+    def test_tokenizes_once_per_doc_and_vocab(self, tokenized, small_vocab, lang):
+        text = " ".join(lang.words[:9]) + " qqq"
+        doc = Document(id="d", source="s", text=text)
+        ids = token_ids(doc, small_vocab)
+        assert ids.dtype == np.uint16
+        assert ids.tolist() == tokenize(text, small_vocab)
+        tokenized.clear()
+        assert token_ids(doc, small_vocab) is ids
+        assert token_count(doc, small_vocab) == len(ids)
+        assert tokenized == []
+
+    def test_another_vocab_object_tokenizes_again(
+        self, tokenized, small_vocab, small_vocab_path
+    ):
+        doc = Document(id="d", source="s", text="ab ba")
+        token_ids(doc, small_vocab)
+        other = load_vocab(small_vocab_path)
+        assert token_ids(doc, other).tolist() == token_ids(doc, small_vocab).tolist()
+        assert tokenized == ["ab ba"] * 3
+        assert doc.token_ids[0] is small_vocab
+
+    def test_with_text_drops_the_ids(self, tokenized, small_vocab):
+        doc = Document(id="d", source="s", text="ab")
+        token_ids(doc, small_vocab)
+        copy = doc.with_text("ba")
+        assert copy.token_ids is None
+        assert token_ids(copy, small_vocab).tolist() == tokenize("ba", small_vocab)
+        assert tokenized == ["ab", "ba"]
+
+    def test_eq_repr_and_json_ignore_the_ids(self, small_vocab):
+        doc = Document(id="d", source="s", text="ab ba", meta={"k": "v"})
+        bare = Document(id="d", source="s", text="ab ba", meta={"k": "v"})
+        line, text = doc.to_json_line(), repr(doc)
+        token_ids(doc, small_vocab)
+        assert doc.token_ids is not None
+        assert doc == bare
+        assert repr(doc) == text
+        assert doc.to_json_line() == line
