@@ -118,7 +118,13 @@ def main(argv=None) -> int:
 
         if args.command == "stats":
             with open(args.report, encoding="utf-8") as fh:
-                print(pipeline.report_table(json.load(fh)))
+                try:
+                    table = pipeline.report_table(json.load(fh))
+                except (ValueError, LookupError, TypeError, AttributeError) as e:
+                    print(f"report error: {args.report}: not a run report "
+                          f"({type(e).__name__}: {e})", file=sys.stderr)
+                    return EXIT_STAGE
+            print(table)
             return EXIT_OK
 
         stage = args.command.replace("-", "_")
@@ -126,8 +132,15 @@ def main(argv=None) -> int:
             return _run_single_stage(stage, args)
 
         if args.command == "lm-train":
+            if args.order < 1:
+                print(f"lm-train: --order {args.order} < 1", file=sys.stderr)
+                return EXIT_VALIDATION
             docs = read_jsonl(args.input)
-            model = ngram_lm.train_kn(docs, order=args.order, min_count=args.min_count)
+            try:
+                model = ngram_lm.train_kn(docs, order=args.order, min_count=args.min_count)
+            except ValueError as e:  # the corpus has zero tokens
+                print(f"input error: {args.input}: {e}", file=sys.stderr)
+                return EXIT_STAGE
             model.save(args.output)
             print(
                 f"trained order-{model.order} model: |vocab|={model.vocab_size}, "

@@ -1,16 +1,18 @@
 """Declarative pipeline configuration (YAML) and validation.
 
-validate_config collects every violation rather than stopping at the
-first, so a bad config is fixable in one pass.
+The config dataclasses' annotations are the schema: load_config reads each
+section into its dataclass, then checks ranges and paths with validate. Both
+steps collect every violation rather than stopping at the first, so a bad
+config is fixable in one pass.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -52,7 +54,7 @@ class VocabConfig:
 
 @dataclass
 class SampleConfig:
-    mode: str = "quality"  # "quality" or "uniform"
+    mode: Literal["quality", "uniform"] = "quality"
     overshoot: float = 0.01
 
 
@@ -65,15 +67,15 @@ class PackConfig:
 
 @dataclass
 class PipelineConfig:
-    input: str
-    work_dir: str
-    stages: list = field(default_factory=lambda: list(KNOWN_STAGES))
+    input: str = ""
+    work_dir: str = ""
+    stages: list[str] = field(default_factory=lambda: list(KNOWN_STAGES))
     seed: int = 0
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
     near_dedup: NearDupConfig = field(default_factory=NearDupConfig)
     lm: LmConfig = field(default_factory=LmConfig)
     vocab: VocabConfig = field(default_factory=VocabConfig)
-    quotas: list = field(default_factory=list)
+    quotas: list[BucketQuota] = field(default_factory=list)
     sample: SampleConfig = field(default_factory=SampleConfig)
     pack: PackConfig = field(default_factory=PackConfig)
 
@@ -82,70 +84,62 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _build(raw: dict) -> tuple[PipelineConfig, list[str]]:
-    known = {f.name for f in fields(PipelineConfig)}
-    errors = [f"{key}: unknown config key" for key in raw if key not in known]
+def _kind(value) -> str:
+    """The YAML name of *value*'s type, for error messages."""
+    return {type(None): "null", dict: "mapping"}.get(type(value), type(value).__name__)
 
-    def section(name, cls, default=None):
-        data = raw.get(name)
-        if data is None:
-            return default if default is not None else cls()
-        if not isinstance(data, dict):
-            errors.append(f"{name}: expected a mapping")
-            return cls()
-        try:
-            return cls(**data)
-        except TypeError as e:
-            errors.append(f"{name}: {e}")
-            return cls()
 
-    lm_raw = dict(raw.get("lm") or {})
-    policy_raw = lm_raw.pop("policy", None)
-    try:
-        policy = PerplexityPolicy(**policy_raw) if policy_raw else PerplexityPolicy()
-    except TypeError as e:
-        errors.append(f"lm.policy: {e}")
-        policy = PerplexityPolicy()
-    try:
-        lm = LmConfig(policy=policy, **lm_raw)
-    except TypeError as e:
-        errors.append(f"lm: {e}")
-        lm = LmConfig(policy=policy)
+def _read(tp, value, path: str, errors: list):
+    """*value* read as the annotation *tp*, appending to *errors* one line
+    per unknown key or mistyped value, named by its dotted *path*. Values
+    are kept as given: an int stays an int in a float field."""
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return _read_section(tp, value, path, errors)
+    if get_origin(tp) is list:
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected list, got {_kind(value)}")
+            return None
+        (item,) = get_args(tp)
+        return [_read(item, v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+    if get_origin(tp) is Literal:
+        if value not in get_args(tp):
+            allowed = ", ".join(map(repr, get_args(tp)))
+            errors.append(f"{path}: expected one of {allowed}, got {value!r}")
+        return value
+    # bool is an int subclass but never a number here; an int is a float
+    ok = (float, int) if tp is float else tp
+    if not isinstance(value, ok) or (tp is not bool and isinstance(value, bool)):
+        errors.append(f"{path}: expected {tp.__name__}, got {_kind(value)}")
+    return value
 
-    pack_raw = dict(raw.get("pack") or {})
-    mask_raw = pack_raw.pop("mask", None)
-    try:
-        mask = MaskConfig(**mask_raw) if mask_raw else MaskConfig()
-    except TypeError as e:
-        errors.append(f"pack.mask: {e}")
-        mask = MaskConfig()
-    try:
-        pack = PackConfig(mask=mask, **pack_raw)
-    except TypeError as e:
-        errors.append(f"pack: {e}")
-        pack = PackConfig(mask=mask)
 
-    quotas = []
-    for i, q in enumerate(raw.get("quotas") or []):
-        try:
-            quotas.append(BucketQuota(**q))
-        except TypeError as e:
-            errors.append(f"quotas[{i}]: {e}")
-
-    cfg = PipelineConfig(
-        input=str(raw.get("input", "")),
-        work_dir=str(raw.get("work_dir", "")),
-        stages=list(raw.get("stages", list(KNOWN_STAGES))),
-        seed=int(raw.get("seed", 0)),
-        heuristics=section("heuristics", HeuristicConfig),
-        near_dedup=section("near_dedup", NearDupConfig),
-        lm=lm,
-        vocab=section("vocab", VocabConfig),
-        quotas=quotas,
-        sample=section("sample", SampleConfig),
-        pack=pack,
-    )
-    return cfg, errors
+def _read_section(cls, raw, path: str, errors: list):
+    """The dataclass *cls* built from the mapping *raw*; a null or absent
+    section (nested dataclass or list) reads as its default."""
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: expected mapping, got {_kind(raw)}")
+        return None
+    n_errors = len(errors)
+    hints = get_type_hints(cls)
+    for key in raw:
+        if key not in hints:
+            errors.append(
+                f"{path}: unknown config key {key!r}" if path else f"{key}: unknown config key"
+            )
+    kwargs = {}
+    for f in fields(cls):
+        tp, value = hints[f.name], raw.get(f.name)
+        section = is_dataclass(tp) or get_origin(tp) is list
+        if value is None and (f.name not in raw or section):
+            if f.default is MISSING and f.default_factory is MISSING:
+                errors.append(f"{path}: missing key {f.name!r}")
+            continue
+        kwargs[f.name] = _read(tp, value, f"{path}.{f.name}" if path else f.name, errors)
+    return cls(**kwargs) if len(errors) == n_errors else None
 
 
 def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
@@ -156,6 +150,8 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
         errors.append(f"input: path does not exist: {cfg.input}")
     if not cfg.work_dir:
         errors.append("work_dir: required")
+    if cfg.seed < 0:
+        errors.append(f"seed: {cfg.seed} < 0")
     for stage in cfg.stages:
         if stage not in KNOWN_STAGES:
             errors.append(f"stages: unknown stage {stage!r}")
@@ -170,6 +166,8 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
             f"pack.seq_len: {cfg.pack.seq_len} > {MAX_SEQ_LEN} "
             "(packed.bin stores positions and pad_count as u16)"
         )
+    if cfg.sample.overshoot < 0:
+        errors.append(f"sample.overshoot: {cfg.sample.overshoot} < 0")
     size = cfg.vocab.expected_size
     if size is not None and size > MAX_VOCAB_SIZE:
         errors.append(
@@ -188,8 +186,6 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
             errors.append(f"vocab.path: path does not exist: {cfg.vocab.path}")
     if "sample" in cfg.stages:
         errors.extend(validate_quotas(cfg.quotas))
-        if cfg.sample.mode not in ("quality", "uniform"):
-            errors.append(f"sample.mode: unknown mode {cfg.sample.mode!r}")
     return errors
 
 
@@ -200,8 +196,11 @@ def load_config(path, check_paths: bool = True) -> PipelineConfig:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
-    cfg, errors = _build(raw)
-    errors.extend(validate(cfg, check_paths=check_paths))
+    errors: list[str] = []
+    cfg = _read_section(PipelineConfig, raw, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    errors = validate(cfg, check_paths=check_paths)
     if errors:
         raise ConfigError(errors)
     return cfg

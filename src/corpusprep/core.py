@@ -212,7 +212,8 @@ class StageStats:
         return sum(self.rejected.values())
 
     def check_conservation(self) -> None:
-        """Every input doc is an output or a reject; per-source sums match."""
+        """Every input doc is an output or a reject, and so is every input
+        word of each source; per-source sums match."""
         assert self.docs_in == self.docs_out + self.rejected_docs, self.stage
         assert self.docs_in == sum(s.docs_in for s in self.per_source.values())
         assert self.docs_out == sum(s.docs_out for s in self.per_source.values())
@@ -220,6 +221,7 @@ class StageStats:
         assert self.words_out == sum(s.words_out for s in self.per_source.values())
         for src, s in self.per_source.items():
             assert s.docs_in == s.docs_out + s.rejected_docs, (self.stage, src)
+            assert s.words_in == s.words_out + s.rejected_words, (self.stage, src)
 
     def to_dict(self) -> dict:
         # no timings: serialized stats must be byte-stable across reruns

@@ -145,6 +145,11 @@ class NearDupConfig:
 
     def validate(self) -> list[str]:
         errors = []
+        for name in ("bands", "rows", "shingle_n"):
+            if getattr(self, name) < 1:
+                errors.append(f"near_dedup.{name}: must be >= 1")
+        if self.perm_seed < 0:
+            errors.append(f"near_dedup.perm_seed: {self.perm_seed} < 0")
         if self.bands * self.rows != self.num_perm:
             errors.append(
                 f"near_dedup: bands*rows != num_perm "

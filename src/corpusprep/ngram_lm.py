@@ -55,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Literal, Optional
 
 import numpy as np
 
@@ -424,13 +424,11 @@ def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
 
 @dataclass
 class PerplexityPolicy:
-    kind: str = "percentile"  # "percentile" or "absolute"
+    kind: Literal["percentile", "absolute"] = "percentile"
     value: float = 90.0
 
     def validate(self) -> list[str]:
         errors = []
-        if self.kind not in ("percentile", "absolute"):
-            errors.append(f"lm.policy.kind: unknown kind {self.kind!r}")
         if self.kind == "percentile" and not 0.0 <= self.value <= 100.0:
             errors.append(f"lm.policy.value: percentile {self.value} outside [0, 100]")
         return errors

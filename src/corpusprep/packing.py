@@ -24,7 +24,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def _span_arrays(
 
 @dataclass
 class MaskConfig:
-    scheme: str = "span"  # "span" or "token"
+    scheme: Literal["span", "token"] = "span"
     rate: float = 0.30
     geom_p: float = DEFAULT_GEOM_P
     max_span: int = DEFAULT_MAX_SPAN
@@ -175,8 +175,6 @@ class MaskConfig:
 
     def validate(self) -> list[str]:
         errors = []
-        if self.scheme not in ("span", "token"):
-            errors.append(f"mask.scheme: unknown scheme {self.scheme!r}")
         if not 0.0 < self.rate < 1.0:
             errors.append(f"mask.rate: {self.rate} outside (0, 1)")
         if not 0.0 < self.geom_p < 1.0:

@@ -182,8 +182,10 @@ def _match_longest(data: bytes, pos: int, table: dict, max_len: int) -> Optional
 
 
 def _segment(word: str, vocab: SubwordVocab) -> tuple[int, ...]:
-    """Greedy longest-match ids of one whitespace-free word."""
-    data = word.encode("utf-8")
+    """Greedy longest-match ids of one whitespace-free word. A lone
+    surrogate, which a JSON escape can produce, is segmented as its three
+    surrogatepass bytes."""
+    data = word.encode("utf-8", "surrogatepass")
     ids: list[int] = []
     pos = 0
     first = True

@@ -27,7 +27,7 @@ def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
     """Greedy longest-match segmentation of each whitespace-split word."""
     ids: list[int] = []
     for word in text.split():
-        data = word.encode("utf-8")
+        data = word.encode("utf-8", "surrogatepass")
         pos = 0
         first = True
         while pos < len(data):

@@ -63,6 +63,18 @@ class TestValidateCommand:
         assert "model.json: not a kn-ngram-v1 model file" in err
         assert err.count("\n") == 1
 
+    def test_mistyped_value_exits_1_one_line_per_violation(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["pack"]["mask"]["rate"] = "x"
+        cfg["seed"] = "abc"
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid config:",
+            "  - seed: expected int, got str",
+            "  - pack.mask.rate: expected float, got str",
+        ]
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -89,6 +101,17 @@ class TestRunCommand:
         report = workspace.parent / "work" / "report.json"
         assert main(["stats", "--report", str(report)]) == EXIT_OK
         assert "Source" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [("not json", "JSONDecodeError"), ('{"stages": []}', "KeyError")],
+    )
+    def test_stats_on_a_non_report_exits_2(self, tmp_path, capsys, content, error):
+        report = tmp_path / "report.json"
+        report.write_text(content, encoding="utf-8")
+        assert main(["stats", "--report", str(report)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "not a run report" in err and error in err and err.count("\n") == 1
 
     def test_invalid_utf8_input_exits_2(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -252,6 +275,23 @@ class TestSingleStageCommands:
         assert rc == EXIT_OK
         ids = capsys.readouterr().out.split()
         assert ids and all(t.isdigit() for t in ids)
+
+    def test_lm_train_order_below_one_exits_1(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        rc = main(["lm-train", "--input", cfg["input"],
+                   "--output", str(tmp_path / "lm.json"), "--order", "0"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--order 0 < 1" in err and err.count("\n") == 1
+        assert not (tmp_path / "lm.json").exists()
+
+    def test_lm_train_on_zero_tokens_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text('{"id": "a", "source": "s", "text": "  "}\n', encoding="utf-8")
+        rc = main(["lm-train", "--input", str(corpus), "--output", str(tmp_path / "lm.json")])
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "zero tokens" in err and "empty.jsonl" in err and err.count("\n") == 1
 
     def test_missing_vocab_exits_1(self, workspace, tmp_path):
         rc = main(

@@ -1,7 +1,10 @@
+import copy
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusprep.config import (
     ConfigError,
@@ -19,6 +22,56 @@ from pipeline_fixture import build_workspace
 def write_yaml(path, data):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
+
+
+# A valid config with relative paths that touches every section.
+VALID = {
+    "input": "corpus.jsonl",
+    "work_dir": "work",
+    "seed": 7,
+    "stages": list(KNOWN_STAGES),
+    "heuristics": {"min_words": 10, "min_alpha_ratio": 0.5},
+    "near_dedup": {"num_perm": 64, "bands": 16, "rows": 4, "threshold": 0.8,
+                   "exact_verify": True},
+    "lm": {"model_path": "model.json", "policy": {"kind": "percentile", "value": 90}},
+    "vocab": {"path": "vocab.txt", "expected_size": 512},
+    "quotas": [
+        {"name": "short", "min_tokens": 0, "max_tokens": 40, "target_tokens": 1500},
+        {"name": "long", "min_tokens": 40, "max_tokens": None, "target_tokens": 3000},
+    ],
+    "sample": {"mode": "uniform", "overshoot": 0},
+    "pack": {"seq_len": 256, "split": False,
+             "mask": {"scheme": "token", "rate": 0.15, "p_mask": 0.9, "p_random": 0}},
+}
+
+
+def _paths(node, prefix=()):
+    """Every key and list index path in *node*, sections and leaves alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+PATHS = list(_paths(VALID))
+
+
+def _replaced(path, value):
+    cfg = copy.deepcopy(VALID)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestLoadConfig:
@@ -90,6 +143,99 @@ class TestLoadConfig:
         assert len(exc.value.errors) >= 7
 
 
+class TestTypedReader:
+    @settings(deadline=None, max_examples=300)
+    @given(path=st.sampled_from(PATHS), value=YAML_VALUES)
+    def test_any_replaced_value_loads_or_raises_config_error(
+        self, tmp_path_factory, path, value
+    ):
+        p = write_yaml(tmp_path_factory.mktemp("c") / "c.yaml", _replaced(path, value))
+        try:
+            load_config(p, check_paths=False)
+        except ConfigError as e:
+            assert e.errors and all("\n" not in err for err in e.errors)
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            (("lm",), 5, "lm: expected mapping, got int"),
+            (("pack",), "x", "pack: expected mapping, got str"),
+            (("seed",), "abc", "seed: expected int, got str"),
+            (("seed",), 1.7, "seed: expected int, got float"),
+            (("stages",), 5, "stages: expected list, got int"),
+            (("stages", 1), 3, "stages[1]: expected str, got int"),
+            (("quotas",), 5, "quotas: expected list, got int"),
+            (("quotas", 1), "long", "quotas[1]: expected mapping, got str"),
+            (("pack", "seq_len"), "512", "pack.seq_len: expected int, got str"),
+            (("pack", "split"), "no", "pack.split: expected bool, got str"),
+            (("heuristics", "min_words"), "x", "heuristics.min_words: expected int, got str"),
+            (("heuristics", "min_words"), True, "heuristics.min_words: expected int, got bool"),
+            (("pack", "mask", "rate"), "x", "pack.mask.rate: expected float, got str"),
+            (("near_dedup", "threshold"), "x", "near_dedup.threshold: expected float, got str"),
+            (("lm", "policy", "value"), "x", "lm.policy.value: expected float, got str"),
+            (("vocab", "expected_size"), "x", "vocab.expected_size: expected int, got str"),
+            (("sample", "overshoot"), "x", "sample.overshoot: expected float, got str"),
+            (("quotas", 0, "max_tokens"), "40", "quotas[0].max_tokens: expected int, got str"),
+            (("input",), None, "input: expected str, got null"),
+            (("sample", "mode"), "best",
+             "sample.mode: expected one of 'quality', 'uniform', got 'best'"),
+            (("pack", "mask", "scheme"), "word",
+             "pack.mask.scheme: expected one of 'span', 'token', got 'word'"),
+            (("lm", "policy", "kind"), "relative",
+             "lm.policy.kind: expected one of 'percentile', 'absolute', got 'relative'"),
+        ],
+    )
+    def test_mistyped_value_named_by_dotted_path(self, tmp_path, path, value, error):
+        p = write_yaml(tmp_path / "c.yaml", _replaced(path, value))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p, check_paths=False)
+        assert exc.value.errors == [error]
+
+    def test_quota_missing_key(self, tmp_path):
+        cfg = copy.deepcopy(VALID)
+        del cfg["quotas"][0]["name"]
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+        assert exc.value.errors == ["quotas[0]: missing key 'name'"]
+
+    def test_every_type_error_collected_before_range_checks(self, tmp_path):
+        cfg = _replaced(("seed",), "abc")
+        cfg["pack"]["seq_len"] = 1  # a range error, not reported until typed
+        cfg["lm"]["policy"]["value"] = "x"
+        cfg["lm"]["extra"] = 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+        assert exc.value.errors == [
+            "seed: expected int, got str",
+            "lm: unknown config key 'extra'",
+            "lm.policy.value: expected float, got str",
+        ]
+
+    @pytest.mark.parametrize("section", ["heuristics", "lm", "pack", "quotas", "stages"])
+    def test_null_or_absent_section_reads_as_defaults(self, tmp_path, section):
+        cfg = _replaced(("stages",), ["filter"])  # needs no lm or quotas
+        cfg[section] = None
+        a = load_config(write_yaml(tmp_path / "a.yaml", cfg), check_paths=False)
+        del cfg[section]
+        b = load_config(write_yaml(tmp_path / "b.yaml", cfg), check_paths=False)
+        assert getattr(a, section) == getattr(b, section)
+        assert getattr(a, section) == getattr(PipelineConfig(), section)
+
+    def test_int_in_float_field_kept_as_given(self, tmp_path):
+        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID), check_paths=False)
+        assert type(cfg.lm.policy.value) is int and cfg.lm.policy.value == 90
+        assert type(cfg.pack.mask.rate) is float
+
+    def test_config_hash_pinned(self, tmp_path):
+        """The hash of a fixed config with relative paths, ints in float
+        fields included: a change in how configs are read must not change
+        it, or every existing work dir would refuse --resume."""
+        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID), check_paths=False)
+        assert cfg.config_hash() == (
+            "c31ab87550e5066e16cd4874c8b4fe11e48c8532465e73994c504e8d5e6b986e"
+        )
+
+
 class TestValidate:
     def base(self):
         return PipelineConfig(input="in.jsonl", work_dir="work", stages=["filter"])
@@ -147,6 +293,22 @@ class TestValidate:
             "mask.p_mask: -0.5 outside [0, 1]",
             "mask.p_random: 1.2 outside [0, 1]",
         ]
+
+    @pytest.mark.parametrize(
+        "section, key, value, error",
+        [
+            ("near_dedup", "bands", 0, "near_dedup.bands: must be >= 1"),
+            ("near_dedup", "rows", 0, "near_dedup.rows: must be >= 1"),
+            ("near_dedup", "shingle_n", 0, "near_dedup.shingle_n: must be >= 1"),
+            ("near_dedup", "perm_seed", -1, "near_dedup.perm_seed: -1 < 0"),
+            ("sample", "overshoot", -2, "sample.overshoot: -2 < 0"),
+            (None, "seed", -1, "seed: -1 < 0"),
+        ],
+    )
+    def test_values_that_fail_mid_run_rejected(self, section, key, value, error):
+        cfg = self.base()
+        setattr(getattr(cfg, section) if section else cfg, key, value)
+        assert error in validate(cfg, check_paths=False)
 
     def test_stage_specific_requirements(self):
         cfg = self.base()

@@ -206,6 +206,18 @@ class TestStageStats:
             assert s.docs_in == len(mine)
             assert s.rejected_words == sum(d.word_count for d, v in mine if v is not None)
 
+    def test_conservation_checks_each_source_words(self):
+        """Word counts moved between two sources' rejects keep every total
+        and every document count; only the per-source word check sees it."""
+        docs = [Document(id="a", source="web", text="viens divi trīs"),
+                Document(id="b", source="news", text="četri pieci")]
+        _, stats = StageStats.tally("t", docs, ["short", "short"])
+        stats.check_conservation()
+        stats.per_source["web"].rejected_words -= 1
+        stats.per_source["news"].rejected_words += 1
+        with pytest.raises(AssertionError):
+            stats.check_conservation()
+
     @given(_DOCS_AND_VERDICTS)
     def test_dict_round_trip(self, docs_and_verdicts):
         docs, verdicts = docs_and_verdicts

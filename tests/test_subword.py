@@ -171,17 +171,20 @@ class TestTokenizeMatchesReference:
         assert any(v.pieces[i].startswith(b"##") for i in ids)
 
     @given(_TOKENIZER_TEXT)
+    @example("ab \ud800 q\udfffab")
     @example("ab AB Ab rīga RĪGA ab")
     def test_fresh_vocab(self, text):
         v = _gappy_vocab()
         assert tokenize(text, v) == reference_tokenize(text, v)
 
     @given(_TOKENIZER_TEXT)
+    @example("ab \ud800 q\udfffab")
     def test_warm_memo(self, text):
         tokenize(text, _WARM_VOCAB)
         assert tokenize(text, _WARM_VOCAB) == reference_tokenize(text, _WARM_VOCAB)
 
     @given(_TOKENIZER_TEXT)
+    @example("ab \ud800 q\udfffab")
     def test_full_memo(self, text):
         v = _gappy_vocab()
         with mock.patch.object(subword, "WORD_CACHE_SIZE", 2):
