@@ -35,9 +35,17 @@ KNOWN_STAGES = (
 
 
 class ConfigError(ValueError):
+    """Every violation found, one line each; a single one renders as one
+    line."""
+
     def __init__(self, errors: list[str]):
         self.errors = errors
-        super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
+        if len(errors) == 1:
+            super().__init__(f"invalid config: {errors[0]}")
+        else:
+            super().__init__(
+                "invalid config:\n" + "\n".join(f"  - {e}" for e in errors)
+            )
 
 
 @dataclass
@@ -192,8 +200,15 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
 def load_config(path, check_paths: bool = True) -> PipelineConfig:
     """Parse and fully validate a pipeline config; raises ConfigError
     listing every violation."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8")) or {}
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"{path}: invalid UTF-8 at byte {e.start}"]) from e
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else f"{path}"
+        problem = getattr(e, "problem", None) or " ".join(str(e).split())
+        raise ConfigError([f"{where}: invalid YAML: {problem}"]) from e
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
     errors: list[str] = []

@@ -16,6 +16,15 @@ A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
 are never serialized and ``with_text`` does not copy them, so a document
 read from JSONL is tokenized again when its ids are first needed.
 
+A run also encodes each document's JSON line once. ``write_jsonl`` keeps on
+``Document.line_at`` where the line went: the file, its byte offset, the
+length of its head (the bytes before ``, "meta": {``) and the ``id``,
+``source``, ``url`` and ``text`` objects it was encoded from. Given that file
+as *prev*, a later ``write_jsonl`` reads the head back from it with
+``os.pread`` and encodes only the meta tail, unless one of those four fields
+was reassigned since. ``line_at`` holds no encoded bytes, is never
+serialized and is not copied by ``with_text``.
+
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines.
 """
@@ -23,8 +32,10 @@ Rejected records go to a ``<output>.rejects`` sidecar as
 from __future__ import annotations
 
 import json
+import os
 import re
 import unicodedata
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -37,6 +48,17 @@ _WS_RUN = re.compile(r"\s{2,}|[^\S \n]")
 
 TOKEN_COUNT_META_KEY = "token_count"
 _TOKEN_COUNT_RE = re.compile(r"[0-9]+")
+# a JSON escape of a UTF-16 surrogate; only a line holding one can decode
+# to a string that UTF-8 cannot encode
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+# every meta value is a JSON string, so the last match in a line is the
+# start of its top-level meta object
+_META_KEY = b', "meta": {'
+
+
+# Canonical JSON: non-ASCII kept, ", " and ": " separators. One encoder
+# object, because json.dumps builds a new one per call when given options.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
 
 
 def _collapse_run(m: re.Match) -> str:
@@ -71,6 +93,11 @@ class Document:
     word_count: int = field(init=False)
     # (vocab, uint16 ids), filled by subword.token_ids; never serialized
     token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # (path, offset, head length, id, source, url, text) of the line
+    # write_jsonl last wrote; never serialized
+    line_at: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.word_count = word_count(self.text)
@@ -86,18 +113,23 @@ class Document:
             token_count=self.token_count,
         )
 
-    def to_json_line(self) -> str:
+    def serialized_meta(self) -> dict:
+        """The ``meta`` object as written: string keys and values, sorted,
+        with the token count when known."""
         meta = {str(k): str(v) for k, v in self.meta.items()}
         if self.token_count is not None:
             meta[TOKEN_COUNT_META_KEY] = str(self.token_count)
+        return {k: meta[k] for k in sorted(meta)}
+
+    def to_json_line(self) -> str:
         record = {
             "id": self.id,
             "source": self.source,
             "url": self.url,
             "text": self.text,
-            "meta": {k: meta[k] for k in sorted(meta)},
+            "meta": self.serialized_meta(),
         }
-        return json.dumps(record, ensure_ascii=False, separators=(", ", ": "))
+        return _dumps(record)
 
     @classmethod
     def from_record(cls, record) -> "Document":
@@ -261,7 +293,8 @@ class JsonlReadError(IOError):
 def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
     """Stream Documents from a JSONL file.
 
-    Malformed or schema-violating lines are skipped; each skip appends a
+    Malformed or schema-violating lines, and lines with a string field
+    holding a lone surrogate escape, are skipped; each skip appends a
     ``{"line", "reason"}`` entry to *diagnostics* when given. Hard I/O /
     encoding failures raise JsonlReadError with path and line number.
     """
@@ -279,6 +312,12 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
             try:
                 record = json.loads(line)
                 doc = Document.from_record(record)
+                if _SURROGATE_ESCAPE.search(raw):
+                    # UnicodeEncodeError (a ValueError) on a lone surrogate,
+                    # which no output file could hold
+                    for s in (doc.id, doc.source, doc.url or "", doc.text,
+                              *doc.meta, *doc.meta.values()):
+                        s.encode("utf-8")
             except (RecursionError, TypeError, ValueError) as e:
                 if diagnostics is not None:
                     diagnostics.append({"line": lineno, "reason": str(e)})
@@ -286,24 +325,76 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
             yield doc
 
 
-def write_jsonl(docs: Iterable[Document], path) -> int:
-    """Write documents in canonical serialization; returns count written."""
-    path = Path(path)
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+@contextmanager
+def open_replacing(path, mode: str = "w"):
+    """Open ``<path>.tmp`` for writing and move it onto *path* when the block
+    ends; on an exception remove it and leave *path* untouched. Text mode
+    writes UTF-8 with ``\\n`` line ends."""
+    tmp = f"{os.fspath(path)}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
+    """Write documents in canonical serialization; returns count written.
+
+    A document whose ``line_at`` names *prev*, with the same ``id``,
+    ``source``, ``url`` and ``text`` objects it was written from, has the
+    head of its line copied from *prev* and only its meta encoded; any
+    other is encoded whole. Either way the bytes are the same. The file is
+    replaced atomically, and ``line_at`` is set once it is in place."""
+    path = os.fspath(path)
+    prev = None if prev is None else os.fspath(prev)
+    placed = []
+    offset = 0
+    with open_replacing(path, "wb") as fh, (
+        nullcontext() if prev is None else open(prev, "rb")
+    ) as src:
         for doc in docs:
-            fh.write(doc.to_json_line())
-            fh.write("\n")
-            n += 1
-    return n
+            at = doc.line_at
+            if (
+                at is not None
+                and at[0] == prev
+                and at[3] is doc.id
+                and at[4] is doc.source
+                and at[5] is doc.url
+                and at[6] is doc.text
+            ):
+                head_len = at[2]
+                head = os.pread(src.fileno(), head_len, at[1])
+                if len(head) != head_len:
+                    raise OSError(f"{prev}: shorter than when it was written")
+                fh.write(head)
+                tail = f', "meta": {_dumps(doc.serialized_meta())}}}\n'
+                n_bytes = head_len + fh.write(tail.encode("utf-8"))
+            else:
+                line = doc.to_json_line().encode("utf-8")
+                head_len = line.rindex(_META_KEY)
+                n_bytes = fh.write(line) + fh.write(b"\n")
+            placed.append(
+                (doc, (path, offset, head_len, doc.id, doc.source, doc.url, doc.text))
+            )
+            offset += n_bytes
+    for doc, at in placed:
+        doc.line_at = at
+    return len(placed)
 
 
 def write_rejects(records: Iterable[dict], path) -> int:
     """Write reject sidecar lines ``{"id", "stage", "reason"}``."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")))
+            fh.write(_dumps(rec))
             fh.write("\n")
             n += 1
     return n

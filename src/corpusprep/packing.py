@@ -191,9 +191,13 @@ class MaskConfig:
 
 @dataclass
 class MaskPlan:
-    positions: list  # sorted window-level indices
-    actions: list  # per position: ACTION_MASK / ACTION_RANDOM / ACTION_KEEP
-    originals: list  # original token id per position
+    """One window's masked positions. ``apply_masking`` gives the three
+    per-position fields as numpy arrays of equal length (int64, uint8 and
+    uint16); ``write_packed`` also accepts sequences of ints."""
+
+    positions: np.ndarray  # sorted window-level indices
+    actions: np.ndarray  # per position: ACTION_MASK / ACTION_RANDOM / ACTION_KEEP
+    originals: np.ndarray  # original token id per position
     rate: float
     scheme: str
 
@@ -236,9 +240,9 @@ def apply_masking(
     skip = specials - np.arange(len(specials))
     masked[randomized] = r + np.searchsorted(skip, r, side="right")
     plan = MaskPlan(
-        positions=positions.tolist(),
-        actions=actions.tolist(),
-        originals=seq.tokens[positions].tolist(),
+        positions=positions,
+        actions=actions,
+        originals=seq.tokens[positions],
         rate=cfg.rate,
         scheme=cfg.scheme,
     )
@@ -285,9 +289,10 @@ def write_packed(
         fh.write(MAGIC + _HEADER.pack(VERSION, seq_len))
         for masked_tokens, seq, plan in records:
             bounds = np.array([b[:2] for b in seq.boundaries], dtype=BOUND_DTYPE)
-            masks = np.rec.fromarrays(
-                [plan.positions, plan.actions, plan.originals], dtype=MASK_DTYPE
-            )
+            masks = np.empty(len(plan.positions), MASK_DTYPE)
+            masks["pos"] = plan.positions
+            masks["action"] = plan.actions
+            masks["orig"] = plan.originals
             fh.write(
                 b"".join(
                     (

@@ -1,9 +1,10 @@
 """Stage sequencing, resume manifest, and run reporting.
 
 Every stage reads the previous stage's JSONL, writes its own JSONL plus a
-``.rejects`` sidecar, and appends itself to the work-dir manifest so an
-interrupted run can resume exactly. All randomness derives from the config
-seed, so reruns with an identical config and input are byte-identical.
+``.rejects`` sidecar, each replaced atomically, and then appends itself to
+the work-dir manifest so an interrupted run can resume exactly. All
+randomness derives from the config seed, so reruns with an identical config
+and input are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from corpusprep.config import PipelineConfig
 from corpusprep.core import (
     StageStats,
     normalize_text,
+    open_replacing,
     read_jsonl,
     write_jsonl,
     write_rejects,
@@ -71,7 +73,7 @@ class RunReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open_replacing(path) as fh:
             json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -292,6 +294,9 @@ def run_pipeline(
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
     get_vocab = vocab_loader(cfg)
 
+    # the previous stage's output when this call wrote it: its documents'
+    # lines are copied from there instead of encoded again
+    prev = None
     for idx, stage in enumerate(cfg.stages):
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
         rejects_path = Path(str(out_path) + ".rejects")
@@ -304,7 +309,8 @@ def run_pipeline(
             continue
         docs, stats = run_stage(stage, docs, cfg, work_dir, get_vocab)
 
-        write_jsonl(docs, out_path)
+        write_jsonl(docs, out_path, prev)
+        prev = out_path
         write_rejects(stats.rejects, rejects_path)
         stats.check_conservation()
         stats_dicts[stage] = stats.to_dict()

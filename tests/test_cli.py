@@ -86,6 +86,21 @@ class TestValidateCommand:
         assert "nope" in err and "input" in err
 
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"input: [a\n", "bad.yaml:2:1: invalid YAML: expected ','"),
+            (b"input: ok\nseed: \xff\n", "bad.yaml: invalid UTF-8 at byte 16"),
+        ],
+    )
+    def test_unparsable_config_exits_1_one_line(self, tmp_path, capsys, content, error):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(content)
+        assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
+
+
 class TestRunCommand:
     def test_run_prints_table_and_writes_outputs(self, workspace, capsys):
         assert main(["run", "--config", str(workspace)]) == EXIT_OK

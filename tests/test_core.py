@@ -2,9 +2,10 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corpusprep.core import (
     Document,
@@ -13,6 +14,7 @@ from corpusprep.core import (
     read_jsonl,
     word_count,
     write_jsonl,
+    write_rejects,
 )
 
 
@@ -139,6 +141,10 @@ class TestJsonl:
             json.dumps({"id": "m2", "text": "t", "meta": {"k": 1}}),
             json.dumps({"id": "m3", "text": "t", "meta": {"token_count": 3.9}}),
             json.dumps({"id": "m4", "text": "t", "meta": {"token_count": "-4"}}),
+            # a lone surrogate escape in any string field cannot be written
+            json.dumps({"id": "s1", "text": "lone \ud800 high"}),
+            json.dumps({"id": "s2\udfff", "text": "t"}),
+            json.dumps({"id": "s3", "text": "t", "meta": {"k": "\udc00"}}),
         ]
         lines[1:1] = bad
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -147,11 +153,157 @@ class TestJsonl:
         assert [d.id for d in docs] == ["d1", "d2", "d3"]
         assert [d["line"] for d in diagnostics] == list(range(2, 2 + len(bad)))
 
+    def test_escapes_that_decode_to_encodable_text_are_read(self, tmp_path):
+        # a surrogate pair is one character; an escaped backslash is text
+        path = tmp_path / "docs.jsonl"
+        path.write_text(
+            '{"id": "p", "text": "\\ud83d\\ude00"}\n'
+            '{"id": "b", "text": "\\\\ud800"}\n',
+            encoding="utf-8",
+        )
+        diagnostics = []
+        docs = list(read_jsonl(path, diagnostics=diagnostics))
+        assert [d.text for d in docs] == ["\U0001f600", "\\ud800"]
+        assert diagnostics == []
+
     def test_invalid_utf8_aborts_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"id": "a", "text": "\xff\xfe"}\n')
         with pytest.raises(IOError, match="bad.jsonl:1"):
             list(read_jsonl(path))
+
+
+# Text that UTF-8 can encode, with quotes, line breaks and non-ASCII
+_TEXT = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from(['"', "\\", "\n", "ā", "ž", "\u2028", "😀"]),
+    ),
+    max_size=40,
+)
+# meta keys include "meta" and the bytes that start the meta object
+_META = st.dictionaries(
+    st.one_of(st.sampled_from(["meta", "ppl", ', "meta": {']), _TEXT),
+    _TEXT,
+    max_size=3,
+)
+_DOC = st.builds(
+    Document,
+    id=_TEXT,
+    source=_TEXT,
+    text=_TEXT,
+    url=st.one_of(st.none(), _TEXT),
+    meta=_META,
+    token_count=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+
+
+def _not_encoded():
+    """Patch the line encoder to fail: every line must be copied."""
+    return mock.patch.object(
+        Document, "to_json_line", side_effect=AssertionError("line encoded")
+    )
+
+
+class TestLineCopy:
+    """write_jsonl with *prev* copies each unchanged line head from *prev*
+    and writes the bytes of a fresh encode."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_DOC, max_size=8), st.data())
+    def test_copy_writes_the_bytes_of_a_fresh_encode(self, tmp_path, docs, data):
+        a, b, c = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
+        write_jsonl(docs, a)
+        # a later stage keeps some documents, reorders them and changes
+        # their meta and token counts
+        kept = data.draw(st.permutations(docs))[: data.draw(st.integers(0, len(docs)))]
+        for doc in kept:
+            doc.meta = data.draw(_META)
+            doc.token_count = data.draw(st.one_of(st.none(), st.integers(0, 10**6)))
+        with _not_encoded():
+            assert write_jsonl(kept, b, prev=a) == len(kept)
+        write_jsonl(kept, c)
+        assert b.read_bytes() == c.read_bytes()
+        assert b.read_bytes() == "".join(d.to_json_line() + "\n" for d in kept).encode()
+
+    def test_chain_of_copies(self, tmp_path):
+        docs = [
+            Document(id="d1", source="web", text="ā \"x\"\ny", meta={"meta": "m"}),
+            Document(id="d2", source="news", text="otrs", url="http://b.lv"),
+        ]
+        paths = [tmp_path / f"{i}.jsonl" for i in range(4)]
+        write_jsonl(docs, paths[0])
+        for i in (1, 2, 3):
+            docs[0].token_count = i
+            docs[1].meta["ppl"] = f"{i}.5"
+            with _not_encoded():
+                write_jsonl(docs, paths[i], prev=paths[i - 1])
+            assert docs[0].line_at[0] == str(paths[i])
+        write_jsonl(docs, tmp_path / "fresh.jsonl")
+        assert paths[3].read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: setattr(doc, "id", "d2"),
+            lambda doc: setattr(doc, "source", "news"),
+            lambda doc: setattr(doc, "url", None),
+            lambda doc: setattr(doc, "text", "cits teksts"),
+            # equal to the old text, but another object
+            lambda doc: setattr(doc, "text", "".join(["sveika ", "pasaule"])),
+            # the document was last written to b.jsonl, not to a.jsonl
+            lambda doc: write_jsonl([doc], doc.line_at[0].replace("a.jsonl", "b.jsonl")),
+        ],
+        ids=["id", "source", "url", "text", "equal_text", "other_file"],
+    )
+    def test_stale_record_is_encoded_afresh(self, tmp_path, change):
+        a, c = tmp_path / "a.jsonl", tmp_path / "c.jsonl"
+        doc = Document(id="d1", source="web", text="sveika pasaule", url="http://a.lv")
+        write_jsonl([doc], a)
+        change(doc)
+        encode = mock.patch.object(
+            Document, "to_json_line", autospec=True, side_effect=Document.to_json_line
+        )
+        with encode as encoder:
+            write_jsonl([doc], c, prev=a)
+        assert encoder.call_count == 1
+        assert c.read_bytes() == (doc.to_json_line() + "\n").encode()
+
+
+class TestAtomicWrites:
+    """A write that raises leaves no file and no temporary file behind, and
+    an existing file at the path untouched."""
+
+    @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+    def test_failed_document_write_leaves_path_untouched(self, tmp_path, existing):
+        path = tmp_path / "out.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
+        good = Document(id="a", source="web", text="labs")
+        bad = Document(id="b", source="web", text="lone \ud800")
+        with pytest.raises(UnicodeEncodeError):
+            write_jsonl([good, bad], path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if existing is None else ["out.jsonl"]
+        )
+        if existing is not None:
+            assert path.read_bytes() == existing
+        # no line of a file that was never put in place is recorded
+        assert good.line_at is None
+
+    def test_failed_rejects_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.jsonl.rejects"
+        records = [{"id": "a", "stage": "s", "reason": "r"}, {"id": object()}]
+        with pytest.raises(TypeError):
+            write_rejects(records, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_line_at_names_the_final_path(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        doc = Document(id="a", source="web", text="labs")
+        write_jsonl([doc], path)
+        head = b'{"id": "a", "source": "web", "url": null, "text": "labs"'
+        assert doc.line_at[:3] == (str(path), 0, len(head))
 
 
 # A verdict per document: keep, reject for a reason, or reject for a

@@ -259,7 +259,7 @@ class TestApplyMasking:
         cfg = MaskConfig(scheme="span", rate=0.3)
         _, plan = apply_masking(wins[0], cfg, MASK, SPECIALS, VOCAB, window_rng(5, 0))
         spans = sample_spans(300, cfg.rate, cfg.geom_p, cfg.max_span, rng=window_rng(5, 0))
-        assert plan.positions == [1 + s + j for s, ln in spans for j in range(ln)]
+        assert plan.positions.tolist() == [1 + s + j for s, ln in spans for j in range(ln)]
 
     def test_zero_positions_identity(self):
         w = self._window()
@@ -267,7 +267,7 @@ class TestApplyMasking:
         masked, plan = apply_masking(
             w, cfg, MASK, SPECIALS, VOCAB, np.random.default_rng(0)
         )
-        if not plan.positions:
+        if not len(plan.positions):
             assert np.array_equal(masked, w.tokens)
 
     def test_all_mask_action_config(self):
@@ -362,7 +362,8 @@ class TestApplyMasking:
         m1, p1 = apply_masking(w, cfg, MASK, SPECIALS, VOCAB, window_rng(1, 0))
         m2, p2 = apply_masking(w, cfg, MASK, SPECIALS, VOCAB, window_rng(1, 0))
         assert np.array_equal(m1, m2)
-        assert p1.positions == p2.positions and p1.actions == p2.actions
+        assert np.array_equal(p1.positions, p2.positions)
+        assert np.array_equal(p1.actions, p2.actions)
 
 
 class TestMaskingInvariants:
@@ -400,12 +401,13 @@ class TestMaskingInvariants:
             assert np.array_equal(w.tokens, before)
             assert masked.dtype == np.uint16 and len(masked) == seq_len
             tokens = before.tolist()
-            assert plan.positions == sorted(set(plan.positions))
+            positions = plan.positions.tolist()
+            assert positions == sorted(set(positions))
             for s, e, _ in w.boundaries:
                 n_maskable = sum(t not in SPECIALS for t in tokens[s:e])
-                in_segment = [p for p in plan.positions if s <= p < e]
+                in_segment = [p for p in positions if s <= p < e]
                 assert len(in_segment) == int(rate * n_maskable)
-            assert plan.originals == [tokens[p] for p in plan.positions]
+            assert plan.originals.tolist() == [tokens[p] for p in positions]
             assert len(plan.actions) == len(plan.positions)
             for p, action, orig in zip(plan.positions, plan.actions, plan.originals):
                 if action == ACTION_MASK:
@@ -414,7 +416,7 @@ class TestMaskingInvariants:
                     assert 0 <= masked[p] < 41 and int(masked[p]) not in SPECIALS
                 else:
                     assert action == ACTION_KEEP and masked[p] == orig
-            unplanned = sorted(set(range(seq_len)) - set(plan.positions))
+            unplanned = sorted(set(range(seq_len)) - set(positions))
             assert masked[unplanned].tolist() == before[unplanned].tolist()
 
 
@@ -439,7 +441,7 @@ class TestBinaryFormat:
             assert np.array_equal(rec["tokens"], masked)
             assert rec["pad_count"] == w.pad_count
             assert rec["boundaries"] == [(s, e) for s, e, _ in w.boundaries]
-            assert [m[0] for m in rec["masks"]] == plan.positions
+            assert [m[0] for m in rec["masks"]] == plan.positions.tolist()
         side_lines = side_path.read_text().strip().split("\n")
         assert len(side_lines) == len(wins)
 

@@ -59,6 +59,23 @@ class TestRun:
         assert stats["pack"].docs_in > 0
         assert len(texts) == stats["token_count"].docs_in
 
+    def test_each_document_line_encoded_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = Document.to_json_line
+
+        def counting(doc):
+            calls.append(doc.id)
+            return real(doc)
+
+        cfg = load_config(
+            build_workspace(tmp_path, n_docs=120, stages=["token_count", "sample", "pack"])
+        )
+        monkeypatch.setattr(Document, "to_json_line", counting)
+        report = run_pipeline(cfg)
+        stats = {s.stage: s for s in report.stages}
+        assert stats["pack"].docs_in > 0
+        assert len(calls) == stats["token_count"].docs_in
+
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
         work = root / "work"
@@ -185,8 +202,9 @@ class TestDeterminismAndResume:
             fh.write('{"id": "m2", "text": "t", "meta": {"k": 1}}\n')
             fh.write('{"id": "m3", "text": "t", "meta": {"token_count": 3.9}}\n')
             fh.write('{"id": "m4", "text": "t", "meta": {"token_count": "-4"}}\n')
+            fh.write('{"id": "s1", "text": "lone \\ud800"}\n')  # unwritable
         report = run_pipeline(cfg)
-        assert report.diagnostics == 8
+        assert report.diagnostics == 9
 
 
 class TestReportTable:
