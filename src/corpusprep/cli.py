@@ -14,7 +14,7 @@ import sys
 
 from corpusprep import ngram_lm, pipeline, subword
 from corpusprep.config import KNOWN_STAGES, ConfigError, load_config
-from corpusprep.core import JsonlReadError, read_jsonl, write_jsonl, write_rejects
+from corpusprep.core import JsonlReadError, read_jsonl
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,11 +91,10 @@ def _run_single_stage(stage: str, args) -> int:
         pipeline.check_unique_ids(docs, args.input)
     get_vocab = pipeline.vocab_loader(cfg)
     if stage == "pack":
+        # --output names the .bin itself, and pack writes no JSONL
         stats = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
     else:
-        docs, stats = pipeline.run_stage(stage, docs, cfg, None, get_vocab)
-        write_jsonl(docs, args.output)
-        write_rejects(stats.rejects, args.output + ".rejects")
+        _, stats = pipeline.run_stage(stage, docs, cfg, None, get_vocab, args.output)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
     return EXIT_OK
 

@@ -160,9 +160,11 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
         errors.append("work_dir: required")
     if cfg.seed < 0:
         errors.append(f"seed: {cfg.seed} < 0")
-    for stage in cfg.stages:
+    for i, stage in enumerate(cfg.stages):
         if stage not in KNOWN_STAGES:
             errors.append(f"stages: unknown stage {stage!r}")
+        elif stage in cfg.stages[:i]:
+            errors.append(f"stages: {stage!r} listed twice")
     errors.extend(cfg.heuristics.validate())
     errors.extend(cfg.near_dedup.validate())
     errors.extend(cfg.lm.policy.validate())

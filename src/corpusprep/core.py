@@ -390,7 +390,8 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
 
 
 def write_rejects(records: Iterable[dict], path) -> int:
-    """Write reject sidecar lines ``{"id", "stage", "reason"}``."""
+    """Write canonical JSONL records, the ``.rejects`` sidecars' and
+    ``clusters.jsonl``'s, replacing *path* atomically; returns the count."""
     n = 0
     with open_replacing(path) as fh:
         for rec in records:
@@ -398,3 +399,11 @@ def write_rejects(records: Iterable[dict], path) -> int:
             fh.write("\n")
             n += 1
     return n
+
+
+def write_json(obj, path) -> None:
+    """Write *obj* as one JSON document, indented by 2 with sorted keys,
+    replacing *path* atomically."""
+    with open_replacing(path) as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")

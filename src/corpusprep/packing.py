@@ -28,6 +28,8 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
+from corpusprep.core import open_replacing
+
 DEFAULT_GEOM_P = 0.2
 DEFAULT_MAX_SPAN = 10
 
@@ -277,15 +279,15 @@ def write_packed(
     records: Iterable[tuple[np.ndarray, PackedSequence, MaskPlan]],
     seq_len: int,
 ) -> int:
+    """Write *records* to *path* and their metadata to *sidecar_path*, both
+    replaced atomically; returns the window count."""
     if not 2 <= seq_len <= MAX_SEQ_LEN:
         raise ValueError(
             f"seq_len {seq_len} outside 2..{MAX_SEQ_LEN} "
             "(packed.bin stores positions and pad_count as u16)"
         )
     n = 0
-    with open(path, "wb") as fh, open(
-        sidecar_path, "w", encoding="utf-8", newline="\n"
-    ) as side:
+    with open_replacing(path, "wb") as fh, open_replacing(sidecar_path) as side:
         fh.write(MAGIC + _HEADER.pack(VERSION, seq_len))
         for masked_tokens, seq, plan in records:
             bounds = np.array([b[:2] for b in seq.boundaries], dtype=BOUND_DTYPE)

@@ -1,10 +1,10 @@
 """Stage sequencing, resume manifest, and run reporting.
 
 Every stage reads the previous stage's JSONL, writes its own JSONL plus a
-``.rejects`` sidecar, each replaced atomically, and then appends itself to
-the work-dir manifest so an interrupted run can resume exactly. All
-randomness derives from the config seed, so reruns with an identical config
-and input are byte-identical.
+``.rejects`` sidecar, and then appends itself to the work-dir manifest, written
+last, so an interrupted run can resume exactly. Every work-dir file is
+replaced atomically. All randomness derives from the config seed, so reruns
+with an identical config and input are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from corpusprep.config import PipelineConfig
 from corpusprep.core import (
     StageStats,
     normalize_text,
-    open_replacing,
     read_jsonl,
+    write_json,
     write_jsonl,
     write_rejects,
 )
@@ -72,11 +72,6 @@ class RunReport:
             "per_source_words_final": self.final_per_source_words(),
         }
 
-    def save(self, path) -> None:
-        with open_replacing(path) as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def report_table(report: dict) -> str:
     """Render per-source word counts in millions, with a filtered total."""
@@ -108,7 +103,8 @@ def report_table(report: dict) -> str:
 # --------------------------------------------------------------------------
 # The stage contract. There is one stage_<name>(docs, cfg, work_dir,
 # get_vocab) per config.KNOWN_STAGES name, looked up by name at call time
-# by run_stage, which `run` and the single-stage subcommands both call.
+# by run_stage, which writes the stage's JSONL and .rejects for both `run`
+# and the single-stage subcommands.
 # *docs* is a list: the previous stage's output, or documents read_jsonl
 # read, which skips every line outside the JSONL schema in core. A stage
 # computes its output documents and one verdict per document: None keeps
@@ -117,9 +113,10 @@ def report_table(report: dict) -> str:
 # and words in, out and rejected per source and builds the .rejects
 # records, as (kept, stats). Side files go to *work_dir*: clusters.jsonl
 # (skipped when work_dir is None) and packed.bin with its
-# packed.meta.jsonl. *get_vocab* is one run's vocab_loader, so token_count
-# and pack share one loaded vocabulary and its word-segmentation memo, and
-# pack reads the ids subword.token_ids kept on each document at token_count.
+# packed.meta.jsonl, through writers that replace them atomically.
+# *get_vocab* is one run's vocab_loader, so token_count and pack share one
+# loaded vocabulary and its word-segmentation memo, and pack reads the ids
+# subword.token_ids kept on each document at token_count.
 # --------------------------------------------------------------------------
 
 
@@ -147,11 +144,7 @@ def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, get_vocab):
     clusters = []
     kept, stats = near_dedup.dedup_near(docs, cfg.near_dedup, cluster_report=clusters)
     if work_dir is not None:
-        path = Path(work_dir) / "clusters.jsonl"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in clusters:
-                fh.write(json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")))
-                fh.write("\n")
+        write_rejects(clusters, Path(work_dir) / "clusters.jsonl")
     return kept, stats
 
 
@@ -213,14 +206,21 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
     return StageStats.tally("pack", docs, extra=extra)[1]
 
 
-def run_stage(name: str, docs, cfg: PipelineConfig, work_dir, get_vocab):
-    """Run stage *name* and print its counts and time to stderr; any error
-    becomes a StageFailure naming it."""
+def run_stage(
+    name: str, docs, cfg: PipelineConfig, work_dir, get_vocab, out_path, prev=None
+):
+    """Run stage *name*, write its output to *out_path* (copying lines from
+    *prev*) with ``.rejects`` beside it, check its conservation and print its
+    counts and time to stderr; returns (kept, stats). An error inside the
+    stage becomes a StageFailure naming it."""
     t0 = time.monotonic()
     try:
         docs, stats = globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
+    write_jsonl(docs, out_path, prev)
+    write_rejects(stats.rejects, f"{out_path}.rejects")
+    stats.check_conservation()
     print(
         f"[{name}] in={stats.docs_in} out={stats.docs_out} "
         f"rejected={stats.rejected_docs} ({time.monotonic() - t0:.2f}s)",
@@ -238,21 +238,42 @@ def check_unique_ids(docs: list, source) -> None:
         seen.add(doc.id)
 
 
-def _load_manifest(work_dir: Path) -> Optional[dict]:
-    path = work_dir / MANIFEST_NAME
+def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
+    """The work-dir manifest of an earlier run of *cfg*, None if there is
+    none; StageFailure if it was written for another config or is not of the
+    shape run_pipeline writes."""
+    path = Path(cfg.work_dir) / MANIFEST_NAME
     if not path.exists():
         return None
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except ValueError as e:  # truncated or garbled by a crash
             raise StageFailure(f"corrupt manifest {path}: {e}") from e
 
+    def corrupt(problem: str) -> StageFailure:
+        return StageFailure(f"corrupt manifest {path}: {problem}")
 
-def _save_manifest(work_dir: Path, manifest: dict) -> None:
-    with open(work_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    if not isinstance(manifest, dict) or type(manifest.get("config_hash")) is not str:
+        raise corrupt("not an object with a string config_hash")
+    if manifest["config_hash"] != cfg.config_hash():
+        raise StageFailure("manifest config hash does not match; refusing to resume")
+    completed, stats = manifest.get("completed"), manifest.get("stats")
+    if not isinstance(completed, list) or completed != cfg.stages[: len(completed)]:
+        raise corrupt("'completed' is not a prefix of the configured stages")
+    if not isinstance(stats, dict):
+        raise corrupt("'stats' is not an object")
+    for stage in completed:
+        try:
+            stage_stats = StageStats.from_dict(stats[stage])
+            stage_stats.check_conservation()
+        except (AssertionError, LookupError, TypeError, ValueError) as e:
+            raise corrupt(f"stats of {stage}: {type(e).__name__}: {e}") from e
+        if stage_stats.stage != stage:
+            raise corrupt(f"stats of {stage} name stage {stage_stats.stage!r}")
+    if type(manifest.get("diagnostics")) is not int:
+        raise corrupt("'diagnostics' is not an int")
+    return manifest
 
 
 def run_pipeline(
@@ -272,20 +293,15 @@ def run_pipeline(
     work_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
 
-    manifest = _load_manifest(work_dir) if resume else None
-    if manifest is not None and manifest.get("config_hash") != config_hash:
-        raise StageFailure(
-            "manifest config hash does not match; refusing to resume"
-        )
+    manifest = _load_manifest(cfg) if resume else None
     completed = list(manifest["completed"]) if manifest else []
     stats_dicts = dict(manifest["stats"]) if manifest else {}
 
     diagnostics: list = []
     if completed:
-        idx_last = cfg.stages.index(completed[-1])
-        last_out = work_dir / f"{idx_last:02d}_{completed[-1]}.jsonl"
+        last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
         docs = list(read_jsonl(last_out))
-        n_diagnostics = int(manifest.get("diagnostics", 0))
+        n_diagnostics = manifest["diagnostics"]
     else:
         docs = list(read_jsonl(cfg.input, diagnostics=diagnostics))
         n_diagnostics = len(diagnostics)
@@ -297,38 +313,27 @@ def run_pipeline(
     # the previous stage's output when this call wrote it: its documents'
     # lines are copied from there instead of encoded again
     prev = None
-    for idx, stage in enumerate(cfg.stages):
+    for idx in range(len(completed), len(cfg.stages)):
+        stage = cfg.stages[idx]
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
-        rejects_path = Path(str(out_path) + ".rejects")
-        if idx < len(completed):
-            if completed[idx] != stage:
-                raise StageFailure(
-                    f"manifest stage order mismatch at {idx}: "
-                    f"{completed[idx]} != {stage}"
-                )
-            continue
-        docs, stats = run_stage(stage, docs, cfg, work_dir, get_vocab)
-
-        write_jsonl(docs, out_path, prev)
+        docs, stats = run_stage(stage, docs, cfg, work_dir, get_vocab, out_path, prev)
         prev = out_path
-        write_rejects(stats.rejects, rejects_path)
-        stats.check_conservation()
         stats_dicts[stage] = stats.to_dict()
         completed.append(stage)
-        _save_manifest(
-            work_dir,
+        write_json(
             {
                 "config_hash": config_hash,
                 "completed": completed,
                 "stats": stats_dicts,
                 "diagnostics": n_diagnostics,
             },
+            work_dir / MANIFEST_NAME,
         )
         if fail_after == stage:
             raise StageFailure(f"injected failure after stage {stage}")
 
     report.stages = [StageStats.from_dict(stats_dicts[s]) for s in cfg.stages]
     report.total_wall_time = time.monotonic() - t0
-    report.save(work_dir / REPORT_NAME)
+    write_json(report.to_dict(), work_dir / REPORT_NAME)
     return report
 

@@ -145,6 +145,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "corrupt manifest" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: [],
+            lambda m: {k: v for k, v in m.items() if k != "completed"},
+            lambda m: {**m, "config_hash": 7},
+            lambda m: {**m, "completed": ["nope"]},
+            lambda m: {**m, "completed": m["completed"][1:]},
+            lambda m: {**m, "stats": {}},
+            lambda m: {**m, "stats": {**m["stats"], "filter": {"stage": "filter"}}},
+            lambda m: {**m, "stats": {**m["stats"], "filter": m["stats"]["sample"]}},
+            lambda m: {**m, "diagnostics": "0"},
+        ],
+        ids=["list", "no_completed", "hash_not_str", "unknown_stage", "not_prefix",
+             "no_stats", "stats_cut", "stats_of_other_stage", "diagnostics_str"],
+    )
+    def test_manifest_of_wrong_shape_exits_2(self, workspace, capsys, edit):
+        main(["run", "--config", str(workspace)])
+        manifest = workspace.parent / "work" / "manifest.json"
+        manifest.write_text(
+            json.dumps(edit(json.loads(manifest.read_text("utf-8")))), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "corrupt manifest" in err and err.count("\n") == 1
+
     def test_unknown_top_level_key_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         cfg["stage"] = cfg.pop("stages")

@@ -310,6 +310,11 @@ class TestValidate:
         setattr(getattr(cfg, section) if section else cfg, key, value)
         assert error in validate(cfg, check_paths=False)
 
+    def test_repeated_stage_rejected(self):
+        cfg = self.base()
+        cfg.stages = ["filter", "dedup_exact", "filter"]
+        assert validate(cfg, check_paths=False) == ["stages: 'filter' listed twice"]
+
     def test_stage_specific_requirements(self):
         cfg = self.base()
         cfg.stages = ["lm_score", "token_count"]

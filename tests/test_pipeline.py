@@ -1,5 +1,7 @@
 import json
+import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +207,58 @@ class TestDeterminismAndResume:
             fh.write('{"id": "s1", "text": "lone \\ud800"}\n')  # unwritable
         report = run_pipeline(cfg)
         assert report.diagnostics == 9
+
+
+class TestAtomicWrites:
+    def test_every_work_dir_file_arrives_by_replace(self, tmp_path, monkeypatch):
+        replaced = []
+        real = os.replace
+
+        def spy(src, dst):
+            replaced.append(Path(dst).name)
+            real(src, dst)
+
+        cfg = load_config(build_workspace(tmp_path, n_docs=120))
+        monkeypatch.setattr(os, "replace", spy)
+        run_pipeline(cfg)
+        on_disk = sorted(p.name for p in (tmp_path / "work").iterdir())
+        assert "clusters.jsonl" in on_disk and "packed.bin" in on_disk
+        assert sorted(set(replaced)) == on_disk
+        assert replaced[-1] == "report.json" and replaced[-2] == "manifest.json"
+
+    def test_failed_pack_leaves_earlier_files(self, tmp_path, monkeypatch):
+        from corpusprep import packing
+
+        cfg = load_config(
+            build_workspace(tmp_path, n_docs=60, stages=["token_count", "pack"])
+        )
+        work = tmp_path / "work"
+        real = packing.apply_masking
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("mask failure at window 3")
+            return real(*args, **kwargs)
+
+        def run_failing():
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(packing, "apply_masking", failing)
+                with pytest.raises(StageFailure, match="window 3"):
+                    run_pipeline(cfg)
+
+        run_failing()
+        names = {p.name for p in work.iterdir()}
+        assert not names & {"packed.bin", "packed.meta.jsonl"}
+        assert not list(work.glob("*.tmp"))
+
+        run_pipeline(cfg)
+        before = {n: (work / n).read_bytes() for n in ("packed.bin", "packed.meta.jsonl")}
+        run_failing()
+        assert {n: (work / n).read_bytes() for n in before} == before
+        assert not list(work.glob("*.tmp"))
 
 
 class TestReportTable:
