@@ -1,9 +1,13 @@
 """Declarative pipeline configuration (YAML) and validation.
 
-The config dataclasses' annotations are the schema: load_config reads each
-section into its dataclass, then checks ranges and paths with validate. Both
-steps collect every violation rather than stopping at the first, so a bad
-config is fixable in one pass.
+The config dataclasses' annotations are the schema, bounds included:
+load_config reads each section into its dataclass, then validate checks
+ranges and paths. A bound on one field is written on its annotation as a
+string, ``Annotated[float, "(0, 1]"]`` (either end open or closed) or
+``Annotated[int, ">= 1"]``; rules that span fields, packed.bin's format
+limits and the stage-dependent checks are written out in validate. Both
+steps collect every violation, each named by its dotted path, rather than
+stopping at the first, so a bad config is fixable in one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -63,7 +67,7 @@ class VocabConfig:
 @dataclass
 class SampleConfig:
     mode: Literal["quality", "uniform"] = "quality"
-    overshoot: float = 0.01
+    overshoot: Annotated[float, ">= 0"] = 0.01
 
 
 @dataclass
@@ -78,7 +82,7 @@ class PipelineConfig:
     input: str = ""
     work_dir: str = ""
     stages: list[str] = field(default_factory=lambda: list(KNOWN_STAGES))
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
     near_dedup: NearDupConfig = field(default_factory=NearDupConfig)
     lm: LmConfig = field(default_factory=LmConfig)
@@ -150,6 +154,32 @@ def _read_section(cls, raw, path: str, errors: list):
     return cls(**kwargs) if len(errors) == n_errors else None
 
 
+def _outside(value, bound: str) -> Optional[str]:
+    """Why *value* breaks *bound*, ``">= lo"`` or an interval such as
+    ``"(lo, hi]"``, or None if it does not. NaN fails every interval and
+    passes every lower bound."""
+    if bound.startswith(">= "):
+        lo = bound[3:]
+        return f"{value} < {lo}" if value < float(lo) else None
+    lo, hi = map(float, bound[1:-1].split(", "))
+    above = lo <= value if bound[0] == "[" else lo < value
+    below = value <= hi if bound[-1] == "]" else value < hi
+    return None if above and below else f"{value} outside {bound}"
+
+
+def _check_bounds(section, path: str, errors: list) -> None:
+    """Append ``<dotted.path>: <why>`` for each field of the dataclass
+    *section*, nested sections included, that breaks its annotated bound."""
+    for name, tp in get_type_hints(type(section), include_extras=True).items():
+        value, key = getattr(section, name), f"{path}.{name}" if path else name
+        if is_dataclass(value):
+            _check_bounds(value, key, errors)
+        elif get_origin(tp) is Annotated:
+            why = _outside(value, tp.__metadata__[0])
+            if why:
+                errors.append(f"{key}: {why}")
+
+
 def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
     errors: list[str] = []
     if not cfg.input:
@@ -158,17 +188,24 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
         errors.append(f"input: path does not exist: {cfg.input}")
     if not cfg.work_dir:
         errors.append("work_dir: required")
-    if cfg.seed < 0:
-        errors.append(f"seed: {cfg.seed} < 0")
     for i, stage in enumerate(cfg.stages):
         if stage not in KNOWN_STAGES:
             errors.append(f"stages: unknown stage {stage!r}")
         elif stage in cfg.stages[:i]:
             errors.append(f"stages: {stage!r} listed twice")
-    errors.extend(cfg.heuristics.validate())
-    errors.extend(cfg.near_dedup.validate())
-    errors.extend(cfg.lm.policy.validate())
-    errors.extend(cfg.pack.mask.validate())
+    _check_bounds(cfg, "", errors)
+    heuristics, near = cfg.heuristics, cfg.near_dedup
+    policy, mask = cfg.lm.policy, cfg.pack.mask
+    if heuristics.min_words > heuristics.max_words:
+        errors.append("heuristics: min_words > max_words")
+    if near.bands * near.rows != near.num_perm:
+        errors.append(
+            f"near_dedup: bands*rows != num_perm ({near.bands}*{near.rows} != {near.num_perm})"
+        )
+    if policy.kind == "percentile" and not 0.0 <= policy.value <= 100.0:
+        errors.append(f"lm.policy.value: percentile {policy.value} outside [0, 100]")
+    if mask.p_mask + mask.p_random > 1.0:
+        errors.append("pack.mask: p_mask + p_random > 1")
     if cfg.pack.seq_len < 2:
         errors.append(f"pack.seq_len: {cfg.pack.seq_len} < 2")
     elif cfg.pack.seq_len > MAX_SEQ_LEN:
@@ -176,8 +213,6 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
             f"pack.seq_len: {cfg.pack.seq_len} > {MAX_SEQ_LEN} "
             "(packed.bin stores positions and pad_count as u16)"
         )
-    if cfg.sample.overshoot < 0:
-        errors.append(f"sample.overshoot: {cfg.sample.overshoot} < 0")
     size = cfg.vocab.expected_size
     if size is not None and size > MAX_VOCAB_SIZE:
         errors.append(

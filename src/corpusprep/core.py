@@ -58,7 +58,7 @@ _META_KEY = b', "meta": {'
 
 # Canonical JSON: non-ASCII kept, ", " and ": " separators. One encoder
 # object, because json.dumps builds a new one per call when given options.
-_dumps = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
+canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
 
 
 def _collapse_run(m: re.Match) -> str:
@@ -129,7 +129,7 @@ class Document:
             "text": self.text,
             "meta": self.serialized_meta(),
         }
-        return _dumps(record)
+        return canonical_json(record)
 
     @classmethod
     def from_record(cls, record) -> "Document":
@@ -374,7 +374,7 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
                 if len(head) != head_len:
                     raise OSError(f"{prev}: shorter than when it was written")
                 fh.write(head)
-                tail = f', "meta": {_dumps(doc.serialized_meta())}}}\n'
+                tail = f', "meta": {canonical_json(doc.serialized_meta())}}}\n'
                 n_bytes = head_len + fh.write(tail.encode("utf-8"))
             else:
                 line = doc.to_json_line().encode("utf-8")
@@ -395,7 +395,7 @@ def write_rejects(records: Iterable[dict], path) -> int:
     n = 0
     with open_replacing(path) as fh:
         for rec in records:
-            fh.write(_dumps(rec))
+            fh.write(canonical_json(rec))
             fh.write("\n")
             n += 1
     return n

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
@@ -136,28 +136,12 @@ class UnionFind:
 @dataclass
 class NearDupConfig:
     num_perm: int = 112
-    bands: int = 14
-    rows: int = 8
-    shingle_n: int = DEFAULT_SHINGLE_N
-    threshold: float = 0.7
-    perm_seed: int = 1
+    bands: Annotated[int, ">= 1"] = 14
+    rows: Annotated[int, ">= 1"] = 8
+    shingle_n: Annotated[int, ">= 1"] = DEFAULT_SHINGLE_N
+    threshold: Annotated[float, "(0, 1]"] = 0.7
+    perm_seed: Annotated[int, ">= 0"] = 1
     exact_verify: bool = False
-
-    def validate(self) -> list[str]:
-        errors = []
-        for name in ("bands", "rows", "shingle_n"):
-            if getattr(self, name) < 1:
-                errors.append(f"near_dedup.{name}: must be >= 1")
-        if self.perm_seed < 0:
-            errors.append(f"near_dedup.perm_seed: {self.perm_seed} < 0")
-        if self.bands * self.rows != self.num_perm:
-            errors.append(
-                f"near_dedup: bands*rows != num_perm "
-                f"({self.bands}*{self.rows} != {self.num_perm})"
-            )
-        if not 0.0 < self.threshold <= 1.0:
-            errors.append(f"near_dedup.threshold: {self.threshold} outside (0, 1]")
-        return errors
 
 
 @dataclass

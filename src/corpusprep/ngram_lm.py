@@ -59,7 +59,7 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document, StageStats, open_replacing
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -318,7 +318,7 @@ class KneserNeyModel:
             "discounts": {str(o): d for o, d in sorted(self.discounts.items())},
             "counts": sorted(zip(grams, counts)),
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_replacing(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
@@ -426,12 +426,6 @@ def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
 class PerplexityPolicy:
     kind: Literal["percentile", "absolute"] = "percentile"
     value: float = 90.0
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.kind == "percentile" and not 0.0 <= self.value <= 100.0:
-            errors.append(f"lm.policy.value: percentile {self.value} outside [0, 100]")
-        return errors
 
 
 def percentile_cutoff(values: list[float], p: float) -> float:

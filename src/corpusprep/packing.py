@@ -21,14 +21,13 @@ never cross document boundaries; all draws are batched per window.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Annotated, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from corpusprep.core import open_replacing
+from corpusprep.core import canonical_json, open_replacing
 
 DEFAULT_GEOM_P = 0.2
 DEFAULT_MAX_SPAN = 10
@@ -168,27 +167,12 @@ def _span_arrays(
 @dataclass
 class MaskConfig:
     scheme: Literal["span", "token"] = "span"
-    rate: float = 0.30
-    geom_p: float = DEFAULT_GEOM_P
-    max_span: int = DEFAULT_MAX_SPAN
-    p_mask: float = 0.8
-    p_random: float = 0.1
+    rate: Annotated[float, "(0, 1)"] = 0.30
+    geom_p: Annotated[float, "(0, 1)"] = DEFAULT_GEOM_P
+    max_span: Annotated[int, ">= 1"] = DEFAULT_MAX_SPAN
+    p_mask: Annotated[float, "[0, 1]"] = 0.8
+    p_random: Annotated[float, "[0, 1]"] = 0.1
     # p_keep is the remainder
-
-    def validate(self) -> list[str]:
-        errors = []
-        if not 0.0 < self.rate < 1.0:
-            errors.append(f"mask.rate: {self.rate} outside (0, 1)")
-        if not 0.0 < self.geom_p < 1.0:
-            errors.append(f"mask.geom_p: {self.geom_p} outside (0, 1)")
-        if self.max_span < 1:
-            errors.append("mask.max_span: must be >= 1")
-        for name in ("p_mask", "p_random"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                errors.append(f"mask.{name}: {getattr(self, name)} outside [0, 1]")
-        if self.p_mask + self.p_random > 1.0:
-            errors.append("mask: p_mask + p_random > 1")
-        return errors
 
 
 @dataclass
@@ -314,7 +298,7 @@ def write_packed(
                 "scheme": plan.scheme,
                 "rate": plan.rate,
             }
-            side.write(json.dumps(meta, ensure_ascii=False, separators=(", ", ": ")))
+            side.write(canonical_json(meta))
             side.write("\n")
             n += 1
     return n

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 from corpusprep.core import Document
 
@@ -17,25 +17,10 @@ BOILERPLATE_MAX_LINE_LEN = 80
 class HeuristicConfig:
     min_words: int = 20
     max_words: int = 1_000_000
-    min_alpha_ratio: float = 0.6
-    max_digit_ratio: float = 0.3
-    min_latvian_char_ratio: float = 0.005
-    max_repeated_line_ratio: float = 0.3
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.min_words > self.max_words:
-            errors.append("heuristics: min_words > max_words")
-        for name in (
-            "min_alpha_ratio",
-            "max_digit_ratio",
-            "min_latvian_char_ratio",
-            "max_repeated_line_ratio",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                errors.append(f"heuristics.{name}: {v} outside [0, 1]")
-        return errors
+    min_alpha_ratio: Annotated[float, "[0, 1]"] = 0.6
+    max_digit_ratio: Annotated[float, "[0, 1]"] = 0.3
+    min_latvian_char_ratio: Annotated[float, "[0, 1]"] = 0.005
+    max_repeated_line_ratio: Annotated[float, "[0, 1]"] = 0.3
 
 
 def strip_boilerplate(doc: Document) -> Document:

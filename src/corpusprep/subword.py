@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from corpusprep.core import Document
+from corpusprep.core import Document, open_replacing
 
 SPECIAL_TOKENS = ("<unk>", "<pad>", "<mask>", "<s>", "</s>")
 CONT_PREFIX = b"##"
@@ -167,7 +167,7 @@ def load_vocab(path, expected_size: Optional[int] = None) -> SubwordVocab:
 
 
 def save_vocab(vocab: SubwordVocab, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path) as fh:
         for piece in vocab.pieces:
             fh.write(escape_token(piece) + "\n")
 

@@ -1,5 +1,10 @@
 import copy
+import math
+import re
 import textwrap
+from dataclasses import is_dataclass
+from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
@@ -64,6 +69,56 @@ def _replaced(path, value):
         node = node[key]
     node[path[-1]] = value
     return cfg
+
+
+def _bounded_fields(cls=PipelineConfig, prefix=()):
+    """(key path, type, bound) of every field with a bound in its
+    annotation, found by walking the config schema."""
+    for name, tp in get_type_hints(cls, include_extras=True).items():
+        if is_dataclass(tp):
+            yield from _bounded_fields(tp, prefix + (name,))
+        elif get_origin(tp) is Annotated:
+            base, bound = get_args(tp)
+            yield prefix + (name,), base, bound
+
+
+def _edges(base, bound):
+    """(inside, outside) value pairs, one per edge of *bound*: the nearest
+    value that holds and the nearest that breaks it."""
+    def step(x, toward):
+        return x + (1 if toward > x else -1) if base is int else math.nextafter(x, toward)
+
+    if bound.startswith(">= "):
+        lo = base(bound[3:])
+        return [(lo, step(lo, -math.inf))]
+    lo, hi = map(base, bound[1:-1].split(", "))
+    lo_pair = (lo, step(lo, -math.inf)) if bound[0] == "[" else (step(lo, math.inf), lo)
+    hi_pair = (hi, step(hi, math.inf)) if bound[-1] == "]" else (step(hi, -math.inf), hi)
+    return [lo_pair, hi_pair]
+
+
+# keys set beside a bounded key so that its cross-field rule holds
+COMPANIONS = {
+    ("near_dedup", "bands"): lambda v: {"rows": 1, "num_perm": v},
+    ("near_dedup", "rows"): lambda v: {"bands": 1, "num_perm": v},
+    ("pack", "mask", "p_mask"): lambda v: {"p_random": 0},
+    ("pack", "mask", "p_random"): lambda v: {"p_mask": 0},
+}
+
+
+def _load_errors(tmp_path, path, value):
+    """The errors from loading a minimal config with *path* set to *value*."""
+    cfg = {"input": "x", "work_dir": "y", "stages": ["filter"]}
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    node.update(COMPANIONS.get(path, lambda v: {})(value))
+    try:
+        load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+    except ConfigError as e:
+        return e.errors
+    return []
 
 
 YAML_VALUES = st.recursive(
@@ -290,16 +345,16 @@ class TestValidate:
         cfg.pack.mask.p_mask, cfg.pack.mask.p_random = -0.5, 1.2
         errors = validate(cfg, check_paths=False)
         assert errors == [
-            "mask.p_mask: -0.5 outside [0, 1]",
-            "mask.p_random: 1.2 outside [0, 1]",
+            "pack.mask.p_mask: -0.5 outside [0, 1]",
+            "pack.mask.p_random: 1.2 outside [0, 1]",
         ]
 
     @pytest.mark.parametrize(
         "section, key, value, error",
         [
-            ("near_dedup", "bands", 0, "near_dedup.bands: must be >= 1"),
-            ("near_dedup", "rows", 0, "near_dedup.rows: must be >= 1"),
-            ("near_dedup", "shingle_n", 0, "near_dedup.shingle_n: must be >= 1"),
+            ("near_dedup", "bands", 0, "near_dedup.bands: 0 < 1"),
+            ("near_dedup", "rows", 0, "near_dedup.rows: 0 < 1"),
+            ("near_dedup", "shingle_n", 0, "near_dedup.shingle_n: 0 < 1"),
             ("near_dedup", "perm_seed", -1, "near_dedup.perm_seed: -1 < 0"),
             ("sample", "overshoot", -2, "sample.overshoot: -2 < 0"),
             (None, "seed", -1, "seed: -1 < 0"),
@@ -330,6 +385,58 @@ class TestValidate:
         )
         errors = validate(cfg, check_paths=True)
         assert any("does not exist" in e for e in errors)
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "path, base, bound",
+        [pytest.param(*f, id=".".join(f[0])) for f in _bounded_fields()],
+    )
+    def test_each_edge_named_by_dotted_path(self, tmp_path, path, base, bound):
+        key = ".".join(path)
+        assert f"{key}: expected {base.__name__}, got str" in _load_errors(tmp_path, path, "x")
+        section = ".".join(path[:-1])
+        for inside, outside in _edges(base, bound):
+            assert _load_errors(tmp_path, path, inside) == []
+            errors = _load_errors(tmp_path, path, outside)
+            own = [e for e in errors if e.startswith(f"{key}: ")]
+            assert len(own) == 1, errors
+            assert own[0] in (
+                f"{key}: {outside} outside {bound}",
+                f"{key}: {outside} < {bound[3:]}",
+            )
+            # a lone value can break no other rule than its section's cross-field one
+            assert all(section and e.startswith(f"{section}: ") for e in errors if e not in own)
+
+    def test_schema_declares_every_single_field_bound(self):
+        assert {".".join(p): b for p, _, b in _bounded_fields()} == {
+            "seed": ">= 0",
+            "heuristics.min_alpha_ratio": "[0, 1]",
+            "heuristics.max_digit_ratio": "[0, 1]",
+            "heuristics.min_latvian_char_ratio": "[0, 1]",
+            "heuristics.max_repeated_line_ratio": "[0, 1]",
+            "near_dedup.bands": ">= 1",
+            "near_dedup.rows": ">= 1",
+            "near_dedup.shingle_n": ">= 1",
+            "near_dedup.threshold": "(0, 1]",
+            "near_dedup.perm_seed": ">= 0",
+            "sample.overshoot": ">= 0",
+            "pack.mask.rate": "(0, 1)",
+            "pack.mask.geom_p": "(0, 1)",
+            "pack.mask.max_span": ">= 1",
+            "pack.mask.p_mask": "[0, 1]",
+            "pack.mask.p_random": "[0, 1]",
+        }
+
+
+class TestReadme:
+    def test_cli_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        example = re.search(r"```yaml\n(.*?)```", cli, re.S).group(1)
+        (tmp_path / "c.yaml").write_text(example, encoding="utf-8")
+        cfg = load_config(tmp_path / "c.yaml", check_paths=False)
+        assert cfg.stages == list(KNOWN_STAGES)
 
 
 class TestConfigHash:

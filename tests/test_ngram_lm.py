@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusprep import ngram_lm
 from corpusprep.core import Document
 from corpusprep.ngram_lm import (
     BOS,
@@ -151,6 +152,21 @@ class TestSerialization:
         model.save(first)
         KneserNeyModel.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        train_kn_sentences(golden_corpus(), order=3).save(path)
+        before = path.read_bytes()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ngram_lm.json, "dump", partial_dump)
+        with pytest.raises(OSError, match="disk full"):
+            train_kn_sentences(golden_corpus(), order=1).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("order, sha256", [
         (1, "b5d4782b9d2e61dd73bf49031a20a44bdaa97c589a90cd3cde95f1c28b1b8312"),

@@ -67,6 +67,24 @@ class TestVocabFile:
         save_vocab(load_vocab(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_earlier_file(self, tmp_path, small_vocab, monkeypatch):
+        path = tmp_path / "v.txt"
+        save_vocab(small_vocab, path)
+        before = path.read_bytes()
+        real, calls = subword.escape_token, []
+
+        def failing(piece):
+            calls.append(piece)
+            if len(calls) == 10:
+                raise OSError("disk full")
+            return real(piece)
+
+        monkeypatch.setattr(subword, "escape_token", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_vocab(small_vocab, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.txt"]
+
     def test_escape_round_trip(self):
         for token in [b"abc", b"r\xc4\xabga", b"\x00\x01", b"a\\b", b"##x", b"\xff"]:
             assert unescape_token(escape_token(token)) == token
