@@ -14,7 +14,7 @@ import sys
 
 from corpusprep import ngram_lm, pipeline, subword
 from corpusprep.config import KNOWN_STAGES, ConfigError, load_config
-from corpusprep.core import JsonlReadError, read_jsonl
+from corpusprep.core import JsonlReadError, StageStats, read_jsonl
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,13 +86,12 @@ def _validate(config_path) -> int:
 
 def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
-    docs = list(read_jsonl(args.input))
-    if stage == "dedup_near":
-        pipeline.check_unique_ids(docs, args.input)
+    docs, _ = pipeline.read_input(args.input)
     get_vocab = pipeline.vocab_loader(cfg)
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
-        stats = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
+        extra = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
+        _, stats = StageStats.tally("pack", docs, extra=extra)
     else:
         _, stats = pipeline.run_stage(stage, docs, cfg, None, get_vocab, args.output)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))

@@ -37,7 +37,6 @@ import re
 import unicodedata
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -198,7 +197,7 @@ class StageStats:
         cls,
         stage: str,
         docs: list,
-        reasons: Optional[Iterable] = None,
+        reasons: Optional[list] = None,
         extra: Optional[dict] = None,
     ) -> tuple[list, "StageStats"]:
         """The kept documents and the stats of *stage* over *docs*.
@@ -208,11 +207,13 @@ class StageStats:
         rejects it with ``reason:detail`` written in the sidecar only.
         ``reasons=None`` keeps every document; ValueError if the verdicts
         and the documents differ in number."""
-        stats = cls(stage=stage, extra=dict(extra or {}))
         if reasons is None:
-            reasons = repeat(None, len(docs))
+            reasons = [None] * len(docs)
+        elif len(reasons) != len(docs):
+            raise ValueError(f"{len(reasons)} verdicts for {len(docs)} documents")
+        stats = cls(stage=stage, extra=dict(extra or {}))
         kept = []
-        for doc, reason in zip(docs, reasons, strict=True):
+        for doc, reason in zip(docs, reasons):
             s = stats.per_source.get(doc.source)
             if s is None:
                 s = stats.per_source[doc.source] = SourceStats()

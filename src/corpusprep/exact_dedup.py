@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 from urllib.parse import urlsplit
 
-from corpusprep.core import Document, StageStats, normalize_text
+from corpusprep.core import Document, normalize_text
 
 
 @dataclass(frozen=True)
@@ -42,29 +42,26 @@ def exact_key(doc: Document) -> ExactKey:
     return ExactKey(text_hash=text_digest(doc.text), url_key=url_key)
 
 
-def dedup_exact(docs: Iterable[Document]) -> tuple[list[Document], StageStats]:
-    """Keep the first occurrence per text hash, then per URL key.
+def dedup_exact(docs: list[Document]) -> list[Optional[str]]:
+    """Per document in order: None for the first occurrence of its text
+    hash and of its URL key, else the reject reason, ``exact_text`` or
+    ``exact_url``.
 
     Input must already be in a deterministic order (the pipeline sorts by
-    (source, id) beforehand); output preserves the order of survivors.
+    (source, id) beforehand).
     """
-    docs = list(docs)
-    return StageStats.tally("dedup_exact", docs, _verdicts(docs))
-
-
-def _verdicts(docs: list[Document]) -> Iterator[Optional[str]]:
-    """Per document in order: the reject reason, or None for a first
-    occurrence."""
     seen_text: set[bytes] = set()
     seen_url: set[str] = set()
+    verdicts: list[Optional[str]] = []
     for doc in docs:
         key = exact_key(doc)
         if key.text_hash in seen_text:
-            yield "exact_text"
+            verdicts.append("exact_text")
         elif key.url_key is not None and key.url_key in seen_url:
-            yield "exact_url"
+            verdicts.append("exact_url")
         else:
             seen_text.add(key.text_hash)
             if key.url_key is not None:
                 seen_url.add(key.url_key)
-            yield None
+            verdicts.append(None)
+    return verdicts

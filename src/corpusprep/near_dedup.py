@@ -19,11 +19,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Annotated, Iterable, Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 
 DEFAULT_SHINGLE_N = 5
 # Karp-Rabin base: an odd 64-bit multiplier (Steele & Vigna's LCG constant)
@@ -244,14 +244,11 @@ def find_duplicate_clusters(
     return uf.clusters(min_size=2)
 
 
-def dedup_near(
-    docs: Iterable[Document],
-    cfg: NearDupConfig,
-    cluster_report: Optional[list] = None,
-) -> tuple[list[Document], StageStats]:
-    """Remove near-duplicates, keeping the longest document per cluster
-    (ties broken by smallest id). Output preserves input order."""
-    docs = list(docs)
+def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, list[dict]]:
+    """Near-duplicate verdicts, keeping the longest document per cluster
+    (ties broken by smallest id): per document in order None, or
+    ``("near_dup", "kept=<keeper id>")``; and the clusters, each
+    ``{"kept": id, "removed": [ids]}``, sorted."""
     by_id = {}
     sets = []
     for doc in docs:
@@ -265,15 +262,12 @@ def dedup_near(
         mat, cfg.bands, cfg.rows, cfg.threshold, sets if cfg.exact_verify else None
     )
     clusters = sorted(sorted(docs[i].id for i in cluster) for cluster in clusters)
-    verdicts = {}  # removed id -> ("near_dup", "kept=<keeper id>")
+    removed_by = {}  # removed id -> ("near_dup", "kept=<keeper id>")
+    report = []
     for cluster in clusters:
         keeper = min(cluster, key=lambda i: (-by_id[i].word_count, i))
         removed = [i for i in cluster if i != keeper]
         for i in removed:
-            verdicts[i] = ("near_dup", f"kept={keeper}")
-        if cluster_report is not None:
-            cluster_report.append({"kept": keeper, "removed": removed})
-    reasons = [verdicts.get(doc.id) for doc in docs]
-    return StageStats.tally(
-        "dedup_near", docs, reasons, extra={"clusters": len(clusters)}
-    )
+            removed_by[i] = ("near_dup", f"kept={keeper}")
+        report.append({"kept": keeper, "removed": removed})
+    return [removed_by.get(doc.id) for doc in docs], report

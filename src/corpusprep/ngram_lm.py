@@ -59,7 +59,7 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from corpusprep.core import Document, StageStats, open_replacing
+from corpusprep.core import Document, open_replacing
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -441,35 +441,35 @@ PPL_META_KEY = "perplexity"
 
 
 def filter_by_perplexity(
-    docs: Iterable[Document],
+    docs: list[Document],
     model: KneserNeyModel,
     policy: PerplexityPolicy,
-) -> tuple[list[Document], StageStats]:
-    """Drop documents whose perplexity exceeds the policy cutoff.
+) -> tuple[list[Optional[str]], float]:
+    """Per document in order, None if its perplexity is within the policy
+    cutoff, else ``empty`` (no scorable token) or ``high_ppl``; and the
+    cutoff.
 
-    Each surviving document carries its score in meta["perplexity"] for the
+    Each kept document carries its score in meta["perplexity"] for the
     downstream quality-ordered sampler.
     """
-    docs = list(docs)
-    verdicts = [perplexity(model, doc) for doc in docs]
+    scores = [perplexity(model, doc) for doc in docs]
     if policy.kind == "absolute":
         cutoff = policy.value
     else:
-        finite = [v.perplexity for v in verdicts if v.n_scored_tokens > 0]
+        finite = [v.perplexity for v in scores if v.n_scored_tokens > 0]
         if not finite:
             raise ValueError("percentile policy on a stream with no scorable docs")
         cutoff = percentile_cutoff(finite, policy.value)
-    reasons = []
-    for doc, verdict in zip(docs, verdicts):
-        if verdict.n_scored_tokens == 0:
-            reasons.append("empty")
-        elif verdict.perplexity > cutoff:
-            reasons.append("high_ppl")
+    verdicts = []
+    for doc, score in zip(docs, scores):
+        if score.n_scored_tokens == 0:
+            verdicts.append("empty")
+        elif score.perplexity > cutoff:
+            verdicts.append("high_ppl")
         else:
-            doc.meta[PPL_META_KEY] = f"{verdict.perplexity:.8e}"
-            reasons.append(None)
-    extra = {"cutoff": repr(cutoff)}
-    return StageStats.tally("lm_score", docs, reasons, extra=extra)
+            doc.meta[PPL_META_KEY] = f"{score.perplexity:.8e}"
+            verdicts.append(None)
+    return verdicts, cutoff
 
 
 def load_model(path) -> KneserNeyModel:

@@ -105,15 +105,17 @@ def report_table(report: dict) -> str:
 # get_vocab) per config.KNOWN_STAGES name, looked up by name at call time
 # by run_stage, which writes the stage's JSONL and .rejects for both `run`
 # and the single-stage subcommands.
-# *docs* is a list: the previous stage's output, or documents read_jsonl
-# read, which skips every line outside the JSONL schema in core. A stage
-# computes its output documents and one verdict per document: None keeps
-# it, a reason string or a (reason, detail) pair rejects it. It returns
-# StageStats.tally(stage, docs, verdicts), which alone counts documents
-# and words in, out and rejected per source and builds the .rejects
-# records, as (kept, stats). Side files go to *work_dir*: clusters.jsonl
-# (skipped when work_dir is None) and packed.bin with its
-# packed.meta.jsonl, through writers that replace them atomically.
+# *docs* is a list: the previous stage's output, or the documents
+# read_input read. A stage returns (docs, verdicts, extra): its output
+# documents, one verdict per document (None keeps it, a reason string or a
+# (reason, detail) pair rejects it; verdicts=None keeps every document) and
+# its report dict or None. run_stage alone turns them into the kept
+# documents and the stats with StageStats.tally, which counts documents and
+# words in, out and rejected per source and builds the .rejects records;
+# the algorithm modules only decide, and never name a stage. Side files go
+# to *work_dir*: clusters.jsonl (skipped when work_dir is None) and
+# packed.bin with its packed.meta.jsonl, through writers that replace them
+# atomically.
 # *get_vocab* is one run's vocab_loader, so token_count and pack share one
 # loaded vocabulary and its word-segmentation memo, and pack reads the ids
 # subword.token_ids kept on each document at token_count.
@@ -132,36 +134,37 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
         quality.strip_boilerplate(doc.with_text(normalize_text(doc.text)))
         for doc in docs
     ]
-    reasons = [quality.apply_heuristics(doc, cfg.heuristics) for doc in docs]
-    return StageStats.tally("filter", docs, reasons)
+    verdicts = [quality.apply_heuristics(doc, cfg.heuristics) for doc in docs]
+    return docs, verdicts, None
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    return exact_dedup.dedup_exact(sorted(docs, key=lambda d: (d.source, d.id)))
+    docs = sorted(docs, key=lambda d: (d.source, d.id))
+    return docs, exact_dedup.dedup_exact(docs), None
 
 
 def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    clusters = []
-    kept, stats = near_dedup.dedup_near(docs, cfg.near_dedup, cluster_report=clusters)
+    verdicts, clusters = near_dedup.dedup_near(docs, cfg.near_dedup)
     if work_dir is not None:
         write_rejects(clusters, Path(work_dir) / "clusters.jsonl")
-    return kept, stats
+    return docs, verdicts, {"clusters": len(clusters)}
 
 
 def stage_lm_score(docs, cfg: PipelineConfig, work_dir, get_vocab):
     model = ngram_lm.load_model(cfg.lm.model_path)
-    return ngram_lm.filter_by_perplexity(docs, model, cfg.lm.policy)
+    verdicts, cutoff = ngram_lm.filter_by_perplexity(docs, model, cfg.lm.policy)
+    return docs, verdicts, {"cutoff": repr(cutoff)}
 
 
 def stage_token_count(docs, cfg: PipelineConfig, work_dir, get_vocab):
     vocab = get_vocab()
     for doc in docs:
         subword.token_count(doc, vocab)
-    return StageStats.tally("token_count", docs)
+    return docs, None, None
 
 
 def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    return sampler.sample_to_quota(
+    return docs, *sampler.sample_to_quota(
         docs,
         cfg.quotas,
         seed=cfg.seed,
@@ -171,12 +174,13 @@ def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
 
 
 def stage_pack(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    return docs, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", get_vocab())
+    return docs, None, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", get_vocab())
 
 
-def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
+def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
     """Pack and mask *docs* into *out_bin*, with its ``.meta.jsonl`` sidecar
-    beside it; every document passes through."""
+    beside it; returns the stage's report dict. Every document passes
+    through."""
     tokenized = ((doc.id, subword.token_ids(doc, vocab)) for doc in docs)
     windows, efficiency = packing.pack_greedy(
         tokenized,
@@ -202,8 +206,7 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> StageStats:
 
     sidecar = Path(out_bin).with_suffix(".meta.jsonl")
     n = packing.write_packed(out_bin, sidecar, records(), cfg.pack.seq_len)
-    extra = {"windows": n, "efficiency": f"{efficiency:.6f}"}
-    return StageStats.tally("pack", docs, extra=extra)[1]
+    return {"windows": n, "efficiency": f"{efficiency:.6f}"}
 
 
 def run_stage(
@@ -215,10 +218,11 @@ def run_stage(
     stage becomes a StageFailure naming it."""
     t0 = time.monotonic()
     try:
-        docs, stats = globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
+        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
+        kept, stats = StageStats.tally(name, docs, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
-    write_jsonl(docs, out_path, prev)
+    write_jsonl(kept, out_path, prev)
     write_rejects(stats.rejects, f"{out_path}.rejects")
     stats.check_conservation()
     print(
@@ -226,16 +230,26 @@ def run_stage(
         f"rejected={stats.rejected_docs} ({time.monotonic() - t0:.2f}s)",
         file=sys.stderr,
     )
-    return docs, stats
+    return kept, stats
 
 
-def check_unique_ids(docs: list, source) -> None:
-    """StageFailure naming the first repeated document id in *docs*."""
+def read_input(path) -> tuple[list, int]:
+    """The documents of the input JSONL *path* and the number of lines
+    read_jsonl skipped, which is printed to stderr when not 0; StageFailure
+    naming the first repeated document id."""
+    diagnostics: list = []
+    docs = list(read_jsonl(path, diagnostics=diagnostics))
+    if diagnostics:
+        print(
+            f"skipped {len(diagnostics)} malformed input lines in {path}",
+            file=sys.stderr,
+        )
     seen = set()
     for doc in docs:
         if doc.id in seen:
-            raise StageFailure(f"duplicate document id {doc.id!r} in {source}")
+            raise StageFailure(f"duplicate document id {doc.id!r} in {path}")
         seen.add(doc.id)
+    return docs, len(diagnostics)
 
 
 def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
@@ -297,15 +311,12 @@ def run_pipeline(
     completed = list(manifest["completed"]) if manifest else []
     stats_dicts = dict(manifest["stats"]) if manifest else {}
 
-    diagnostics: list = []
     if completed:
         last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
         docs = list(read_jsonl(last_out))
         n_diagnostics = manifest["diagnostics"]
     else:
-        docs = list(read_jsonl(cfg.input, diagnostics=diagnostics))
-        n_diagnostics = len(diagnostics)
-        check_unique_ids(docs, cfg.input)
+        docs, n_diagnostics = read_input(cfg.input)
 
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
     get_vocab = vocab_loader(cfg)

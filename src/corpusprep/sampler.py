@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 from corpusprep.ngram_lm import PPL_META_KEY
 
 DEFAULT_OVERSHOOT = 0.01
@@ -33,27 +33,34 @@ def default_quotas(scale: float = 1.0) -> list[BucketQuota]:
 
 
 def validate_quotas(quotas: list[BucketQuota]) -> list[str]:
-    errors = []
+    """One line per rule *quotas* breaks, each bucket named by its index
+    path (``quotas[0]``), as the config reader names it."""
     if not quotas:
         return ["quotas: empty"]
-    for q in quotas:
-        if q.target_tokens <= 0:
-            errors.append(f"quotas.{q.name}: target_tokens must be > 0")
-    ordered = sorted(quotas, key=lambda q: q.min_tokens)
-    if ordered[0].min_tokens != 0:
-        errors.append("quotas: intervals do not start at 0")
-    for prev, cur in zip(ordered, ordered[1:]):
-        if prev.max_tokens is None:
-            errors.append(f"quotas.{prev.name}: unbounded bucket is not last")
-        elif prev.max_tokens != cur.min_tokens:
-            errors.append(
-                f"quotas: gap or overlap between {prev.name} and {cur.name}"
-            )
-    if ordered[-1].max_tokens is not None:
-        errors.append("quotas: intervals do not cover [0, inf)")
-    names = [q.name for q in quotas]
-    if len(set(names)) != len(names):
-        errors.append("quotas: duplicate bucket names")
+    errors = [
+        f"quotas[{i}].target_tokens: {q.target_tokens} < 1"
+        for i, q in enumerate(quotas)
+        if q.target_tokens < 1
+    ]
+    order = sorted(range(len(quotas)), key=lambda i: quotas[i].min_tokens)
+    if quotas[order[0]].min_tokens != 0:
+        errors.append(
+            f"quotas: intervals do not start at 0 (lowest is quotas[{order[0]}])"
+        )
+    for a, b in zip(order, order[1:]):
+        if quotas[a].max_tokens is None:
+            errors.append(f"quotas[{a}]: unbounded bucket is not last")
+        elif quotas[a].max_tokens != quotas[b].min_tokens:
+            errors.append(f"quotas: gap or overlap between quotas[{a}] and quotas[{b}]")
+    if quotas[order[-1]].max_tokens is not None:
+        errors.append(
+            f"quotas: intervals do not cover [0, inf) (highest is quotas[{order[-1]}])"
+        )
+    first = {}
+    for i, q in enumerate(quotas):
+        j = first.setdefault(q.name, i)
+        if j != i:
+            errors.append(f"quotas[{i}].name: {q.name!r} repeats quotas[{j}].name")
     return errors
 
 
@@ -72,38 +79,40 @@ def _quality_key(doc: Document) -> tuple:
 
 
 def sample_to_quota(
-    docs: Iterable[Document],
+    docs: list[Document],
     quotas: list[BucketQuota],
     seed: int = 0,
     mode: str = "quality",
     overshoot: float = DEFAULT_OVERSHOOT,
-) -> tuple[list[Document], StageStats]:
-    """Greedy per-bucket selection until each token budget is met.
+) -> tuple[list[Optional[str]], dict]:
+    """Greedy per-bucket selection until each token budget is met: per
+    document in order, None if selected and ``not_sampled`` if not; and the
+    per-bucket targets, realized token sums and supply warnings.
 
     Candidates are visited in ascending-perplexity order (mode="quality")
     or a seeded shuffle (mode="uniform"); a document that would overflow
     target*(1+overshoot) is skipped and smaller later documents may still
-    fill the gap. Output preserves input order of the selected documents.
+    fill the gap. Documents are chosen by position, so a realized sum is
+    the tokens kept even when ids repeat.
     """
     errors = validate_quotas(quotas)
     if errors:
         raise ValueError("; ".join(errors))
-    docs = list(docs)
     for doc in docs:
         if doc.token_count is None:
             raise ValueError(f"document {doc.id!r} has no token_count")
 
-    by_bucket: dict[str, list[Document]] = {q.name: [] for q in quotas}
-    for doc in docs:
-        by_bucket[assign_bucket(doc.token_count, quotas)].append(doc)
+    by_bucket: dict[str, list[int]] = {q.name: [] for q in quotas}
+    for i, doc in enumerate(docs):
+        by_bucket[assign_bucket(doc.token_count, quotas)].append(i)
 
-    selected: set[str] = set()
+    selected = [False] * len(docs)
     extra: dict = {}
     warnings = []
     for q in quotas:
         candidates = by_bucket[q.name]
         if mode == "quality":
-            order = sorted(candidates, key=_quality_key)
+            order = sorted(candidates, key=lambda i: _quality_key(docs[i]))
         elif mode == "uniform":
             rng = np.random.default_rng((seed, zlib.crc32(q.name.encode("utf-8"))))
             order = [candidates[i] for i in rng.permutation(len(candidates))]
@@ -111,12 +120,12 @@ def sample_to_quota(
             raise ValueError(f"unknown sampling mode {mode!r}")
         limit = q.target_tokens * (1.0 + overshoot)
         realized = 0
-        for doc in order:
+        for i in order:
             if realized >= q.target_tokens:
                 break
-            if realized + doc.token_count <= limit:
-                realized += doc.token_count
-                selected.add(doc.id)
+            if realized + docs[i].token_count <= limit:
+                realized += docs[i].token_count
+                selected[i] = True
         extra[f"bucket_{q.name}_target"] = q.target_tokens
         extra[f"bucket_{q.name}_realized"] = realized
         if realized < 0.98 * q.target_tokens:
@@ -126,5 +135,4 @@ def sample_to_quota(
             )
     if warnings:
         extra["warnings"] = warnings
-    reasons = [None if doc.id in selected else "not_sampled" for doc in docs]
-    return StageStats.tally("sample", docs, reasons, extra=extra)
+    return [None if chosen else "not_sampled" for chosen in selected], extra

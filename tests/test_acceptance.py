@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from corpusprep.config import load_config
-from corpusprep.core import Document
+from corpusprep.core import Document, StageStats
 from corpusprep.exact_dedup import dedup_exact
 from corpusprep.near_dedup import (
     find_duplicate_clusters,
@@ -194,9 +194,10 @@ class TestPerplexitySeparation:
                     text=shuffle_words(text.replace("\n", " "), rng),
                 )
             )
-        kept, _ = filter_by_perplexity(
+        verdicts, _ = filter_by_perplexity(
             docs, model, PerplexityPolicy(kind="percentile", value=50.0)
         )
+        kept, _ = StageStats.tally("lm_score", docs, verdicts)
         fluent_kept = sum(1 for d in kept if d.id.startswith("fluent-"))
         report(f"perplexity separation: {fluent_kept}/50 fluent kept (>=45)")
         assert fluent_kept >= 45
@@ -230,7 +231,9 @@ class TestQuotaAccuracy:
         order = rng.permutation(len(docs))
         docs = [docs[int(i)] for i in order]
 
-        kept, stats = sample_to_quota(docs, quotas, seed=3, mode="uniform")
+        kept, stats = StageStats.tally(
+            "sample", docs, *sample_to_quota(docs, quotas, seed=3, mode="uniform")
+        )
         realized = Counter()
         for d in kept:
             realized[assign_bucket(d.token_count, quotas)] += d.token_count
@@ -408,11 +411,11 @@ class TestExactDedup:
                     )
                 )
                 planted.add(dup)
-        kept, _ = dedup_exact(docs)
+        kept, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
         kept_ids = {d.id for d in kept}
         removed = {d.id for d in docs} - kept_ids
         assert removed == planted  # 100% removed, zero false removals
-        again, stats = dedup_exact(kept)
+        again, stats = StageStats.tally("dedup_exact", kept, dedup_exact(kept))
         assert [d.id for d in again] == [d.id for d in kept]
         assert stats.rejected_docs == 0
         report(

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from corpusprep import pipeline
 from corpusprep.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from corpusprep.config import KNOWN_STAGES
 from corpusprep.core import read_jsonl
@@ -257,6 +258,52 @@ class TestSingleStageCommands:
         err = capsys.readouterr().err
         assert "duplicate document id" in err and "dup.jsonl" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", [s for s in KNOWN_STAGES if s != "dedup_near"])
+    def test_every_subcommand_rejects_duplicate_id(
+        self, workspace, tmp_path, capsys, stage
+    ):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        lines = Path(cfg["input"]).read_text("utf-8").splitlines()
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        out = tmp_path / ("out.bin" if stage == "pack" else "out.jsonl")
+        rc = main([stage.replace("_", "-"), "--config", str(workspace),
+                   "--input", str(dup), "--output", str(out)])
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        doc_id = json.loads(lines[0])["id"]
+        assert f"duplicate document id {doc_id!r} in {dup}" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("out.*"))
+
+    def test_malformed_lines_reported(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        bad = tmp_path / "bad.jsonl"
+        lines = Path(cfg["input"]).read_text("utf-8")
+        bad.write_text(lines + "{not json\n", encoding="utf-8")
+        rc = main(["filter", "--config", str(workspace),
+                   "--input", str(bad), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipped 1 malformed input lines in {bad}\n")
+
+    def test_verdict_count_mismatch_exits_2(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def one_verdict_short(docs, cfg, work_dir, get_vocab):
+            return docs, [None] * (len(docs) - 1), None
+
+        monkeypatch.setattr(pipeline, "stage_token_count", one_verdict_short)
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        out = tmp_path / "out.jsonl"
+        rc = main(["token-count", "--config", str(workspace),
+                   "--input", cfg["input"], "--output", str(out)])
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("stage failure: stage token_count failed: ")
+        assert "199 verdicts for 200 documents" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_input_exits_2(self, workspace, tmp_path, capsys):

@@ -19,7 +19,7 @@ from corpusprep.config import (
     validate,
 )
 from corpusprep.near_dedup import NearDupConfig
-from corpusprep.sampler import BucketQuota
+from corpusprep.sampler import BucketQuota, sample_to_quota
 
 from pipeline_fixture import build_workspace
 
@@ -323,6 +323,42 @@ class TestValidate:
         ]
         errors = validate(cfg, check_paths=False)
         assert any("gap" in e for e in errors)
+
+    @pytest.mark.parametrize(
+        "quotas, message",
+        [
+            ([], "quotas: empty"),
+            ([BucketQuota("all", 0, None, 0)], "quotas[0].target_tokens: 0 < 1"),
+            (
+                [BucketQuota("a", 5, 100, 10), BucketQuota("b", 100, None, 10)],
+                "quotas: intervals do not start at 0 (lowest is quotas[0])",
+            ),
+            (
+                [BucketQuota("b", 100, None, 10), BucketQuota("a", 0, None, 10)],
+                "quotas[1]: unbounded bucket is not last",
+            ),
+            (
+                [BucketQuota("b", 200, None, 10), BucketQuota("a", 0, 100, 10)],
+                "quotas: gap or overlap between quotas[1] and quotas[0]",
+            ),
+            (
+                [BucketQuota("a", 0, 100, 10), BucketQuota("b", 100, 200, 10)],
+                "quotas: intervals do not cover [0, inf) (highest is quotas[1])",
+            ),
+            (
+                [BucketQuota("a", 0, 100, 10), BucketQuota("a", 100, None, 10)],
+                "quotas[1].name: 'a' repeats quotas[0].name",
+            ),
+        ],
+        ids=["empty", "target", "start", "unbounded", "gap", "cover", "name"],
+    )
+    def test_each_quota_rule_names_buckets_by_index(self, quotas, message):
+        cfg = self.base()
+        cfg.stages = ["sample"]
+        cfg.quotas = quotas
+        assert validate(cfg, check_paths=False) == [message]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_to_quota([], quotas)
 
     def test_seq_len_limited_to_u16(self):
         cfg = self.base()

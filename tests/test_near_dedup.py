@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpusprep import near_dedup
-from corpusprep.core import Document
+from corpusprep.core import Document, StageStats
 from corpusprep.near_dedup import (
     NearDupConfig,
     UnionFind,
@@ -343,13 +343,21 @@ class TestTemplatedPages:
         assert verified <= cfg.bands * len(pages)
 
 
+def near(docs, cfg):
+    """(kept, stats) of dedup_near over *docs*, counted as
+    pipeline.run_stage counts the dedup_near stage."""
+    verdicts, clusters = dedup_near(docs, cfg)
+    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": len(clusters)})
+
+
 class TestDedupNear:
     def test_keep_longest(self, lang):
         rng = np.random.default_rng(5)
         text = lang.document(rng, 10, 15)
         long = Document(id="long", source="s", text=text + "\n" + lang.sentence(rng, 10))
         short = Document(id="short", source="s", text=text)
-        kept, stats = dedup_near([short, long], NearDupConfig())
+        docs = [short, long]
+        kept, stats = near(docs, NearDupConfig())
         assert [d.id for d in kept] == ["long"]
         assert stats.rejected == {"near_dup": 1}
 
@@ -357,7 +365,7 @@ class TestDedupNear:
         rng = np.random.default_rng(6)
         text = lang.document(rng, 10, 15)
         docs = [Document(id=i, source="s", text=text) for i in ("b", "a", "c")]
-        kept, _ = dedup_near(docs, NearDupConfig())
+        kept, _ = near(docs, NearDupConfig())
         assert [d.id for d in kept] == ["a"]
 
     def test_singletons_all_kept(self, lang):
@@ -366,25 +374,25 @@ class TestDedupNear:
             Document(id=f"d{i}", source="s", text=lang.document(rng, 10, 15))
             for i in range(50)
         ]
-        kept, stats = dedup_near(docs, NearDupConfig())
+        kept, stats = near(docs, NearDupConfig())
         assert len(kept) == 50
         assert stats.rejected_docs == 0
 
     def test_empty_corpus(self):
-        kept, stats = dedup_near([], NearDupConfig())
+        kept, stats = near([], NearDupConfig())
         assert kept == [] and stats.extra["clusters"] == 0
 
     def test_exact_verify_mode(self, lang):
         rng = np.random.default_rng(8)
         text = lang.document(rng, 10, 15)
         docs = [Document(id=i, source="s", text=text) for i in ("a", "b")]
-        kept, _ = dedup_near(docs, NearDupConfig(exact_verify=True))
+        kept, _ = near(docs, NearDupConfig(exact_verify=True))
         assert [d.id for d in kept] == ["a"]
 
     def test_determinism(self, lang):
         rng = np.random.default_rng(9)
         base = [lang.document(rng, 8, 15) for _ in range(30)]
         docs = [Document(id=f"d{i}", source="s", text=t) for i, t in enumerate(base * 2)]
-        kept1, _ = dedup_near(list(docs), NearDupConfig())
-        kept2, _ = dedup_near(list(docs), NearDupConfig())
+        kept1, _ = near(list(docs), NearDupConfig())
+        kept2, _ = near(list(docs), NearDupConfig())
         assert [d.id for d in kept1] == [d.id for d in kept2]

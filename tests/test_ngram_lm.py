@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpusprep import ngram_lm
-from corpusprep.core import Document
+from corpusprep.core import Document, StageStats
 from corpusprep.ngram_lm import (
     BOS,
     EOS,
@@ -390,6 +390,13 @@ class TestDocumentMatchesRecursion:
             assert got.perplexity == math.inf and got.n_scored_tokens == 0
 
 
+def lm_filter(docs, model, policy):
+    """(kept, stats) of filter_by_perplexity over *docs*, counted as
+    pipeline.run_stage counts the lm_score stage."""
+    verdicts, cutoff = filter_by_perplexity(docs, model, policy)
+    return StageStats.tally("lm_score", docs, verdicts, {"cutoff": repr(cutoff)})
+
+
 class TestFilter:
     def _docs_and_model(self):
         lang = SyntheticLanguage()
@@ -409,16 +416,15 @@ class TestFilter:
 
     def test_infinite_threshold_is_identity(self):
         fluent, noisy, model = self._docs_and_model()
-        kept, stats = filter_by_perplexity(
-            fluent + noisy, model, PerplexityPolicy("absolute", math.inf)
-        )
+        docs = fluent + noisy
+        kept, stats = lm_filter(docs, model, PerplexityPolicy("absolute", math.inf))
         assert len(kept) == 100
         assert stats.rejected_docs == 0
 
     def test_percentile_zero_keeps_only_minimum(self):
         fluent, noisy, model = self._docs_and_model()
         docs = fluent[:10]
-        kept, _ = filter_by_perplexity(docs, model, PerplexityPolicy("percentile", 0))
+        kept, _ = lm_filter(docs, model, PerplexityPolicy("percentile", 0))
         from corpusprep.ngram_lm import perplexity as ppl
 
         best = min(ppl(model, d).perplexity for d in docs)
@@ -427,21 +433,16 @@ class TestFilter:
 
     def test_separates_fluent_from_shuffled(self):
         fluent, noisy, model = self._docs_and_model()
-        kept, stats = filter_by_perplexity(
-            fluent + noisy, model, PerplexityPolicy("percentile", 50)
-        )
+        docs = fluent + noisy
+        kept, stats = lm_filter(docs, model, PerplexityPolicy("percentile", 50))
         kept_fluent = sum(1 for d in kept if d.id.startswith("f"))
         assert kept_fluent >= 45
 
     def test_raising_threshold_is_monotone(self):
         fluent, noisy, model = self._docs_and_model()
         docs = fluent[:20] + noisy[:20]
-        kept_low, _ = filter_by_perplexity(
-            docs, model, PerplexityPolicy("absolute", 50.0)
-        )
-        kept_high, _ = filter_by_perplexity(
-            docs, model, PerplexityPolicy("absolute", 500.0)
-        )
+        kept_low, _ = lm_filter(docs, model, PerplexityPolicy("absolute", 50.0))
+        kept_high, _ = lm_filter(docs, model, PerplexityPolicy("absolute", 500.0))
         assert {d.id for d in kept_low} <= {d.id for d in kept_high}
 
     def test_percentile_on_empty_stream_errors(self):

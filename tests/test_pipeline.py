@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 from collections import Counter
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusprep.config import load_config
+from corpusprep.config import KNOWN_STAGES, load_config
 from corpusprep.core import Document, read_jsonl, write_jsonl
 from corpusprep.pipeline import (
     RunReport,
@@ -293,3 +294,22 @@ class TestConservationCheck:
         report.stages[0].words_out += 1
         with pytest.raises(AssertionError):
             report.check_conservation()
+
+
+class TestStageProtocol:
+    def test_only_pipeline_counts_and_names_stages(self):
+        """StageStats is named only where stages are run and reported
+        (core defines it, __init__ re-exports it), and no module but config,
+        which lists the stage names, and those spells a stage name."""
+        src = Path(__file__).parent.parent / "src" / "corpusprep"
+        for path in sorted(src.glob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text("utf-8"))))
+            names = {getattr(n, "id", None) for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            names |= {n.name for n in nodes if isinstance(n, ast.alias)}
+            if path.stem not in ("core", "pipeline", "cli", "__init__"):
+                assert "StageStats" not in names, path.name
+            # core's one match is the token_count meta key
+            if path.stem not in ("config", "core", "pipeline", "cli"):
+                strings = {n.value for n in nodes if isinstance(n, ast.Constant)}
+                assert not strings & set(KNOWN_STAGES), path.name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusprep.core import Document
+from corpusprep.core import Document, StageStats
 from corpusprep.ngram_lm import PPL_META_KEY
 from corpusprep.sampler import (
     BucketQuota,
@@ -27,6 +27,12 @@ def doc(i, tokens, ppl=None):
     if ppl is not None:
         d.meta[PPL_META_KEY] = f"{ppl:.8e}"
     return d
+
+
+def sample(docs, q, **kwargs):
+    """(kept, stats) of sample_to_quota over *docs*, counted as
+    pipeline.run_stage counts the sample stage."""
+    return StageStats.tally("sample", docs, *sample_to_quota(docs, q, **kwargs))
 
 
 class TestAssignBucket:
@@ -76,7 +82,7 @@ class TestSampleToQuota:
             supply[assign_bucket(d.token_count, q)] += d.token_count
         for b in q:
             assert supply[b.name] >= 1.1 * b.target_tokens  # test premise
-        kept, stats = sample_to_quota(docs, q, seed=1)
+        kept, stats = sample(docs, q, seed=1)
         for b in q:
             realized = stats.extra[f"bucket_{b.name}_realized"]
             assert abs(realized - b.target_tokens) <= 0.02 * b.target_tokens
@@ -84,14 +90,14 @@ class TestSampleToQuota:
     def test_empty_bucket_warns(self):
         q = quotas()
         docs = [doc(i, 100) for i in range(3)]  # nothing in mid/long
-        kept, stats = sample_to_quota(docs, q)
+        kept, stats = sample(docs, q)
         assert any("mid" in w for w in stats.extra.get("warnings", []))
         assert stats.extra["bucket_long_realized"] == 0
 
     def test_target_beyond_supply_takes_everything(self):
         q = [BucketQuota("all", 0, None, 10_000_000)]
         docs = [doc(i, 100) for i in range(10)]
-        kept, stats = sample_to_quota(docs, q)
+        kept, stats = sample(docs, q)
         assert len(kept) == 10
         assert stats.extra["bucket_all_realized"] == 1000
 
@@ -99,13 +105,13 @@ class TestSampleToQuota:
         q = [BucketQuota("all", 0, None, 300)]
         docs = [doc(1, 100, ppl=500.0), doc(2, 100, ppl=5.0), doc(3, 100, ppl=50.0),
                 doc(4, 100, ppl=999.0)]
-        kept, _ = sample_to_quota(docs, q)
+        kept, _ = sample(docs, q)
         assert {d.id for d in kept} == {"d000001", "d000002", "d000003"}
 
     def test_no_duplicates_and_bucket_membership(self):
         q = quotas(short=5000, mid=5000, long=5000)
         docs = self._synthetic_supply(n=300)
-        kept, _ = sample_to_quota(docs, q, seed=2)
+        kept, _ = sample(docs, q, seed=2)
         ids = [d.id for d in kept]
         assert len(ids) == len(set(ids))
         for d in kept:
@@ -118,8 +124,8 @@ class TestSampleToQuota:
         docs = self._synthetic_supply(n=500)
         q = quotas(short=20_000, mid=40_000, long=40_000)
         for mode in ("quality", "uniform"):
-            a, _ = sample_to_quota(list(docs), q, seed=9, mode=mode)
-            b, _ = sample_to_quota(list(docs), q, seed=9, mode=mode)
+            a, _ = sample(list(docs), q, seed=9, mode=mode)
+            b, _ = sample(list(docs), q, seed=9, mode=mode)
             assert [d.id for d in a] == [d.id for d in b]
 
     def test_missing_token_count_rejected(self):
@@ -141,6 +147,24 @@ class TestSampleToQuota:
             docs.append(doc(i, t, ppl=float(rng.uniform(1, 100))))
             total += t
             i += 1
-        _, stats = sample_to_quota(docs, q, seed=seed)
+        _, stats = sample(docs, q, seed=seed)
         realized = stats.extra["bucket_all_realized"]
         assert abs(realized - target) <= 0.02 * target
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6000)),
+                 min_size=1, max_size=30),
+        st.sampled_from(["quality", "uniform"]),
+    )
+    def test_realized_is_tokens_kept_when_ids_repeat(self, picks, mode):
+        q = quotas(short=1500, mid=3000, long=6000)
+        docs = [doc(i, tokens) for i, tokens in picks]  # four ids, repeated
+        verdicts, extra = sample_to_quota(docs, q, mode=mode)
+        for b in q:
+            kept = sum(
+                d.token_count
+                for d, v in zip(docs, verdicts)
+                if v is None and assign_bucket(d.token_count, q) == b.name
+            )
+            assert extra[f"bucket_{b.name}_realized"] == kept, b.name
