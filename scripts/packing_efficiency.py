@@ -13,7 +13,8 @@ import argparse
 
 from corpusprep.packing import pack_greedy
 from corpusprep.subword import SPECIAL_TOKENS, SubwordVocab, unescape_token
-from corpusprep.synthetic import lognormal_token_docs, make_basic_vocab
+
+from synthetic import lognormal_token_docs, make_basic_vocab
 
 
 def main() -> None:

@@ -19,7 +19,8 @@ from corpusprep.config import load_config
 from corpusprep.core import Document, write_jsonl
 from corpusprep.ngram_lm import train_kn_sentences
 from corpusprep.pipeline import report_table, run_pipeline
-from corpusprep.synthetic import (
+
+from synthetic import (
     SyntheticLanguage,
     edit_words,
     make_basic_vocab,

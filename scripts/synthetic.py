@@ -1,4 +1,4 @@
-"""Deterministic synthetic corpora for tests, benchmarks, and demos.
+"""Deterministic synthetic corpora for the tests and the scripts.
 
 The generator builds a toy "language" with a fixed Markov transition
 structure over a diacritic-bearing word list, so a 5-gram model trained on

@@ -14,7 +14,7 @@ import sys
 
 from corpusprep import ngram_lm, pipeline, subword
 from corpusprep.config import KNOWN_STAGES, ConfigError, load_config
-from corpusprep.core import JsonlReadError, StageStats, read_jsonl
+from corpusprep.core import JsonlReadError, StageStats
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
             if args.order < 1:
                 print(f"lm-train: --order {args.order} < 1", file=sys.stderr)
                 return EXIT_VALIDATION
-            docs = read_jsonl(args.input)
+            docs, _ = pipeline.read_input(args.input)
             try:
                 model = ngram_lm.train_kn(docs, order=args.order, min_count=args.min_count)
             except ValueError as e:  # the corpus has zero tokens

@@ -2,12 +2,13 @@
 
 The config dataclasses' annotations are the schema, bounds included:
 load_config reads each section into its dataclass, then validate checks
-ranges and paths. A bound on one field is written on its annotation as a
-string, ``Annotated[float, "(0, 1]"]`` (either end open or closed) or
-``Annotated[int, ">= 1"]``; rules that span fields, packed.bin's format
-limits and the stage-dependent checks are written out in validate. Both
-steps collect every violation, each named by its dotted path, rather than
-stopping at the first, so a bad config is fixable in one pass.
+ranges, and that the files the config names exist, relative paths taken
+from the current directory. A bound on one field is written on its
+annotation as a string, ``Annotated[float, "(0, 1]"]`` (either end open or
+closed) or ``Annotated[int, ">= 1"]``; rules that span fields, packed.bin's
+format limits and the stage-dependent checks are written out in validate.
+Both steps collect every violation, each named by its dotted path, rather
+than stopping at the first, so a bad config is fixable in one pass.
 """
 
 from __future__ import annotations
@@ -180,11 +181,11 @@ def _check_bounds(section, path: str, errors: list) -> None:
                 errors.append(f"{key}: {why}")
 
 
-def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
+def validate(cfg: PipelineConfig) -> list[str]:
     errors: list[str] = []
     if not cfg.input:
         errors.append("input: required")
-    elif check_paths and not Path(cfg.input).exists():
+    elif not Path(cfg.input).exists():
         errors.append(f"input: path does not exist: {cfg.input}")
     if not cfg.work_dir:
         errors.append("work_dir: required")
@@ -222,19 +223,19 @@ def validate(cfg: PipelineConfig, check_paths: bool = True) -> list[str]:
     if "lm_score" in cfg.stages:
         if not cfg.lm.model_path:
             errors.append("lm.model_path: required by lm_score stage")
-        elif check_paths and not Path(cfg.lm.model_path).exists():
+        elif not Path(cfg.lm.model_path).exists():
             errors.append(f"lm.model_path: path does not exist: {cfg.lm.model_path}")
     if "token_count" in cfg.stages or "pack" in cfg.stages:
         if not cfg.vocab.path:
             errors.append("vocab.path: required by token_count/pack stages")
-        elif check_paths and not Path(cfg.vocab.path).exists():
+        elif not Path(cfg.vocab.path).exists():
             errors.append(f"vocab.path: path does not exist: {cfg.vocab.path}")
     if "sample" in cfg.stages:
         errors.extend(validate_quotas(cfg.quotas))
     return errors
 
 
-def load_config(path, check_paths: bool = True) -> PipelineConfig:
+def load_config(path) -> PipelineConfig:
     """Parse and fully validate a pipeline config; raises ConfigError
     listing every violation."""
     try:
@@ -252,7 +253,7 @@ def load_config(path, check_paths: bool = True) -> PipelineConfig:
     cfg = _read_section(PipelineConfig, raw, "", errors)
     if errors:
         raise ConfigError(errors)
-    errors = validate(cfg, check_paths=check_paths)
+    errors = validate(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg

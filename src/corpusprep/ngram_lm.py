@@ -233,27 +233,6 @@ class KneserNeyModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def prob(self, word: str, context: tuple) -> float:
-        """p(word | context); context longer than order-1 is truncated.
-
-        Words outside the vocabulary are not mapped to the unknown token
-        here: they share the out-of-vocabulary id, which no gram holds. A
-        context shorter than order-1 matches no context and gives the
-        unigram value.
-        """
-        ids = self.vocab_index
-        w = ids.get(word, self._oov)
-        context = tuple(context)
-        k = self.order - 1
-        if len(context) < k:
-            return self._p1[w].item()
-        tok = [ids.get(c, self._oov) for c in context[len(context) - k:]]
-        tok.append(w)
-        return self._token_probs(np.array(tok, np.int64))[-1].item()
-
-    def map_word(self, w: str) -> str:
-        return w if w in self.vocab_index else UNK
-
     def _token_probs(self, tok: np.ndarray) -> np.ndarray:
         """p(tok[i] | the order-1 ids before it) at every position i from
         order-1 on; tok opens with order-1 start symbols."""
@@ -293,10 +272,6 @@ class KneserNeyModel:
                 lp += math.log(x)
             out.append((lp, end - start))
         return out
-
-    def sentence_logprob(self, words: list[str]) -> tuple[float, int]:
-        """Natural-log probability of one sentence incl. the end symbol."""
-        return self.sentences_logprob([words])[0]
 
     def save(self, path) -> None:
         base = self._base

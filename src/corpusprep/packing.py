@@ -46,10 +46,6 @@ class PackedSequence:
     boundaries: list  # [(start, end, doc_id)], end exclusive
     pad_count: int
 
-    @property
-    def seq_len(self) -> int:
-        return len(self.tokens)
-
 
 def pack_greedy(
     docs: Iterable[tuple[str, Sequence[int]]],
@@ -114,30 +110,18 @@ def truncated_geometric_pmf(p: float, max_span: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def sample_spans(
-    segment_length: int,
-    rate: float,
-    geom_p: float = DEFAULT_GEOM_P,
-    max_span: int = DEFAULT_MAX_SPAN,
-    *,
-    rng: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """Non-overlapping (start, length) spans, sorted by start, covering
-    exactly floor(rate * segment_length) positions.
+def _span_arrays(
+    segment_length: int, rate: float, geom_p: float, max_span: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping spans, sorted by start, covering exactly
+    floor(rate * segment_length) positions, as two int64 arrays: their
+    starts and their lengths.
 
     Span lengths are truncated-geometric, drawn in one batch and cut where
     they reach the target; the last one is clamped and the lengths are
     shuffled, so the clamped span lands anywhere. The unmasked gaps between
     spans are a uniformly random composition of the rest of the segment.
     """
-    starts, lengths = _span_arrays(segment_length, rate, geom_p, max_span, rng)
-    return list(zip(starts.tolist(), lengths.tolist()))
-
-
-def _span_arrays(
-    segment_length: int, rate: float, geom_p: float, max_span: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """The starts and lengths of sample_spans as two int64 arrays."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
     if not 0.0 < geom_p < 1.0:

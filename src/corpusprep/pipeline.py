@@ -290,17 +290,15 @@ def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
     return manifest
 
 
-def run_pipeline(
-    cfg: PipelineConfig,
-    resume: bool = False,
-    fail_after: Optional[str] = None,
-) -> RunReport:
+def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     """Execute the configured stages in order.
 
     With resume=True, stages recorded complete in the work-dir manifest
     (for the same config hash) are skipped and the pipeline continues from
-    the last completed stage's output. *fail_after* injects a failure after
-    the named stage completes, for resume testing.
+    the last completed stage's output. That file must hold, with no
+    malformed line, the number of documents the manifest records as that
+    stage's output; otherwise StageFailure names the file and both counts
+    before any stage runs.
     """
     t0 = time.monotonic()
     work_dir = Path(cfg.work_dir)
@@ -313,7 +311,15 @@ def run_pipeline(
 
     if completed:
         last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
-        docs = list(read_jsonl(last_out))
+        skipped: list = []
+        docs = list(read_jsonl(last_out, diagnostics=skipped))
+        recorded = stats_dicts[completed[-1]]["docs_out"]
+        if skipped or len(docs) != recorded:
+            raise StageFailure(
+                f"{last_out} holds {len(docs)} documents and {len(skipped)} "
+                f"malformed lines, the manifest records {recorded} documents; "
+                "refusing to resume"
+            )
         n_diagnostics = manifest["diagnostics"]
     else:
         docs, n_diagnostics = read_input(cfg.input)
@@ -340,8 +346,6 @@ def run_pipeline(
             },
             work_dir / MANIFEST_NAME,
         )
-        if fail_after == stage:
-            raise StageFailure(f"injected failure after stage {stage}")
 
     report.stages = [StageStats.from_dict(stats_dicts[s]) for s in cfg.stages]
     report.total_wall_time = time.monotonic() - t0

@@ -22,16 +22,6 @@ class BucketQuota:
     target_tokens: int
 
 
-def default_quotas(scale: float = 1.0) -> list[BucketQuota]:
-    """Short/mid/long buckets with the 2:2:1 long/mid/short budget ratio,
-    scaled from the 1B/1B/500M reference targets."""
-    return [
-        BucketQuota("short", 0, 1024, int(500e6 * scale)),
-        BucketQuota("mid", 1024, 4096, int(1e9 * scale)),
-        BucketQuota("long", 4096, None, int(1e9 * scale)),
-    ]
-
-
 def validate_quotas(quotas: list[BucketQuota]) -> list[str]:
     """One line per rule *quotas* breaks, each bucket named by its index
     path (``quotas[0]``), as the config reader names it."""

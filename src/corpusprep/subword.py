@@ -8,8 +8,9 @@ pieces (word-internal) carry a ``##`` prefix; specials are literal
 
 Words (whitespace-delimited) are segmented over their UTF-8 bytes by
 greedy longest-match-first; a byte with no matching piece becomes <unk>.
-For <unk>-free text, detokenize() recovers the exact byte sequence of the
-whitespace-normalized input.
+Tokenizing <unk>-free text loses nothing: each word's pieces, continuation
+pieces without their ``##``, joined by single spaces give back the exact
+bytes of the whitespace-normalized input.
 
 Each word type is segmented once per loaded vocabulary: tokenize() keeps a
 word -> ids memo on the SubwordVocab, bounded at WORD_CACHE_SIZE entries
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from corpusprep.core import Document, open_replacing
+from corpusprep.core import Document
 
 SPECIAL_TOKENS = ("<unk>", "<pad>", "<mask>", "<s>", "</s>")
 CONT_PREFIX = b"##"
@@ -166,12 +167,6 @@ def load_vocab(path, expected_size: Optional[int] = None) -> SubwordVocab:
     return SubwordVocab(pieces=pieces, specials=specials)
 
 
-def save_vocab(vocab: SubwordVocab, path) -> None:
-    with open_replacing(path) as fh:
-        for piece in vocab.pieces:
-            fh.write(escape_token(piece) + "\n")
-
-
 def _match_longest(data: bytes, pos: int, table: dict, max_len: int) -> Optional[int]:
     end = min(len(data), pos + max_len)
     for j in range(end, pos, -1):
@@ -223,18 +218,6 @@ def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
                 memo[word] = seg
         ids += seg
     return ids
-
-
-def detokenize(ids, vocab: SubwordVocab) -> bytes:
-    """Inverse of tokenize for <unk>-free sequences of non-special ids."""
-    words: list[bytearray] = []
-    for i in ids:
-        piece = vocab.pieces[i]
-        if piece.startswith(CONT_PREFIX) and words:
-            words[-1] += piece[len(CONT_PREFIX):]
-        else:
-            words.append(bytearray(piece))
-    return b" ".join(bytes(w) for w in words)
 
 
 def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
+# the test helpers beside this file, and the synthetic corpus generator
+# that the scripts share
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parent.parent / "scripts"))
 
 from corpusprep.subword import load_vocab
-from corpusprep.synthetic import SyntheticLanguage, make_basic_vocab
+from synthetic import SyntheticLanguage, make_basic_vocab
 
 
 @pytest.fixture(scope="session")

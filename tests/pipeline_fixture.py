@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from corpusprep import pipeline
 from corpusprep.core import Document, write_jsonl
 from corpusprep.ngram_lm import train_kn_sentences
-from corpusprep.synthetic import (
+
+from synthetic import (
     SyntheticLanguage,
     edit_words,
     make_basic_vocab,
@@ -118,3 +120,16 @@ def workdir_bytes(work_dir: Path) -> dict:
         for p in sorted(work_dir.rglob("*"))
         if p.is_file()
     }
+
+
+def crash_after(monkeypatch, cfg, stage: str) -> None:
+    """Make the stage that *cfg* runs after *stage* raise as it starts, so
+    that run_pipeline fails leaving the work dir of a run stopped right
+    after *stage* completed. run_stage looks each stage function up by name
+    when it calls it."""
+    following = cfg.stages[cfg.stages.index(stage) + 1]
+
+    def fail(*args):
+        raise RuntimeError(f"injected failure after stage {stage}")
+
+    monkeypatch.setattr(pipeline, f"stage_{following}", fail)

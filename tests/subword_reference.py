@@ -4,7 +4,8 @@ as a test oracle for corpusprep.subword.tokenize.
 It segments every word occurrence afresh, as the package did before it
 memoized one segmentation per word type on the vocabulary. The memoized
 tokenizer must return ``==`` equal ids on any text: a word's ids depend only
-on its bytes and the vocabulary.
+on its bytes and the vocabulary. detokenize() maps the ids of <unk>-free
+text back to its bytes, so tests can check that tokenizing loses nothing.
 """
 
 from __future__ import annotations
@@ -46,3 +47,16 @@ def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
                 ids.append(piece_id)
             first = False
     return ids
+
+
+def detokenize(ids, vocab: SubwordVocab) -> bytes:
+    """Inverse of tokenize for <unk>-free sequences of non-special ids:
+    the round-trip oracle of the tokenizer."""
+    words: list[bytearray] = []
+    for i in ids:
+        piece = vocab.pieces[i]
+        if piece.startswith(CONT_PREFIX) and words:
+            words[-1] += piece[len(CONT_PREFIX):]
+        else:
+            words.append(bytearray(piece))
+    return b" ".join(bytes(w) for w in words)

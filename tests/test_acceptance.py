@@ -44,17 +44,18 @@ from corpusprep.packing import (
 from corpusprep.pipeline import run_pipeline
 from corpusprep.sampler import BucketQuota, assign_bucket, sample_to_quota
 from corpusprep.subword import SubwordVocab, load_vocab
-from corpusprep.synthetic import (
+
+from kn_probe import map_word, prob
+from kn_reference import ReferenceKN
+from near_dedup_reference import estimate_jaccard
+from pipeline_fixture import build_workspace, crash_after, workdir_bytes
+from synthetic import (
     SyntheticLanguage,
     lognormal_token_docs,
     make_basic_vocab,
     make_near_duplicate_corpus,
     shuffle_words,
 )
-
-from kn_reference import ReferenceKN
-from near_dedup_reference import estimate_jaccard
-from pipeline_fixture import build_workspace, workdir_bytes
 
 
 def report(line: str) -> None:
@@ -148,9 +149,9 @@ class TestKneserNeyOracle:
             words = sentence_tokens(sent)
             ref_lps = ref.logprob_tokens(words)
             ctx = (BOS,) * (model.order - 1)
-            mapped = [model.map_word(w) for w in words] + [EOS]
+            mapped = [map_word(model, w) for w in words] + [EOS]
             for w, lp_ref in zip(mapped, ref_lps, strict=True):
-                lp = math.log(model.prob(w, ctx))
+                lp = math.log(prob(model, w, ctx))
                 worst = max(worst, abs(lp - lp_ref) / abs(lp_ref))
                 n_checked += 1
                 ctx = (ctx + (w,))[1:]
@@ -165,7 +166,7 @@ class TestKneserNeyOracle:
                 vocab[int(i)]
                 for i in ctx_rng.integers(0, len(vocab), int(ctx_rng.integers(0, 5)))
             )
-            total = sum(model.prob(w, ctx) for w in vocab)
+            total = sum(prob(model, w, ctx) for w in vocab)
             worst_sum = max(worst_sum, abs(total - 1.0))
         report(
             f"kn oracle: {n_checked} tokens, worst rel err={worst:.2e} "
@@ -356,7 +357,7 @@ def big_fixture(tmp_path_factory):
 
 
 class TestDeterminism:
-    def test_rerun_and_resume_byte_identical(self, big_fixture):
+    def test_rerun_and_resume_byte_identical(self, big_fixture, monkeypatch):
         """Two full runs on a 10k-doc corpus with the same config and seed
         produce byte-identical work dirs; resume-after-failure equals the
         uninterrupted run byte-wise."""
@@ -373,8 +374,9 @@ class TestDeterminism:
         assert workdir_bytes(work) == first
 
         shutil.rmtree(work)
-        with pytest.raises(StageFailure, match="injected"):
-            run_pipeline(cfg, fail_after="lm_score")
+        with monkeypatch.context() as m, pytest.raises(StageFailure, match="injected"):
+            crash_after(m, cfg, "lm_score")
+            run_pipeline(cfg)
         run_pipeline(cfg, resume=True)
         assert workdir_bytes(work) == first
         report(

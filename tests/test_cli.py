@@ -6,10 +6,10 @@ import yaml
 
 from corpusprep import pipeline
 from corpusprep.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
-from corpusprep.config import KNOWN_STAGES
+from corpusprep.config import KNOWN_STAGES, load_config
 from corpusprep.core import read_jsonl
 
-from pipeline_fixture import build_workspace
+from pipeline_fixture import build_workspace, crash_after, workdir_bytes
 
 
 @pytest.fixture()
@@ -196,6 +196,33 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_OK
 
+    @pytest.mark.parametrize("damage", ["shortened", "garbled"])
+    def test_resume_refuses_stage_file_unlike_manifest(
+        self, workspace, capsys, monkeypatch, damage
+    ):
+        with monkeypatch.context() as m:
+            crash_after(m, load_config(workspace), "dedup_exact")
+            assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        work = workspace.parent / "work"
+        stage_file = work / "01_dedup_exact.jsonl"
+        lines = stage_file.read_bytes().splitlines(keepends=True)
+        n = len(lines)
+        if damage == "shortened":
+            stage_file.write_bytes(b"".join(lines[:-5]))
+            found = f"{n - 5} documents and 0 malformed lines"
+        else:
+            lines[3] = b"{garbled\n"
+            stage_file.write_bytes(b"".join(lines))
+            found = f"{n - 1} documents and 1 malformed lines"
+        before = workdir_bytes(work)
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
+        assert capsys.readouterr().err == (
+            f"stage failure: {stage_file} holds {found}, the manifest records "
+            f"{n} documents; refusing to resume\n"
+        )
+        assert workdir_bytes(work) == before
+
 
 class TestSingleStageCommands:
     def test_filter_stage_roundtrip(self, workspace, tmp_path, capsys):
@@ -381,6 +408,37 @@ class TestSingleStageCommands:
         assert rc == EXIT_STAGE
         err = capsys.readouterr().err
         assert "zero tokens" in err and "empty.jsonl" in err and err.count("\n") == 1
+
+    def test_lm_train_reports_malformed_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "a", "source": "s", "text": "ra mi ra"}\n'
+            "{not json\n"
+            '{"id": "b", "source": "s", "text": "mi ra mi"}\n',
+            encoding="utf-8",
+        )
+        rc = main(["lm-train", "--input", str(corpus),
+                   "--output", str(tmp_path / "lm.json"), "--min-count", "1"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == (
+            f"skipped 1 malformed input lines in {corpus}\n"
+        )
+        assert (tmp_path / "lm.json").exists()
+
+    def test_lm_train_duplicate_id_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "a", "source": "s", "text": "ra mi ra"}\n'
+            '{"id": "a", "source": "s", "text": "mi ra mi"}\n',
+            encoding="utf-8",
+        )
+        rc = main(["lm-train", "--input", str(corpus),
+                   "--output", str(tmp_path / "lm.json")])
+        assert rc == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"duplicate document id 'a' in {corpus}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "lm.json").exists()
 
     def test_missing_vocab_exits_1(self, workspace, tmp_path):
         rc = main(

@@ -24,6 +24,18 @@ from corpusprep.sampler import BucketQuota, sample_to_quota
 from pipeline_fixture import build_workspace
 
 
+@pytest.fixture(autouse=True, scope="module")
+def in_config_dir(tmp_path_factory):
+    """Run each test in a directory holding the files, all empty, that the
+    configs below name by relative path, so that validate finds them."""
+    root = tmp_path_factory.mktemp("cwd")
+    for name in ("corpus.jsonl", "model.json", "vocab.txt", "in.jsonl", "x"):
+        (root / name).touch()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        yield root
+
+
 def write_yaml(path, data):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
@@ -115,7 +127,7 @@ def _load_errors(tmp_path, path, value):
     node[path[-1]] = value
     node.update(COMPANIONS.get(path, lambda v: {})(value))
     try:
-        load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+        load_config(write_yaml(tmp_path / "c.yaml", cfg))
     except ConfigError as e:
         return e.errors
     return []
@@ -149,7 +161,7 @@ class TestLoadConfig:
             {"input": "x", "work_dir": "y", "near_dedup": {"bogus_key": 1}},
         )
         with pytest.raises(ConfigError) as exc:
-            load_config(p, check_paths=False)
+            load_config(p)
         assert any("near_dedup" in e for e in exc.value.errors)
         # the LM file carries its order; lm-train takes --order/--min-count
         for key in ("order", "min_count"):
@@ -157,7 +169,7 @@ class TestLoadConfig:
                 tmp_path / "c.yaml", {"input": "x", "work_dir": "y", "lm": {key: 3}}
             )
             with pytest.raises(ConfigError) as exc:
-                load_config(p, check_paths=False)
+                load_config(p)
             assert any(e.startswith("lm: ") and key in e for e in exc.value.errors)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
@@ -168,7 +180,7 @@ class TestLoadConfig:
             {"input": "x", "work_dir": "y", "stage": ["filter"], "workers": 7},
         )
         with pytest.raises(ConfigError) as exc:
-            load_config(p, check_paths=False)
+            load_config(p)
         assert "stage: unknown config key" in exc.value.errors
         assert "workers: unknown config key" in exc.value.errors
 
@@ -186,7 +198,7 @@ class TestLoadConfig:
             },
         )
         with pytest.raises(ConfigError) as exc:
-            load_config(p, check_paths=False)
+            load_config(p)
         errors = "\n".join(exc.value.errors)
         assert "input" in errors
         assert "work_dir" in errors
@@ -206,7 +218,7 @@ class TestTypedReader:
     ):
         p = write_yaml(tmp_path_factory.mktemp("c") / "c.yaml", _replaced(path, value))
         try:
-            load_config(p, check_paths=False)
+            load_config(p)
         except ConfigError as e:
             assert e.errors and all("\n" not in err for err in e.errors)
 
@@ -243,14 +255,14 @@ class TestTypedReader:
     def test_mistyped_value_named_by_dotted_path(self, tmp_path, path, value, error):
         p = write_yaml(tmp_path / "c.yaml", _replaced(path, value))
         with pytest.raises(ConfigError) as exc:
-            load_config(p, check_paths=False)
+            load_config(p)
         assert exc.value.errors == [error]
 
     def test_quota_missing_key(self, tmp_path):
         cfg = copy.deepcopy(VALID)
         del cfg["quotas"][0]["name"]
         with pytest.raises(ConfigError) as exc:
-            load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+            load_config(write_yaml(tmp_path / "c.yaml", cfg))
         assert exc.value.errors == ["quotas[0]: missing key 'name'"]
 
     def test_every_type_error_collected_before_range_checks(self, tmp_path):
@@ -259,7 +271,7 @@ class TestTypedReader:
         cfg["lm"]["policy"]["value"] = "x"
         cfg["lm"]["extra"] = 1
         with pytest.raises(ConfigError) as exc:
-            load_config(write_yaml(tmp_path / "c.yaml", cfg), check_paths=False)
+            load_config(write_yaml(tmp_path / "c.yaml", cfg))
         assert exc.value.errors == [
             "seed: expected int, got str",
             "lm: unknown config key 'extra'",
@@ -270,14 +282,14 @@ class TestTypedReader:
     def test_null_or_absent_section_reads_as_defaults(self, tmp_path, section):
         cfg = _replaced(("stages",), ["filter"])  # needs no lm or quotas
         cfg[section] = None
-        a = load_config(write_yaml(tmp_path / "a.yaml", cfg), check_paths=False)
+        a = load_config(write_yaml(tmp_path / "a.yaml", cfg))
         del cfg[section]
-        b = load_config(write_yaml(tmp_path / "b.yaml", cfg), check_paths=False)
+        b = load_config(write_yaml(tmp_path / "b.yaml", cfg))
         assert getattr(a, section) == getattr(b, section)
         assert getattr(a, section) == getattr(PipelineConfig(), section)
 
     def test_int_in_float_field_kept_as_given(self, tmp_path):
-        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID), check_paths=False)
+        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID))
         assert type(cfg.lm.policy.value) is int and cfg.lm.policy.value == 90
         assert type(cfg.pack.mask.rate) is float
 
@@ -285,7 +297,7 @@ class TestTypedReader:
         """The hash of a fixed config with relative paths, ints in float
         fields included: a change in how configs are read must not change
         it, or every existing work dir would refuse --resume."""
-        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID), check_paths=False)
+        cfg = load_config(write_yaml(tmp_path / "c.yaml", VALID))
         assert cfg.config_hash() == (
             "c31ab87550e5066e16cd4874c8b4fe11e48c8532465e73994c504e8d5e6b986e"
         )
@@ -296,12 +308,12 @@ class TestValidate:
         return PipelineConfig(input="in.jsonl", work_dir="work", stages=["filter"])
 
     def test_valid_minimal(self):
-        assert validate(self.base(), check_paths=False) == []
+        assert validate(self.base()) == []
 
     def test_band_row_product_must_match(self):
         cfg = self.base()
         cfg.near_dedup = NearDupConfig(num_perm=112, bands=13, rows=8)
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert any("bands" in e and "num_perm" in e for e in errors)
 
     def test_overlapping_quotas_rejected(self):
@@ -311,7 +323,7 @@ class TestValidate:
             BucketQuota("a", 0, 100, 10),
             BucketQuota("b", 50, None, 10),
         ]
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert any("overlap" in e for e in errors)
 
     def test_quota_gap_rejected(self):
@@ -321,7 +333,7 @@ class TestValidate:
             BucketQuota("a", 0, 100, 10),
             BucketQuota("b", 200, None, 10),
         ]
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert any("gap" in e for e in errors)
 
     @pytest.mark.parametrize(
@@ -356,30 +368,30 @@ class TestValidate:
         cfg = self.base()
         cfg.stages = ["sample"]
         cfg.quotas = quotas
-        assert validate(cfg, check_paths=False) == [message]
+        assert validate(cfg) == [message]
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_to_quota([], quotas)
 
     def test_seq_len_limited_to_u16(self):
         cfg = self.base()
         cfg.pack.seq_len = 65535
-        assert validate(cfg, check_paths=False) == []
+        assert validate(cfg) == []
         cfg.pack.seq_len = 70000
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert len(errors) == 1 and "pack.seq_len: 70000 > 65535" in errors[0]
 
     def test_vocab_size_limited_to_u16_ids(self):
         cfg = self.base()
         cfg.vocab.expected_size = 65536
-        assert validate(cfg, check_paths=False) == []
+        assert validate(cfg) == []
         cfg.vocab.expected_size = 65537
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert len(errors) == 1 and "vocab.expected_size: 65537 > 65536" in errors[0]
 
     def test_mask_probabilities_each_within_unit_interval(self):
         cfg = self.base()
         cfg.pack.mask.p_mask, cfg.pack.mask.p_random = -0.5, 1.2
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert errors == [
             "pack.mask.p_mask: -0.5 outside [0, 1]",
             "pack.mask.p_random: 1.2 outside [0, 1]",
@@ -399,17 +411,17 @@ class TestValidate:
     def test_values_that_fail_mid_run_rejected(self, section, key, value, error):
         cfg = self.base()
         setattr(getattr(cfg, section) if section else cfg, key, value)
-        assert error in validate(cfg, check_paths=False)
+        assert error in validate(cfg)
 
     def test_repeated_stage_rejected(self):
         cfg = self.base()
         cfg.stages = ["filter", "dedup_exact", "filter"]
-        assert validate(cfg, check_paths=False) == ["stages: 'filter' listed twice"]
+        assert validate(cfg) == ["stages: 'filter' listed twice"]
 
     def test_stage_specific_requirements(self):
         cfg = self.base()
         cfg.stages = ["lm_score", "token_count"]
-        errors = validate(cfg, check_paths=False)
+        errors = validate(cfg)
         assert any("lm.model_path" in e for e in errors)
         assert any("vocab.path" in e for e in errors)
 
@@ -419,7 +431,7 @@ class TestValidate:
             work_dir=str(tmp_path / "w"),
             stages=["filter"],
         )
-        errors = validate(cfg, check_paths=True)
+        errors = validate(cfg)
         assert any("does not exist" in e for e in errors)
 
 
@@ -471,7 +483,7 @@ class TestReadme:
         cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
         example = re.search(r"```yaml\n(.*?)```", cli, re.S).group(1)
         (tmp_path / "c.yaml").write_text(example, encoding="utf-8")
-        cfg = load_config(tmp_path / "c.yaml", check_paths=False)
+        cfg = load_config(tmp_path / "c.yaml")
         assert cfg.stages == list(KNOWN_STAGES)
 
 

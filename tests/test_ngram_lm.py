@@ -21,9 +21,10 @@ from corpusprep.ngram_lm import (
     train_kn,
     train_kn_sentences,
 )
-from corpusprep.synthetic import SyntheticLanguage, shuffle_words
+from kn_probe import map_word, prob
 from kn_recursive_reference import RecursiveKN
 from kn_reference import ReferenceKN
+from synthetic import SyntheticLanguage, shuffle_words
 
 
 def make_training_sentences(n=400, seed=0, lang=None):
@@ -39,16 +40,16 @@ class TestTraining:
         #   p_uni(b) = (1-0.5)/3 + 0.5*(3/3)*(1/5) = 4/15
         #   p(b|a)  = (3-0.5)/3 + 0.5*(1/3)*(4/15) = 79/90
         m = train_kn_sentences(["a b", "a b", "a b"], order=2)
-        assert m.prob("b", ("a",)) == pytest.approx(79 / 90, rel=1e-12)
+        assert prob(m, "b", ("a",)) == pytest.approx(79 / 90, rel=1e-12)
 
     def test_unseen_in_vocab_word_has_positive_prob(self):
         m = train_kn_sentences(["a b c", "a b c", "d d"], order=3)
-        assert m.prob("d", ("a", "b")) > 0.0
+        assert prob(m, "d", ("a", "b")) > 0.0
 
     def test_context_distribution_sums_to_one(self):
         m = train_kn_sentences(["a b c", "a b d", "b c a", "a b c"], order=3)
         for ctx in [("a", "b"), ("b", "c"), (BOS, BOS), ("zz", "a"), ("c", "d")]:
-            total = sum(m.prob(w, ctx) for w in m.vocab)
+            total = sum(prob(m, w, ctx) for w in m.vocab)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_token_corpus_rejected(self):
@@ -58,7 +59,7 @@ class TestTraining:
     def test_rare_words_map_to_unk(self):
         m = train_kn_sentences(["a a b", "a a c"], order=2, min_count=2)
         assert "b" not in m.vocab_index
-        assert m.map_word("b") == UNK
+        assert map_word(m, "b") == UNK
 
 
 class TestOracleEquivalence:
@@ -73,7 +74,7 @@ class TestOracleEquivalence:
         test_sents = [lang.sentence(rng, 10) for _ in range(20)]
         for sent in test_sents:
             words = sent.lower().split()
-            got_lp, got_n = model.sentence_logprob(words)
+            got_lp, got_n = model.sentences_logprob([words])[0]
             ref_lps = ref.logprob_tokens(words)
             assert got_n == len(ref_lps)
             assert got_lp == pytest.approx(sum(ref_lps), rel=1e-9)
@@ -87,8 +88,8 @@ class TestOracleEquivalence:
         for _ in range(10):
             words = lang.sentence(rng, 12).lower().split()
             ctx = (BOS,) * 4
-            for w in [model.map_word(w) for w in words] + [EOS]:
-                got = math.log(model.prob(w, ctx))
+            for w in [map_word(model, w) for w in words] + [EOS]:
+                got = math.log(prob(model, w, ctx))
                 want = math.log(ref.prob(w, ctx))
                 assert got == pytest.approx(want, rel=1e-6)
                 ctx = (ctx + (w,))[1:]
@@ -203,7 +204,7 @@ class TestMalformedModelFile:
 
     def test_well_formed_file_loads(self, tmp_path):
         model = KneserNeyModel.load(self._write(tmp_path, lambda p: None))
-        assert model.prob("b", (BOS, "a")) > model.prob("a", (BOS, "a"))
+        assert prob(model, "b", (BOS, "a")) > prob(model, "a", (BOS, "a"))
 
     @pytest.mark.parametrize("mutate, needle", [
         (lambda p: p["counts"].append(["a b", 1]), "2 words, order is 3"),
@@ -258,9 +259,9 @@ class TestCompiledMatchesRecursion:
         words = model.vocab + [OOV]
         for ctx in contexts:
             for w in words:
-                assert model.prob(w, ctx) == oracle.prob(w, ctx), (w, ctx)
+                assert prob(model, w, ctx) == oracle.prob(w, ctx), (w, ctx)
         for sent in sentences:
-            assert model.sentence_logprob(sent) == oracle.sentence_logprob(sent)
+            assert model.sentences_logprob([sent])[0] == oracle.sentence_logprob(sent)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -283,7 +284,7 @@ class TestCompiledMatchesRecursion:
         # every context of the training corpus, so every order interpolates
         contexts = []
         for s in sentences:
-            seq = [BOS] * (order - 1) + [model.map_word(w) for w in s]
+            seq = [BOS] * (order - 1) + [map_word(model, w) for w in s]
             contexts += [tuple(seq[i:i + order - 1]) for i in range(len(s))]
         symbols = CORPUS_WORDS + [OOV, UNK, BOS, EOS]
         contexts += data.draw(st.lists(
@@ -340,9 +341,9 @@ class TestCompiledMatchesRecursion:
         contexts += [(OOV, "w6999"), ("w6999", OOV, "w0001", UNK), ()]
         for ctx in contexts:
             for w in vocab[:10] + vocab[-25:] + [OOV]:
-                assert model.prob(w, ctx) == oracle.prob(w, ctx), (w, ctx)
+                assert prob(model, w, ctx) == oracle.prob(w, ctx), (w, ctx)
         for s in sentences + [["w6999", OOV, "w0000"]]:
-            assert model.sentence_logprob(s) == oracle.sentence_logprob(s)
+            assert model.sentences_logprob([s])[0] == oracle.sentence_logprob(s)
 
 
 class TestDocumentMatchesRecursion:

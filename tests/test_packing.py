@@ -9,19 +9,21 @@ from corpusprep.packing import (
     ACTION_KEEP,
     ACTION_MASK,
     ACTION_RANDOM,
+    DEFAULT_GEOM_P,
+    DEFAULT_MAX_SPAN,
     MaskConfig,
     MaskPlan,
     PackedSequence,
+    _span_arrays,
     apply_masking,
     pack_greedy,
     read_packed,
-    sample_spans,
     truncated_geometric_pmf,
     window_rng,
     write_packed,
 )
-from corpusprep.synthetic import lognormal_token_docs
 from packing_reference import pack_greedy as reference_pack_greedy
+from synthetic import lognormal_token_docs
 
 BOS, EOS, PAD, MASK = 3, 4, 1, 2
 SPECIALS = frozenset({0, 1, 2, 3, 4})
@@ -136,6 +138,14 @@ class TestPackGreedy:
             assert g.tokens.tolist() == w.tokens.tolist()
             assert g.boundaries == w.boundaries
             assert g.pad_count == w.pad_count
+
+
+def sample_spans(
+    segment_length, rate, geom_p=DEFAULT_GEOM_P, max_span=DEFAULT_MAX_SPAN, *, rng
+):
+    """The spans of _span_arrays as a list of (start, length) pairs."""
+    starts, lengths = _span_arrays(segment_length, rate, geom_p, max_span, rng)
+    return list(zip(starts.tolist(), lengths.tolist()))
 
 
 _RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
@@ -288,7 +298,7 @@ class TestApplyMasking:
             )
             for pos in plan.positions:
                 assert int(w.tokens[pos]) not in SPECIALS
-                assert pos < w.seq_len - w.pad_count
+                assert pos < len(w.tokens) - w.pad_count
 
     def test_unk_inside_documents_never_masked(self):
         # the tokenizer emits <unk> (a special id) inside documents

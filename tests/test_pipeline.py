@@ -15,7 +15,7 @@ from corpusprep.pipeline import (
     run_pipeline,
 )
 
-from pipeline_fixture import build_workspace, workdir_bytes
+from pipeline_fixture import build_workspace, crash_after, workdir_bytes
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +158,15 @@ class TestDeterminismAndResume:
     # after token_count or sample, pack runs on documents read back from
     # JSONL, which carry no token ids and are tokenized again
     @pytest.mark.parametrize("fail_after", ["lm_score", "token_count", "sample"])
-    def test_resume_after_failure_matches_clean_run(self, tmp_path, fail_after):
+    def test_resume_after_failure_matches_clean_run(
+        self, tmp_path, monkeypatch, fail_after
+    ):
         cfg_a = load_config(build_workspace(tmp_path / "a", n_docs=300))
         cfg_b = load_config(build_workspace(tmp_path / "b", n_docs=300))
         run_pipeline(cfg_a)
-        with pytest.raises(StageFailure, match="injected"):
-            run_pipeline(cfg_b, fail_after=fail_after)
+        with monkeypatch.context() as m, pytest.raises(StageFailure, match="injected"):
+            crash_after(m, cfg_b, fail_after)
+            run_pipeline(cfg_b)
         run_pipeline(cfg_b, resume=True)
         a = workdir_bytes(tmp_path / "a" / "work")
         b = workdir_bytes(tmp_path / "b" / "work")
@@ -174,18 +177,20 @@ class TestDeterminismAndResume:
                 hb.encode(), b""
             ), name
 
-    def test_resume_refuses_changed_config(self, tmp_path):
+    def test_resume_refuses_changed_config(self, tmp_path, monkeypatch):
         cfg = load_config(build_workspace(tmp_path, n_docs=100))
-        with pytest.raises(StageFailure):
-            run_pipeline(cfg, fail_after="filter")
+        with monkeypatch.context() as m, pytest.raises(StageFailure):
+            crash_after(m, cfg, "filter")
+            run_pipeline(cfg)
         cfg.seed += 1
         with pytest.raises(StageFailure, match="hash"):
             run_pipeline(cfg, resume=True)
 
-    def test_truncated_manifest_is_stage_failure(self, tmp_path):
+    def test_truncated_manifest_is_stage_failure(self, tmp_path, monkeypatch):
         cfg = load_config(build_workspace(tmp_path, n_docs=100))
-        with pytest.raises(StageFailure):
-            run_pipeline(cfg, fail_after="filter")
+        with monkeypatch.context() as m, pytest.raises(StageFailure):
+            crash_after(m, cfg, "filter")
+            run_pipeline(cfg)
         manifest = tmp_path / "work" / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:40])
         with pytest.raises(StageFailure, match="corrupt manifest"):
@@ -313,3 +318,35 @@ class TestStageProtocol:
             if path.stem not in ("config", "core", "pipeline", "cli"):
                 strings = {n.value for n in nodes if isinstance(n, ast.Constant)}
                 assert not strings & set(KNOWN_STAGES), path.name
+
+
+class TestSourceTree:
+    def test_every_definition_is_used(self):
+        """Every function, class and method that src/corpusprep defines is
+        used by the package or the benchmark: its name appears in
+        src/corpusprep or perfbench as a name, an attribute, an imported
+        name or a string. Exempt are dunders and the stage_<name>
+        functions, which run_stage looks up by name."""
+        root = Path(__file__).parent.parent
+        paths = sorted((root / "src" / "corpusprep").glob("*.py"))
+        paths += sorted((root / "perfbench").glob("*.py"))
+        defined, used = set(), set()
+        for path in paths:
+            for n in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if path.parent.name == "corpusprep":
+                        defined.add(n.name)
+                elif isinstance(n, ast.Name):
+                    used.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    used.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    used.add(n.name)
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    used.add(n.value)
+        exempt = {f"stage_{name}" for name in KNOWN_STAGES}
+        unused = {
+            name for name in defined - used - exempt
+            if not (name.startswith("__") and name.endswith("__"))
+        }
+        assert not unused, sorted(unused)

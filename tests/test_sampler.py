@@ -7,7 +7,6 @@ from corpusprep.ngram_lm import PPL_META_KEY
 from corpusprep.sampler import (
     BucketQuota,
     assign_bucket,
-    default_quotas,
     sample_to_quota,
     validate_quotas,
 )
@@ -42,11 +41,6 @@ class TestAssignBucket:
         assert assign_bucket(1024, q) == "mid"
         assert assign_bucket(1023, q) == "short"
         assert assign_bucket(0, q) == "short"
-
-    def test_default_quotas_ratio(self):
-        q = {b.name: b for b in default_quotas(scale=1e-3)}
-        assert q["long"].target_tokens == q["mid"].target_tokens
-        assert q["mid"].target_tokens == 2 * q["short"].target_tokens
 
     def test_validation_catches_gaps_and_overlaps(self):
         bad = [
