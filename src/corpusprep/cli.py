@@ -142,7 +142,7 @@ def main(argv=None) -> int:
             model.save(args.output)
             print(
                 f"trained order-{model.order} model: |vocab|={model.vocab_size}, "
-                f"{model.total_tokens} top-order grams"
+                f"{model.top_grams} distinct top-order grams, {model.total_tokens} tokens"
             )
             return EXIT_OK
 

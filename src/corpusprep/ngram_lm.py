@@ -45,15 +45,20 @@ document.
 Sentences are newline-separated, lowercased, whitespace-tokenized, padded
 with order-1 start symbols and closed with an end symbol; words seen fewer
 than min_count times train as the unknown token.
+
+A kn-ngram-v2 model file is an npz archive of the arrays FIELDS names, in
+order: the format tag; order and min_count, int64 scalars; the float64
+discounts of orders 1..order; the vocab, newline-joined, as UTF-8 bytes; the
+top-order grams' word ids, oldest first, (n, order) int32; their int64 counts.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Literal, Optional
 
@@ -68,9 +73,8 @@ EOS = "</s>"
 DEFAULT_ORDER = 5
 DEFAULT_MIN_COUNT = 2
 
-MODEL_FORMAT = "kn-ngram-v1"
-
-GRAM_CHUNK = 8192  # grams checked and mapped to ids at a time
+MODEL_FORMAT = "kn-ngram-v2"
+FIELDS = ("format", "order", "min_count", "discounts", "vocab", "grams", "counts")
 
 
 def _discount(counts: np.ndarray) -> float:
@@ -85,49 +89,45 @@ def sentence_tokens(line: str) -> list[str]:
     return line.lower().split()
 
 
-def _gram_ids(gram: str, c, ids: dict, order: int) -> list[int]:
-    """The word ids of one gram; ValueError if the gram is malformed."""
-    words = str.split(gram, " ")
-    if len(words) != order:
-        raise ValueError(f"gram {gram!r} has {len(words)} words, order is {order}")
-    if type(c) is not int or c < 1:
-        raise ValueError(f"gram {gram!r} has count {c!r}, not a positive int")
+def _encode(top_counts: dict, ids: dict, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word ids (n, order) int32 and counts (n,) int64 of a dict from word
+    tuples to counts; ValueError names a gram of another length or word."""
+    bad = next((g for g in top_counts if len(g) != order), None)
+    if bad is not None:
+        raise ValueError(f"gram {' '.join(bad)!r} has {len(bad)} words, order is {order}")
+    n = len(top_counts)
+    words = chain.from_iterable(top_counts)
     try:
-        return [ids[w] for w in words]
+        grams = np.fromiter(map(ids.__getitem__, words), np.int32, n * order)
     except KeyError as e:
-        raise ValueError(f"gram {gram!r}: word {e.args[0]!r} is not in the "
-                         "vocab") from None
+        raise ValueError(f"word {e.args[0]!r} is not in the vocab") from None
+    return grams.reshape(n, order), np.fromiter(top_counts.values(), np.int64, n)
 
 
-def _chunk_ids(grams: list, counts: list, ids: dict, order: int) -> Optional[list]:
-    """The word ids of a chunk of grams, or None if one is malformed."""
-    if (set(map(type, counts)) != {int} or min(counts) < 1
-            or set(map(str.count, grams, repeat(" "))) != {order - 1}):
-        return None
+def _checked(a: np.ndarray, name: str, dtype, shape: tuple) -> np.ndarray:
+    if a.dtype != dtype or a.shape != shape:
+        raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, not "
+                         f"{np.dtype(dtype)} of shape {shape}")
+    return a
+
+
+def _read_arrays(path) -> list:
+    """The arrays of a kn-ngram-v2 model file, in FIELDS order; else ValueError."""
     try:
-        return list(map(ids.__getitem__, " ".join(grams).split(" ")))
-    except KeyError:
-        return None
-
-
-def _encode(pairs, ids: dict, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Word ids (n, order) and counts of (gram, count) pairs, read
-    GRAM_CHUNK pairs at a time; ValueError names the first malformed gram."""
-    pairs = iter(pairs)
-    id_parts, count_parts = [np.empty((0, order), np.int32)], [np.empty(0, np.int64)]
-    total = 0
-    while chunk := list(islice(pairs, GRAM_CHUNK)):
-        grams = [g for g, _ in chunk]
-        counts = [c for _, c in chunk]
-        flat = _chunk_ids(grams, counts, ids, order)
-        if flat is None:  # check gram by gram, so the first bad one is named
-            flat = [i for g, c in chunk for i in _gram_ids(g, c, ids, order)]
-        total += sum(counts)
-        if total >= 2**63:  # every sum of counts is taken in int64
-            raise ValueError("the counts sum past 2**63 - 1")
-        id_parts.append(np.array(flat, np.int32).reshape(len(chunk), order))
-        count_parts.append(np.array(counts, np.int64))
-    return np.concatenate(id_parts), np.concatenate(count_parts)
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            names = npz.zip.namelist() if isinstance(npz, np.lib.npyio.NpzFile) else []
+            if names != [f"{name}.npy" for name in FIELDS]:
+                raise ValueError(f"arrays {names}")
+            arrays = [np.lib.format.read_array(npz.zip.open(name), allow_pickle=False)
+                      for name in names]  # npz[name] gives bytes for a non-array
+        if arrays[0].tolist() != MODEL_FORMAT:
+            raise ValueError(f"format {arrays[0].tolist()!r}")
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        why = ("a JSON kn-ngram-v1 model? rebuild it with corpusprep lm-train or "
+               "scripts/convert_kn_v1.py") if "pickled" in str(e) else e
+        raise ValueError(f"{path}: not a {MODEL_FORMAT} model file ({why})") from None
+    return arrays
 
 
 class KneserNeyModel:
@@ -135,12 +135,11 @@ class KneserNeyModel:
                  min_count: int, discounts: Optional[dict] = None):
         """Build a model from the count of every top-order n-gram.
 
-        top_counts is a dict from word tuples to counts, or an iterable of
-        (gram, count) pairs whose gram is, as in a model file, one string of
-        words joined by single spaces. Every gram has *order* words of
-        *vocab* and a positive int count, and is listed once; ValueError
-        names the first gram that does not, or a word listed twice in
-        *vocab*.
+        top_counts is a dict from word tuples to counts, or, as in a model
+        file, a pair of arrays: the grams' word ids, (n, order) int32, and
+        their counts, (n,) int64. Every gram has *order* words of *vocab*
+        and a positive int count, and is listed once; ValueError names the
+        first gram that does not, or a word listed twice in *vocab*.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -158,21 +157,29 @@ class KneserNeyModel:
         self._eos = ids.get(EOS, oov)
         self._bos = ids.get(BOS, oov)
         if isinstance(top_counts, dict):
-            top_counts = ((" ".join(g), c) for g, c in top_counts.items())
-        grams, counts = _encode(top_counts, ids, order)
-        self.total_tokens = int(counts.sum())
-        self._build(grams, counts, discounts)
+            top_counts = _encode(top_counts, ids, order)
+        self._build(*top_counts, discounts)
+
+    def _gram_text(self, ids: np.ndarray) -> str:
+        return " ".join(map(self.vocab.__getitem__, ids.tolist()))
 
     def _build(self, grams: np.ndarray, counts: np.ndarray,
                discounts: Optional[dict]) -> None:
         order, base = self.order, self._base
+        n = len(counts)
+        if n and counts.min() < 1:
+            i = np.argmin(counts)
+            raise ValueError(f"gram {self._gram_text(grams[i])!r} has count {counts[i]}")
+        self.top_grams = n
+        self.total_tokens = sum(counts.tolist())
+        if self.total_tokens >= 2**63:  # every sum of counts is taken in int64
+            raise ValueError("the counts sum past 2**63 - 1")
         # Bottom-up: the rows, level by level, of each top gram's k-word
         # suffix (s) and of the k words before its last word (x), the
         # context of its (k+1)-word suffix.
         keys = [np.arange(base, dtype=np.int64)]
         s_rows = [grams[:, order - 1].astype(np.int64)]
         x_rows = [grams[:, order - 2].astype(np.int64) if order > 1 else None]
-        n = len(counts)
         for k in range(2, order + 1):
             key = s_rows[-1] * base + grams[:, order - k]
             if k < order:
@@ -188,8 +195,8 @@ class KneserNeyModel:
         if np.count_nonzero(self._counts) < n:  # name the first repeat
             first = np.zeros(n, bool)
             first[np.unique(top, return_index=True)[1]] = True
-            words = map(self.vocab.__getitem__, grams[np.argmin(first)].tolist())
-            raise ValueError(f"gram {' '.join(words)!r} is listed twice")
+            gram = self._gram_text(grams[np.argmin(first)])
+            raise ValueError(f"gram {gram!r} is listed twice")
 
         # Top-down: counts, discount, lam and alpha per level; the
         # continuation count of a level k-1 row is its number of
@@ -274,70 +281,62 @@ class KneserNeyModel:
         return out
 
     def save(self, path) -> None:
-        base = self._base
+        """Write the model to exactly *path* as a kn-ngram-v2 file."""
         rows = np.flatnonzero(self._counts)
-        counts = self._counts[rows].tolist()
+        counts = self._counts[rows]
         words = []  # oldest first: each key's low digit, then its suffix's
         for keys, _, _ in self._levels[::-1]:
             key = keys[rows]
-            words.append(key % base)
-            rows = key // base
+            words.append(key % self._base)
+            rows = key // self._base
         words.append(rows)  # level-1 rows are ids
-        names = np.array(self.vocab, dtype=object)
-        grams = map(" ".join, zip(*(names[w].tolist() for w in words)))
-        payload = {
-            "format": MODEL_FORMAT,
-            "order": self.order,
-            "min_count": self.min_count,
-            "vocab": self.vocab,
-            "discounts": {str(o): d for o, d in sorted(self.discounts.items())},
-            "counts": sorted(zip(grams, counts)),
+        arrays = {
+            "format": np.array(MODEL_FORMAT),
+            "order": np.array(self.order, np.int64),
+            "min_count": np.array(self.min_count, np.int64),
+            "discounts": np.array([self.discounts[o] for o in range(1, self.order + 1)]),
+            "vocab": np.frombuffer("\n".join(self.vocab).encode("utf-8"), np.uint8),
+            "grams": np.stack(words, axis=1).astype(np.int32),
+            "counts": counts,
         }
-        with open_replacing(path) as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        # np.savez stamps each member with the time; a ZipInfo of its own
+        # keeps the 1980 default, so a model is always written to the same bytes
+        with open_replacing(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            for name, array in arrays.items():
+                info = zipfile.ZipInfo(f"{name}.npy")
+                with zf.open(info, "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
 
     @classmethod
     def load(cls, path) -> "KneserNeyModel":
-        """Read a model file; ValueError with a one-line message if it is
-        not a well-formed kn-ngram-v1 model."""
+        """Read a model file; ValueError with a one-line message naming the
+        file if it is not a well-formed kn-ngram-v2 model."""
+        _, order, min_count, discounts, vocab, grams, counts = _read_arrays(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except ValueError as e:  # not UTF-8 or not JSON
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} model file: {e}") from None
-        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-        order = payload.get("order")
-        if type(order) is not int or order < 1:
-            raise ValueError(f"{path}: order {order!r} is not a positive int")
-        vocab = payload.get("vocab")
-        for special in (UNK, BOS, EOS):
-            if not isinstance(vocab, list) or special not in vocab:
-                raise ValueError(f"{path}: vocab lacks {special}")
-        raw = payload.get("discounts")
-        discounts = {}
-        for o in range(1, order + 1):
-            d = raw.get(str(o)) if isinstance(raw, dict) else None
-            if type(d) is not float or not 0.0 < d < 1.0:
-                raise ValueError(f"{path}: discount of order {o} is {d!r}, "
-                                 "not a float in (0, 1)")
-            discounts[o] = d
-        grams = payload.pop("counts", [])
-        if not isinstance(grams, list):
-            raise ValueError(f"{path}: counts is not a list")
-        try:
-            return cls(order, vocab, _drain(grams), payload.get("min_count"),
-                       discounts)
-        except (TypeError, ValueError) as e:
+            order = _checked(order, "order", np.int64, ()).item()
+            if order < 1:
+                raise ValueError(f"order {order} is not positive")
+            min_count = _checked(min_count, "min_count", np.int64, ()).item()
+            discounts = _checked(discounts, "discounts", np.float64, (order,)).tolist()
+            for o, d in enumerate(discounts, start=1):
+                if not 0.0 < d < 1.0:
+                    raise ValueError(f"discount of order {o} is {d!r}, not in (0, 1)")
+            vocab = _checked(vocab, "vocab", np.uint8, (vocab.size,)).tobytes()
+            vocab = vocab.decode("utf-8").split("\n")
+            for special in (UNK, BOS, EOS):
+                if special not in vocab:
+                    raise ValueError(f"vocab lacks {special}")
+            if grams.ndim == 2 and grams.shape[1] != order:
+                raise ValueError(f"grams have {grams.shape[1]} words, order is {order}")
+            _checked(grams, "grams", np.int32, grams.shape[:1] + (order,))
+            _checked(counts, "counts", np.int64, grams.shape[:1])
+            if grams.size and (grams.min() < 0 or grams.max() >= len(vocab)):
+                bad = grams.min() if grams.min() < 0 else grams.max()
+                raise ValueError(f"word id {bad} is outside the vocab [0, {len(vocab)})")
+            return cls(order, vocab, (grams, counts), min_count,
+                       dict(enumerate(discounts, start=1)))
+        except ValueError as e:  # a UnicodeDecodeError too
             raise ValueError(f"{path}: {e}") from None
-
-
-def _drain(entries: list):
-    """The items of a list, deleting each chunk of them from it once read."""
-    while entries:
-        chunk = entries[:GRAM_CHUNK]
-        del entries[:GRAM_CHUNK]
-        yield from chunk
 
 
 def train_kn_sentences(

@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from corpusprep import pipeline
+from corpusprep import ngram_lm, pipeline
 from corpusprep.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from corpusprep.config import KNOWN_STAGES, load_config
 from corpusprep.core import read_jsonl
@@ -15,6 +16,19 @@ from pipeline_fixture import build_workspace, crash_after, workdir_bytes
 @pytest.fixture()
 def workspace(tmp_path):
     return build_workspace(tmp_path, n_docs=200)
+
+
+def rewrite_model(src, dst, mutate):
+    """Write the arrays of the model file *src*, changed by *mutate*, to *dst*."""
+    with np.load(src) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    mutate(arrays)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def two_word_grams(arrays):
+    arrays["grams"] = arrays["grams"][:, :2]  # 2 words in an order-5 model
 
 
 class TestValidateCommand:
@@ -47,10 +61,8 @@ class TestValidateCommand:
 
     def test_model_with_wrong_gram_length_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
-        model = Path(cfg["lm"]["model_path"])
-        payload = json.loads(model.read_text("utf-8"))
-        payload["counts"].append(["<s> viens", 1])  # 2 words in an order-5 model
-        model.write_text(json.dumps(payload), encoding="utf-8")
+        model = cfg["lm"]["model_path"]
+        rewrite_model(model, model, two_word_grams)
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "model.json" in err and "2 words, order is 5" in err
@@ -61,8 +73,21 @@ class TestValidateCommand:
         Path(cfg["lm"]["model_path"]).write_text("not json at all", encoding="utf-8")
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "model.json: not a kn-ngram-v1 model file" in err
+        assert "model.json: not a kn-ngram-v2 model file (" in err
         assert err.count("\n") == 1
+
+    def test_v1_json_model_exits_1(self, workspace, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        model = cfg["lm"]["model_path"]
+        Path(model).write_text(json.dumps({
+            "format": "kn-ngram-v1", "order": 2, "min_count": 2,
+            "vocab": ["<unk>", "<s>", "</s>", "a"], "discounts": {"1": 0.5, "2": 0.5},
+            "counts": [["<s> a", 1], ["a </s>", 1]],
+        }), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"model error: {model}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 "
+            "model? rebuild it with corpusprep lm-train or scripts/convert_kn_v1.py)\n")
 
     def test_mistyped_value_exits_1_one_line_per_violation(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -345,10 +370,8 @@ class TestSingleStageCommands:
 
     def test_malformed_model_exits_2(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
-        payload = json.loads(open(cfg["lm"]["model_path"], encoding="utf-8").read())
-        payload["counts"].append(["<s> viens", 1])  # 2 words in an order-5 model
         bad = tmp_path / "bad_model.json"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
+        rewrite_model(cfg["lm"]["model_path"], bad, two_word_grams)
         cfg["lm"]["model_path"] = str(bad)
         workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         rc = main(
@@ -372,7 +395,7 @@ class TestSingleStageCommands:
         )
         assert rc == EXIT_STAGE
         err = capsys.readouterr().err
-        assert "bad_model.json: not a kn-ngram-v1 model file" in err
+        assert "bad_model.json: not a kn-ngram-v2 model file (" in err
         assert err.count("\n") == 1
 
     def test_lm_train_and_tokenize(self, workspace, tmp_path, capsys):
@@ -425,6 +448,18 @@ class TestSingleStageCommands:
         )
         assert (tmp_path / "lm.json").exists()
 
+    def test_lm_train_summary_counts_grams_and_tokens(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "source": "s", "text": "a b a"}\n'
+                          '{"id": "b", "source": "s", "text": "b a b"}\n', encoding="utf-8")
+        rc = main(["lm-train", "--input", str(corpus), "--output", str(tmp_path / "lm.json"),
+                   "--order", "2", "--min-count", "1"])
+        assert rc == EXIT_OK
+        # <s> a, a b, b a, a </s>, <s> b, b </s>: 6 distinct bigrams over
+        # the 8 tokens of two 3-word sentences and their end symbols
+        assert capsys.readouterr().out == (
+            "trained order-2 model: |vocab|=5, 6 distinct top-order grams, 8 tokens\n")
+
     def test_lm_train_duplicate_id_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -463,3 +498,29 @@ class TestPackCommand:
         assert (tmp_path / "repacked.meta.jsonl").read_bytes() == (
             work / "packed.meta.jsonl"
         ).read_bytes()
+
+
+def test_model_reached_only_through_load_model(workspace, monkeypatch):
+    """validate and run_pipeline each get the LM from one ngram_lm.load_model
+    call, looked up on the module, and read no model file past it, so a
+    caller that replaces load_model (perfbench's child does) hands in its
+    own model."""
+    cfg = load_config(workspace)
+    model = ngram_lm.load_model(cfg.lm.model_path)
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return model
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a model file read past ngram_lm.load_model")
+
+    monkeypatch.setattr(ngram_lm, "load_model", counted)
+    monkeypatch.setattr(ngram_lm.KneserNeyModel, "load", forbidden)
+    assert main(["validate", "--config", str(workspace)]) == EXIT_OK
+    assert calls == [cfg.lm.model_path]
+    calls.clear()
+    report = pipeline.run_pipeline(cfg)
+    assert calls == [cfg.lm.model_path]
+    assert "lm_score" in [stage["stage"] for stage in report.to_dict()["stages"]]

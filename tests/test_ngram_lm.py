@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import zipfile
 
 import numpy as np
 import pytest
@@ -159,23 +160,25 @@ class TestSerialization:
         train_kn_sentences(golden_corpus(), order=3).save(path)
         before = path.read_bytes()
 
-        def partial_dump(obj, fh, **kwargs):
-            fh.write('{"format": ')
+        def partial_write(fh, array, **kwargs):
+            fh.write(b"\x93NUMPY")
             raise OSError("disk full")
 
-        monkeypatch.setattr(ngram_lm.json, "dump", partial_dump)
+        monkeypatch.setattr(np.lib.format, "write_array", partial_write)
         with pytest.raises(OSError, match="disk full"):
             train_kn_sentences(golden_corpus(), order=1).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("order, sha256", [
-        (1, "b5d4782b9d2e61dd73bf49031a20a44bdaa97c589a90cd3cde95f1c28b1b8312"),
-        (3, "81749e3610941ac260140e29fb0ff23e7ed969801c0fb56e9c5adf9bb1b15369"),
-        (5, "8550398a66a8804d80f970c9b76471844a8b3815c5eadd4ee092fa1eab413c2f"),
+        (1, "6bb92d3608444e893e4e7fb306423ddfb55aedab3e69da4df225323de42921b1"),
+        (3, "55d65c2df30132a6aaee5efcb2add82e94036473f8ada7479bd540120f6963e4"),
+        (5, "fe375435abec45024d8570d147d0cc88653019ea79d2555dc870fe3b37ffc290"),
     ])
     def test_trainer_output_bytes_pinned(self, tmp_path, order, sha256):
-        # digests of the files the recursive scorer's trainer wrote
+        # digests of the kn-ngram-v2 files the trainer wrote when the format
+        # was introduced; each holds the model of the kn-ngram-v1 file the
+        # recursive scorer's trainer wrote, converted by scripts/convert_kn_v1.py
         path = tmp_path / "m.json"
         train_kn_sentences(golden_corpus(), order=order).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -189,62 +192,150 @@ def golden_corpus():
     return lines + ["reti vārdi vienreiz", "", "   "]
 
 
+def add_gram(ids, count):
+    """A mutation of the model arrays that lists one more gram."""
+    return lambda a: a.update(grams=np.vstack([a["grams"], np.array([ids], np.int32)]),
+                              counts=np.append(a["counts"], np.int64(count)))
+
+
+def set_array(name, value):
+    return lambda a: a.update({name: value})
+
+
 class TestMalformedModelFile:
+    VOCAB = [UNK, BOS, EOS, "a", "b"]
+
     def _write(self, tmp_path, mutate):
-        payload = {
-            "format": "kn-ngram-v1", "order": 3, "min_count": 2,
-            "vocab": [UNK, BOS, EOS, "a", "b"],
-            "discounts": {"1": 0.5, "2": 0.5, "3": 0.5},
-            "counts": [[f"{BOS} {BOS} a", 2], [f"{BOS} a b", 2], ["a b </s>", 1]],
+        arrays = {
+            "format": np.array("kn-ngram-v2"),
+            "order": np.array(3, np.int64),
+            "min_count": np.array(2, np.int64),
+            "discounts": np.array([0.5, 0.5, 0.5]),
+            "vocab": np.frombuffer("\n".join(self.VOCAB).encode(), np.uint8),
+            # <s> <s> a, <s> a b, a b </s>
+            "grams": np.array([[1, 1, 3], [1, 3, 4], [3, 4, 2]], np.int32),
+            "counts": np.array([2, 2, 1], np.int64),
         }
-        mutate(payload)
+        mutate(arrays)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         return path
 
+    def _refused(self, path):
+        """The message of the ValueError that loading *path* raises, after
+        checking that it names the file on one line."""
+        with pytest.raises(ValueError) as info:
+            KneserNeyModel.load(path)
+        message = str(info.value)
+        assert str(path) in message and "\n" not in message
+        return message
+
     def test_well_formed_file_loads(self, tmp_path):
-        model = KneserNeyModel.load(self._write(tmp_path, lambda p: None))
+        model = KneserNeyModel.load(self._write(tmp_path, lambda a: None))
         assert prob(model, "b", (BOS, "a")) > prob(model, "a", (BOS, "a"))
+        assert model.discounts == {1: 0.5, 2: 0.5, 3: 0.5}
 
     @pytest.mark.parametrize("mutate, needle", [
-        (lambda p: p["counts"].append(["a b", 1]), "2 words, order is 3"),
-        (lambda p: p["counts"].append(["a b a b", 1]), "4 words, order is 3"),
-        (lambda p: p["counts"].append(["a b a", 0]), "count 0"),
-        (lambda p: p["counts"].append(["a b a", -2]), "count -2"),
-        (lambda p: p["counts"].append(["a b a", 1.5]), "count 1.5"),
-        (lambda p: p["counts"].append(["a b a", "3"]), "count '3'"),
-        (lambda p: p["counts"].append(["a b a", True]), "count True"),
-        (lambda p: p["counts"].append(["a zz a", 1]), "'zz' is not in the vocab"),
-        (lambda p: p["counts"].append(["a b a"]), "not enough values"),
-        (lambda p: p["vocab"].remove(UNK), f"lacks {UNK}"),
-        (lambda p: p["vocab"].remove(BOS), f"lacks {BOS}"),
-        (lambda p: p["vocab"].remove(EOS), f"lacks {EOS}"),
-        (lambda p: p["discounts"].pop("2"), "discount of order 2"),
-        (lambda p: p["discounts"].update({"1": -0.5}), "discount of order 1"),
-        (lambda p: p.update(order=0), "order 0"),
-        (lambda p: p["counts"].append([f"{BOS} a b", 1]),
-         f"gram '{BOS} a b' is listed twice"),
-        (lambda p: p["vocab"].append("a"), "vocab word 'a' is listed twice"),
-        (lambda p: p["counts"].extend([["a b a", 2**62], ["b a b", 2**62]]),
+        (lambda a: a.update(grams=a["grams"][:, :2]), "2 words, order is 3"),
+        (lambda a: a.update(grams=np.hstack([a["grams"], a["grams"][:, :1]])),
+         "4 words, order is 3"),
+        (lambda a: a.update(grams=a["grams"].ravel()), "grams is int32 of shape (9,)"),
+        (lambda a: a.update(grams=a["grams"].astype(np.int64)), "grams is int64"),
+        (lambda a: a.update(counts=a["counts"][:2]),
+         "counts is int64 of shape (2,), not int64 of shape (3,)"),
+        (add_gram([3, 4, 5], 1), "word id 5 is outside the vocab [0, 5)"),
+        (add_gram([3, -1, 4], 1), "word id -1 is outside the vocab [0, 5)"),
+        (add_gram([3, 4, 3], 0), "count 0"),
+        (add_gram([3, 4, 3], -2), "count -2"),
+        (lambda a: a.update(counts=a["counts"].astype(np.float64)), "counts is float64"),
+        (lambda a: a.update(counts=a["counts"].astype(str)), "counts is <U21"),
+        (lambda a: a.update(counts=a["counts"].astype(bool)), "counts is bool"),
+        (lambda a: a.update(counts=a["counts"].astype(">i8")), "counts is >i8"),
+        (set_array("vocab", np.frombuffer(f"{BOS}\n{EOS}\na\nb\nc".encode(), np.uint8)),
+         f"lacks {UNK}"),
+        (set_array("vocab", np.frombuffer(f"{UNK}\nx\n{EOS}\na\nb".encode(), np.uint8)),
+         f"lacks {BOS}"),
+        (set_array("vocab", np.frombuffer(f"{UNK}\n{BOS}\nx\na\nb".encode(), np.uint8)),
+         f"lacks {EOS}"),
+        (set_array("vocab", np.frombuffer(b"<unk>\n<s>\n</s>\na\n\xff", np.uint8)),
+         "can't decode byte 0xff"),
+        (set_array("vocab", np.array(list(b"<unk>"), np.int64)), "vocab is int64"),
+        (set_array("discounts", np.array([0.5, 0.5])),
+         "discounts is float64 of shape (2,), not float64 of shape (3,)"),
+        (set_array("discounts", np.array([-0.5, 0.5, 0.5])),
+         "discount of order 1 is -0.5, not in (0, 1)"),
+        (set_array("discounts", np.array([0.5, 1.0, 0.5])), "discount of order 2 is 1.0"),
+        (set_array("discounts", np.array([0.5, 0.5, np.nan])), "discount of order 3 is nan"),
+        (set_array("order", np.array(0, np.int64)), "order 0"),
+        (set_array("order", np.array(3.0)), "order is float64"),
+        (set_array("order", np.array([3], np.int64)), "order is int64 of shape (1,)"),
+        (set_array("min_count", np.array(2, np.int32)), "min_count is int32"),
+        (add_gram([1, 3, 4], 1), f"gram '{BOS} a b' is listed twice"),
+        (set_array("vocab", np.frombuffer(f"{UNK}\n{BOS}\n{EOS}\na\nb\na".encode(),
+                                          np.uint8)),
+         "vocab word 'a' is listed twice"),
+        (lambda a: [add_gram([3, 4, 3], 2**62)(a), add_gram([4, 3, 4], 2**62)(a)],
          "past 2**63 - 1"),
     ])
     def test_rejected_with_one_line(self, tmp_path, mutate, needle):
-        path = self._write(tmp_path, mutate)
-        with pytest.raises(ValueError) as info:
-            KneserNeyModel.load(path)
-        message = str(info.value)
-        assert needle in message and str(path) in message
-        assert "\n" not in message
+        assert needle in self._refused(self._write(tmp_path, mutate))
 
-    @pytest.mark.parametrize("content", [b"not json at all", b"\xff\xfe{}"])
+    @pytest.mark.parametrize("mutate, needle", [
+        (set_array("counts", np.array([2, 2, 1], dtype=object)),
+         "Object arrays cannot be loaded"),
+        (lambda a: a.update(grams=a.pop("grams")), "arrays ['format.npy', "),
+        (lambda a: a.update(extra=np.zeros(1)), "extra.npy"),
+        (lambda a: a.pop("min_count"), "arrays ['format.npy', "),
+        (set_array("format", np.array("kn-ngram-v3")), "format 'kn-ngram-v3'"),
+        (set_array("format", np.frombuffer(b"kn-ngram-v2", np.uint8)), "format ["),
+    ])
+    def test_not_a_v2_archive_rejected(self, tmp_path, mutate, needle):
+        message = self._refused(self._write(tmp_path, mutate))
+        assert message.startswith(f"{tmp_path / 'model.json'}: not a kn-ngram-v2 model file (")
+        assert needle in message
+
+    def test_every_truncation_rejected_with_one_line(self, tmp_path):
+        path = tmp_path / "cut.json"
+        train_kn_sentences(["a b c", "a b", "c a b a"], order=3, min_count=1).save(path)
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            message = self._refused(path)
+            assert message.startswith(f"{path}: not a kn-ngram-v2 model file ("), size
+
+    def test_non_array_member_rejected(self, tmp_path):
+        path = self._write(tmp_path, lambda a: None)
+        names = [f"{name}.npy" for name in ngram_lm.FIELDS]
+        with zipfile.ZipFile(path, "w") as zf:
+            for name in names:
+                zf.writestr(name, b"not an npy array")
+        assert "the magic string is not correct" in self._refused(path)
+
+    @pytest.mark.parametrize("content", [
+        b"not json at all", b"\xff\xfe{}", b"", b"PK\x03\x04 not a zip",
+    ])
     def test_not_json_or_not_utf8_rejected_with_one_line(self, tmp_path, content):
         path = tmp_path / "model.json"
         path.write_bytes(content)
-        with pytest.raises(ValueError) as info:
-            KneserNeyModel.load(path)
-        message = str(info.value)
-        assert message.startswith(f"{path}: not a kn-ngram-v1 model file")
-        assert "\n" not in message
+        assert self._refused(path).startswith(f"{path}: not a kn-ngram-v2 model file (")
+
+    def test_bare_npy_array_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+        assert self._refused(path) == f"{path}: not a kn-ngram-v2 model file (arrays [])"
+
+    def test_v1_json_model_names_the_way_out(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "kn-ngram-v1", "order": 2, "min_count": 2,
+            "vocab": [UNK, BOS, EOS, "a"], "discounts": {"1": 0.5, "2": 0.5},
+            "counts": [[f"{BOS} a", 1], ["a </s>", 1]],
+        }), encoding="utf-8")
+        assert self._refused(path) == (
+            f"{path}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 model? rebuild "
+            "it with corpusprep lm-train or scripts/convert_kn_v1.py)")
 
 
 CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]

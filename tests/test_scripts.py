@@ -1,10 +1,16 @@
 """Smoke tests of the programs in scripts/, each run as a subprocess at a
 small size."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from corpusprep.ngram_lm import KneserNeyModel, train_kn_sentences
+from kn_reference import ReferenceKN
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +56,24 @@ def test_run_demo_reruns_byte_identical(tmp_path):
 def test_packing_efficiency_runs():
     out = run_script("packing_efficiency.py", "--n-docs", 200, "--seq-lens", 512, 1024)
     assert "efficiency" in out
+
+
+def test_convert_kn_v1_scores_as_the_trained_model(tmp_path, lang):
+    rng = np.random.default_rng(5)
+    sentences = [lang.sentence(rng, 10) for _ in range(150)]
+    trained = train_kn_sentences(sentences, order=4)
+    ref = ReferenceKN(sentences, order=4)  # the grams, counted apart from the model
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({
+        "format": "kn-ngram-v1", "order": 4, "min_count": 2, "vocab": ref.vocab,
+        "discounts": {str(o): d for o, d in trained.discounts.items()},
+        "counts": sorted([" ".join(g), c] for g, c in ref.counts[4].items()),
+    }, ensure_ascii=False), encoding="utf-8")
+    v2 = tmp_path / "model.json"
+    run_script("convert_kn_v1.py", v1, v2)
+    converted = KneserNeyModel.load(v2)
+    held_out = [lang.sentence(rng, 10) for _ in range(20)] + ["zz " + sentences[0]]
+    words = [s.lower().split() for s in sentences + held_out]
+    assert converted.sentences_logprob(words) == trained.sentences_logprob(words)
+    trained.save(tmp_path / "trained.json")
+    assert v2.read_bytes() == (tmp_path / "trained.json").read_bytes()
