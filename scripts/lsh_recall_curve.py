@@ -52,7 +52,8 @@ def main() -> None:
         for t in range(args.trials):
             sa, sb = pair_at_jaccard(rng, float(j))
             index = LshIndex(bands=args.bands, rows=args.rows)
-            mat = minhash_signature([sa, sb], args.num_perm, perm_seed=t)
+            mat = minhash_signature(np.concatenate((sa, sb)), [len(sa), len(sb)],
+                                    args.num_perm, perm_seed=t)
             hits += (0, 1) in candidate_pairs(index, mat)
         theory = 1.0 - (1.0 - float(j) ** args.rows) ** args.bands
         print(f"{j:>8.2f}  {hits / args.trials:>9.3f}  {theory:>7.3f}")

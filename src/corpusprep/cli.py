@@ -130,9 +130,10 @@ def main(argv=None) -> int:
             return _run_single_stage(stage, args)
 
         if args.command == "lm-train":
-            if args.order < 1:
-                print(f"lm-train: --order {args.order} < 1", file=sys.stderr)
-                return EXIT_VALIDATION
+            for flag, value in (("--order", args.order), ("--min-count", args.min_count)):
+                if value < 1:
+                    print(f"lm-train: {flag} {value} < 1", file=sys.stderr)
+                    return EXIT_VALIDATION
             docs, _ = pipeline.read_input(args.input)
             try:
                 model = ngram_lm.train_kn(docs, order=args.order, min_count=args.min_count)

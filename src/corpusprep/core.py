@@ -14,7 +14,10 @@ and is lifted into ``Document.token_count`` on read.
 A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
 ``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only. They
 are never serialized and ``with_text`` does not copy them, so a document
-read from JSONL is tokenized again when its ids are first needed.
+read from JSONL is tokenized again when its ids are first needed. Its text
+is split once: reading splits nothing, and the tokenizer's split
+(``Document.split_words``) fills ``Document.word_count``, which is
+otherwise counted when first read.
 
 A run also encodes each document's JSON line once. ``write_jsonl`` keeps on
 ``Document.line_at`` where the line went: the file, its byte offset, the
@@ -81,7 +84,9 @@ def word_count(text: str) -> int:
 
 @dataclass
 class Document:
-    """One corpus record; ``word_count`` is always derived from ``text``."""
+    """One corpus record. ``word_count`` is the number of words of
+    ``text``, counted when first read (or filled by ``split_words``) and
+    then kept."""
 
     id: str
     source: str
@@ -89,7 +94,6 @@ class Document:
     url: Optional[str] = None
     meta: dict = field(default_factory=dict)
     token_count: Optional[int] = None
-    word_count: int = field(init=False)
     # (vocab, uint16 ids), filled by subword.token_ids; never serialized
     token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (path, offset, head length, id, source, url, text) of the line
@@ -97,12 +101,33 @@ class Document:
     line_at: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # word_count once known
+    _word_count: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        self.word_count = word_count(self.text)
+        # Set here, not left to the class default: CPython sizes an
+        # instance's attribute array when it is made, with room for about
+        # one attribute more, so setting both this and line_at later would
+        # turn it into a full dict (about 380 more bytes per document).
+        self._word_count = None
+
+    @property
+    def word_count(self) -> int:
+        n = self._word_count
+        if n is None:
+            n = self._word_count = word_count(self.text)
+        return n
+
+    def split_words(self) -> list[str]:
+        """``text.split()``, keeping its length as the word count."""
+        words = self.text.split()
+        self._word_count = len(words)
+        return words
 
     def with_text(self, text: str) -> "Document":
-        """Copy with new text and recomputed word count."""
+        """Copy with new text; its word count is counted when first read."""
         return Document(
             id=self.id,
             source=self.source,

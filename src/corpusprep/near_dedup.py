@@ -3,7 +3,11 @@
 Shingles: each lowercased word type is hashed once with blake2b (memoized),
 n consecutive word hashes are combined by a Karp-Rabin polynomial mod 2^64,
 and each value is finished with splitmix64, so that the multiply-add family
-below does not see the polynomial's low-bit structure.
+below does not see the polynomial's low-bit structure. A whole corpus is
+shingled in one pass over its words (in chunks, to bound memory): one
+polynomial over the concatenated word hashes, whose windows that cross a
+document boundary are dropped, and one sort by (document, value). Its
+shingle sets come back concatenated, with one size per document.
 
 Signatures use a seeded multiply-add family over the 64-bit ring: with an
 odd multiplier, h(x) = a*x + b (mod 2^64) is a bijection of the hash
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
@@ -30,6 +34,10 @@ DEFAULT_SHINGLE_N = 5
 SHINGLE_BASE = np.uint64(0xD1342543DE82EF95)
 # Most word types whose hashes are memoized, so memory stays bounded
 WORD_MEMO_SIZE = 1 << 16
+# Documents are shingled in chunks of at most this many documents, closed
+# once they reach this many words, so that shingling needs no corpus-sized
+# temporary (and a chunk's document numbers fit in uint16)
+SHINGLE_CHUNK = 1 << 13
 # Most bytes of one signing chunk's products, so that signing needs no
 # corpus-sized temporary
 SIGN_CHUNK_BYTES = 4 << 20
@@ -40,19 +48,60 @@ def _word_hash(word: str) -> bytes:
     return hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
 
 
-def shingles(text: str, n: int = DEFAULT_SHINGLE_N) -> np.ndarray:
-    """Sorted unique uint64 hashes of the consecutive n-word windows of the
-    lowercased text. A text of fewer than n words, the empty text included,
-    gives one shingle."""
+def shingles(
+    texts: Iterable[str], n: int = DEFAULT_SHINGLE_N
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shingles of each text: the sorted unique uint64 hashes of the
+    consecutive n-word windows of the lowercased text, where a text of
+    fewer than n words, the empty text included, gives one shingle.
+    Returns ``(values, sizes)``: every text's shingles concatenated in
+    order, and the int64 number of each text's shingles."""
+    if isinstance(texts, str):
+        raise TypeError("shingles takes a sequence of texts, not a str")
     if n < 1:
         raise ValueError("shingle order must be >= 1")
-    words = text.lower().split()
-    w = np.frombuffer(b"".join(map(_word_hash, words)), dtype="<u8")
-    m = max(len(words) - n + 1, 1)
-    z = np.zeros(m, dtype=np.uint64)
-    for j in range(min(n, len(words))):
+    chunks = []
+    hashes: list = []  # the word hashes of the chunk's documents
+    lens: list = []  # their numbers of words
+    for text in texts:
+        before = len(hashes)
+        hashes += map(_word_hash, text.lower().split())
+        lens.append(len(hashes) - before)
+        if len(hashes) >= SHINGLE_CHUNK or len(lens) == SHINGLE_CHUNK:
+            chunks.append(_shingle_chunk(hashes, lens, n))
+            hashes, lens = [], []
+    chunks.append(_shingle_chunk(hashes, lens, n))
+    values, sizes = zip(*chunks)
+    return np.concatenate(values), np.concatenate(sizes)
+
+
+def _shingle_chunk(hashes: list, lens: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shingles`` of the documents whose word hashes, one after another,
+    are *hashes*, *lens* words each."""
+    n_docs = len(lens)
+    n_words = len(hashes)
+    lens = np.array(lens, dtype=np.int64)
+    ends = np.cumsum(lens)
+    # padded so that every window has n words
+    w = np.frombuffer(b"".join(hashes) + bytes(8 * (n - 1)), dtype="<u8")
+    # a document of fewer than n words has the one window of all of them,
+    # 0 when it has none
+    short = np.flatnonzero(lens < n)
+    short_lens = lens[short]
+    short_starts = ends[short] - short_lens
+    short_z = np.zeros(len(short), dtype=np.uint64)
+    # after step j, z[i] is the polynomial of words i .. i+j
+    z = np.zeros(n_words, dtype=np.uint64)
+    for j in range(n):
         z *= SHINGLE_BASE
-        z += w[j : j + m]
+        z += w[j : j + n_words]
+        done = short_lens == j + 1
+        short_z[done] = z[short_starts[done]]
+    # keep the windows that end inside the document they start in
+    inside = np.repeat(ends, lens) - np.arange(n_words) >= n
+    doc = np.repeat(np.arange(n_docs, dtype=np.uint16), lens)
+    z = np.concatenate((z[inside], short_z))
+    doc = np.concatenate((doc[inside], short.astype(np.uint16)))
     # splitmix64 finalizer (Steele, Lea and Flood 2014), a bijection
     z += np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
@@ -60,7 +109,13 @@ def shingles(text: str, n: int = DEFAULT_SHINGLE_N) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return np.unique(z)
+    # by value, then stably by document (a radix sort of uint16)
+    order = np.argsort(z)
+    order = order[np.argsort(doc[order], kind="stable")]
+    z, doc = z[order], doc[order]
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = (z[1:] != z[:-1]) | (doc[1:] != doc[:-1])
+    return z[first], np.bincount(doc[first], minlength=n_docs).astype(np.int64)
 
 
 def true_jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,33 +125,33 @@ def true_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return shared / union if union else 1.0
 
 
-def minhash_signature(sets: list, k: int, perm_seed: int) -> np.ndarray:
-    """The (len(sets), k) uint64 MinHash matrix: entry (i, j) is the least
-    (a_j * x + b_j) mod 2^64 over x in sets[i].
+def minhash_signature(values: np.ndarray, sizes, k: int, perm_seed: int) -> np.ndarray:
+    """The (len(sizes), k) uint64 MinHash matrix of the sets that
+    *values* holds one after another, set i with sizes[i] values: entry
+    (i, j) is the least (a_j * x + b_j) mod 2^64 over x in set i.
 
-    The shingles of all sets are signed in chunks of at most
-    SIGN_CHUNK_BYTES of products; a chunk's per-set minima are taken with
+    The values are signed in chunks of at most SIGN_CHUNK_BYTES of
+    products; a chunk's per-set minima are taken with
     ``np.minimum.reduceat`` and folded into the rows of the sets it
     overlaps."""
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    sizes = np.asarray(sizes, dtype=np.int64)
     if not sizes.all():
         raise ValueError("cannot sketch an empty shingle set")
+    if sizes.sum() != len(values):
+        raise ValueError(f"set sizes sum to {sizes.sum()}, not {len(values)} values")
     rng = np.random.default_rng(perm_seed)
     a = rng.integers(0, 2**64, size=k, dtype=np.uint64) | np.uint64(1)
     b = rng.integers(0, 2**64, size=k, dtype=np.uint64)
-    out = np.full((len(sets), k), np.iinfo(np.uint64).max, dtype=np.uint64)
-    if not sets:
-        return out
-    x = np.concatenate(sets)
+    out = np.full((len(sizes), k), np.iinfo(np.uint64).max, dtype=np.uint64)
     starts = np.cumsum(sizes) - sizes
     step = max(1, SIGN_CHUNK_BYTES // (8 * k))
-    for lo in range(0, len(x), step):
-        hi = min(lo + step, len(x))
+    for lo in range(0, len(values), step):
+        hi = min(lo + step, len(values))
         # sets d0 .. d1-1 overlap shingles lo .. hi-1
         d0 = int(np.searchsorted(starts, lo, side="right")) - 1
         d1 = int(np.searchsorted(starts, hi, side="left"))
         # uint64 arithmetic wraps mod 2^64 by construction
-        h = np.multiply.outer(a, x[lo:hi])
+        h = np.multiply.outer(a, values[lo:hi])
         h += b[:, None]
         part = np.minimum.reduceat(h, np.maximum(starts[d0:d1], lo) - lo, axis=1)
         np.minimum(out[d0:d1], part.T, out=out[d0:d1])
@@ -250,17 +305,15 @@ def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, list[dic
     ``("near_dup", "kept=<keeper id>")``; and the clusters, each
     ``{"kept": id, "removed": [ids]}``, sorted."""
     by_id = {}
-    sets = []
     for doc in docs:
         if doc.id in by_id:
             raise ValueError(f"duplicate document id {doc.id!r}")
         by_id[doc.id] = doc
-        sets.append(shingles(doc.text, cfg.shingle_n))
 
-    mat = minhash_signature(sets, cfg.num_perm, cfg.perm_seed)
-    clusters = find_duplicate_clusters(
-        mat, cfg.bands, cfg.rows, cfg.threshold, sets if cfg.exact_verify else None
-    )
+    values, sizes = shingles((doc.text for doc in docs), cfg.shingle_n)
+    mat = minhash_signature(values, sizes, cfg.num_perm, cfg.perm_seed)
+    sets = np.split(values, np.cumsum(sizes)[:-1]) if cfg.exact_verify else None
+    clusters = find_duplicate_clusters(mat, cfg.bands, cfg.rows, cfg.threshold, sets)
     clusters = sorted(sorted(docs[i].id for i in cluster) for cluster in clusters)
     removed_by = {}  # removed id -> ("near_dup", "kept=<keeper id>")
     report = []

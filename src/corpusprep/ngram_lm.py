@@ -139,10 +139,13 @@ class KneserNeyModel:
         file, a pair of arrays: the grams' word ids, (n, order) int32, and
         their counts, (n,) int64. Every gram has *order* words of *vocab*
         and a positive int count, and is listed once; ValueError names the
-        first gram that does not, or a word listed twice in *vocab*.
+        first gram that does not, a word listed twice in *vocab*, or a
+        *min_count* below 1.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
+        if min_count < 1:
+            raise ValueError(f"min_count {min_count} < 1")
         self.order = order
         self.min_count = min_count
         self.vocab = list(vocab)

@@ -21,7 +21,8 @@ the memo.
 A run tokenizes each document once: token_ids() keeps a document's ids as
 a uint16 array on ``Document.token_ids`` for the vocabulary that made them,
 so the token_count and pack stages share one tokenization. The ids live in
-memory only; a document read from JSONL is tokenized on first use.
+memory only; a document read from JSONL is tokenized on first use. The
+text is split once for both its ids and its ``Document.word_count``.
 """
 
 from __future__ import annotations
@@ -202,15 +203,18 @@ def _segment(word: str, vocab: SubwordVocab) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
-    """Greedy longest-match segmentation of each whitespace-split word.
+def tokenize(
+    text: str, vocab: SubwordVocab, words: Optional[list] = None
+) -> list[int]:
+    """Greedy longest-match segmentation of each whitespace-split word of
+    *text*; pass *words*, ``text.split()``, when it is already split.
 
     A word's ids depend only on the word and the vocabulary, so each word
     type is segmented once and then read from the vocabulary's memo.
     """
     memo = vocab._word_ids
     ids: list[int] = []
-    for word in text.split():
+    for word in text.split() if words is None else words:
         seg = memo.get(word)
         if seg is None:
             seg = _segment(word, vocab)
@@ -223,11 +227,12 @@ def tokenize(text: str, vocab: SubwordVocab) -> list[int]:
 def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:
     """*doc*'s ids under *vocab* as a uint16 array: tokenized on the first
     call for this document and vocabulary object, then read from
-    ``doc.token_ids``."""
+    ``doc.token_ids``. The text is split once, which also fills
+    ``doc.word_count``."""
     cached = doc.token_ids
     if cached is not None and cached[0] is vocab:
         return cached[1]
-    ids = np.array(tokenize(doc.text, vocab), dtype=np.uint16)
+    ids = np.array(tokenize(doc.text, vocab, words=doc.split_words()), dtype=np.uint16)
     doc.token_ids = (vocab, ids)
     return ids
 

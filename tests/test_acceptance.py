@@ -69,9 +69,11 @@ class TestNearDedupOracle:
         co-clustered pairs have true J <= 0.5. Budget: 60 s."""
         t0 = time.monotonic()
         docs, _ = make_near_duplicate_corpus(n_docs=500)
-        sh = {d.id: shingles(d.text) for d in docs}
-        ids = sorted(sh)
-        sig = minhash_signature([sh[i] for i in ids], k=112, perm_seed=1)
+        docs = sorted(docs, key=lambda d: d.id)
+        ids = [d.id for d in docs]
+        values, sizes = shingles([d.text for d in docs])
+        sig = minhash_signature(values, sizes, k=112, perm_seed=1)
+        sh = dict(zip(ids, np.split(values, np.cumsum(sizes)[:-1])))
 
         clusters = find_duplicate_clusters(sig, bands=14, rows=8, threshold=0.7)
         co_clustered = {
@@ -114,7 +116,8 @@ class TestMinHashUnbiasedness:
             overlap = int(rng.integers(0, n + 1))
             sa = np.unique(base[:n])
             sb = np.unique(base[n - overlap : 2 * n - overlap])
-            sig = minhash_signature([sa, sb], k=112, perm_seed=i)
+            sig = minhash_signature(np.concatenate((sa, sb)), [len(sa), len(sb)], k=112,
+                                    perm_seed=i)
             est = estimate_jaccard(sig[0], sig[1])
             err = abs(est - true_jaccard(sa, sb))
             assert err <= bound, f"pair {i}: error {err:.4f} > {bound:.4f}"

@@ -424,6 +424,15 @@ class TestSingleStageCommands:
         assert "--order 0 < 1" in err and err.count("\n") == 1
         assert not (tmp_path / "lm.json").exists()
 
+    def test_lm_train_min_count_below_one_exits_1(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        rc = main(["lm-train", "--input", cfg["input"],
+                   "--output", str(tmp_path / "lm.json"), "--min-count", "-3"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "lm-train: --min-count -3 < 1" in err and err.count("\n") == 1
+        assert not (tmp_path / "lm.json").exists()
+
     def test_lm_train_on_zero_tokens_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text('{"id": "a", "source": "s", "text": "  "}\n', encoding="utf-8")

@@ -16,6 +16,7 @@ from corpusprep.core import (
     write_jsonl,
     write_rejects,
 )
+from corpusprep.subword import token_ids
 
 
 def _normalize_text_reference(text: str) -> str:
@@ -90,6 +91,32 @@ class TestWordCount:
     @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=5), max_size=20))
     def test_matches_join_construction(self, words):
         assert word_count(" ".join(words)) == len(words)
+
+
+class TestLazyWordCount:
+    """``Document.word_count`` is counted when first read, or filled by the
+    tokenizer's split, and always equals ``len(text.split())``."""
+
+    @given(text=_WHITESPACE_TEXT, other=_WHITESPACE_TEXT)
+    def test_equals_split_on_every_path(self, small_vocab, text, other):
+        record = {"id": "d", "source": "s", "text": text}
+        read = Document.from_record(record)
+        assert read.word_count == len(text.split())
+        # a copy counts its own text, not the counted original's
+        assert read.with_text(other).word_count == len(other.split())
+        tokenized = Document.from_record(record)
+        token_ids(tokenized, small_vocab)
+        with mock.patch("corpusprep.core.word_count", side_effect=AssertionError):
+            assert tokenized.word_count == len(text.split())
+
+    @given(text=_WHITESPACE_TEXT)
+    def test_equality_does_not_depend_on_counting(self, text):
+        counted = Document(id="d", source="s", text=text, meta={"k": "v"})
+        fresh = Document(id="d", source="s", text=text, meta={"k": "v"})
+        assert counted.word_count == len(text.split())
+        assert counted == fresh and fresh == counted
+        assert repr(counted) == repr(fresh)
+        assert counted != Document(id="d", source="s", text=text + " x", meta={"k": "v"})
 
 
 class TestJsonl:

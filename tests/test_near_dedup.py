@@ -34,15 +34,32 @@ def shingle_set(hashes):
     return np.unique(np.array(list(hashes), dtype=np.uint64))
 
 
+def sign(sets, k=K, seed=SEED):
+    """The MinHash matrix of a list of uint64 arrays, one row each."""
+    values = np.concatenate(sets) if sets else np.empty(0, dtype=np.uint64)
+    return minhash_signature(values, [len(s) for s in sets], k, seed)
+
+
 def sig_of_hashes(hashes, k=K, seed=SEED):
-    return minhash_signature([shingle_set(hashes)], k, seed)[0]
+    return sign([shingle_set(hashes)], k, seed)[0]
+
+
+def shingles_of(text, n=5):
+    """The shingles of one text."""
+    values, sizes = shingles([text], n)
+    assert sizes.tolist() == [len(values)]
+    return values
+
+
+def split_sets(values, sizes):
+    return np.split(values, np.cumsum(sizes)[:-1]) if len(sizes) else []
 
 
 # separators str.split() breaks on, beyond the ASCII ones
 UNICODE_SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u1680", "\u2003",
                   "\u2028", "\u2029", "\u202f", "\u3000"]
 CASE_VARIANTS = ["Rīga", "RĪGA", "rīga", "ŠĶĒRSLIS", "šķērslis", "Straße", "STRASSE",
-                 "İstanbul", "ΣΟΦΙΑ", "σοφια"]
+                 "İstanbul", "İ", "ΣΟΦΙΑ", "σοφια"]
 
 
 @st.composite
@@ -58,15 +75,15 @@ def texts(draw):
 
 class TestShingles:
     def test_window_count(self):
-        s = shingles("a b c d e f", 5)
+        s = shingles_of("a b c d e f", 5)
         assert len(s) == 2
 
     def test_short_text_single_shingle(self):
-        assert len(shingles("tikai trīs vārdi", 5)) == 1
-        assert len(shingles("", 5)) == 1
+        assert len(shingles_of("tikai trīs vārdi", 5)) == 1
+        assert len(shingles_of("", 5)) == 1
 
     def test_determinism_and_case(self):
-        assert np.array_equal(shingles("A B C D E F"), shingles("a b c d e f"))
+        assert np.array_equal(shingles_of("A B C D E F"), shingles_of("a b c d e f"))
 
     @settings(deadline=None, max_examples=300)
     @given(text=st.one_of(texts(), st.text()), n=st.integers(1, 6))
@@ -76,9 +93,34 @@ class TestShingles:
     @example(text="viens divi trīs četri pieci", n=5)
     @example(text="Viens VIENS viens\u3000viens\xa0vIeNs viens", n=3)
     def test_equals_reference(self, text, n):
-        s = shingles(text, n)
+        s = shingles_of(text, n)
         assert s.dtype == np.uint64
         assert s.tolist() == reference_shingles(text, n)
+
+    def test_str_rejected(self):
+        # a str is a sequence too, of one-character texts
+        with pytest.raises(TypeError):
+            shingles("a b c d e f", 5)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        corpus=st.lists(st.one_of(texts(), st.sampled_from(["", "viens", "a b a b a b a b"])),
+                        max_size=8),
+        n=st.integers(1, 6),
+        chunk=st.sampled_from([None, 1, 2, 3, 5]),
+    )
+    @example(corpus=[], n=5, chunk=None)
+    @example(corpus=["", "", ""], n=1, chunk=None)
+    @example(corpus=["", "viens divi", "\x1cİ\x85İ\xa0 İ\u3000İ", "a b a b a b a b", ""],
+             n=2, chunk=None)
+    def test_corpus_equals_reference_per_text(self, corpus, n, chunk):
+        # small chunks put chunk boundaries between every few texts
+        with mock.patch.object(near_dedup, "SHINGLE_CHUNK", chunk or near_dedup.SHINGLE_CHUNK):
+            values, sizes = shingles(corpus, n)
+        assert values.dtype == np.uint64 and sizes.dtype == np.int64
+        assert len(sizes) == len(corpus) and sizes.sum() == len(values)
+        for s, text in zip(split_sets(values, sizes), corpus):
+            assert s.tolist() == reference_shingles(text, n)
 
 
 class TestTrueJaccard:
@@ -103,14 +145,18 @@ class TestMinHash:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            minhash_signature([shingle_set([1]), shingle_set([])], K, SEED)
+            sign([shingle_set([1]), shingle_set([])])
+
+    def test_sizes_must_sum_to_the_values(self):
+        with pytest.raises(ValueError, match="sum to 2, not 3"):
+            minhash_signature(np.arange(3, dtype=np.uint64), [1, 1], K, SEED)
 
     def test_mismatched_signatures_rejected(self):
         a = sig_of_hashes(range(10))
         b = sig_of_hashes(range(10), k=56)
         with pytest.raises(ValueError):
             estimate_jaccard(a, b)
-        mat = minhash_signature([shingle_set(range(10))] * 2, 56, SEED)
+        mat = sign([shingle_set(range(10))] * 2, 56)
         with pytest.raises(ValueError):
             find_duplicate_clusters(mat, 14, 8)
 
@@ -172,7 +218,7 @@ class TestSignatureMatrix:
         budget = near_dedup.SIGN_CHUNK_BYTES if rows_per_chunk is None else 8 * k * rows_per_chunk
         arrays = [np.array(s, dtype=np.uint64) for s in sets]
         with mock.patch.object(near_dedup, "SIGN_CHUNK_BYTES", budget):
-            mat = minhash_signature(arrays, k, perm_seed)
+            mat = sign(arrays, k, perm_seed)
         assert mat.shape == (len(sets), k) and mat.dtype == np.uint64
         for row, s in zip(mat, sets):
             assert row.tolist() == reference_signature(s, k, perm_seed)
@@ -194,7 +240,7 @@ class TestUnionFind:
 
 class TestClustering:
     def _signatures(self, texts):
-        return minhash_signature([shingles(t) for t in texts], K, SEED)
+        return minhash_signature(*shingles(texts), K, SEED)
 
     def test_identical_docs_cluster(self, lang):
         rng = np.random.default_rng(0)
@@ -214,7 +260,7 @@ class TestClustering:
         a = pool[0:1000]
         b = pool[100:1100]
         c = pool[200:1200]
-        sigs = minhash_signature([shingle_set(x) for x in (a, b, c)], K, SEED)
+        sigs = sign([shingle_set(x) for x in (a, b, c)])
         assert find_duplicate_clusters(sigs, 14, 8, threshold=0.7) == [[0, 1, 2]]
 
     def test_lsh_candidate_recall_at_08(self):
@@ -281,7 +327,7 @@ class TestClustersMatchReference:
     ):
         bands, rows = layout
         sets = planted_sets(seed, n_chains, chain_len, shift, size, n_near_miss)
-        sigs = minhash_signature(sets, bands * rows, SEED)
+        sigs = sign(sets, bands * rows)
         for exact in (None, sets):
             assert find_duplicate_clusters(
                 sigs, bands, rows, threshold, exact
@@ -292,7 +338,7 @@ class TestClustersMatchReference:
         # ends fail verification, and a bucket spanning several components
         bands, rows, threshold = 8, 2, 0.7
         sets = planted_sets(0, 3, 6, 4, 40, 4)
-        sigs = minhash_signature(sets, bands * rows, SEED)
+        sigs = sign(sets, bands * rows)
         clusters = find_duplicate_clusters(sigs, bands, rows, threshold, sets)
         assert clusters == reference_clusters(sigs, bands, rows, threshold, sets)
         component = list(range(len(sets)))
@@ -328,7 +374,7 @@ class TestTemplatedPages:
         templates = [lang.document(rng, 8, 13) for _ in range(2)]
         pages = [replace_one_word(template, rng, lang) for template in templates
                  for _ in range(1000)]
-        sigs = minhash_signature([shingles(x) for x in pages], cfg.num_perm, cfg.perm_seed)
+        sigs = minhash_signature(*shingles(pages), cfg.num_perm, cfg.perm_seed)
         verified = 0
         hits = near_dedup._signature_hits
 
@@ -396,3 +442,38 @@ class TestDedupNear:
         kept1, _ = near(list(docs), NearDupConfig())
         kept2, _ = near(list(docs), NearDupConfig())
         assert [d.id for d in kept1] == [d.id for d in kept2]
+
+
+class TestDedupNearMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        bases=st.lists(texts(), min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.one_of(st.just(""), texts())),
+                       max_size=10),
+        n=st.integers(1, 6),
+        layout=st.sampled_from([(8, 2), (4, 4), (14, 8)]),
+        threshold=st.sampled_from([0.5, 0.7]),
+    )
+    @example(bases=["a"], picks=[], n=5, layout=(14, 8), threshold=0.7)
+    @example(bases=["", "İ İ\x85İ"], picks=[(0, ""), (1, ""), (0, ""), (1, "x")], n=2,
+             layout=(8, 2), threshold=0.5)
+    def test_clusters_equal_reference_in_both_verify_modes(
+        self, bases, picks, n, layout, threshold
+    ):
+        # each text is a base text, maybe with words appended, so that
+        # texts are often duplicates or near duplicates of each other
+        corpus = [bases[i % len(bases)] + " " + extra for i, extra in picks]
+        docs = [Document(id=f"d{i}", source="s", text=t) for i, t in enumerate(corpus)]
+        bands, rows = layout
+        k = bands * rows
+        sets = [np.array(reference_shingles(t, n), dtype=np.uint64) for t in corpus]
+        mat = np.array([reference_signature(s, k, SEED) for s in sets], dtype=np.uint64)
+        mat = mat.reshape(len(sets), k)
+        for exact in (False, True):
+            cfg = NearDupConfig(num_perm=k, bands=bands, rows=rows, shingle_n=n,
+                                threshold=threshold, perm_seed=SEED, exact_verify=exact)
+            _, clusters = dedup_near(docs, cfg)
+            want = reference_clusters(mat, bands, rows, threshold, sets if exact else None)
+            assert sorted(sorted([c["kept"], *c["removed"]]) for c in clusters) == sorted(
+                sorted(docs[i].id for i in cluster) for cluster in want
+            )

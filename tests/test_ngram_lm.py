@@ -277,6 +277,8 @@ class TestMalformedModelFile:
          "vocab word 'a' is listed twice"),
         (lambda a: [add_gram([3, 4, 3], 2**62)(a), add_gram([4, 3, 4], 2**62)(a)],
          "past 2**63 - 1"),
+        (set_array("min_count", np.array(0, np.int64)), "min_count 0 < 1"),
+        (set_array("min_count", np.array(-3, np.int64)), "min_count -3 < 1"),
     ])
     def test_rejected_with_one_line(self, tmp_path, mutate, needle):
         assert needle in self._refused(self._write(tmp_path, mutate))

@@ -51,9 +51,9 @@ class TestRun:
         texts = []
         real = subword.tokenize
 
-        def counting(text, vocab):
+        def counting(text, vocab, **kwargs):
             texts.append(text)
-            return real(text, vocab)
+            return real(text, vocab, **kwargs)
 
         monkeypatch.setattr(subword, "tokenize", counting)
         cfg = load_config(build_workspace(tmp_path, n_docs=120))
@@ -61,6 +61,39 @@ class TestRun:
         stats = {s.stage: s for s in report.stages}
         assert stats["pack"].docs_in > 0
         assert len(texts) == stats["token_count"].docs_in
+
+    def test_word_counts_come_from_the_tokenizer_split(self, tmp_path, monkeypatch):
+        # read_jsonl counts no words, and token_count's split fills the
+        # counts every stage reports
+        from corpusprep import core
+
+        fallbacks = []
+        real = core.word_count
+
+        def counting(text):
+            fallbacks.append(text)
+            return real(text)
+
+        cfg = load_config(
+            build_workspace(tmp_path, n_docs=120, stages=["token_count", "sample", "pack"])
+        )
+        monkeypatch.setattr(core, "word_count", counting)
+        run_pipeline(cfg)
+        assert fallbacks == []
+        work = Path(cfg.work_dir)
+        report = json.loads((work / "report.json").read_text("utf-8"))
+        docs_in = list(read_jsonl(cfg.input))
+        for i, stage in enumerate(report["stages"]):
+            docs_out = list(read_jsonl(work / f"{i:02d}_{stage['stage']}.jsonl"))
+            for side, docs in (("words_in", docs_in), ("words_out", docs_out)):
+                words = Counter()
+                for doc in docs:
+                    words[doc.source] += len(doc.text.split())
+                assert stage[side] == sum(words.values()), (stage["stage"], side)
+                assert {src: s[side] for src, s in stage["per_source"].items()} == {
+                    src: words[src] for src in stage["per_source"]
+                }, (stage["stage"], side)
+            docs_in = docs_out
 
     def test_each_document_line_encoded_once_per_run(self, tmp_path, monkeypatch):
         calls = []

@@ -230,9 +230,9 @@ class TestTokenIds:
         texts = []
         real = subword.tokenize
 
-        def counting(text, vocab):
+        def counting(text, vocab, **kwargs):
             texts.append(text)
-            return real(text, vocab)
+            return real(text, vocab, **kwargs)
 
         monkeypatch.setattr(subword, "tokenize", counting)
         return texts
