@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, Literal, Optional, Union, get_args, get_origin, get_type_hints
@@ -157,8 +158,9 @@ def _read_section(cls, raw, path: str, errors: list):
 
 def _outside(value, bound: str) -> Optional[str]:
     """Why *value* breaks *bound*, ``">= lo"`` or an interval such as
-    ``"(lo, hi]"``, or None if it does not. NaN fails every interval and
-    passes every lower bound."""
+    ``"(lo, hi]"``, or None if it does not. NaN fails every bound."""
+    if value != value:
+        return f"{value} is not a number"
     if bound.startswith(">= "):
         lo = bound[3:]
         return f"{value} < {lo}" if value < float(lo) else None
@@ -205,6 +207,9 @@ def validate(cfg: PipelineConfig) -> list[str]:
         )
     if policy.kind == "percentile" and not 0.0 <= policy.value <= 100.0:
         errors.append(f"lm.policy.value: percentile {policy.value} outside [0, 100]")
+    if policy.kind == "absolute" and not 1.0 <= policy.value < math.inf:
+        # a perplexity is at least 1: a lower cutoff rejects every scored document
+        errors.append(f"lm.policy.value: absolute cutoff {policy.value} is not finite and >= 1")
     if mask.p_mask + mask.p_random > 1.0:
         errors.append("pack.mask: p_mask + p_random > 1")
     if cfg.pack.seq_len < 2:

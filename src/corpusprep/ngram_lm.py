@@ -27,8 +27,9 @@ row of level k-1 that is a context of a k-gram (1.0 for a row that is
 not); the unigram level is one array over the ids. The key, alpha and
 lam arrays have one more entry, for the row of a window not in the trie.
 
-A document is scored in one pass over the ids of all its sentences, each
-padded with order-1 start symbols and closed with the end symbol. Per
+Documents are scored together, in one pass per chunk of about SCORE_CHUNK
+positions: the ids of the chunk's sentences, each padded with order-1 start
+symbols and closed with the end symbol. Per
 order k there is one searchsorted over all positions: the k-gram ending at
 position i extends the (k-1)-gram ending there by the word k-1 places back,
 and the context of the token at i is the (k-1)-gram ending at i-1. Starting
@@ -72,6 +73,10 @@ EOS = "</s>"
 
 DEFAULT_ORDER = 5
 DEFAULT_MIN_COUNT = 2
+
+# perplexities closes a chunk of documents, scored in one _token_probs
+# call, at the first document boundary at or past this many positions
+SCORE_CHUNK = 1 << 14
 
 MODEL_FORMAT = "kn-ngram-v2"
 FIELDS = ("format", "order", "min_count", "discounts", "vocab", "grams", "counts")
@@ -260,29 +265,6 @@ class KneserNeyModel:
             np.add(alpha[row], tail, out=tail)
         return p
 
-    def sentences_logprob(self, sentences: list) -> list[tuple[float, int]]:
-        """(natural-log probability incl. the end symbol, tokens scored) of
-        each sentence, a list of words, all scored in one vectorized pass."""
-        get = self.vocab_index.get
-        unk, k = self._unk, self.order - 1
-        pad = [self._bos] * k
-        seq = []
-        for words in sentences:
-            seq += pad
-            seq += map(get, words, repeat(unk))
-            seq.append(self._eos)
-        probs = self._token_probs(np.array(seq, np.int64)).tolist()
-        out = []
-        end = 0
-        for words in sentences:
-            start = end + k
-            end = start + len(words) + 1
-            lp = 0.0
-            for x in probs[start:end]:
-                lp += math.log(x)
-            out.append((lp, end - start))
-        return out
-
     def save(self, path) -> None:
         """Write the model to exactly *path* as a kn-ngram-v2 file."""
         rows = np.flatnonzero(self._counts)
@@ -387,16 +369,58 @@ class PerplexityVerdict:
     n_scored_tokens: int
 
 
-def perplexity(model: KneserNeyModel, doc: Document) -> PerplexityVerdict:
-    sentences = [s for s in map(sentence_tokens, doc.text.split("\n")) if s]
-    lp = 0.0
-    n = 0
-    for slp, sn in model.sentences_logprob(sentences):
-        lp += slp
-        n += sn
-    if n == 0:
-        return PerplexityVerdict(doc.id, math.inf, 0.0, 0)
-    return PerplexityVerdict(doc.id, math.exp(-lp / n), lp, n)
+def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[PerplexityVerdict]:
+    """The verdict of each document, in order: exp(-log_prob / n) over its
+    n scored tokens (each sentence's words and end symbol), or inf with
+    log_prob 0.0 if it has none.
+
+    The padded ids of consecutive documents are scored together, one
+    _token_probs call per chunk; a chunk is closed at the first document
+    boundary at or past SCORE_CHUNK positions. A position reads only the
+    order-1 ids before it, which are its own sentence's start symbols or
+    words, so scoring documents together gives each token the probability
+    it gets alone. The logs are summed in Python, per sentence and then
+    per document, left to right.
+    """
+    get = model.vocab_index.get
+    unk, eos, k = model._unk, model._eos, model.order - 1
+    pad = [model._bos] * k
+    out: list[PerplexityVerdict] = []
+    seq: list[int] = []
+    pending = []  # (doc id, scored tokens per sentence) of the open chunk
+
+    def score_chunk() -> None:
+        probs = model._token_probs(np.array(seq, np.int64)).tolist()
+        end = 0
+        for doc_id, lengths in pending:
+            lp = 0.0
+            for length in lengths:
+                start = end + k
+                end = start + length
+                slp = 0.0
+                for x in probs[start:end]:
+                    slp += math.log(x)
+                lp += slp
+            n = sum(lengths)
+            out.append(PerplexityVerdict(doc_id, math.exp(-lp / n), lp, n) if n
+                       else PerplexityVerdict(doc_id, math.inf, 0.0, 0))
+        seq.clear()
+        pending.clear()
+
+    for doc in docs:
+        lengths = []
+        for line in doc.text.split("\n"):
+            words = sentence_tokens(line)
+            if words:
+                seq += pad
+                seq += map(get, words, repeat(unk))
+                seq.append(eos)
+                lengths.append(len(words) + 1)
+        pending.append((doc.id, lengths))
+        if len(seq) >= SCORE_CHUNK:
+            score_chunk()
+    score_chunk()
+    return out
 
 
 @dataclass
@@ -429,7 +453,7 @@ def filter_by_perplexity(
     Each kept document carries its score in meta["perplexity"] for the
     downstream quality-ordered sampler.
     """
-    scores = [perplexity(model, doc) for doc in docs]
+    scores = perplexities(model, docs)
     if policy.kind == "absolute":
         cutoff = policy.value
     else:

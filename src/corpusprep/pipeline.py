@@ -134,7 +134,10 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
         quality.strip_boilerplate(doc.with_text(normalize_text(doc.text)))
         for doc in docs
     ]
-    verdicts = [quality.apply_heuristics(doc, cfg.heuristics) for doc in docs]
+    ratios = quality.char_ratios(doc.text for doc in docs)
+    verdicts = [
+        quality.apply_heuristics(doc, cfg.heuristics, r) for doc, r in zip(docs, ratios)
+    ]
     return docs, verdicts, None
 
 

@@ -1,16 +1,28 @@
-"""Heuristic boilerplate stripping and low-quality document filtering."""
+"""Heuristic boilerplate stripping and low-quality document filtering.
+
+The character ratios of a whole stage input are counted in a few array
+passes (char_ratios) and handed to apply_heuristics document by document.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Annotated, Iterable, Optional
+
+import numpy as np
 
 from corpusprep.core import Document
 
 LATVIAN_DIACRITICS = set("āčēģīķļņšūž")
 
 BOILERPLATE_MAX_LINE_LEN = 80
+
+# character classes of char_ratios, in the order of its counts
+WHITESPACE, OTHER, ALPHA, LATVIAN, DIGIT = range(5)
+N_CLASSES = 5
+# char_ratios closes a chunk of texts, counted in one pass, at the first
+# text boundary at or past this many characters
+RATIO_CHUNK = 1 << 16
 
 
 @dataclass
@@ -38,28 +50,59 @@ def strip_boilerplate(doc: Document) -> Document:
     return doc.with_text(text) if text != doc.text else doc
 
 
-def _char_ratios(text: str) -> tuple[float, float, float]:
-    """(alpha_ratio, digit_ratio, latvian_ratio) over the document text.
+def _char_class(ch: str) -> int:
+    if ch.isspace():
+        return WHITESPACE
+    if ch.isalpha():
+        return LATVIAN if ch.lower() in LATVIAN_DIACRITICS else ALPHA
+    return DIGIT if ch.isdigit() else OTHER
+
+
+def _class_counts(texts: list[str]) -> list[list[int]]:
+    """Per text, its number of characters of each class, indexed by class.
+
+    Each character becomes the key (text index << 21) | code point, as
+    every code point is below 2**21; one sort counts each distinct key, and
+    each distinct code point of the texts is classified once."""
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    text_of = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(t) for t in texts])
+    keys, runs = np.unique((text_of << 21) | codes, return_counts=True)
+    distinct, inverse = np.unique(keys & 0x1FFFFF, return_inverse=True)
+    classes = np.fromiter(map(_char_class, map(chr, distinct.tolist())), np.int64,
+                          len(distinct))
+    counts = np.zeros(len(texts) * N_CLASSES, np.int64)
+    np.add.at(counts, (keys >> 21).astype(np.int64) * N_CLASSES + classes[inverse], runs)
+    return counts.reshape(len(texts), N_CLASSES).tolist()
+
+
+def char_ratios(texts: Iterable[str]) -> list[tuple[float, float, float]]:
+    """(alpha_ratio, digit_ratio, latvian_ratio) of each text, in order.
 
     alpha and digit ratios are over non-whitespace characters; the Latvian
-    diacritic ratio is over alphabetic characters.
+    diacritic ratio is over alphabetic characters. Texts are counted in
+    chunks, each closed at the first text boundary at or past RATIO_CHUNK
+    characters; each distinct character of a chunk is classified once.
     """
-    non_ws = alpha = digit = latvian = 0
-    # classify each distinct character once, weighted by its count
-    for ch, n in Counter(text).items():
-        if ch.isspace():
-            continue
-        non_ws += n
-        if ch.isalpha():
-            alpha += n
-            if ch.lower() in LATVIAN_DIACRITICS:
-                latvian += n
-        elif ch.isdigit():
-            digit += n
-    if non_ws == 0:
-        return 0.0, 0.0, 0.0
-    latvian_ratio = latvian / alpha if alpha else 0.0
-    return alpha / non_ws, digit / non_ws, latvian_ratio
+    counts: list[list[int]] = []
+    chunk: list[str] = []
+    size = 0
+    for text in texts:
+        chunk.append(text)
+        size += len(text)
+        if size >= RATIO_CHUNK:
+            counts += _class_counts(chunk)
+            chunk, size = [], 0
+    if chunk:
+        counts += _class_counts(chunk)
+    out = []
+    for _, other, alpha_only, latvian, digit in counts:
+        non_ws = other + alpha_only + latvian + digit
+        alpha = alpha_only + latvian
+        if non_ws == 0:
+            out.append((0.0, 0.0, 0.0))
+        else:
+            out.append((alpha / non_ws, digit / non_ws, latvian / alpha if alpha else 0.0))
+    return out
 
 
 def _repeated_line_ratio(text: str) -> float:
@@ -76,8 +119,10 @@ def _repeated_line_ratio(text: str) -> float:
     return repeats / len(lines)
 
 
-def apply_heuristics(doc: Document, cfg: HeuristicConfig) -> Optional[str]:
-    """Return None to keep, or the reason code of the first violated rule.
+def apply_heuristics(doc: Document, cfg: HeuristicConfig,
+                     ratios: tuple[float, float, float]) -> Optional[str]:
+    """Return None to keep, or the reason code of the first violated rule;
+    *ratios* is char_ratios' triple for doc.text.
 
     Rules run in a fixed order (length, alpha ratio, digit ratio, Latvian
     character ratio, repeated-line ratio) so rejection stats stay
@@ -88,7 +133,7 @@ def apply_heuristics(doc: Document, cfg: HeuristicConfig) -> Optional[str]:
         return "too_short"
     if n > cfg.max_words:
         return "too_long"
-    alpha_ratio, digit_ratio, latvian_ratio = _char_ratios(doc.text)
+    alpha_ratio, digit_ratio, latvian_ratio = ratios
     if alpha_ratio < cfg.min_alpha_ratio:
         return "alpha_ratio"
     if digit_ratio > cfg.max_digit_ratio:

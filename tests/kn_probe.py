@@ -1,5 +1,5 @@
 """Single probabilities of a KneserNeyModel, read through the vectorized
-scorer that perplexity runs, for tests that check one p(w | context) at a
+scorer that perplexities runs, for tests that check one p(w | context) at a
 time against a reference."""
 
 import numpy as np

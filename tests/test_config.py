@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusprep.cli import EXIT_VALIDATION, main
 from corpusprep.config import (
     ConfigError,
     KNOWN_STAGES,
@@ -475,6 +476,43 @@ class TestBounds:
             "pack.mask.p_mask": "[0, 1]",
             "pack.mask.p_random": "[0, 1]",
         }
+
+
+class TestImpossibleValues:
+    """Values that pass a naive range check but make a stage keep no
+    document or every document: each exits 1 with one line naming its key."""
+
+    @pytest.mark.parametrize(
+        "yaml_text, error",
+        [
+            ("sample: {overshoot: .nan}", "sample.overshoot: nan is not a number"),
+            ("lm: {policy: {kind: absolute, value: .nan}}",
+             "lm.policy.value: absolute cutoff nan is not finite and >= 1"),
+            ("lm: {policy: {kind: absolute, value: -5.0}}",
+             "lm.policy.value: absolute cutoff -5.0 is not finite and >= 1"),
+            ("lm: {policy: {kind: absolute, value: 0.999}}",
+             "lm.policy.value: absolute cutoff 0.999 is not finite and >= 1"),
+            ("lm: {policy: {kind: absolute, value: .inf}}",
+             "lm.policy.value: absolute cutoff inf is not finite and >= 1"),
+            ("lm: {policy: {kind: percentile, value: .nan}}",
+             "lm.policy.value: percentile nan outside [0, 100]"),
+            ("heuristics: {min_alpha_ratio: .nan}",
+             "heuristics.min_alpha_ratio: nan is not a number"),
+        ],
+    )
+    def test_validate_exits_1_naming_the_key(self, tmp_path, capsys, yaml_text, error):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"input: x\nwork_dir: y\nstages: [filter]\n{yaml_text}\n",
+                        encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"invalid config: {error}\n"
+
+    def test_absolute_cutoff_of_one_accepted(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("input: x\nwork_dir: y\nstages: [filter]\n"
+                        "lm: {policy: {kind: absolute, value: 1}}\n", encoding="utf-8")
+        assert load_config(path).lm.policy.value == 1
 
 
 class TestReadme:

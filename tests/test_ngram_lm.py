@@ -3,6 +3,7 @@ import json
 import math
 import random
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from corpusprep.ngram_lm import (
     PerplexityPolicy,
     filter_by_perplexity,
     percentile_cutoff,
-    perplexity,
+    perplexities,
     train_kn,
     train_kn_sentences,
 )
@@ -26,6 +27,11 @@ from kn_probe import map_word, prob
 from kn_recursive_reference import RecursiveKN
 from kn_reference import ReferenceKN
 from synthetic import SyntheticLanguage, shuffle_words
+
+
+def score(model, text):
+    """The verdict of one document of *text*."""
+    return perplexities(model, [Document(id="d", source="s", text=text)])[0]
 
 
 def make_training_sentences(n=400, seed=0, lang=None):
@@ -75,7 +81,8 @@ class TestOracleEquivalence:
         test_sents = [lang.sentence(rng, 10) for _ in range(20)]
         for sent in test_sents:
             words = sent.lower().split()
-            got_lp, got_n = model.sentences_logprob([words])[0]
+            got = score(model, " ".join(words))
+            got_lp, got_n = got.log_prob, got.n_scored_tokens
             ref_lps = ref.logprob_tokens(words)
             assert got_n == len(ref_lps)
             assert got_lp == pytest.approx(sum(ref_lps), rel=1e-9)
@@ -101,7 +108,7 @@ class TestPerplexity:
         # order-1 model with no counts at all: only the uniform floor
         m = KneserNeyModel(order=1, vocab=[UNK, BOS, EOS, "a", "b"],
                            top_counts={}, min_count=2)
-        v = perplexity(m, Document(id="d", source="s", text="a b a b"))
+        v = score(m, "a b a b")
         assert v.perplexity == pytest.approx(5.0, rel=1e-12)
 
     def test_training_doc_beats_shuffled(self):
@@ -110,19 +117,19 @@ class TestPerplexity:
         fluent = "\n".join(sentences[:40])
         rng = np.random.default_rng(0)
         shuffled = shuffle_words(fluent.replace("\n", " "), rng)
-        p_fluent = perplexity(model, Document(id="f", source="s", text=fluent))
-        p_shuffled = perplexity(model, Document(id="b", source="s", text=shuffled))
+        p_fluent = score(model, fluent)
+        p_shuffled = score(model, shuffled)
         assert p_fluent.perplexity < p_shuffled.perplexity
 
     def test_empty_doc_verdict(self):
         m = train_kn_sentences(["a b", "a b"], order=2)
-        v = perplexity(m, Document(id="e", source="s", text=""))
+        v = score(m, "")
         assert v.n_scored_tokens == 0
         assert v.perplexity == math.inf
 
     def test_perplexity_at_least_one(self):
         m = train_kn_sentences(["a b", "a b"], order=2)
-        v = perplexity(m, Document(id="d", source="s", text="a b"))
+        v = score(m, "a b")
         assert v.perplexity >= 1.0
         assert v.perplexity == pytest.approx(
             math.exp(-v.log_prob / v.n_scored_tokens)
@@ -138,8 +145,7 @@ class TestSerialization:
         loaded = KneserNeyModel.load(path)
         assert loaded.vocab == model.vocab
         assert loaded.discounts == model.discounts
-        doc = Document(id="d", source="s", text=sentences[0])
-        assert perplexity(loaded, doc).log_prob == perplexity(model, doc).log_prob
+        assert score(loaded, sentences[0]).log_prob == score(model, sentences[0]).log_prob
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -344,6 +350,21 @@ CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]
 OOV = "zz"
 
 
+def assert_sentences_match(model, oracle, sentences):
+    """Each sentence, a list of words, scored as a document of its own,
+    all in one perplexities call, has the recursion's (log_prob, tokens).
+    A document of an empty sentence scores no token, so the recursion's
+    score of the end symbol alone is checked through the probe."""
+    docs = [Document(id=str(i), source="s", text=" ".join(s)) for i, s in enumerate(sentences)]
+    for sent, got in zip(sentences, perplexities(model, docs), strict=True):
+        if sent:
+            assert (got.log_prob, got.n_scored_tokens) == oracle.sentence_logprob(sent), sent
+        else:
+            assert (got.log_prob, got.n_scored_tokens) == (0.0, 0)
+            end = prob(model, EOS, (BOS,) * (model.order - 1))
+            assert (math.log(end), 1) == oracle.sentence_logprob(sent)
+
+
 class TestCompiledMatchesRecursion:
     """The trie scorer against the recursive one, compared with ==."""
 
@@ -353,8 +374,7 @@ class TestCompiledMatchesRecursion:
         for ctx in contexts:
             for w in words:
                 assert prob(model, w, ctx) == oracle.prob(w, ctx), (w, ctx)
-        for sent in sentences:
-            assert model.sentences_logprob([sent])[0] == oracle.sentence_logprob(sent)
+        assert_sentences_match(model, oracle, sentences)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -435,14 +455,14 @@ class TestCompiledMatchesRecursion:
         for ctx in contexts:
             for w in vocab[:10] + vocab[-25:] + [OOV]:
                 assert prob(model, w, ctx) == oracle.prob(w, ctx), (w, ctx)
-        for s in sentences + [["w6999", OOV, "w0000"]]:
-            assert model.sentences_logprob([s])[0] == oracle.sentence_logprob(s)
+        assert_sentences_match(model, oracle, sentences + [["w6999", OOV, "w0000"]])
 
 
 class TestDocumentMatchesRecursion:
-    """perplexity() scores all sentences of a document in one vectorized
-    pass; its sums must equal the recursion's, taken sentence by sentence,
-    compared with ==."""
+    """perplexities() scores the sentences of many documents in one
+    vectorized pass per chunk; each document's sums must equal the
+    recursion's, taken sentence by sentence, compared with ==, wherever the
+    chunks are closed."""
 
     LINES = st.one_of(
         st.lists(st.sampled_from(CORPUS_WORDS + [OOV, "A", "Zz"]), max_size=6)
@@ -458,30 +478,67 @@ class TestDocumentMatchesRecursion:
             st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=8),
             min_size=1, max_size=12,
         ),
-        lines=st.lists(LINES, max_size=8),
+        docs=st.lists(st.lists(LINES, max_size=8).map("\n".join), max_size=6),
+        chunk=st.sampled_from([1, 2, 3, 7, ngram_lm.SCORE_CHUNK]),
     )
     @example(order=5, min_count=2, sentences=[["a", "b", "c"], ["a", "b"], ["d"]],
-             lines=["a b c", "", "zz a", "   ", "b", "A B zz c", "d"])
+             docs=["\n".join(["a b c", "", "zz a", "   ", "b", "A B zz c", "d"])],
+             chunk=ngram_lm.SCORE_CHUNK)
+    @example(order=3, min_count=1, sentences=[["a", "b"]],
+             docs=["", "a b\n\n\nb a", "ZZ\n \nA", "", "\n\n"], chunk=3)
     def test_perplexity_equals_sum_of_sentences(self, order, min_count, sentences,
-                                                lines):
+                                                docs, chunk):
         text = [" ".join(s) for s in sentences]
         model = train_kn_sentences(text, order=order, min_count=min_count)
         ref = ReferenceKN(text, order=order, min_count=min_count)
         oracle = RecursiveKN(order, ref.vocab, ref.counts[order], min_count)
-        doc = "\n".join(lines)
-        lp, n = 0.0, 0
-        for line in doc.split("\n"):
-            words = line.lower().split()
-            if words:
-                slp, sn = oracle.sentence_logprob(words)
-                lp += slp
-                n += sn
-        got = perplexity(model, Document(id="d", source="s", text=doc))
-        assert got.log_prob == lp and got.n_scored_tokens == n
-        if n:
-            assert got.perplexity == math.exp(-lp / n)
-        else:
-            assert got.perplexity == math.inf and got.n_scored_tokens == 0
+        with mock.patch.object(ngram_lm, "SCORE_CHUNK", chunk):
+            got = perplexities(
+                model, [Document(id=str(i), source="s", text=d) for i, d in enumerate(docs)]
+            )
+        assert [v.doc_id for v in got] == [str(i) for i in range(len(docs))]
+        for doc, v in zip(docs, got):
+            lp, n = 0.0, 0
+            for line in doc.split("\n"):
+                words = line.lower().split()
+                if words:
+                    slp, sn = oracle.sentence_logprob(words)
+                    lp += slp
+                    n += sn
+            assert v.log_prob == lp and v.n_scored_tokens == n
+            if n:
+                assert v.perplexity == math.exp(-lp / n)
+            else:
+                assert v.perplexity == math.inf and v.n_scored_tokens == 0
+
+    @pytest.mark.parametrize("chunk", [50, ngram_lm.SCORE_CHUNK])
+    def test_each_scoring_call_bounded_by_one_chunk(self, chunk):
+        """No _token_probs call gets more than SCORE_CHUNK positions plus
+        one document's, so scoring memory stays flat as the corpus grows;
+        the verdicts equal those of scoring each document alone."""
+        lang = SyntheticLanguage()
+        model = train_kn_sentences(make_training_sentences(n=200, seed=2, lang=lang), order=4)
+        rng = np.random.default_rng(8)
+        docs = [Document(id=f"d{i}", source="s",
+                         text=lang.document(rng, int(rng.integers(1, 9)), 12))
+                for i in range(40 if chunk == 50 else 600)]
+        docs[3] = Document(id="d3", source="s", text="")
+        positions = []
+        original = KneserNeyModel._token_probs
+
+        def recording(self, tok):
+            positions.append(len(tok))
+            return original(self, tok)
+
+        with mock.patch.object(ngram_lm, "SCORE_CHUNK", chunk), \
+                mock.patch.object(KneserNeyModel, "_token_probs", recording):
+            got = perplexities(model, docs)
+        alone = [perplexities(model, [d])[0] for d in docs]
+        assert got == alone
+        largest = max(v.n_scored_tokens + (model.order - 1) * len(d.text.split("\n"))
+                      for v, d in zip(alone, docs))
+        assert sum(positions) > 2 * chunk and len(positions) > 2
+        assert max(positions) < chunk + largest
 
 
 def lm_filter(docs, model, policy):
@@ -519,10 +576,9 @@ class TestFilter:
         fluent, noisy, model = self._docs_and_model()
         docs = fluent[:10]
         kept, _ = lm_filter(docs, model, PerplexityPolicy("percentile", 0))
-        from corpusprep.ngram_lm import perplexity as ppl
-
-        best = min(ppl(model, d).perplexity for d in docs)
-        assert all(ppl(model, d).perplexity == best for d in kept)
+        ppl = {v.doc_id: v.perplexity for v in perplexities(model, docs)}
+        best = min(ppl.values())
+        assert all(ppl[d.id] == best for d in kept)
         assert len(kept) >= 1
 
     def test_separates_fluent_from_shuffled(self):

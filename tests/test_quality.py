@@ -1,13 +1,15 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from corpusprep import quality
 from corpusprep.core import Document
 from corpusprep.quality import (
     LATVIAN_DIACRITICS,
     HeuristicConfig,
-    _char_ratios,
-    apply_heuristics,
+    char_ratios,
     strip_boilerplate,
 )
 
@@ -20,6 +22,12 @@ LATVIAN_PARAGRAPH = (
 
 def doc(text, **kw):
     return Document(id=kw.pop("id", "d"), source=kw.pop("source", "s"), text=text, **kw)
+
+
+def apply_heuristics(d, cfg):
+    """The verdict on *d*, with its character ratios counted as the filter
+    stage counts them."""
+    return quality.apply_heuristics(d, cfg, char_ratios([d.text])[0])
 
 
 class TestStripBoilerplate:
@@ -107,7 +115,7 @@ class TestApplyHeuristics:
 
 
 def char_ratios_per_character(text):
-    """The per-character loop _char_ratios replaces, kept as its oracle."""
+    """The per-character loop that char_ratios replaces, kept as its oracle."""
     non_ws = alpha = digit = latvian = 0
     for ch in text:
         if ch.isspace():
@@ -129,15 +137,58 @@ class TestCharRatios:
     # isdigit() but not a decimal digit (\d): superscripts, circled digits;
     # numeric but neither alpha nor digit: vulgar fractions, roman numerals
     TRICKY = "²³¹①½⅓ⅫĀČĒĢĪĶĻŅŠŪŽāčēģīķļņšūžǅß\u00a0\u2003\t\n٣"
+    ASTRAL = ["😀", "𝟗", "𝐀"]
 
     @given(st.text(max_size=200))
     def test_equals_per_character_loop(self, text):
-        assert _char_ratios(text) == char_ratios_per_character(text)
+        assert char_ratios([text]) == [char_ratios_per_character(text)]
 
     @given(st.text(alphabet=TRICKY + "ab1 ", max_size=200))
     def test_equals_per_character_loop_on_tricky_characters(self, text):
-        assert _char_ratios(text) == char_ratios_per_character(text)
+        assert char_ratios([text]) == [char_ratios_per_character(text)]
+
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.text(alphabet=TRICKY + "ab1 ", max_size=30),
+                st.text(max_size=30),
+                st.sampled_from(["", " ", "\n", "\u2003", *ASTRAL]),
+            ),
+            max_size=12,
+        ),
+        chunk=st.sampled_from([1, 2, 5, quality.RATIO_CHUNK]),
+    )
+    @example(texts=["", "😀", "𝟗 a", " ", "", TRICKY, "Āb 1"], chunk=2)
+    def test_corpus_pass_equals_per_character_loop(self, texts, chunk):
+        with mock.patch.object(quality, "RATIO_CHUNK", chunk):
+            got = char_ratios(texts)
+        assert got == [char_ratios_per_character(t) for t in texts]
 
     def test_uppercase_latvian_and_unicode_digits(self):
-        alpha, digit, latvian = _char_ratios("ĀČ ab ²½")
+        alpha, digit, latvian = char_ratios(["ĀČ ab ²½"])[0]
         assert (alpha, digit, latvian) == (4 / 6, 1 / 6, 2 / 4)
+
+    def test_each_counting_pass_bounded_by_one_chunk(self):
+        """No chunk holds more than RATIO_CHUNK characters plus one text's,
+        and none is sized by the largest code point: a text of one emoji
+        costs no table of a million entries."""
+        texts = [LATVIAN_PARAGRAPH * (i % 7) + "😀" for i in range(4000)]
+        sizes = []
+        original = quality._class_counts
+
+        def recording(chunk):
+            sizes.append(sum(map(len, chunk)))
+            return original(chunk)
+
+        with mock.patch.object(quality, "_class_counts", recording):
+            got = char_ratios(texts)
+        assert got == [char_ratios_per_character(t) for t in texts]
+        assert len(sizes) > 2
+        assert max(sizes) < quality.RATIO_CHUNK + max(map(len, texts))
+        tracemalloc.start()
+        try:
+            char_ratios(["\U0010ffff", "😀"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from corpusprep.ngram_lm import KneserNeyModel, train_kn_sentences
+from corpusprep.core import Document
+from corpusprep.ngram_lm import KneserNeyModel, perplexities, train_kn_sentences
 from kn_reference import ReferenceKN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +74,7 @@ def test_convert_kn_v1_scores_as_the_trained_model(tmp_path, lang):
     run_script("convert_kn_v1.py", v1, v2)
     converted = KneserNeyModel.load(v2)
     held_out = [lang.sentence(rng, 10) for _ in range(20)] + ["zz " + sentences[0]]
-    words = [s.lower().split() for s in sentences + held_out]
-    assert converted.sentences_logprob(words) == trained.sentences_logprob(words)
+    docs = [Document(id=str(i), source="s", text=s) for i, s in enumerate(sentences + held_out)]
+    assert perplexities(converted, docs) == perplexities(trained, docs)
     trained.save(tmp_path / "trained.json")
     assert v2.read_bytes() == (tmp_path / "trained.json").read_bytes()
