@@ -86,8 +86,10 @@ def _validate(config_path) -> int:
 
 def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
-    docs, _ = pipeline.read_input(args.input)
     get_vocab = pipeline.vocab_loader(cfg)
+    if stage in ("token_count", "pack"):
+        get_vocab()  # a bad vocabulary exits 1 before the input is read
+    docs, _ = pipeline.read_input(args.input)
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
         extra = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
@@ -135,8 +137,11 @@ def main(argv=None) -> int:
                     print(f"lm-train: {flag} {value} < 1", file=sys.stderr)
                     return EXIT_VALIDATION
             docs, _ = pipeline.read_input(args.input)
+            lines = (line for doc in docs for line in doc.text.split("\n"))
             try:
-                model = ngram_lm.train_kn(docs, order=args.order, min_count=args.min_count)
+                model = ngram_lm.train_kn_sentences(
+                    lines, order=args.order, min_count=args.min_count
+                )
             except ValueError as e:  # the corpus has zero tokens
                 print(f"input error: {args.input}: {e}", file=sys.stderr)
                 return EXIT_STAGE

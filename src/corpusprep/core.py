@@ -82,7 +82,7 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One corpus record. ``word_count`` is the number of words of
     ``text``, counted when first read (or filled by ``split_words``) and
@@ -105,13 +105,6 @@ class Document:
     _word_count: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        # Set here, not left to the class default: CPython sizes an
-        # instance's attribute array when it is made, with room for about
-        # one attribute more, so setting both this and line_at later would
-        # turn it into a full dict (about 380 more bytes per document).
-        self._word_count = None
 
     @property
     def word_count(self) -> int:

@@ -1,19 +1,13 @@
-"""Exact duplicate removal by normalized-text hash and canonical URL."""
+"""Exact duplicate removal: a document whose normalized-text digest
+(text_digest) or canonical URL (canonical_url) an earlier one has."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
 from corpusprep.core import Document, normalize_text
-
-
-@dataclass(frozen=True)
-class ExactKey:
-    text_hash: bytes  # 128-bit digest of normalized text
-    url_key: Optional[str]
 
 
 def text_digest(text: str) -> bytes:
@@ -37,11 +31,6 @@ def canonical_url(url: str) -> str:
     return host + path.rstrip("/")
 
 
-def exact_key(doc: Document) -> ExactKey:
-    url_key = canonical_url(doc.url) if doc.url else None
-    return ExactKey(text_hash=text_digest(doc.text), url_key=url_key)
-
-
 def dedup_exact(docs: list[Document]) -> list[Optional[str]]:
     """Per document in order: None for the first occurrence of its text
     hash and of its URL key, else the reject reason, ``exact_text`` or
@@ -54,14 +43,15 @@ def dedup_exact(docs: list[Document]) -> list[Optional[str]]:
     seen_url: set[str] = set()
     verdicts: list[Optional[str]] = []
     for doc in docs:
-        key = exact_key(doc)
-        if key.text_hash in seen_text:
+        text_hash = text_digest(doc.text)
+        url_key = canonical_url(doc.url) if doc.url else None
+        if text_hash in seen_text:
             verdicts.append("exact_text")
-        elif key.url_key is not None and key.url_key in seen_url:
+        elif url_key is not None and url_key in seen_url:
             verdicts.append("exact_url")
         else:
-            seen_text.add(key.text_hash)
-            if key.url_key is not None:
-                seen_url.add(key.url_key)
+            seen_text.add(text_hash)
+            if url_key is not None:
+                seen_url.add(url_key)
             verdicts.append(None)
     return verdicts

@@ -45,7 +45,9 @@ document.
 
 Sentences are newline-separated, lowercased, whitespace-tokenized, padded
 with order-1 start symbols and closed with an end symbol; words seen fewer
-than min_count times train as the unknown token.
+than min_count times train as the unknown token. A model is built from one
+input form, the word ids and counts of the top-order grams: the trainer
+counts the id windows of its sentences, and a model file stores the arrays.
 
 A kn-ngram-v2 model file is an npz archive of the arrays FIELDS names, in
 order: the format tag; order and min_count, int64 scalars; the float64
@@ -59,7 +61,7 @@ import math
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Literal, Optional
 
@@ -94,21 +96,6 @@ def sentence_tokens(line: str) -> list[str]:
     return line.lower().split()
 
 
-def _encode(top_counts: dict, ids: dict, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Word ids (n, order) int32 and counts (n,) int64 of a dict from word
-    tuples to counts; ValueError names a gram of another length or word."""
-    bad = next((g for g in top_counts if len(g) != order), None)
-    if bad is not None:
-        raise ValueError(f"gram {' '.join(bad)!r} has {len(bad)} words, order is {order}")
-    n = len(top_counts)
-    words = chain.from_iterable(top_counts)
-    try:
-        grams = np.fromiter(map(ids.__getitem__, words), np.int32, n * order)
-    except KeyError as e:
-        raise ValueError(f"word {e.args[0]!r} is not in the vocab") from None
-    return grams.reshape(n, order), np.fromiter(top_counts.values(), np.int64, n)
-
-
 def _checked(a: np.ndarray, name: str, dtype, shape: tuple) -> np.ndarray:
     if a.dtype != dtype or a.shape != shape:
         raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, not "
@@ -136,16 +123,13 @@ def _read_arrays(path) -> list:
 
 
 class KneserNeyModel:
-    def __init__(self, order: int, vocab: list[str], top_counts,
-                 min_count: int, discounts: Optional[dict] = None):
-        """Build a model from the count of every top-order n-gram.
-
-        top_counts is a dict from word tuples to counts, or, as in a model
-        file, a pair of arrays: the grams' word ids, (n, order) int32, and
-        their counts, (n,) int64. Every gram has *order* words of *vocab*
-        and a positive int count, and is listed once; ValueError names the
-        first gram that does not, a word listed twice in *vocab*, or a
-        *min_count* below 1.
+    def __init__(self, order: int, vocab: list[str], grams: np.ndarray,
+                 counts: np.ndarray, min_count: int, discounts: Optional[dict] = None):
+        """Build a model from the count of every top-order n-gram: *grams*
+        holds their word ids, oldest first, (n, order) int32, and *counts*
+        their counts, (n,) int64. Every count is positive and every gram is
+        listed once; ValueError names the first gram that is not, a word
+        listed twice in *vocab*, or a *min_count* below 1.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -164,9 +148,7 @@ class KneserNeyModel:
         self._unk = ids.get(UNK, oov)
         self._eos = ids.get(EOS, oov)
         self._bos = ids.get(BOS, oov)
-        if isinstance(top_counts, dict):
-            top_counts = _encode(top_counts, ids, order)
-        self._build(*top_counts, discounts)
+        self._build(grams, counts, discounts)
 
     def _gram_text(self, ids: np.ndarray) -> str:
         return " ".join(map(self.vocab.__getitem__, ids.tolist()))
@@ -318,7 +300,7 @@ class KneserNeyModel:
             if grams.size and (grams.min() < 0 or grams.max() >= len(vocab)):
                 bad = grams.min() if grams.min() < 0 else grams.max()
                 raise ValueError(f"word id {bad} is outside the vocab [0, {len(vocab)})")
-            return cls(order, vocab, (grams, counts), min_count,
+            return cls(order, vocab, grams, counts, min_count,
                        dict(enumerate(discounts, start=1)))
         except ValueError as e:  # a UnicodeDecodeError too
             raise ValueError(f"{path}: {e}") from None
@@ -329,6 +311,7 @@ def train_kn_sentences(
     order: int = DEFAULT_ORDER,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> KneserNeyModel:
+    """A model of *sentences*, one per string; ValueError if they hold no word."""
     sents = [sentence_tokens(s) for s in sentences]
     sents = [s for s in sents if s]
     word_freq = Counter(w for s in sents for w in s)
@@ -336,29 +319,16 @@ def train_kn_sentences(
         raise ValueError("training corpus has zero tokens")
     kept = sorted(w for w, c in word_freq.items() if c >= min_count)
     vocab = [UNK, BOS, EOS] + [w for w in kept if w not in (UNK, BOS, EOS)]
-    # grams hold the vocab's strings, not the token copies of the corpus,
-    # so the tokens are freed before the model is built
-    canonical = {w: w for w in vocab}
-
-    top_counts: dict = {}
-    pad = (BOS,) * (order - 1)
+    ids = {w: i for i, w in enumerate(vocab)}
+    unk, pad, eos = ids[UNK], (ids[BOS],) * (order - 1), (ids[EOS],)
+    windows: Counter = Counter()  # id tuple -> count
     for s in sents:
-        seq = pad + tuple(canonical.get(w, UNK) for w in s) + (EOS,)
-        for i in range(len(seq) - order + 1):
-            gram = seq[i : i + order]
-            top_counts[gram] = top_counts.get(gram, 0) + 1
+        seq = pad + tuple(ids.get(w, unk) for w in s) + eos
+        windows.update(zip(*(seq[i:] for i in range(order))))
     del sents, word_freq
-    return KneserNeyModel(order, vocab, top_counts, min_count)
-
-
-def train_kn(
-    corpus: Iterable[Document],
-    order: int = DEFAULT_ORDER,
-    min_count: int = DEFAULT_MIN_COUNT,
-) -> KneserNeyModel:
-    """Train on newline-separated sentences of a document stream."""
-    sentences = (line for doc in corpus for line in doc.text.split("\n"))
-    return train_kn_sentences(sentences, order=order, min_count=min_count)
+    grams = np.array(list(windows), np.int32).reshape(len(windows), order)
+    counts = np.fromiter(windows.values(), np.int64, len(windows))
+    return KneserNeyModel(order, vocab, grams, counts, min_count)
 
 
 @dataclass
@@ -448,7 +418,7 @@ def filter_by_perplexity(
 ) -> tuple[list[Optional[str]], float]:
     """Per document in order, None if its perplexity is within the policy
     cutoff, else ``empty`` (no scorable token) or ``high_ppl``; and the
-    cutoff.
+    cutoff, nan under a percentile policy when no document is scorable.
 
     Each kept document carries its score in meta["perplexity"] for the
     downstream quality-ordered sampler.
@@ -458,9 +428,7 @@ def filter_by_perplexity(
         cutoff = policy.value
     else:
         finite = [v.perplexity for v in scores if v.n_scored_tokens > 0]
-        if not finite:
-            raise ValueError("percentile policy on a stream with no scorable docs")
-        cutoff = percentile_cutoff(finite, policy.value)
+        cutoff = percentile_cutoff(finite, policy.value) if finite else math.nan
     verdicts = []
     for doc, score in zip(docs, scores):
         if score.n_scored_tokens == 0:

@@ -131,7 +131,7 @@ def vocab_loader(cfg: PipelineConfig) -> Callable[[], subword.SubwordVocab]:
 
 def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
     docs = [
-        quality.strip_boilerplate(doc.with_text(normalize_text(doc.text)))
+        doc.with_text(quality.strip_boilerplate(normalize_text(doc.text)))
         for doc in docs
     ]
     ratios = quality.char_ratios(doc.text for doc in docs)
@@ -162,7 +162,7 @@ def stage_lm_score(docs, cfg: PipelineConfig, work_dir, get_vocab):
 def stage_token_count(docs, cfg: PipelineConfig, work_dir, get_vocab):
     vocab = get_vocab()
     for doc in docs:
-        subword.token_count(doc, vocab)
+        doc.token_count = len(subword.token_ids(doc, vocab))
     return docs, None, None
 
 
@@ -301,7 +301,8 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     the last completed stage's output. That file must hold, with no
     malformed line, the number of documents the manifest records as that
     stage's output; otherwise StageFailure names the file and both counts
-    before any stage runs.
+    before any stage runs. A bad vocabulary raises VocabError before any
+    stage runs too, when token_count or pack is left to run.
     """
     t0 = time.monotonic()
     work_dir = Path(cfg.work_dir)
@@ -311,6 +312,9 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     manifest = _load_manifest(cfg) if resume else None
     completed = list(manifest["completed"]) if manifest else []
     stats_dicts = dict(manifest["stats"]) if manifest else {}
+    get_vocab = vocab_loader(cfg)
+    if {"token_count", "pack"} & set(cfg.stages[len(completed):]):
+        get_vocab()
 
     if completed:
         last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
@@ -328,7 +332,6 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
         docs, n_diagnostics = read_input(cfg.input)
 
     report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
-    get_vocab = vocab_loader(cfg)
 
     # the previous stage's output when this call wrote it: its documents'
     # lines are copied from there instead of encoded again

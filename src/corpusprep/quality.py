@@ -1,7 +1,9 @@
 """Heuristic boilerplate stripping and low-quality document filtering.
 
-The character ratios of a whole stage input are counted in a few array
-passes (char_ratios) and handed to apply_heuristics document by document.
+strip_boilerplate works on a text, so the filter stage makes one document
+per input from its normalized, stripped text. The character ratios of a
+whole stage input are counted in a few array passes (char_ratios) and
+handed to apply_heuristics document by document.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ class HeuristicConfig:
     max_repeated_line_ratio: Annotated[float, "[0, 1]"] = 0.3
 
 
-def strip_boilerplate(doc: Document) -> Document:
-    """Drop repeated short lines (navigation/footer text) beyond their first
-    occurrence; lines longer than 80 characters are never dropped."""
+def strip_boilerplate(text: str) -> str:
+    """*text* without its repeated short lines (navigation/footer text)
+    beyond their first occurrence; lines longer than 80 characters are
+    never dropped."""
     seen = set()
     kept = []
-    for line in doc.text.split("\n"):
+    for line in text.split("\n"):
         if len(line) <= BOILERPLATE_MAX_LINE_LEN:
             if line in seen:
                 continue
             seen.add(line)
         kept.append(line)
-    text = "\n".join(kept)
-    return doc.with_text(text) if text != doc.text else doc
+    return "\n".join(kept)
 
 
 def _char_class(ch: str) -> int:

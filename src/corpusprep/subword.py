@@ -20,9 +20,10 @@ the memo.
 
 A run tokenizes each document once: token_ids() keeps a document's ids as
 a uint16 array on ``Document.token_ids`` for the vocabulary that made them,
-so the token_count and pack stages share one tokenization. The ids live in
-memory only; a document read from JSONL is tokenized on first use. The
-text is split once for both its ids and its ``Document.word_count``.
+so the token_count stage, which counts them, and the pack stage share one
+tokenization. The ids live in memory only; a document read from JSONL is
+tokenized on first use. The text is split once for both its ids and its
+``Document.word_count``.
 """
 
 from __future__ import annotations
@@ -235,9 +236,3 @@ def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:
     ids = np.array(tokenize(doc.text, vocab, words=doc.split_words()), dtype=np.uint16)
     doc.token_ids = (vocab, ids)
     return ids
-
-
-def token_count(doc: Document, vocab: SubwordVocab) -> int:
-    n = len(token_ids(doc, vocab))
-    doc.token_count = n
-    return n

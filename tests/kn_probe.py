@@ -1,6 +1,7 @@
 """Single probabilities of a KneserNeyModel, read through the vectorized
 scorer that perplexities runs, for tests that check one p(w | context) at a
-time against a reference."""
+time against a reference; and the model's id-array input of a dict of
+word-tuple grams."""
 
 import numpy as np
 
@@ -29,3 +30,12 @@ def prob(model, word: str, context) -> float:
     tok = [ids.get(c, model._oov) for c in context[len(context) - k:]]
     tok.append(w)
     return model._token_probs(np.array(tok, np.int64))[-1].item()
+
+
+def encode(vocab, top: dict, order: int) -> tuple:
+    """The word ids, (n, order) int32, and counts, (n,) int64, of *top*,
+    a dict from *order*-word grams of *vocab* to counts: the gram input of
+    a KneserNeyModel."""
+    ids = {w: i for i, w in enumerate(vocab)}
+    grams = np.array([[ids[w] for w in g] for g in top], np.int32)
+    return grams.reshape(len(top), order), np.array(list(top.values()), np.int64)

@@ -31,6 +31,13 @@ def two_word_grams(arrays):
     arrays["grams"] = arrays["grams"][:, :2]  # 2 words in an order-5 model
 
 
+def drop_mask_token(workspace):
+    """Remove <mask> from the workspace's vocabulary, which load_vocab refuses."""
+    vocab = Path(yaml.safe_load(workspace.read_text("utf-8"))["vocab"]["path"])
+    lines = vocab.read_text("utf-8").splitlines()
+    vocab.write_text("\n".join(t for t in lines if t != "<mask>") + "\n", encoding="utf-8")
+
+
 class TestValidateCommand:
     def test_ok(self, workspace, capsys):
         assert main(["validate", "--config", str(workspace)]) == EXIT_OK
@@ -51,10 +58,7 @@ class TestValidateCommand:
         assert "mask.p_mask: -0.5 outside [0, 1]" in capsys.readouterr().err
 
     def test_vocabulary_without_mask_exits_1(self, workspace, capsys):
-        cfg = yaml.safe_load(workspace.read_text("utf-8"))
-        vocab = Path(cfg["vocab"]["path"])
-        lines = vocab.read_text("utf-8").splitlines()
-        vocab.write_text("\n".join(t for t in lines if t != "<mask>") + "\n", encoding="utf-8")
+        drop_mask_token(workspace)
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "missing special token <mask>" in err and err.count("\n") == 1
@@ -214,6 +218,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         doc_id = json.loads(first)["id"]
         assert f"duplicate document id {doc_id!r}" in err and err.count("\n") == 1
+        assert not list((workspace.parent / "work").glob("*.jsonl*"))
+
+    def test_bad_vocabulary_exits_1_before_any_stage_output(self, workspace, capsys):
+        drop_mask_token(workspace)
+        assert main(["run", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("vocabulary error: ") and err.count("\n") == 1
+        assert "missing special token <mask>" in err
         assert not list((workspace.parent / "work").glob("*.jsonl*"))
 
     def test_resume_flag(self, workspace, capsys):
@@ -415,6 +427,20 @@ class TestSingleStageCommands:
         ids = capsys.readouterr().out.split()
         assert ids and all(t.isdigit() for t in ids)
 
+    def test_lm_train_writes_the_model_of_its_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "source": "s", "text": "viens divi\\nviens divi"}\n'
+                          '{"id": "b", "source": "s", "text": "viens trīs"}\n',
+                          encoding="utf-8")
+        rc = main(["lm-train", "--input", str(corpus), "--output", str(tmp_path / "lm.json"),
+                   "--order", "2"])
+        assert rc == EXIT_OK
+        model = ngram_lm.load_model(tmp_path / "lm.json")
+        assert "viens" in model.vocab_index and "trīs" not in model.vocab_index
+        lines = ["viens divi", "viens divi", "viens trīs"]
+        ngram_lm.train_kn_sentences(lines, order=2).save(tmp_path / "direct.json")
+        assert (tmp_path / "lm.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
     def test_lm_train_order_below_one_exits_1(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         rc = main(["lm-train", "--input", cfg["input"],
@@ -483,6 +509,23 @@ class TestSingleStageCommands:
         assert f"duplicate document id 'a' in {corpus}" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "lm.json").exists()
+
+    @pytest.mark.parametrize("stage", ["token_count", "pack"])
+    def test_bad_vocabulary_exits_1_before_reading_input(
+        self, workspace, tmp_path, capsys, stage
+    ):
+        drop_mask_token(workspace)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # a missing input would exit 2: the vocabulary is checked first
+        rc = main([stage.replace("_", "-"), "--config", str(workspace),
+                   "--input", str(tmp_path / "missing.jsonl"),
+                   "--output", str(out_dir / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("vocabulary error: ") and err.count("\n") == 1
+        assert "missing special token <mask>" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_missing_vocab_exits_1(self, workspace, tmp_path):
         rc = main(

@@ -20,10 +20,9 @@ from corpusprep.ngram_lm import (
     filter_by_perplexity,
     percentile_cutoff,
     perplexities,
-    train_kn,
     train_kn_sentences,
 )
-from kn_probe import map_word, prob
+from kn_probe import encode, map_word, prob
 from kn_recursive_reference import RecursiveKN
 from kn_reference import ReferenceKN
 from synthetic import SyntheticLanguage, shuffle_words
@@ -106,8 +105,8 @@ class TestOracleEquivalence:
 class TestPerplexity:
     def test_uniform_model_perplexity_equals_vocab_size(self):
         # order-1 model with no counts at all: only the uniform floor
-        m = KneserNeyModel(order=1, vocab=[UNK, BOS, EOS, "a", "b"],
-                           top_counts={}, min_count=2)
+        vocab = [UNK, BOS, EOS, "a", "b"]
+        m = KneserNeyModel(1, vocab, *encode(vocab, {}, 1), min_count=2)
         v = score(m, "a b a b")
         assert v.perplexity == pytest.approx(5.0, rel=1e-12)
 
@@ -426,7 +425,7 @@ class TestCompiledMatchesRecursion:
         # anywhere, not only the start-symbol runs of a trained model
         vocab = [UNK, BOS, EOS, "a", "b", "c"]
         top = {g[:order]: c for g, c in top.items()}
-        model = KneserNeyModel(order, vocab, top, min_count=1)
+        model = KneserNeyModel(order, vocab, *encode(vocab, top, order), min_count=1)
         oracle = RecursiveKN(order, vocab, top, min_count=1)
         assert model.discounts == oracle.discounts
         contexts = [g[:-1] for g in top] + [g[1:] for g in top] + data.draw(
@@ -448,7 +447,7 @@ class TestCompiledMatchesRecursion:
             for i in range(len(seq) - order + 1):
                 gram = tuple(seq[i:i + order])
                 top[gram] = top.get(gram, 0) + 1
-        model = KneserNeyModel(order, vocab, top, min_count=1)
+        model = KneserNeyModel(order, vocab, *encode(vocab, top, order), min_count=1)
         oracle = RecursiveKN(order, vocab, top, min_count=1)
         contexts = [g[:-1] for g in top] + [g[1:] for g in top]
         contexts += [(OOV, "w6999"), ("w6999", OOV, "w0001", UNK), ()]
@@ -595,22 +594,19 @@ class TestFilter:
         kept_high, _ = lm_filter(docs, model, PerplexityPolicy("absolute", 500.0))
         assert {d.id for d in kept_low} <= {d.id for d in kept_high}
 
-    def test_percentile_on_empty_stream_errors(self):
+    def test_percentile_with_no_scorable_doc_gives_nan_cutoff(self):
         _, _, model = self._docs_and_model()
+        for docs in ([], [Document(id="e", source="s", text=""),
+                          Document(id="w", source="s", text=" \n ")]):
+            verdicts, cutoff = filter_by_perplexity(
+                docs, model, PerplexityPolicy("percentile", 50))
+            assert verdicts == ["empty"] * len(docs)
+            assert math.isnan(cutoff) and repr(cutoff) == "nan"
         with pytest.raises(ValueError):
-            filter_by_perplexity([], model, PerplexityPolicy("percentile", 50))
+            percentile_cutoff([], 50)
 
     def test_percentile_cutoff_boundaries(self):
         vals = [float(i) for i in range(1, 101)]
         assert percentile_cutoff(vals, 0) == 1.0
         assert percentile_cutoff(vals, 50) == 50.0
         assert percentile_cutoff(vals, 100) == 100.0
-
-
-def test_train_kn_from_documents():
-    docs = [
-        Document(id="a", source="s", text="viens divi\nviens divi"),
-        Document(id="b", source="s", text="viens trīs"),
-    ]
-    m = train_kn(docs, order=2, min_count=2)
-    assert "viens" in m.vocab_index

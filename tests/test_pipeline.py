@@ -5,9 +5,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 
+from corpusprep.cli import EXIT_OK, main
 from corpusprep.config import KNOWN_STAGES, load_config
-from corpusprep.core import Document, read_jsonl, write_jsonl
+from corpusprep.core import Document, StageStats, read_jsonl, write_jsonl
 from corpusprep.pipeline import (
     RunReport,
     StageFailure,
@@ -170,6 +172,24 @@ class TestRun:
         )
         assert "wall_time" not in json.dumps(on_disk)
 
+    def test_run_with_every_document_filtered_out_exits_0(self, tmp_path):
+        """No document reaches lm_score, so the percentile policy has no
+        cutoff: the run finishes with cutoff nan and every count conserved."""
+        config = build_workspace(tmp_path, n_docs=50)
+        cfg = yaml.safe_load(config.read_text("utf-8"))
+        cfg["heuristics"]["min_words"] = 10**6
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        report = json.loads((tmp_path / "work" / "report.json").read_text("utf-8"))
+        filtered, *rest = report["stages"]
+        assert filtered["docs_in"] == 50 and filtered["docs_out"] == 0
+        assert filtered["rejected"] == {"too_short": 50}
+        assert all(s["docs_in"] == s["docs_out"] == 0 for s in rest)
+        assert rest[2]["stage"] == "lm_score" and rest[2]["extra"] == {"cutoff": "nan"}
+        run = RunReport(report["config_hash"],
+                        [StageStats.from_dict(s) for s in report["stages"]])
+        run.check_conservation()
+
 
 class TestDeterminismAndResume:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -190,7 +210,8 @@ class TestDeterminismAndResume:
 
     # after token_count or sample, pack runs on documents read back from
     # JSONL, which carry no token ids and are tokenized again
-    @pytest.mark.parametrize("fail_after", ["lm_score", "token_count", "sample"])
+    @pytest.mark.parametrize("fail_after", [
+        "filter", "dedup_exact", "dedup_near", "lm_score", "token_count", "sample"])
     def test_resume_after_failure_matches_clean_run(
         self, tmp_path, monkeypatch, fail_after
     ):

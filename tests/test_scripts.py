@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from corpusprep.core import Document
 from corpusprep.ngram_lm import KneserNeyModel, perplexities, train_kn_sentences
@@ -16,7 +17,9 @@ from kn_reference import ReferenceKN
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
+    """The stdout of scripts/*name* run with *args*, after checking its exit
+    status; the stderr when that status is not 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -25,8 +28,8 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stderr if returncode else proc.stdout
 
 
 def test_lsh_recall_curve_tracks_banding_formula():
@@ -78,3 +81,23 @@ def test_convert_kn_v1_scores_as_the_trained_model(tmp_path, lang):
     assert perplexities(converted, docs) == perplexities(trained, docs)
     trained.save(tmp_path / "trained.json")
     assert v2.read_bytes() == (tmp_path / "trained.json").read_bytes()
+
+
+@pytest.mark.parametrize("counts, error", [
+    ([["<s> a", 1], ["a", 1]], "gram 'a' has 1 words, order is 2"),
+    ([["<s> a", 1], ["a b", 1]], "word 'b' is not in the vocab"),
+    ([["<s> a", 1], ["a </s>", 1.5]], "gram 'a </s>' has count 1.5"),
+    ([["<s> a", 1], ["a </s>", 0]], "gram 'a </s>' has count 0"),
+    ([["<s> a", 1], ["a </s>", 2**63]], "OverflowError"),
+    ([["<s> a", 1], ["<s> a", 2]], "gram '<s> a' is listed twice"),
+])
+def test_convert_kn_v1_refuses_bad_grams_with_one_line(tmp_path, counts, error):
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({
+        "format": "kn-ngram-v1", "order": 2, "min_count": 1,
+        "vocab": ["<unk>", "<s>", "</s>", "a"], "discounts": {"1": 0.5, "2": 0.5},
+        "counts": counts,
+    }), encoding="utf-8")
+    err = run_script("convert_kn_v1.py", v1, tmp_path / "model.json", returncode=1)
+    assert error in err and err.count("\n") == 1
+    assert not (tmp_path / "model.json").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from corpusprep import subword
+from corpusprep import pipeline, subword
 from corpusprep.core import Document
 from corpusprep.subword import (
     SPECIAL_TOKENS,
@@ -12,7 +12,6 @@ from corpusprep.subword import (
     VocabError,
     escape_token,
     load_vocab,
-    token_count,
     token_ids,
     tokenize,
     unescape_token,
@@ -203,6 +202,12 @@ class TestTokenizeMatchesReference:
         assert v._word_ids == {}
         tokenize("ab ab ba", v)
         assert sorted(v._word_ids) == ["ab", "ba"]
+
+
+def token_count(doc, vocab):
+    """The token count the token_count stage sets on *doc*."""
+    pipeline.stage_token_count([doc], None, None, lambda: vocab)
+    return doc.token_count
 
 
 class TestTokenCount:
