@@ -11,10 +11,18 @@ Usage:
 
 import argparse
 
-from corpusprep.packing import pack_greedy
+from corpusprep.packing import MAX_SEQ_LEN, pack_greedy
 from corpusprep.subword import SPECIAL_TOKENS, SubwordVocab, unescape_token
 
 from synthetic import lognormal_token_docs, make_basic_vocab
+
+
+def seq_len_arg(text: str) -> int:
+    """A --seq-lens value: an int in 2..MAX_SEQ_LEN, as pack.seq_len."""
+    value = int(text)
+    if not 2 <= value <= MAX_SEQ_LEN:
+        raise argparse.ArgumentTypeError(f"{value} outside 2..{MAX_SEQ_LEN}")
+    return value
 
 
 def main() -> None:
@@ -22,7 +30,7 @@ def main() -> None:
     ap.add_argument("--n-docs", type=int, default=10_000)
     ap.add_argument("--mean-len", type=float, default=400.0)
     ap.add_argument("--sigma", type=float, default=1.0)
-    ap.add_argument("--seq-lens", type=int, nargs="+",
+    ap.add_argument("--seq-lens", type=seq_len_arg, nargs="+",
                     default=[512, 1024, 2048, 8192])
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()

@@ -2,8 +2,10 @@
 
 A single declarative YAML config drives full runs (``run``); every pipeline
 stage is also its own subcommand (``dedup_exact`` -> ``dedup-exact``) for
-shell-pipeline composition. Exit codes: 0 success, 1 validation failure,
-2 stage failure or unreadable input.
+shell-pipeline composition. ``validate``, ``run`` and each stage
+subcommand check and load what their stages need (pipeline.preflight)
+before reading any input. Exit codes: 0 success, 1 a config, vocabulary
+or model file refused, 2 stage failure or unreadable input.
 """
 
 from __future__ import annotations
@@ -68,34 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(config_path) -> int:
-    """Check the config, then load the vocabulary and the LM the configured
-    stages will use, so a file they reject fails here and not mid-run."""
-    cfg = load_config(config_path)
-    if "token_count" in cfg.stages or "pack" in cfg.stages:
-        subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
-    if "lm_score" in cfg.stages:
-        try:
-            ngram_lm.load_model(cfg.lm.model_path)
-        except ValueError as e:
-            print(f"model error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-    print("config ok")
-    return EXIT_OK
-
-
 def _run_single_stage(stage: str, args) -> int:
     cfg = load_config(args.config)
-    get_vocab = pipeline.vocab_loader(cfg)
-    if stage in ("token_count", "pack"):
-        get_vocab()  # a bad vocabulary exits 1 before the input is read
+    loaded = pipeline.preflight(cfg, [stage])
     docs, _ = pipeline.read_input(args.input)
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
-        extra = pipeline.pack_docs(docs, cfg, args.output, get_vocab())
+        extra = pipeline.pack_docs(docs, cfg, args.output, loaded.vocab)
         _, stats = StageStats.tally("pack", docs, extra=extra)
     else:
-        _, stats = pipeline.run_stage(stage, docs, cfg, None, get_vocab, args.output)
+        _, stats = pipeline.run_stage(stage, docs, cfg, None, loaded, args.output)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
     return EXIT_OK
 
@@ -104,7 +88,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return _validate(args.config)
+            cfg = load_config(args.config)
+            pipeline.preflight(cfg, cfg.stages)
+            print("config ok")
+            return EXIT_OK
 
         if args.command == "run":
             cfg = load_config(args.config)
@@ -168,6 +155,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except subword.VocabError as e:
         print(f"vocabulary error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ngram_lm.ModelError as e:
+        print(f"model error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except pipeline.StageFailure as e:
         print(f"stage failure: {e}", file=sys.stderr)

@@ -5,8 +5,9 @@ load_config reads each section into its dataclass, then validate checks
 ranges, and that the files the config names exist, relative paths taken
 from the current directory. A bound on one field is written on its
 annotation as a string, ``Annotated[float, "(0, 1]"]`` (either end open or
-closed) or ``Annotated[int, ">= 1"]``; rules that span fields, packed.bin's
-format limits and the stage-dependent checks are written out in validate.
+closed) or ``Annotated[int, ">= 1"]``; rules that span fields and
+packed.bin's format limits are written out in validate, and those of one
+stage in stage_errors, which pipeline.preflight also applies.
 Both steps collect every violation, each named by its dotted path, rather
 than stopping at the first, so a bad config is fixable in one pass.
 """
@@ -225,17 +226,24 @@ def validate(cfg: PipelineConfig) -> list[str]:
             f"vocab.expected_size: {size} > {MAX_VOCAB_SIZE} "
             "(packed.bin stores token ids as u16)"
         )
-    if "lm_score" in cfg.stages:
+    return errors + stage_errors(cfg, cfg.stages)
+
+
+def stage_errors(cfg: PipelineConfig, stages) -> list[str]:
+    """What breaks the rules of *stages*: the files lm_score, token_count
+    and pack read must exist, and sample's quotas pass validate_quotas."""
+    errors: list[str] = []
+    if "lm_score" in stages:
         if not cfg.lm.model_path:
             errors.append("lm.model_path: required by lm_score stage")
         elif not Path(cfg.lm.model_path).exists():
             errors.append(f"lm.model_path: path does not exist: {cfg.lm.model_path}")
-    if "token_count" in cfg.stages or "pack" in cfg.stages:
+    if "token_count" in stages or "pack" in stages:
         if not cfg.vocab.path:
             errors.append("vocab.path: required by token_count/pack stages")
         elif not Path(cfg.vocab.path).exists():
             errors.append(f"vocab.path: path does not exist: {cfg.vocab.path}")
-    if "sample" in cfg.stages:
+    if "sample" in stages:
         errors.extend(validate_quotas(cfg.quotas))
     return errors
 

@@ -128,15 +128,14 @@ def true_jaccard(a: np.ndarray, b: np.ndarray) -> float:
 def minhash_signature(values: np.ndarray, sizes, k: int, perm_seed: int) -> np.ndarray:
     """The (len(sizes), k) uint64 MinHash matrix of the sets that
     *values* holds one after another, set i with sizes[i] values: entry
-    (i, j) is the least (a_j * x + b_j) mod 2^64 over x in set i.
+    (i, j) is the least (a_j * x + b_j) mod 2^64 over x in set i. Every
+    set holds at least one value, as ``shingles`` gives every text one.
 
     The values are signed in chunks of at most SIGN_CHUNK_BYTES of
     products; a chunk's per-set minima are taken with
     ``np.minimum.reduceat`` and folded into the rows of the sets it
     overlaps."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    if not sizes.all():
-        raise ValueError("cannot sketch an empty shingle set")
     if sizes.sum() != len(values):
         raise ValueError(f"set sizes sum to {sizes.sum()}, not {len(values)} values")
     rng = np.random.default_rng(perm_seed)

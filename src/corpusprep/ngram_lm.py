@@ -103,10 +103,15 @@ def _checked(a: np.ndarray, name: str, dtype, shape: tuple) -> np.ndarray:
     return a
 
 
+class ModelError(ValueError):
+    """A model file that is not a well-formed kn-ngram-v2 model."""
+
+
 def _read_arrays(path) -> list:
-    """The arrays of a kn-ngram-v2 model file, in FIELDS order; else ValueError."""
+    """The arrays of a kn-ngram-v2 model file, in FIELDS order; else ModelError."""
     try:
         with open(path, "rb") as fh:
+            head = fh.peek(1)[:1]
             npz = np.load(fh, allow_pickle=False)
             names = npz.zip.namelist() if isinstance(npz, np.lib.npyio.NpzFile) else []
             if names != [f"{name}.npy" for name in FIELDS]:
@@ -116,9 +121,11 @@ def _read_arrays(path) -> list:
         if arrays[0].tolist() != MODEL_FORMAT:
             raise ValueError(f"format {arrays[0].tolist()!r}")
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
-        why = ("a JSON kn-ngram-v1 model? rebuild it with corpusprep lm-train or "
-               "scripts/convert_kn_v1.py") if "pickled" in str(e) else e
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} model file ({why})") from None
+        why = e
+        if "pickled" in str(e):  # np.load's words for a file neither npy nor zip
+            why = ("a JSON kn-ngram-v1 model? rebuild it with corpusprep lm-train or "
+                   "scripts/convert_kn_v1.py") if head == b"{" else "not an npz archive"
+        raise ModelError(f"{path}: not a {MODEL_FORMAT} model file ({why})") from None
     return arrays
 
 
@@ -276,7 +283,7 @@ class KneserNeyModel:
 
     @classmethod
     def load(cls, path) -> "KneserNeyModel":
-        """Read a model file; ValueError with a one-line message naming the
+        """Read a model file; ModelError with a one-line message naming the
         file if it is not a well-formed kn-ngram-v2 model."""
         _, order, min_count, discounts, vocab, grams, counts = _read_arrays(path)
         try:
@@ -303,7 +310,7 @@ class KneserNeyModel:
             return cls(order, vocab, grams, counts, min_count,
                        dict(enumerate(discounts, start=1)))
         except ValueError as e:  # a UnicodeDecodeError too
-            raise ValueError(f"{path}: {e}") from None
+            raise ModelError(f"{path}: {e}") from None
 
 
 def train_kn_sentences(

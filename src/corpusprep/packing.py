@@ -60,10 +60,9 @@ def pack_greedy(
 
     Returns the windows and the global packing efficiency (non-pad
     fraction). Documents longer than a window are always chunked; with
-    split=False shorter documents never straddle windows.
+    split=False shorter documents never straddle windows. *seq_len* is at
+    least 2, as load_config checks.
     """
-    if seq_len < 2:
-        raise ValueError("seq_len must be >= 2")
     # Each payload <s> ids </s> gets a start in one flat stream of windows;
     # without split, one that fits a window but would straddle two starts
     # at the next window, leaving the rest of this one as padding.
@@ -121,13 +120,8 @@ def _span_arrays(
     they reach the target; the last one is clamped and the lengths are
     shuffled, so the clamped span lands anywhere. The unmasked gaps between
     spans are a uniformly random composition of the rest of the segment.
+    The parameters are within MaskConfig's bounds, as load_config checks.
     """
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    if not 0.0 < geom_p < 1.0:
-        raise ValueError("geom_p must be in (0, 1)")
-    if max_span < 1:
-        raise ValueError("max_span must be >= 1")
     target = int(rate * segment_length)
     if target <= 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -248,12 +242,8 @@ def write_packed(
     seq_len: int,
 ) -> int:
     """Write *records* to *path* and their metadata to *sidecar_path*, both
-    replaced atomically; returns the window count."""
-    if not 2 <= seq_len <= MAX_SEQ_LEN:
-        raise ValueError(
-            f"seq_len {seq_len} outside 2..{MAX_SEQ_LEN} "
-            "(packed.bin stores positions and pad_count as u16)"
-        )
+    replaced atomically; returns the window count. *seq_len* is in
+    2..MAX_SEQ_LEN, as load_config checks."""
     n = 0
     with open_replacing(path, "wb") as fh, open_replacing(sidecar_path) as side:
         fh.write(MAGIC + _HEADER.pack(VERSION, seq_len))

@@ -9,16 +9,15 @@ with an identical config and input are byte-identical.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from corpusprep import exact_dedup, near_dedup, ngram_lm, packing, quality, sampler, subword
-from corpusprep.config import PipelineConfig
+from corpusprep.config import ConfigError, PipelineConfig, stage_errors
 from corpusprep.core import (
     StageStats,
     normalize_text,
@@ -102,7 +101,7 @@ def report_table(report: dict) -> str:
 
 # --------------------------------------------------------------------------
 # The stage contract. There is one stage_<name>(docs, cfg, work_dir,
-# get_vocab) per config.KNOWN_STAGES name, looked up by name at call time
+# loaded) per config.KNOWN_STAGES name, looked up by name at call time
 # by run_stage, which writes the stage's JSONL and .rejects for both `run`
 # and the single-stage subcommands.
 # *docs* is a list: the previous stage's output, or the documents
@@ -116,20 +115,34 @@ def report_table(report: dict) -> str:
 # to *work_dir*: clusters.jsonl (skipped when work_dir is None) and
 # packed.bin with its packed.meta.jsonl, through writers that replace them
 # atomically.
-# *get_vocab* is one run's vocab_loader, so token_count and pack share one
-# loaded vocabulary and its word-segmentation memo, and pack reads the ids
-# subword.token_ids kept on each document at token_count.
+# *loaded* is preflight's Loaded, read before any input: token_count and
+# pack share its vocabulary and word-segmentation memo (pack reads the ids
+# subword.token_ids kept at token_count), and lm_score scores with its LM.
 # --------------------------------------------------------------------------
 
 
-def vocab_loader(cfg: PipelineConfig) -> Callable[[], subword.SubwordVocab]:
-    """A function returning *cfg*'s vocabulary, loaded on its first call."""
-    return functools.cache(
-        lambda: subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size)
+class Loaded(NamedTuple):
+    """The files the stages about to run read, loaded; None if none reads it."""
+
+    vocab: Optional[subword.SubwordVocab] = None
+    model: Optional[ngram_lm.KneserNeyModel] = None
+
+
+def preflight(cfg: PipelineConfig, stages) -> Loaded:
+    """Check the rules of *cfg*'s stages and of *stages*, then load what
+    *stages* read through subword.load_vocab and ngram_lm.load_model, looked
+    up when called; ConfigError, VocabError or ModelError otherwise."""
+    errors = stage_errors(cfg, [*cfg.stages, *stages])
+    if errors:
+        raise ConfigError(errors)
+    reads_vocab = "token_count" in stages or "pack" in stages
+    return Loaded(
+        subword.load_vocab(cfg.vocab.path, cfg.vocab.expected_size) if reads_vocab else None,
+        ngram_lm.load_model(cfg.lm.model_path) if "lm_score" in stages else None,
     )
 
 
-def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
+def stage_filter(docs, cfg: PipelineConfig, work_dir, loaded):
     docs = [
         doc.with_text(quality.strip_boilerplate(normalize_text(doc.text)))
         for doc in docs
@@ -141,32 +154,30 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir, get_vocab):
     return docs, verdicts, None
 
 
-def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, get_vocab):
+def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, loaded):
     docs = sorted(docs, key=lambda d: (d.source, d.id))
     return docs, exact_dedup.dedup_exact(docs), None
 
 
-def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, get_vocab):
+def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, loaded):
     verdicts, clusters = near_dedup.dedup_near(docs, cfg.near_dedup)
     if work_dir is not None:
         write_rejects(clusters, Path(work_dir) / "clusters.jsonl")
     return docs, verdicts, {"clusters": len(clusters)}
 
 
-def stage_lm_score(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    model = ngram_lm.load_model(cfg.lm.model_path)
-    verdicts, cutoff = ngram_lm.filter_by_perplexity(docs, model, cfg.lm.policy)
+def stage_lm_score(docs, cfg: PipelineConfig, work_dir, loaded):
+    verdicts, cutoff = ngram_lm.filter_by_perplexity(docs, loaded.model, cfg.lm.policy)
     return docs, verdicts, {"cutoff": repr(cutoff)}
 
 
-def stage_token_count(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    vocab = get_vocab()
+def stage_token_count(docs, cfg: PipelineConfig, work_dir, loaded):
     for doc in docs:
-        doc.token_count = len(subword.token_ids(doc, vocab))
+        doc.token_count = len(subword.token_ids(doc, loaded.vocab))
     return docs, None, None
 
 
-def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
+def stage_sample(docs, cfg: PipelineConfig, work_dir, loaded):
     return docs, *sampler.sample_to_quota(
         docs,
         cfg.quotas,
@@ -176,8 +187,8 @@ def stage_sample(docs, cfg: PipelineConfig, work_dir, get_vocab):
     )
 
 
-def stage_pack(docs, cfg: PipelineConfig, work_dir, get_vocab):
-    return docs, None, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", get_vocab())
+def stage_pack(docs, cfg: PipelineConfig, work_dir, loaded):
+    return docs, None, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", loaded.vocab)
 
 
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
@@ -213,7 +224,7 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
 
 
 def run_stage(
-    name: str, docs, cfg: PipelineConfig, work_dir, get_vocab, out_path, prev=None
+    name: str, docs, cfg: PipelineConfig, work_dir, loaded, out_path, prev=None
 ):
     """Run stage *name*, write its output to *out_path* (copying lines from
     *prev*) with ``.rejects`` beside it, check its conservation and print its
@@ -221,7 +232,7 @@ def run_stage(
     stage becomes a StageFailure naming it."""
     t0 = time.monotonic()
     try:
-        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, get_vocab)
+        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, loaded)
         kept, stats = StageStats.tally(name, docs, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
@@ -301,8 +312,8 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     the last completed stage's output. That file must hold, with no
     malformed line, the number of documents the manifest records as that
     stage's output; otherwise StageFailure names the file and both counts
-    before any stage runs. A bad vocabulary raises VocabError before any
-    stage runs too, when token_count or pack is left to run.
+    before any stage runs. preflight checks and loads what the stages left
+    to run need before any document is read.
     """
     t0 = time.monotonic()
     work_dir = Path(cfg.work_dir)
@@ -312,9 +323,7 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     manifest = _load_manifest(cfg) if resume else None
     completed = list(manifest["completed"]) if manifest else []
     stats_dicts = dict(manifest["stats"]) if manifest else {}
-    get_vocab = vocab_loader(cfg)
-    if {"token_count", "pack"} & set(cfg.stages[len(completed):]):
-        get_vocab()
+    loaded = preflight(cfg, cfg.stages[len(completed):])
 
     if completed:
         last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
@@ -339,7 +348,7 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
     for idx in range(len(completed), len(cfg.stages)):
         stage = cfg.stages[idx]
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
-        docs, stats = run_stage(stage, docs, cfg, work_dir, get_vocab, out_path, prev)
+        docs, stats = run_stage(stage, docs, cfg, work_dir, loaded, out_path, prev)
         prev = out_path
         stats_dicts[stage] = stats.to_dict()
         completed.append(stage)

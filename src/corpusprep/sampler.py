@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def sample_to_quota(
     docs: list[Document],
     quotas: list[BucketQuota],
     seed: int = 0,
-    mode: str = "quality",
+    mode: Literal["quality", "uniform"] = "quality",
     overshoot: float = DEFAULT_OVERSHOOT,
 ) -> tuple[list[Optional[str]], dict]:
     """Greedy per-bucket selection until each token budget is met: per
@@ -83,11 +83,9 @@ def sample_to_quota(
     or a seeded shuffle (mode="uniform"); a document that would overflow
     target*(1+overshoot) is skipped and smaller later documents may still
     fill the gap. Documents are chosen by position, so a realized sum is
-    the tokens kept even when ids repeat.
+    the tokens kept even when ids repeat. *quotas* break no rule of
+    validate_quotas, which load_config applies when sample is configured.
     """
-    errors = validate_quotas(quotas)
-    if errors:
-        raise ValueError("; ".join(errors))
     for doc in docs:
         if doc.token_count is None:
             raise ValueError(f"document {doc.id!r} has no token_count")
@@ -103,11 +101,9 @@ def sample_to_quota(
         candidates = by_bucket[q.name]
         if mode == "quality":
             order = sorted(candidates, key=lambda i: _quality_key(docs[i]))
-        elif mode == "uniform":
+        else:
             rng = np.random.default_rng((seed, zlib.crc32(q.name.encode("utf-8"))))
             order = [candidates[i] for i in rng.permutation(len(candidates))]
-        else:
-            raise ValueError(f"unknown sampling mode {mode!r}")
         limit = q.target_tokens * (1.0 + overshoot)
         realized = 0
         for i in order:

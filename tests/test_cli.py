@@ -228,6 +228,31 @@ class TestRunCommand:
         assert "missing special token <mask>" in err
         assert not list((workspace.parent / "work").glob("*.jsonl*"))
 
+    def test_model_validate_rejects_exits_1_before_any_stage_output(
+        self, workspace, capsys
+    ):
+        model = yaml.safe_load(workspace.read_text("utf-8"))["lm"]["model_path"]
+        rewrite_model(model, model, two_word_grams)
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: {model}: ") and err.count("\n") == 1
+        assert "2 words, order is 5" in err
+        assert not list((workspace.parent / "work").glob("*.jsonl*"))
+
+    def test_resume_past_lm_score_loads_no_model(self, workspace, capsys, monkeypatch):
+        with monkeypatch.context() as m:
+            crash_after(m, load_config(workspace), "lm_score")
+            assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+
+        def forbidden(path):
+            raise AssertionError(f"{path} loaded for stages that do not score")
+
+        monkeypatch.setattr(ngram_lm, "load_model", forbidden)
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_OK
+        assert (workspace.parent / "work" / "packed.bin").exists()
+
     def test_resume_flag(self, workspace, capsys):
         main(["run", "--config", str(workspace)])
         capsys.readouterr()
@@ -356,7 +381,7 @@ class TestSingleStageCommands:
     def test_verdict_count_mismatch_exits_2(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
-        def one_verdict_short(docs, cfg, work_dir, get_vocab):
+        def one_verdict_short(docs, cfg, work_dir, loaded):
             return docs, [None] * (len(docs) - 1), None
 
         monkeypatch.setattr(pipeline, "stage_token_count", one_verdict_short)
@@ -370,6 +395,34 @@ class TestSingleStageCommands:
         assert "199 verdicts for 200 documents" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage, section, key, error", [
+        ("token_count", "vocab", "path", "vocab.path: required by token_count/pack stages"),
+        ("pack", "vocab", "path", "vocab.path: required by token_count/pack stages"),
+        ("lm_score", "lm", "model_path", "lm.model_path: required by lm_score stage"),
+        ("sample", None, "quotas", "quotas: empty"),
+    ])
+    def test_subcommand_checks_its_own_stage(
+        self, workspace, tmp_path, capsys, stage, section, key, error
+    ):
+        """A config whose stages leave *stage* out passes validate without
+        what *stage* needs; the *stage* subcommand then exits 1 with one line
+        before reading its input."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["stages"] = ["filter"]
+        if section:
+            del cfg[section][key]
+        else:
+            cfg[key] = []
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / ("out.bin" if stage == "pack" else "out.jsonl")
+        rc = main([stage.replace("_", "-"), "--config", str(workspace),
+                   "--input", cfg["input"], "--output", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"invalid config: {error}\n"
+        assert not list(tmp_path.glob("out.*"))
+
     def test_missing_input_exits_2(self, workspace, tmp_path, capsys):
         rc = main(
             ["filter", "--config", str(workspace),
@@ -380,7 +433,7 @@ class TestSingleStageCommands:
         err = capsys.readouterr().err
         assert "missing.jsonl" in err and err.count("\n") == 1
 
-    def test_malformed_model_exits_2(self, workspace, tmp_path, capsys):
+    def test_malformed_model_exits_1(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         bad = tmp_path / "bad_model.json"
         rewrite_model(cfg["lm"]["model_path"], bad, two_word_grams)
@@ -390,12 +443,12 @@ class TestSingleStageCommands:
             ["lm-score", "--config", str(workspace), "--input", cfg["input"],
              "--output", str(tmp_path / "out.jsonl")]
         )
-        assert rc == EXIT_STAGE
+        assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "bad_model.json" in err and "2 words, order is 5" in err
         assert err.count("\n") == 1
 
-    def test_model_not_json_exits_2(self, workspace, tmp_path, capsys):
+    def test_model_not_json_exits_1(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         bad = tmp_path / "bad_model.json"
         bad.write_text("not json at all", encoding="utf-8")
@@ -405,7 +458,7 @@ class TestSingleStageCommands:
             ["lm-score", "--config", str(workspace), "--input", cfg["input"],
              "--output", str(tmp_path / "out.jsonl")]
         )
-        assert rc == EXIT_STAGE
+        assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "bad_model.json: not a kn-ngram-v2 model file (" in err
         assert err.count("\n") == 1

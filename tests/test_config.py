@@ -20,7 +20,7 @@ from corpusprep.config import (
     validate,
 )
 from corpusprep.near_dedup import NearDupConfig
-from corpusprep.sampler import BucketQuota, sample_to_quota
+from corpusprep.sampler import BucketQuota
 
 from pipeline_fixture import build_workspace
 
@@ -370,8 +370,6 @@ class TestValidate:
         cfg.stages = ["sample"]
         cfg.quotas = quotas
         assert validate(cfg) == [message]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            sample_to_quota([], quotas)
 
     def test_seq_len_limited_to_u16(self):
         cfg = self.base()

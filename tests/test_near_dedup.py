@@ -143,10 +143,6 @@ class TestMinHash:
         # min over {x} equals h_i(x); adding elements can only lower minima
         assert (pair <= singleton).all()
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            sign([shingle_set([1]), shingle_set([])])
-
     def test_sizes_must_sum_to_the_values(self):
         with pytest.raises(ValueError, match="sum to 2, not 3"):
             minhash_signature(np.arange(3, dtype=np.uint64), [1, 1], K, SEED)

@@ -344,6 +344,19 @@ class TestMalformedModelFile:
             f"{path}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 model? rebuild "
             "it with corpusprep lm-train or scripts/convert_kn_v1.py)")
 
+    @pytest.mark.parametrize("content, why", [
+        (b"not a model", "not an npz archive"),
+        (b"[1, 2]", "not an npz archive"),
+        (b'{"format": "kn-ngram-v1"}', "a JSON kn-ngram-v1 model? rebuild it with "
+         "corpusprep lm-train or scripts/convert_kn_v1.py"),
+    ])
+    def test_v1_hint_only_for_a_file_opening_a_json_object(self, tmp_path, content, why):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        assert self._refused(path) == f"{path}: not a kn-ngram-v2 model file ({why})"
+        with pytest.raises(ngram_lm.ModelError):
+            ngram_lm.load_model(path)
+
 
 CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]
 OOV = "zz"

@@ -489,14 +489,6 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match=r"p\.bin: window 1 truncated"):
             list(read_packed(path))
 
-    def test_seq_len_out_of_range_rejected_before_writing(self, tmp_path):
-        for seq_len in (1, 65536):
-            bin_path = tmp_path / f"p{seq_len}.bin"
-            side_path = tmp_path / f"p{seq_len}.meta.jsonl"
-            with pytest.raises(ValueError, match="outside 2..65535"):
-                write_packed(bin_path, side_path, [], seq_len)
-            assert not bin_path.exists() and not side_path.exists()
-
     @settings(deadline=None, max_examples=100)
     @given(st.data(), st.integers(2, 40), st.integers(0, 5))
     def test_round_trip_property(self, tmp_path_factory, data, seq_len, n_windows):

@@ -62,6 +62,13 @@ def test_packing_efficiency_runs():
     assert "efficiency" in out
 
 
+@pytest.mark.parametrize("seq_len", [1, 65536])
+def test_packing_efficiency_refuses_seq_len_outside_u16(seq_len):
+    err = run_script("packing_efficiency.py", "--n-docs", 10, "--seq-lens", seq_len,
+                     returncode=2)
+    assert f"argument --seq-lens: {seq_len} outside 2..65535" in err
+
+
 def test_convert_kn_v1_scores_as_the_trained_model(tmp_path, lang):
     rng = np.random.default_rng(5)
     sentences = [lang.sentence(rng, 10) for _ in range(150)]
