@@ -43,11 +43,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-# Whitespace that changes under collapsing: a run of two or more, or one
-# character other than a plain space or newline (those already collapse
-# to themselves, so they are not matched and cost no callback).
-_WS_RUN = re.compile(r"\s{2,}|[^\S \n]")
-
 TOKEN_COUNT_META_KEY = "token_count"
 _TOKEN_COUNT_RE = re.compile(r"[0-9]+")
 # a JSON escape of a UTF-16 surrogate; only a line holding one can decode
@@ -63,18 +58,18 @@ _META_KEY = b', "meta": {'
 canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
 
 
-def _collapse_run(m: re.Match) -> str:
-    # A run containing a line break stays a line break; everything else
-    # becomes a single space. Line structure is load-bearing downstream
-    # (boilerplate stripping, newline sentence splitting).
-    run = m.group(0)
-    return "\n" if ("\n" in run or "\r" in run) else " "
-
-
 def normalize_text(text: str) -> str:
-    """NFC-normalize and collapse whitespace runs; idempotent."""
-    text = unicodedata.normalize("NFC", text)
-    return _WS_RUN.sub(_collapse_run, text).strip()
+    """NFC-normalize and collapse whitespace runs; idempotent.
+
+    A maximal whitespace run (``str.isspace``, the characters ``re``'s
+    ``\\s`` matches) that holds a ``\\n`` or ``\\r`` becomes one ``\\n``, any
+    other run one space, and the ends are stripped. Line structure is
+    load-bearing downstream (boilerplate stripping, newline sentence
+    splitting). Done as: ``\\r`` to ``\\n``, split on ``\\n``, each line's
+    words joined by one space, and the non-empty lines joined by ``\\n``.
+    """
+    lines = unicodedata.normalize("NFC", text).replace("\r", "\n").split("\n")
+    return "\n".join(filter(None, [" ".join(line.split()) for line in lines]))
 
 
 def word_count(text: str) -> int:

@@ -29,10 +29,11 @@ lam arrays have one more entry, for the row of a window not in the trie.
 
 Documents are scored together, in one pass per chunk of about SCORE_CHUNK
 positions: the ids of the chunk's sentences, each padded with order-1 start
-symbols and closed with the end symbol. Per
-order k there is one searchsorted over all positions: the k-gram ending at
-position i extends the (k-1)-gram ending there by the word k-1 places back,
-and the context of the token at i is the (k-1)-gram ending at i-1. Starting
+symbols and closed with the end symbol. Per order k there is one
+searchsorted over all positions, of the queries in sorted order (one
+argsort), with the rows scattered back: the k-gram ending at position i
+extends the (k-1)-gram ending there by the word k-1 places back, and the
+context of the token at i is the (k-1)-gram ending at i-1. Starting
 from the unigram value, each order applies p = alpha + lam * p. Where the
 context is unseen, the gram is unseen too, so this is 0.0 + 1.0 * p, which
 is p exactly: the textbook recursion's back-off needs no mask. A context
@@ -40,8 +41,10 @@ unseen at order k is unseen at every higher order, because each lower
 level holds the suffixes of the one above. Numpy multiplies and adds in
 separate steps, with no fused multiply-add, so these are the recursion's
 float operations in its order and every probability is bit-identical to
-it; math.log and the sums run in Python, per sentence and then per
-document.
+it. The logs stay math.log, mapped over each sentence in C, and are added
+left to right by functools.reduce: np.log is not guaranteed to equal
+math.log, np.sum adds pairwise, and sum() compensates floats from Python
+3.12 on, so each would move the scores' last bits.
 
 Sentences are newline-separated, lowercased, whitespace-tokenized, padded
 with order-1 start symbols and closed with an end symbol; words seen fewer
@@ -61,7 +64,9 @@ import math
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, Optional
 
@@ -246,7 +251,11 @@ class KneserNeyModel:
         for k, (keys, alpha, lam) in enumerate(self._levels, start=2):
             # from here on, row and tail cover positions k-1.. of tok
             key = row[1:] * base + tok[: 1 - k]
-            at = keys[:-1].searchsorted(key)
+            # sorted queries walk the key array in order, a cache-friendly
+            # search; their rows are scattered back to the positions
+            order = key.argsort()
+            at = np.empty_like(key)
+            at[order] = keys[:-1].searchsorted(key[order])
             weight = lam[row[:-1]]
             row = np.where(keys[at] == key, at, len(keys) - 1)
             tail = p[k - 1:]
@@ -356,8 +365,9 @@ def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[Perple
     boundary at or past SCORE_CHUNK positions. A position reads only the
     order-1 ids before it, which are its own sentence's start symbols or
     words, so scoring documents together gives each token the probability
-    it gets alone. The logs are summed in Python, per sentence and then
-    per document, left to right.
+    it gets alone. Per sentence, math.log is mapped over its probabilities
+    and reduce adds them left to right, from 0.0; a document's log_prob
+    adds its sentences' sums in order.
     """
     get = model.vocab_index.get
     unk, eos, k = model._unk, model._eos, model.order - 1
@@ -374,10 +384,7 @@ def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[Perple
             for length in lengths:
                 start = end + k
                 end = start + length
-                slp = 0.0
-                for x in probs[start:end]:
-                    slp += math.log(x)
-                lp += slp
+                lp += reduce(add, map(math.log, probs[start:end]), 0.0)
             n = sum(lengths)
             out.append(PerplexityVerdict(doc_id, math.exp(-lp / n), lp, n) if n
                        else PerplexityVerdict(doc_id, math.inf, 0.0, 0))
@@ -386,8 +393,10 @@ def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[Perple
 
     for doc in docs:
         lengths = []
-        for line in doc.text.split("\n"):
-            words = sentence_tokens(line)
+        # str.lower reads context only for a final sigma, and a line break
+        # ends that context, so lowercasing the whole text lowercases each line
+        for line in doc.text.lower().split("\n"):
+            words = line.split()
             if words:
                 seq += pad
                 seq += map(get, words, repeat(unk))

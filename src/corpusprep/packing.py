@@ -15,7 +15,13 @@ The span scheme covers the maskable positions with truncated-geometric spans
 placed as a uniformly random composition of the unmasked gaps (T5's
 random_spans_noise_mask); the token scheme picks positions uniformly. Each
 selected position gets a mask/random/keep action (default 80/10/10). Spans
-never cross document boundaries; all draws are batched per window.
+never cross document boundaries. The maskable positions of a window are
+found in one pass and cut into its segments with one search. Each segment
+then makes its own draws from the window's generator, in segment order:
+for spans, its span lengths, their order and its gap slots; for tokens,
+its positions. The rest is one pass over the whole window: sorting each
+segment's slots or positions, the span starts and positions, and the
+action and random-id draws.
 """
 
 from __future__ import annotations
@@ -110,35 +116,52 @@ def truncated_geometric_pmf(p: float, max_span: int) -> np.ndarray:
 
 
 def _span_arrays(
-    segment_length: int, rate: float, geom_p: float, max_span: int, rng
+    lo: np.ndarray, hi: np.ndarray, rate: float, geom_p: float, max_span: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping spans, sorted by start, covering exactly
-    floor(rate * segment_length) positions, as two int64 arrays: their
-    starts and their lengths.
+    """Non-overlapping spans in each segment [lo[j], hi[j]) of one index
+    range, the segments in order and disjoint, covering exactly
+    floor(rate * (hi[j] - lo[j])) positions of segment j; as two int64
+    arrays, sorted by start: their starts and their lengths.
 
     Span lengths are truncated-geometric, drawn in one batch and cut where
     they reach the target; the last one is clamped and the lengths are
     shuffled, so the clamped span lands anywhere. The unmasked gaps between
     spans are a uniformly random composition of the rest of the segment.
-    The parameters are within MaskConfig's bounds, as load_config checks.
+    Each segment makes those three draws in turn; the sort of the gap slots
+    and the span starts are then computed once over all segments. The
+    parameters are within MaskConfig's bounds, as load_config checks.
     """
-    target = int(rate * segment_length)
-    if target <= 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
     # searching the cdf without its last value keeps lengths <= max_span
     # when the float cdf ends a hair below 1
     cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span))[:-1]
-    lengths = np.searchsorted(cdf, rng.random(target), side="right") + 1
-    ends = np.cumsum(lengths)
-    k = int(np.searchsorted(ends, target)) + 1
-    lengths = lengths[:k]
-    lengths[-1] -= ends[k - 1] - target
-    lengths = rng.permutation(lengths)
-    # stars and bars: span i is the slot_i-th of k spans among the
-    # segment_length - target unmasked positions
-    slots = np.sort(rng.choice(segment_length - target + k, size=k, replace=False))
-    starts = slots - np.arange(k) + np.cumsum(lengths) - lengths
+    drawn_lengths, drawn_slots, counts = [], [], []
+    for first, n in zip(lo.tolist(), (hi - lo).tolist()):
+        target = int(rate * n)
+        if target <= 0:
+            continue
+        lengths = cdf.searchsorted(rng.random(target), side="right") + 1
+        ends = lengths.cumsum()
+        k = int(ends.searchsorted(target)) + 1
+        lengths = lengths[:k]
+        lengths[-1] -= ends[k - 1] - target
+        drawn_lengths.append(rng.permutation(lengths))
+        # stars and bars: span i is the slot_i-th of k spans among the
+        # n - target unmasked positions; the slots lie in [first, first + n)
+        drawn_slots.append(rng.choice(n - target + k, size=k, replace=False) + first)
+        counts.append(k)
+    if not counts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    lengths = np.concatenate(drawn_lengths)
+    # the segments' slot ranges are disjoint and in order, so one sort
+    # sorts each segment's slots
+    slots = np.sort(np.concatenate(drawn_slots))
+    # start = slot - (index of the span in its segment) + (lengths of the
+    # segment's spans before it), from window-wide index and cumsum
+    before = np.cumsum(lengths) - lengths
+    firsts = np.cumsum(counts) - counts
+    starts = slots - np.arange(len(lengths)) + before
+    starts -= np.repeat(before[firsts] - firsts, counts)
     return starts, lengths
 
 
@@ -176,20 +199,21 @@ def apply_masking(
 ) -> tuple[np.ndarray, MaskPlan]:
     """Produce masked tokens and the plan; input sequence is not modified."""
     specials = np.array(sorted(special_ids), dtype=np.int64)
-    special = np.isin(seq.tokens, specials)
-    picked = [np.zeros(0, dtype=np.int64)]
-    for start, end, _doc_id in seq.boundaries:
-        maskable = start + np.flatnonzero(~special[start:end])
-        n = len(maskable)
-        if cfg.scheme == "span":
-            starts, lens = _span_arrays(n, cfg.rate, cfg.geom_p, cfg.max_span, rng)
-            # start + j for j < len, for every span at once
-            ends = np.cumsum(lens)
-            picks = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
-        else:
-            picks = np.sort(rng.choice(n, size=int(cfg.rate * n), replace=False))
-        picked.append(maskable[picks])
-    positions = np.concatenate(picked)
+    maskable = np.flatnonzero(~np.isin(seq.tokens, specials))
+    # segment j's maskable positions are maskable[lo[j]:hi[j]]
+    edges = np.array([b[:2] for b in seq.boundaries], dtype=np.int64).reshape(-1, 2)
+    lo, hi = maskable.searchsorted(edges).T
+    if cfg.scheme == "span":
+        starts, lens = _span_arrays(lo, hi, cfg.rate, cfg.geom_p, cfg.max_span, rng)
+        # start + j for j < len, for every span at once
+        ends = np.cumsum(lens)
+        picks = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    else:
+        drawn = [first + rng.choice(n, size=int(cfg.rate * n), replace=False)
+                 for first, n in zip(lo.tolist(), (hi - lo).tolist())]
+        # each segment's picks lie in its own [lo, hi), so one sort orders all
+        picks = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *drawn]))
+    positions = maskable[picks]
 
     u = rng.random(len(positions))
     actions = np.full(len(positions), ACTION_KEEP, dtype=np.uint8)

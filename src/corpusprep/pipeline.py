@@ -147,11 +147,7 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir, loaded):
         doc.with_text(quality.strip_boilerplate(normalize_text(doc.text)))
         for doc in docs
     ]
-    ratios = quality.char_ratios(doc.text for doc in docs)
-    verdicts = [
-        quality.apply_heuristics(doc, cfg.heuristics, r) for doc, r in zip(docs, ratios)
-    ]
-    return docs, verdicts, None
+    return docs, quality.heuristic_verdicts(docs, cfg.heuristics), None
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, loaded):

@@ -1,9 +1,10 @@
 """Heuristic boilerplate stripping and low-quality document filtering.
 
 strip_boilerplate works on a text, so the filter stage makes one document
-per input from its normalized, stripped text. The character ratios of a
-whole stage input are counted in a few array passes (char_ratios) and
-handed to apply_heuristics document by document.
+per input from its normalized, stripped text. heuristic_verdicts applies
+the length rule first; the character ratios of the documents that pass it
+are counted in a few array passes (char_ratios) and handed to
+apply_heuristics document by document.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def _repeated_line_ratio(text: str) -> float:
 
 
 def apply_heuristics(doc: Document, cfg: HeuristicConfig,
-                     ratios: tuple[float, float, float]) -> Optional[str]:
+                     ratios: Optional[tuple[float, float, float]]) -> Optional[str]:
     """Return None to keep, or the reason code of the first violated rule;
-    *ratios* is char_ratios' triple for doc.text.
+    *ratios* is char_ratios' triple for doc.text, or None for a document
+    outside min_words..max_words, which the length rule rejects first.
 
     Rules run in a fixed order (length, alpha ratio, digit ratio, Latvian
     character ratio, repeated-line ratio) so rejection stats stay
@@ -145,3 +147,13 @@ def apply_heuristics(doc: Document, cfg: HeuristicConfig,
     if _repeated_line_ratio(doc.text) > cfg.max_repeated_line_ratio:
         return "repeated_lines"
     return None
+
+
+def heuristic_verdicts(docs: list[Document], cfg: HeuristicConfig) -> list[Optional[str]]:
+    """apply_heuristics' verdict of each document, in order. The length rule
+    comes first, so character ratios are counted only for the documents
+    within min_words..max_words."""
+    sized = [cfg.min_words <= doc.word_count <= cfg.max_words for doc in docs]
+    ratios = iter(char_ratios(doc.text for doc, ok in zip(docs, sized) if ok))
+    return [apply_heuristics(doc, cfg, next(ratios) if ok else None)
+            for doc, ok in zip(docs, sized)]

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import unicodedata
 from collections import Counter
 from unittest import mock
@@ -32,8 +33,8 @@ def _normalize_text_reference(text: str) -> str:
     return re.sub(r"\s+", collapse, text).strip()
 
 
-_WHITESPACE = [" ", "\n", "\r", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1f",
-               "\x85", "\u2003", "\xa0", "\u3000", "\u2028"]
+# every str.isspace character, the same 29 that re's \s matches, and \r\n
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()] + ["\r\n"]
 
 # Arbitrary Unicode chunks, each followed by a run of one to three
 # whitespace pieces, so lone and mixed runs of every kind are frequent
@@ -66,6 +67,11 @@ class TestNormalizeText:
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    def test_split_and_re_agree_on_whitespace(self):
+        # normalize_text splits with str.split; the oracle collapses \s runs
+        spaces = {chr(c) for c in range(sys.maxunicode + 1) if re.fullmatch(r"\s", chr(c))}
+        assert spaces == set(_WHITESPACE) - {"\r\n"} and len(spaces) == 29
 
     @given(st.one_of(st.text(max_size=200), _WHITESPACE_TEXT))
     def test_matches_collapse_of_every_run(self, text):

@@ -553,6 +553,44 @@ class TestDocumentMatchesRecursion:
         assert max(positions) < chunk + largest
 
 
+class TestWholeTextLowercase:
+    """perplexities lowercases a document once, not line by line. Only a
+    final sigma makes str.lower read context, and that context stops at a
+    line break, so the scored ids must be those of per-line lowercasing."""
+
+    MODEL_WORDS = ["σς", "ας", "σα", "i̇a", "i̇", "ia", "σ"]
+    TEXT = st.lists(st.sampled_from(["Σ", "σ", "ς", "İ", "I", "i", "a", "A", "\u0307",
+                                     "'", ".", " ", "\t", "\n", "\n\n"]),
+                    max_size=40).map("".join)
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(TEXT, min_size=1, max_size=4))
+    @example(docs=["ΑΣ\nΣΑ", "aΣ\n\nΣ", "İ\nİa Σ", "Σ\n", "\naΣ'\n.Σ"])
+    def test_scored_ids_equal_per_line_lowercasing(self, docs):
+        for text in docs:
+            assert text.lower().split("\n") == [line.lower() for line in text.split("\n")]
+        model = train_kn_sentences(self.MODEL_WORDS, order=3, min_count=1)
+        scored = []
+        original = KneserNeyModel._token_probs
+
+        def recording(self, tok):
+            scored.extend(tok.tolist())
+            return original(self, tok)
+
+        with mock.patch.object(KneserNeyModel, "_token_probs", recording):
+            perplexities(model, [Document(id=str(i), source="s", text=t)
+                                 for i, t in enumerate(docs)])
+        want = []
+        for text in docs:
+            for line in text.split("\n"):
+                words = line.lower().split()
+                if words:
+                    want += [model._bos] * (model.order - 1)
+                    want += [model.vocab_index.get(w, model._unk) for w in words]
+                    want.append(model._eos)
+        assert scored == want
+
+
 def lm_filter(docs, model, policy):
     """(kept, stats) of filter_by_perplexity over *docs*, counted as
     pipeline.run_stage counts the lm_score stage."""

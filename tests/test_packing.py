@@ -22,6 +22,7 @@ from corpusprep.packing import (
     window_rng,
     write_packed,
 )
+from packing_reference import apply_masking as reference_apply_masking
 from packing_reference import pack_greedy as reference_pack_greedy
 from synthetic import lognormal_token_docs
 
@@ -144,7 +145,9 @@ def sample_spans(
     segment_length, rate, geom_p=DEFAULT_GEOM_P, max_span=DEFAULT_MAX_SPAN, *, rng
 ):
     """The spans of _span_arrays as a list of (start, length) pairs."""
-    starts, lengths = _span_arrays(segment_length, rate, geom_p, max_span, rng)
+    starts, lengths = _span_arrays(
+        np.array([0]), np.array([segment_length]), rate, geom_p, max_span, rng
+    )
     return list(zip(starts.tolist(), lengths.tolist()))
 
 
@@ -428,6 +431,52 @@ class TestMaskingInvariants:
                     assert action == ACTION_KEEP and masked[p] == orig
             unplanned = sorted(set(range(seq_len)) - set(positions))
             assert masked[unplanned].tolist() == before[unplanned].tolist()
+
+
+class TestMaskingMatchesReference:
+    """apply_masking against the per-segment loop kept in
+    tests/packing_reference.py, from the same generator state."""
+
+    @settings(deadline=None, max_examples=200)
+    @example([[0] * 30, [50] * 2, list(range(5, 45))], 16, True, "span", 1.0,
+             (0.2, 10), 0)
+    @example([[0, 60, 0, 61] * 9, [70]], 33, False, "token", 0.05, (0.5, 3), 1)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 80), min_size=0, max_size=90),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([8, 16, 33, 64, 128]),
+        st.booleans(),
+        st.sampled_from(["span", "token"]),
+        _RATES,
+        st.sampled_from([(0.2, 10), (0.5, 3), (0.9, 1), (0.05, 20)]),
+        st.integers(0, 2**32),
+    )
+    def test_equal_to_per_segment_loop(self, docs, seq_len, split, scheme, rate,
+                                       span_shape, seed):
+        # ids below 5 are specials, <unk> (0) among them, so segments hold
+        # unmaskable tokens inside; short segments and low rates give
+        # segments whose target is 0, and long documents split windows
+        wins, _ = pack_greedy(
+            [(f"d{i}", ids) for i, ids in enumerate(docs)],
+            seq_len, BOS, EOS, PAD, split=split,
+        )
+        cfg = MaskConfig(scheme=scheme, rate=rate, geom_p=span_shape[0],
+                         max_span=span_shape[1])
+        for i, w in enumerate(wins):
+            got_rng, want_rng = window_rng(seed, i), window_rng(seed, i)
+            got_masked, got = apply_masking(w, cfg, MASK, SPECIALS, 81, got_rng)
+            want_masked, want = reference_apply_masking(
+                w, cfg, MASK, SPECIALS, 81, want_rng
+            )
+            assert got_masked.dtype == want_masked.dtype
+            assert got_masked.tolist() == want_masked.tolist()
+            for name in ("positions", "actions", "originals"):
+                g, r = getattr(got, name), getattr(want, name)
+                assert g.dtype == r.dtype and g.tolist() == r.tolist(), name
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestBinaryFormat:

@@ -4,7 +4,8 @@ from unittest import mock
 
 from hypothesis import example, given, strategies as st
 
-from corpusprep import quality
+from corpusprep import pipeline, quality
+from corpusprep.config import PipelineConfig
 from corpusprep.core import Document
 from corpusprep.quality import (
     LATVIAN_DIACRITICS,
@@ -191,3 +192,34 @@ class TestCharRatios:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+class TestLengthRuleFirst:
+    def test_long_document_reaches_no_ratio_count(self):
+        """The filter stage applies the length rule before it counts any
+        character: a document over max_words is never counted, is rejected
+        too_long, and every verdict equals apply_heuristics' on ratios
+        counted for every document."""
+        cfg = PipelineConfig(heuristics=HeuristicConfig(min_words=3, max_words=40))
+        long_text = " ".join(["garš"] * 41)
+        docs = [
+            doc(LATVIAN_PARAGRAPH[:200], id="a"),
+            doc(long_text, id="long"),
+            doc("tikai divi", id="short"),
+            doc("123 456 789 abc", id="digits"),
+            doc(LATVIAN_PARAGRAPH[:120], id="b"),
+        ]
+        counted = []
+        original = quality._class_counts
+
+        def recording(chunk):
+            counted.extend(chunk)
+            return original(chunk)
+
+        with mock.patch.object(quality, "_class_counts", recording):
+            out, verdicts, extra = pipeline.stage_filter(docs, cfg, None, None)
+        assert long_text not in counted and "tikai divi" not in counted
+        assert len(counted) == 3
+        assert [d.id for d in out] == [d.id for d in docs]
+        assert verdicts == [apply_heuristics(d, cfg.heuristics) for d in out]
+        assert verdicts[1:3] == ["too_long", "too_short"] and extra is None
