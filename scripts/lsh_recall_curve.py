@@ -41,7 +41,12 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    assert args.bands * args.rows == args.num_perm
+    for flag, value in (("--bands", args.bands), ("--rows", args.rows),
+                        ("--trials", args.trials)):
+        if value < 1:
+            ap.error(f"argument {flag}: {value} < 1")
+    if args.bands * args.rows != args.num_perm:
+        ap.error(f"--bands * --rows is {args.bands * args.rows}, not --num-perm {args.num_perm}")
 
     rng = np.random.default_rng(args.seed)
     print(f"k={args.num_perm}, b={args.bands}, r={args.rows}, "

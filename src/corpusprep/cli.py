@@ -77,7 +77,7 @@ def _run_single_stage(stage: str, args) -> int:
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
         extra = pipeline.pack_docs(docs, cfg, args.output, loaded.vocab)
-        _, stats = StageStats.tally("pack", docs, extra=extra)
+        _, stats, _ = StageStats.tally("pack", docs, extra=extra)
     else:
         _, stats = pipeline.run_stage(stage, docs, cfg, None, loaded, args.output)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))

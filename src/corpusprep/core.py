@@ -7,9 +7,10 @@ write(read(f)) is byte-identical for canonical files. On read, a line must
 be a JSON object with string ``id`` and ``text``; ``source`` may be absent
 (read as "") and ``url`` absent or null; ``meta`` may be absent, and is
 otherwise an object whose values are strings, with ``meta["token_count"]``,
-when present, matching ``[0-9]+``; any other line is skipped. A document's
-subword token count, when known, rides in ``meta["token_count"]`` on disk
-and is lifted into ``Document.token_count`` on read.
+when present, matching ``[0-9]+``; any other line is skipped. An ``id``
+read before in the file is refused, so no stage checks ids again. A
+document's subword token count, when known, rides in ``meta["token_count"]``
+on disk and is lifted into ``Document.token_count`` on read.
 
 A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
 ``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only. They
@@ -29,7 +30,7 @@ was reassigned since. ``line_at`` holds no encoded bytes, is never
 serialized and is not copied by ``with_text``.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
-``{"id", "stage", "reason"}`` JSONL lines.
+``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ class SourceStats:
 @dataclass
 class StageStats:
     """Per-stage accounting; every input doc is counted exactly once as
-    output or reject (transform stages may shrink word counts in place).
-    Build one with ``tally``."""
+    output or reject. Words are counted on the texts a stage passes on, so
+    ``filter``'s ``words_in`` counts its normalized, stripped texts, not
+    the raw input's. Build one with ``tally``."""
 
     stage: str
     docs_in: int = 0
@@ -202,8 +204,6 @@ class StageStats:
     rejected: dict = field(default_factory=dict)  # reason -> count
     per_source: dict = field(default_factory=dict)  # source -> SourceStats
     extra: dict = field(default_factory=dict)
-    # sidecar records {"id", "stage", "reason"}; kept out of to_dict
-    rejects: list = field(default_factory=list, repr=False)
 
     @classmethod
     def tally(
@@ -212,8 +212,9 @@ class StageStats:
         docs: list,
         reasons: Optional[list] = None,
         extra: Optional[dict] = None,
-    ) -> tuple[list, "StageStats"]:
-        """The kept documents and the stats of *stage* over *docs*.
+    ) -> tuple[list, "StageStats", list]:
+        """The kept documents, the stats of *stage* over *docs* and the
+        ``.rejects`` sidecar records ``{"id", "stage", "reason"}``.
 
         *reasons* holds one verdict per document, in order: None keeps it,
         a string rejects it for that reason, and a ``(reason, detail)`` pair
@@ -225,7 +226,7 @@ class StageStats:
         elif len(reasons) != len(docs):
             raise ValueError(f"{len(reasons)} verdicts for {len(docs)} documents")
         stats = cls(stage=stage, extra=dict(extra or {}))
-        kept = []
+        kept, rejects = [], []
         for doc, reason in zip(docs, reasons):
             s = stats.per_source.get(doc.source)
             if s is None:
@@ -243,7 +244,7 @@ class StageStats:
                 reason, detail = reason
                 logged = f"{reason}:{detail}"
             stats.rejected[reason] = stats.rejected.get(reason, 0) + 1
-            stats.rejects.append({"id": doc.id, "stage": stage, "reason": logged})
+            rejects.append({"id": doc.id, "stage": stage, "reason": logged})
             s.rejected_docs += 1
             s.rejected_words += doc.word_count
         per_source = stats.per_source.values()
@@ -251,7 +252,7 @@ class StageStats:
         stats.docs_out = sum(s.docs_out for s in per_source)
         stats.words_in = sum(s.words_in for s in per_source)
         stats.words_out = sum(s.words_out for s in per_source)
-        return kept, stats
+        return kept, stats, rejects
 
     @property
     def rejected_docs(self) -> int:
@@ -287,7 +288,7 @@ class StageStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageStats":
-        """Inverse of to_dict (rejects are not serialized)."""
+        """Inverse of to_dict."""
         return cls(
             stage=d["stage"],
             docs_in=d["docs_in"],
@@ -310,9 +311,11 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
     Malformed or schema-violating lines, and lines with a string field
     holding a lone surrogate escape, are skipped; each skip appends a
     ``{"line", "reason"}`` entry to *diagnostics* when given. Hard I/O /
-    encoding failures raise JsonlReadError with path and line number.
+    encoding failures raise JsonlReadError with path and line number, and
+    a document id read before in the file raises it naming the id and path.
     """
     path = Path(path)
+    seen = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -336,6 +339,9 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
                 if diagnostics is not None:
                     diagnostics.append({"line": lineno, "reason": str(e)})
                 continue
+            if doc.id in seen:
+                raise JsonlReadError(f"duplicate document id {doc.id!r} in {path}")
+            seen.add(doc.id)
             yield doc
 
 

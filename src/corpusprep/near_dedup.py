@@ -58,8 +58,6 @@ def shingles(
     order, and the int64 number of each text's shingles."""
     if isinstance(texts, str):
         raise TypeError("shingles takes a sequence of texts, not a str")
-    if n < 1:
-        raise ValueError("shingle order must be >= 1")
     chunks = []
     hashes: list = []  # the word hashes of the chunk's documents
     lens: list = []  # their numbers of words
@@ -302,13 +300,9 @@ def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, list[dic
     """Near-duplicate verdicts, keeping the longest document per cluster
     (ties broken by smallest id): per document in order None, or
     ``("near_dup", "kept=<keeper id>")``; and the clusters, each
-    ``{"kept": id, "removed": [ids]}``, sorted."""
-    by_id = {}
-    for doc in docs:
-        if doc.id in by_id:
-            raise ValueError(f"duplicate document id {doc.id!r}")
-        by_id[doc.id] = doc
-
+    ``{"kept": id, "removed": [ids]}``, sorted. Document ids are unique,
+    as read_jsonl checks."""
+    by_id = {doc.id: doc for doc in docs}
     values, sizes = shingles((doc.text for doc in docs), cfg.shingle_n)
     mat = minhash_signature(values, sizes, cfg.num_perm, cfg.perm_seed)
     sets = np.split(values, np.cumsum(sizes)[:-1]) if cfg.exact_verify else None

@@ -170,7 +170,8 @@ class MaskConfig:
     scheme: Literal["span", "token"] = "span"
     rate: Annotated[float, "(0, 1)"] = 0.30
     geom_p: Annotated[float, "(0, 1)"] = DEFAULT_GEOM_P
-    max_span: Annotated[int, ">= 1"] = DEFAULT_MAX_SPAN
+    # no span holds more positions than a window
+    max_span: Annotated[int, f"[1, {MAX_SEQ_LEN}]"] = DEFAULT_MAX_SPAN
     p_mask: Annotated[float, "[0, 1]"] = 0.8
     p_random: Annotated[float, "[0, 1]"] = 0.1
     # p_keep is the remainder

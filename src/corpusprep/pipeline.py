@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 from corpusprep import exact_dedup, near_dedup, ngram_lm, packing, quality, sampler, subword
 from corpusprep.config import ConfigError, PipelineConfig, stage_errors
 from corpusprep.core import (
+    SourceStats,
     StageStats,
     normalize_text,
     read_jsonl,
@@ -53,13 +54,13 @@ class RunReport:
         return {s: v.words_out for s, v in sorted(self.stages[-1].per_source.items())}
 
     def check_conservation(self) -> None:
-        """Each stage's own conservation, and each stage's input is exactly
-        the previous stage's output."""
+        """Each stage's own conservation, and each stage reads exactly the
+        documents the previous stage kept. Words are not chained: ``filter``
+        counts its stripped texts, wherever it runs."""
         for stats in self.stages:
             stats.check_conservation()
         for prev, cur in zip(self.stages, self.stages[1:]):
             assert prev.docs_out == cur.docs_in, (prev.stage, cur.stage)
-            assert prev.words_out == cur.words_in, (prev.stage, cur.stage)
 
     def to_dict(self) -> dict:
         # wall time excluded so reports are byte-stable across reruns
@@ -105,13 +106,14 @@ def report_table(report: dict) -> str:
 # by run_stage, which writes the stage's JSONL and .rejects for both `run`
 # and the single-stage subcommands.
 # *docs* is a list: the previous stage's output, or the documents
-# read_input read. A stage returns (docs, verdicts, extra): its output
-# documents, one verdict per document (None keeps it, a reason string or a
-# (reason, detail) pair rejects it; verdicts=None keeps every document) and
-# its report dict or None. run_stage alone turns them into the kept
-# documents and the stats with StageStats.tally, which counts documents and
-# words in, out and rejected per source and builds the .rejects records;
-# the algorithm modules only decide, and never name a stage. Side files go
+# read_jsonl read, no id twice. A stage returns (docs, verdicts, extra): its
+# output documents, one verdict per document (None keeps it, a reason string
+# or a (reason, detail) pair rejects it; verdicts=None keeps every document)
+# and its report dict or None. run_stage alone turns them into the kept
+# documents, the stats and the .rejects records with StageStats.tally,
+# which counts documents and the words of the returned texts (filter's
+# stripped ones) in, out and rejected per source; the algorithm modules
+# only decide, and never name a stage. Side files go
 # to *work_dir*: clusters.jsonl (skipped when work_dir is None) and
 # packed.bin with its packed.meta.jsonl, through writers that replace them
 # atomically.
@@ -229,11 +231,11 @@ def run_stage(
     t0 = time.monotonic()
     try:
         docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, loaded)
-        kept, stats = StageStats.tally(name, docs, verdicts, extra)
+        kept, stats, rejects = StageStats.tally(name, docs, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
     write_jsonl(kept, out_path, prev)
-    write_rejects(stats.rejects, f"{out_path}.rejects")
+    write_rejects(rejects, f"{out_path}.rejects")
     stats.check_conservation()
     print(
         f"[{name}] in={stats.docs_in} out={stats.docs_out} "
@@ -245,8 +247,8 @@ def run_stage(
 
 def read_input(path) -> tuple[list, int]:
     """The documents of the input JSONL *path* and the number of lines
-    read_jsonl skipped, which is printed to stderr when not 0; StageFailure
-    naming the first repeated document id."""
+    read_jsonl skipped, which is printed to stderr when not 0; read_jsonl's
+    JsonlReadError names the first repeated document id."""
     diagnostics: list = []
     docs = list(read_jsonl(path, diagnostics=diagnostics))
     if diagnostics:
@@ -254,21 +256,17 @@ def read_input(path) -> tuple[list, int]:
             f"skipped {len(diagnostics)} malformed input lines in {path}",
             file=sys.stderr,
         )
-    seen = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise StageFailure(f"duplicate document id {doc.id!r} in {path}")
-        seen.add(doc.id)
     return docs, len(diagnostics)
 
 
-def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
-    """The work-dir manifest of an earlier run of *cfg*, None if there is
-    none; StageFailure if it was written for another config or is not of the
-    shape run_pipeline writes."""
+def _load_manifest(cfg: PipelineConfig) -> tuple[list, int]:
+    """The checked stats of the stages an earlier run of *cfg* completed, in
+    order, and its number of malformed input lines; ([], 0) if there is no
+    manifest. StageFailure if it was written for another config or is not
+    of the shape run_pipeline writes."""
     path = Path(cfg.work_dir) / MANIFEST_NAME
     if not path.exists():
-        return None
+        return [], 0
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -287,6 +285,7 @@ def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
         raise corrupt("'completed' is not a prefix of the configured stages")
     if not isinstance(stats, dict):
         raise corrupt("'stats' is not an object")
+    done = []
     for stage in completed:
         try:
             stage_stats = StageStats.from_dict(stats[stage])
@@ -295,9 +294,10 @@ def _load_manifest(cfg: PipelineConfig) -> Optional[dict]:
             raise corrupt(f"stats of {stage}: {type(e).__name__}: {e}") from e
         if stage_stats.stage != stage:
             raise corrupt(f"stats of {stage} name stage {stage_stats.stage!r}")
+        done.append(stage_stats)
     if type(manifest.get("diagnostics")) is not int:
         raise corrupt("'diagnostics' is not an int")
-    return manifest
+    return done, manifest["diagnostics"]
 
 
 def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
@@ -305,60 +305,61 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
 
     With resume=True, stages recorded complete in the work-dir manifest
     (for the same config hash) are skipped and the pipeline continues from
-    the last completed stage's output. That file must hold, with no
-    malformed line, the number of documents the manifest records as that
-    stage's output; otherwise StageFailure names the file and both counts
-    before any stage runs. preflight checks and loads what the stages left
-    to run need before any document is read.
+    the last completed stage's output. That file must hold no malformed
+    line and no repeated id, and per source the documents and words the
+    manifest records as that stage's output; otherwise StageFailure (or
+    read_jsonl's JsonlReadError) names the file before any stage runs.
+    preflight checks and loads what the stages left to run need before any
+    document is read.
     """
     t0 = time.monotonic()
     work_dir = Path(cfg.work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
 
-    manifest = _load_manifest(cfg) if resume else None
-    completed = list(manifest["completed"]) if manifest else []
-    stats_dicts = dict(manifest["stats"]) if manifest else {}
-    loaded = preflight(cfg, cfg.stages[len(completed):])
-
-    if completed:
-        last_out = work_dir / f"{len(completed) - 1:02d}_{completed[-1]}.jsonl"
+    done, n_diagnostics = _load_manifest(cfg) if resume else ([], 0)
+    loaded = preflight(cfg, cfg.stages[len(done):])
+    if done:
+        last = done[-1]
+        last_out = work_dir / f"{len(done) - 1:02d}_{last.stage}.jsonl"
         skipped: list = []
         docs = list(read_jsonl(last_out, diagnostics=skipped))
-        recorded = stats_dicts[completed[-1]]["docs_out"]
-        if skipped or len(docs) != recorded:
-            raise StageFailure(
-                f"{last_out} holds {len(docs)} documents and {len(skipped)} "
-                f"malformed lines, the manifest records {recorded} documents; "
-                "refusing to resume"
-            )
-        n_diagnostics = manifest["diagnostics"]
+        if skipped:
+            raise StageFailure(f"{last_out} holds {len(skipped)} malformed lines; "
+                               "refusing to resume")
+        _, found, _ = StageStats.tally(last.stage, docs)
+        for src in sorted(found.per_source.keys() | last.per_source.keys()):
+            have, want = (s.per_source.get(src, SourceStats()) for s in (found, last))
+            if (have.docs_out, have.words_out) != (want.docs_out, want.words_out):
+                raise StageFailure(
+                    f"{last_out} holds {have.docs_out} documents of {have.words_out} "
+                    f"words from source {src!r}, the manifest records {want.docs_out} "
+                    f"documents of {want.words_out} words; refusing to resume"
+                )
     else:
         docs, n_diagnostics = read_input(cfg.input)
 
-    report = RunReport(config_hash=config_hash, diagnostics=n_diagnostics)
+    report = RunReport(config_hash=config_hash, stages=done, diagnostics=n_diagnostics)
 
     # the previous stage's output when this call wrote it: its documents'
     # lines are copied from there instead of encoded again
     prev = None
-    for idx in range(len(completed), len(cfg.stages)):
+    for idx in range(len(done), len(cfg.stages)):
         stage = cfg.stages[idx]
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
         docs, stats = run_stage(stage, docs, cfg, work_dir, loaded, out_path, prev)
         prev = out_path
-        stats_dicts[stage] = stats.to_dict()
-        completed.append(stage)
+        report.stages.append(stats)
         write_json(
             {
                 "config_hash": config_hash,
-                "completed": completed,
-                "stats": stats_dicts,
+                "completed": [s.stage for s in report.stages],
+                "stats": {s.stage: s.to_dict() for s in report.stages},
                 "diagnostics": n_diagnostics,
             },
             work_dir / MANIFEST_NAME,
         )
 
-    report.stages = [StageStats.from_dict(stats_dicts[s]) for s in cfg.stages]
     report.total_wall_time = time.monotonic() - t0
     write_json(report.to_dict(), work_dir / REPORT_NAME)
     return report

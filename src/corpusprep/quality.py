@@ -110,16 +110,8 @@ def char_ratios(texts: Iterable[str]) -> list[tuple[float, float, float]]:
 
 def _repeated_line_ratio(text: str) -> float:
     lines = text.split("\n")
-    if not lines:
-        return 0.0
-    seen = set()
-    repeats = 0
-    for line in lines:
-        if line in seen:
-            repeats += 1
-        else:
-            seen.add(line)
-    return repeats / len(lines)
+    # each line that repeats an earlier one
+    return (len(lines) - len(set(lines))) / len(lines)
 
 
 def apply_heuristics(doc: Document, cfg: HeuristicConfig,

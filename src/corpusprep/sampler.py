@@ -55,12 +55,13 @@ def validate_quotas(quotas: list[BucketQuota]) -> list[str]:
 
 
 def assign_bucket(token_count: int, quotas: list[BucketQuota]) -> str:
+    """The name of the bucket that holds *token_count*; *quotas* tile
+    [0, inf), as validate_quotas checks."""
     for q in quotas:
         if token_count >= q.min_tokens and (
             q.max_tokens is None or token_count < q.max_tokens
         ):
             return q.name
-    raise ValueError(f"no bucket covers token count {token_count}")
 
 
 def _quality_key(doc: Document) -> tuple:

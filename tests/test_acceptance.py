@@ -201,7 +201,7 @@ class TestPerplexitySeparation:
         verdicts, _ = filter_by_perplexity(
             docs, model, PerplexityPolicy(kind="percentile", value=50.0)
         )
-        kept, _ = StageStats.tally("lm_score", docs, verdicts)
+        kept, *_ = StageStats.tally("lm_score", docs, verdicts)
         fluent_kept = sum(1 for d in kept if d.id.startswith("fluent-"))
         report(f"perplexity separation: {fluent_kept}/50 fluent kept (>=45)")
         assert fluent_kept >= 45
@@ -235,7 +235,7 @@ class TestQuotaAccuracy:
         order = rng.permutation(len(docs))
         docs = [docs[int(i)] for i in order]
 
-        kept, stats = StageStats.tally(
+        kept, stats, _ = StageStats.tally(
             "sample", docs, *sample_to_quota(docs, quotas, seed=3, mode="uniform")
         )
         realized = Counter()
@@ -416,11 +416,11 @@ class TestExactDedup:
                     )
                 )
                 planted.add(dup)
-        kept, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, *_ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
         kept_ids = {d.id for d in kept}
         removed = {d.id for d in docs} - kept_ids
         assert removed == planted  # 100% removed, zero false removals
-        again, stats = StageStats.tally("dedup_exact", kept, dedup_exact(kept))
+        again, stats, _ = StageStats.tally("dedup_exact", kept, dedup_exact(kept))
         assert [d.id for d in again] == [d.id for d in kept]
         assert stats.rejected_docs == 0
         report(

@@ -270,20 +270,92 @@ class TestRunCommand:
         lines = stage_file.read_bytes().splitlines(keepends=True)
         n = len(lines)
         if damage == "shortened":
+            # the file is sorted by source, so the last 5 lines are web's
             stage_file.write_bytes(b"".join(lines[:-5]))
-            found = f"{n - 5} documents and 0 malformed lines"
+            web = [json.loads(line) for line in lines if b'"source": "web"' in line]
+            words = sum(len(d["text"].split()) for d in web)
+            cut = sum(len(d["text"].split()) for d in web[-5:])
+            found = (f"{len(web) - 5} documents of {words - cut} words from source "
+                     f"'web', the manifest records {len(web)} documents of {words} words")
         else:
             lines[3] = b"{garbled\n"
             stage_file.write_bytes(b"".join(lines))
-            found = f"{n - 1} documents and 1 malformed lines"
+            found = "1 malformed lines"
         before = workdir_bytes(work)
         capsys.readouterr()
         assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
         assert capsys.readouterr().err == (
-            f"stage failure: {stage_file} holds {found}, the manifest records "
-            f"{n} documents; refusing to resume\n"
+            f"stage failure: {stage_file} holds {found}; refusing to resume\n"
         )
         assert workdir_bytes(work) == before
+
+    def stopped_after_lm_score(self, workspace, monkeypatch):
+        """The work dir of a run stopped right after lm_score, and its
+        lm_score output's lines."""
+        with monkeypatch.context() as m:
+            crash_after(m, load_config(workspace), "lm_score")
+            assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        work = workspace.parent / "work"
+        return work, (work / "03_lm_score.jsonl").read_bytes().splitlines(keepends=True)
+
+    def test_resume_refuses_stage_file_with_a_copied_line(
+        self, workspace, capsys, monkeypatch
+    ):
+        work, lines = self.stopped_after_lm_score(workspace, monkeypatch)
+        lines[4] = lines[2]
+        (work / "03_lm_score.jsonl").write_bytes(b"".join(lines))
+        before = workdir_bytes(work)
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
+        doc_id = json.loads(lines[2])["id"]
+        assert capsys.readouterr().err == (
+            f"input error: duplicate document id {doc_id!r} in "
+            f"{work / '03_lm_score.jsonl'}\n"
+        )
+        assert workdir_bytes(work) == before
+
+    def test_resume_refuses_stage_file_with_an_edited_text(
+        self, workspace, capsys, monkeypatch
+    ):
+        """The file holds as many documents per source as the manifest
+        records, but one text has lost a word."""
+        work, lines = self.stopped_after_lm_score(workspace, monkeypatch)
+        doc = json.loads(lines[0])
+        lines[0] = lines[0].replace(
+            json.dumps(doc["text"], ensure_ascii=False).encode(),
+            json.dumps(doc["text"].split(maxsplit=1)[1], ensure_ascii=False).encode(),
+        )
+        stage_file = work / "03_lm_score.jsonl"
+        stage_file.write_bytes(b"".join(lines))
+        recorded = json.loads((work / "manifest.json").read_text("utf-8"))
+        kept = recorded["stats"]["lm_score"]["per_source"][doc["source"]]
+        n, n_words = kept["docs_out"], kept["words_out"]
+        before = workdir_bytes(work)
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
+        assert capsys.readouterr().err == (
+            f"stage failure: {stage_file} holds {n} documents of {n_words - 1} words "
+            f"from source {doc['source']!r}, the manifest records {n} documents of "
+            f"{n_words} words; refusing to resume\n"
+        )
+        assert workdir_bytes(work) == before
+
+    def test_filter_after_dedup_exact_strips_and_exits_0(self, tmp_path, capsys):
+        """filter counts words after stripping repeated short lines, so its
+        words_in is below dedup_exact's words_out when filter runs second;
+        the run still conserves every document and exits 0."""
+        config = build_workspace(tmp_path, n_docs=200, stages=["dedup_exact", "filter"])
+        corpus = yaml.safe_load(config.read_text("utf-8"))["input"]
+        first = json.loads(Path(corpus).read_text("utf-8").splitlines()[0])
+        repeated = {**first, "id": "repeats", "text": first["text"] + "\nPaldies\nPaldies"}
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(repeated, ensure_ascii=False) + "\n")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        dedup, filtered = json.loads(
+            (tmp_path / "work" / "report.json").read_text("utf-8"))["stages"]
+        assert filtered["docs_in"] == dedup["docs_out"]
+        assert filtered["words_in"] == dedup["words_out"] - 1
+        assert "Total after filtering" in capsys.readouterr().out
 
 
 class TestSingleStageCommands:

@@ -470,7 +470,7 @@ class TestBounds:
             "sample.overshoot": ">= 0",
             "pack.mask.rate": "(0, 1)",
             "pack.mask.geom_p": "(0, 1)",
-            "pack.mask.max_span": ">= 1",
+            "pack.mask.max_span": "[1, 65535]",
             "pack.mask.p_mask": "[0, 1]",
             "pack.mask.p_random": "[0, 1]",
         }
@@ -478,7 +478,8 @@ class TestBounds:
 
 class TestImpossibleValues:
     """Values that pass a naive range check but make a stage keep no
-    document or every document: each exits 1 with one line naming its key."""
+    document or every document, or fail only when the stage runs: each
+    exits 1 with one line naming its key."""
 
     @pytest.mark.parametrize(
         "yaml_text, error",
@@ -496,6 +497,9 @@ class TestImpossibleValues:
              "lm.policy.value: percentile nan outside [0, 100]"),
             ("heuristics: {min_alpha_ratio: .nan}",
              "heuristics.min_alpha_ratio: nan is not a number"),
+            # the pack stage would build one array of max_span lengths per window
+            ("pack: {mask: {max_span: 65536}}",
+             "pack.mask.max_span: 65536 outside [1, 65535]"),
         ],
     )
     def test_validate_exits_1_naming_the_key(self, tmp_path, capsys, yaml_text, error):

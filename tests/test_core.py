@@ -375,7 +375,7 @@ class TestStageStats:
     @given(_DOCS_AND_VERDICTS)
     def test_conservation(self, docs_and_verdicts):
         docs, verdicts = docs_and_verdicts
-        kept, stats = StageStats.tally("t", docs, verdicts)
+        kept, stats, rejects = StageStats.tally("t", docs, verdicts)
         stats.check_conservation()
         pairs = list(zip(docs, verdicts))
         assert kept == [d for d, v in pairs if v is None]
@@ -383,7 +383,7 @@ class TestStageStats:
         assert stats.words_in == sum(d.word_count for d in docs)
         assert stats.words_out == sum(d.word_count for d in kept)
         assert stats.rejected == Counter(_reason(v) for _, v in pairs if v is not None)
-        assert stats.rejects == [
+        assert rejects == [
             {"id": d.id, "stage": "t", "reason": _logged(v)} for d, v in pairs if v is not None
         ]
         for src, s in stats.per_source.items():
@@ -396,7 +396,7 @@ class TestStageStats:
         and every document count; only the per-source word check sees it."""
         docs = [Document(id="a", source="web", text="viens divi trīs"),
                 Document(id="b", source="news", text="četri pieci")]
-        _, stats = StageStats.tally("t", docs, ["short", "short"])
+        _, stats, _ = StageStats.tally("t", docs, ["short", "short"])
         stats.check_conservation()
         stats.per_source["web"].rejected_words -= 1
         stats.per_source["news"].rejected_words += 1
@@ -407,14 +407,14 @@ class TestStageStats:
     def test_dict_round_trip(self, docs_and_verdicts):
         docs, verdicts = docs_and_verdicts
         extra = {"windows": 3, "cutoff": "1.5"}
-        _, stats = StageStats.tally("t", docs, verdicts, extra=extra)
+        _, stats, _ = StageStats.tally("t", docs, verdicts, extra=extra)
         assert StageStats.from_dict(stats.to_dict()).to_dict() == stats.to_dict()
 
     def test_no_verdicts_keeps_every_document(self):
         docs = [Document(id=str(i), source="s" + str(i % 2), text="a b c") for i in range(5)]
-        kept, stats = StageStats.tally("t", docs, extra={"windows": 2})
+        kept, stats, rejects = StageStats.tally("t", docs, extra={"windows": 2})
         assert kept == docs
-        assert (stats.docs_out, stats.rejected, stats.rejects) == (5, {}, [])
+        assert (stats.docs_out, stats.rejected, rejects) == (5, {}, [])
         assert stats.extra == {"windows": 2}
 
     @pytest.mark.parametrize("n_verdicts", [2, 4])

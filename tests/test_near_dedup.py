@@ -389,7 +389,7 @@ def near(docs, cfg):
     """(kept, stats) of dedup_near over *docs*, counted as
     pipeline.run_stage counts the dedup_near stage."""
     verdicts, clusters = dedup_near(docs, cfg)
-    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": len(clusters)})
+    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": len(clusters)})[:2]
 
 
 class TestDedupNear:

@@ -595,7 +595,7 @@ def lm_filter(docs, model, policy):
     """(kept, stats) of filter_by_perplexity over *docs*, counted as
     pipeline.run_stage counts the lm_score stage."""
     verdicts, cutoff = filter_by_perplexity(docs, model, policy)
-    return StageStats.tally("lm_score", docs, verdicts, {"cutoff": repr(cutoff)})
+    return StageStats.tally("lm_score", docs, verdicts, {"cutoff": repr(cutoff)})[:2]
 
 
 class TestFilter:

@@ -31,7 +31,7 @@ def doc(i, tokens, ppl=None):
 def sample(docs, q, **kwargs):
     """(kept, stats) of sample_to_quota over *docs*, counted as
     pipeline.run_stage counts the sample stage."""
-    return StageStats.tally("sample", docs, *sample_to_quota(docs, q, **kwargs))
+    return StageStats.tally("sample", docs, *sample_to_quota(docs, q, **kwargs))[:2]
 
 
 class TestAssignBucket:

@@ -42,6 +42,18 @@ def test_lsh_recall_curve_tracks_banding_formula():
         assert abs(float(theory) - (1 - (1 - float(s) ** 8) ** 14)) < 1e-3
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--bands", 0], "argument --bands: 0 < 1"),
+    (["--rows", -1], "argument --rows: -1 < 1"),
+    (["--trials", 0], "argument --trials: 0 < 1"),
+    (["--bands", 7], "--bands * --rows is 56, not --num-perm 112"),
+])
+def test_lsh_recall_curve_refuses_inconsistent_banding(args, error):
+    err = run_script("lsh_recall_curve.py", *args, returncode=2)
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"lsh_recall_curve.py: error: {error}"]
+
+
 def test_run_demo_reruns_byte_identical(tmp_path):
     out = tmp_path / "demo"
 
