@@ -20,14 +20,17 @@ is split once: reading splits nothing, and the tokenizer's split
 (``Document.split_words``) fills ``Document.word_count``, which is
 otherwise counted when first read.
 
-A run also encodes each document's JSON line once. ``write_jsonl`` keeps on
-``Document.line_at`` where the line went: the file, its byte offset, the
-length of its head (the bytes before ``, "meta": {``) and the ``id``,
-``source``, ``url`` and ``text`` objects it was encoded from. Given that file
-as *prev*, a later ``write_jsonl`` reads the head back from it with
-``os.pread`` and encodes only the meta tail, unless one of those four fields
-was reassigned since. ``line_at`` holds no encoded bytes, is never
-serialized and is not copied by ``with_text``.
+A run also encodes each document's JSON line once (``to_json_line``, built
+with ``json``'s C string encoder; meta keys and values must be strings).
+``write_jsonl`` keeps on ``Document.line_at`` where the line went (file,
+offset, lengths of its head, the bytes before ``, "meta": {``, and of the
+line) and what it was encoded from: the ``id``, ``source``, ``url`` and
+``text`` objects and a copy of ``meta`` and ``token_count``. Given that file
+as *prev*, a later ``write_jsonl`` copies the line from it unless one of
+those four fields was reassigned since: whole, in one byte range with its
+neighbours, if meta and token count are unchanged, else its head with a new
+meta tail. ``line_at`` holds no encoded bytes, is never serialized and is
+not copied by ``with_text``.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
@@ -57,6 +60,11 @@ _META_KEY = b', "meta": {'
 # Canonical JSON: non-ASCII kept, ", " and ": " separators. One encoder
 # object, because json.dumps builds a new one per call when given options.
 canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
+# the string encoder canonical_json applies to every key and string value;
+# Document lines are built from it directly, TypeError on a non-string
+_json_str = json.encoder.encode_basestring
+# bytes of *prev* one read of a run copy in write_jsonl holds at most
+COPY_CHUNK_BYTES = 1 << 16
 
 
 def normalize_text(text: str) -> str:
@@ -92,8 +100,8 @@ class Document:
     token_count: Optional[int] = None
     # (vocab, uint16 ids), filled by subword.token_ids; never serialized
     token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (path, offset, head length, id, source, url, text) of the line
-    # write_jsonl last wrote; never serialized
+    # (path, offset, head length, line length, id, source, url, text, meta
+    # copy, token_count) of the line write_jsonl last wrote; not serialized
     line_at: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -126,23 +134,24 @@ class Document:
             token_count=self.token_count,
         )
 
-    def serialized_meta(self) -> dict:
-        """The ``meta`` object as written: string keys and values, sorted,
-        with the token count when known."""
-        meta = {str(k): str(v) for k, v in self.meta.items()}
+    def meta_json(self) -> str:
+        """The ``meta`` object as written: sorted keys, with the token count
+        when known. Keys and values must be strings (TypeError otherwise),
+        so equal meta dicts are written as equal bytes."""
+        meta = self.meta
         if self.token_count is not None:
-            meta[TOKEN_COUNT_META_KEY] = str(self.token_count)
-        return {k: meta[k] for k in sorted(meta)}
+            meta = {**meta, TOKEN_COUNT_META_KEY: str(self.token_count)}
+        return "{" + ", ".join(
+            [f"{_json_str(k)}: {_json_str(meta[k])}" for k in sorted(meta)]
+        ) + "}"
 
     def to_json_line(self) -> str:
-        record = {
-            "id": self.id,
-            "source": self.source,
-            "url": self.url,
-            "text": self.text,
-            "meta": self.serialized_meta(),
-        }
-        return canonical_json(record)
+        url = "null" if self.url is None else _json_str(self.url)
+        return (
+            f'{{"id": {_json_str(self.id)}, "source": {_json_str(self.source)}, '
+            f'"url": {url}, "text": {_json_str(self.text)}, '
+            f'"meta": {self.meta_json()}}}'
+        )
 
     @classmethod
     def from_record(cls, record) -> "Document":
@@ -368,42 +377,65 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
     """Write documents in canonical serialization; returns count written.
 
     A document whose ``line_at`` names *prev*, with the same ``id``,
-    ``source``, ``url`` and ``text`` objects it was written from, has the
-    head of its line copied from *prev* and only its meta encoded; any
-    other is encoded whole. Either way the bytes are the same. The file is
+    ``source``, ``url`` and ``text`` objects it was written from, has its
+    line copied from *prev*: whole if its ``meta`` and ``token_count`` are
+    those it was written with, else the head with a new meta tail. Whole
+    lines next to each other in *prev* are one copy, read COPY_CHUNK_BYTES
+    at a time. Any other document is encoded whole; the bytes are the same.
+    OSError if *prev* is shorter than a line it should hold. The file is
     replaced atomically, and ``line_at`` is set once it is in place."""
     path = os.fspath(path)
     prev = None if prev is None else os.fspath(prev)
     placed = []
     offset = 0
+    # the range of prev to copy before the next line not copied whole
+    run_start = run_end = 0
     with open_replacing(path, "wb") as fh, (
         nullcontext() if prev is None else open(prev, "rb")
     ) as src:
+
+        def copy(start: int, end: int) -> None:
+            while start < end:
+                chunk = os.pread(src.fileno(), min(end - start, COPY_CHUNK_BYTES), start)
+                if not chunk:
+                    raise OSError(f"{prev}: shorter than when it was written")
+                start += fh.write(chunk)
+
         for doc in docs:
             at = doc.line_at
             if (
                 at is not None
                 and at[0] == prev
-                and at[3] is doc.id
-                and at[4] is doc.source
-                and at[5] is doc.url
-                and at[6] is doc.text
+                and at[4] is doc.id
+                and at[5] is doc.source
+                and at[6] is doc.url
+                and at[7] is doc.text
             ):
-                head_len = at[2]
-                head = os.pread(src.fileno(), head_len, at[1])
-                if len(head) != head_len:
-                    raise OSError(f"{prev}: shorter than when it was written")
-                fh.write(head)
-                tail = f', "meta": {canonical_json(doc.serialized_meta())}}}\n'
-                n_bytes = head_len + fh.write(tail.encode("utf-8"))
+                start, head_len, n_bytes = at[1:4]
+                if start != run_end:
+                    copy(run_start, run_end)
+                    run_start = start
+                if doc.token_count is at[9] and doc.meta == at[8]:
+                    run_end = start + n_bytes
+                    placed.append((doc, (path, offset) + at[2:]))
+                    offset += n_bytes
+                    continue
+                run_end = start + head_len
+                copy(run_start, run_end)
+                tail = f', "meta": {doc.meta_json()}}}\n'.encode("utf-8")
+                n_bytes = head_len + fh.write(tail)
             else:
+                copy(run_start, run_end)
                 line = doc.to_json_line().encode("utf-8")
                 head_len = line.rindex(_META_KEY)
                 n_bytes = fh.write(line) + fh.write(b"\n")
-            placed.append(
-                (doc, (path, offset, head_len, doc.id, doc.source, doc.url, doc.text))
-            )
+            run_start = run_end
+            placed.append((doc, (
+                path, offset, head_len, n_bytes, doc.id, doc.source, doc.url,
+                doc.text, dict(doc.meta), doc.token_count,
+            )))
             offset += n_bytes
+        copy(run_start, run_end)
     for doc, at in placed:
         doc.line_at = at
     return len(placed)

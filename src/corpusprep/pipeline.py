@@ -225,9 +225,9 @@ def run_stage(
     name: str, docs, cfg: PipelineConfig, work_dir, loaded, out_path, prev=None
 ):
     """Run stage *name*, write its output to *out_path* (copying lines from
-    *prev*) with ``.rejects`` beside it, check its conservation and print its
-    counts and time to stderr; returns (kept, stats). An error inside the
-    stage becomes a StageFailure naming it."""
+    *prev*) with ``.rejects`` beside it and print its counts and time to
+    stderr; returns (kept, stats), which ``StageStats.tally`` makes
+    conserve. An error inside the stage becomes a StageFailure naming it."""
     t0 = time.monotonic()
     try:
         docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, loaded)
@@ -236,7 +236,6 @@ def run_stage(
         raise StageFailure(f"stage {name} failed: {e}") from e
     write_jsonl(kept, out_path, prev)
     write_rejects(rejects, f"{out_path}.rejects")
-    stats.check_conservation()
     print(
         f"[{name}] in={stats.docs_in} out={stats.docs_out} "
         f"rejected={stats.rejected_docs} ({time.monotonic() - t0:.2f}s)",

@@ -12,15 +12,18 @@ Tokenizing <unk>-free text loses nothing: each word's pieces, continuation
 pieces without their ``##``, joined by single spaces give back the exact
 bytes of the whitespace-normalized input.
 
-Each word type is segmented once per loaded vocabulary: tokenize() keeps a
-word -> ids memo on the SubwordVocab, bounded at WORD_CACHE_SIZE entries
-(once full, new words are segmented but not stored). A word's ids depend
+Each word type is segmented once per loaded vocabulary: the SubwordVocab
+keeps a word -> ids memo whose values are the ids as native-order uint16
+bytes, bounded at WORD_CACHE_SIZE entries (once full, new words are
+segmented but not stored). tokenize() joins the memo's bytes of the words
+into one ``array('H')``, with no Python object per id. A word's ids depend
 only on its bytes and the vocabulary, so the output does not depend on
 the memo.
 
-A run tokenizes each document once: token_ids() keeps a document's ids as
-a uint16 array on ``Document.token_ids`` for the vocabulary that made them,
-so the token_count stage, which counts them, and the pack stage share one
+A run tokenizes each document once: token_ids() keeps a document's ids,
+copied from tokenize()'s array into a uint16 numpy array, on
+``Document.token_ids`` for the vocabulary that made them, so the
+token_count stage, which counts them, and the pack stage share one
 tokenization. The ids live in memory only; a document read from JSONL is
 tokenized on first use. The text is split once for both its ids and its
 ``Document.word_count``.
@@ -29,6 +32,7 @@ tokenized on first use. The text is split once for both its ids and its
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -88,10 +92,11 @@ class SubwordVocab:
     continuation: dict = field(init=False)  # bytes -> id (## pieces, stripped)
     _max_init: int = field(init=False, default=0)
     _max_cont: int = field(init=False, default=0)
-    # word -> segmentation ids, filled by tokenize()
-    _word_ids: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # word -> segmentation ids as uint16 bytes, filled by tokenize()
+    _word_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._word_ids = _WordIds(self)
         self.initial = {}
         self.continuation = {}
         special_ids = set(self.specials.values())
@@ -178,10 +183,10 @@ def _match_longest(data: bytes, pos: int, table: dict, max_len: int) -> Optional
     return None
 
 
-def _segment(word: str, vocab: SubwordVocab) -> tuple[int, ...]:
-    """Greedy longest-match ids of one whitespace-free word. A lone
-    surrogate, which a JSON escape can produce, is segmented as its three
-    surrogatepass bytes."""
+def _segment(word: str, vocab: SubwordVocab) -> bytes:
+    """Greedy longest-match ids of one whitespace-free word, as native-order
+    uint16 bytes. A lone surrogate, which a JSON escape can produce, is
+    segmented as its three surrogatepass bytes."""
     data = word.encode("utf-8", "surrogatepass")
     ids: list[int] = []
     pos = 0
@@ -201,28 +206,37 @@ def _segment(word: str, vocab: SubwordVocab) -> tuple[int, ...]:
             pos += len(piece) - (0 if first else len(CONT_PREFIX))
             ids.append(piece_id)
         first = False
-    return tuple(ids)
+    return array("H", ids).tobytes()
+
+
+class _WordIds(dict):
+    """A vocabulary's word -> ids memo, each word's ids as native-order
+    uint16 bytes. Looking up a missing word segments it and stores it
+    while fewer than WORD_CACHE_SIZE words are stored."""
+
+    def __init__(self, vocab: SubwordVocab):
+        self.vocab = vocab
+
+    def __missing__(self, word: str) -> bytes:
+        ids = _segment(word, self.vocab)
+        if len(self) < WORD_CACHE_SIZE:
+            self[word] = ids
+        return ids
 
 
 def tokenize(
     text: str, vocab: SubwordVocab, words: Optional[list] = None
-) -> list[int]:
+) -> array:
     """Greedy longest-match segmentation of each whitespace-split word of
-    *text*; pass *words*, ``text.split()``, when it is already split.
+    *text*, as an ``array('H')`` of ids; pass *words*, ``text.split()``,
+    when it is already split.
 
     A word's ids depend only on the word and the vocabulary, so each word
     type is segmented once and then read from the vocabulary's memo.
     """
-    memo = vocab._word_ids
-    ids: list[int] = []
-    for word in text.split() if words is None else words:
-        seg = memo.get(word)
-        if seg is None:
-            seg = _segment(word, vocab)
-            if len(memo) < WORD_CACHE_SIZE:
-                memo[word] = seg
-        ids += seg
-    return ids
+    if words is None:
+        words = text.split()
+    return array("H", b"".join(map(vocab._word_ids.__getitem__, words)))
 
 
 def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:
@@ -233,6 +247,8 @@ def token_ids(doc: Document, vocab: SubwordVocab) -> np.ndarray:
     cached = doc.token_ids
     if cached is not None and cached[0] is vocab:
         return cached[1]
-    ids = np.array(tokenize(doc.text, vocab, words=doc.split_words()), dtype=np.uint16)
+    # copied from the buffer into an array of its own: the array('H') is
+    # over-allocated, and keeping it raised peak RSS by 1 MiB on long_pack
+    ids = np.array(tokenize(doc.text, vocab, words=doc.split_words()), np.uint16)
     doc.token_ids = (vocab, ids)
     return ids

@@ -8,8 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from corpusprep import core
 from corpusprep.core import (
     Document,
+    canonical_json,
     StageStats,
     normalize_text,
     read_jsonl,
@@ -301,6 +303,106 @@ class TestLineCopy:
             write_jsonl([doc], c, prev=a)
         assert encoder.call_count == 1
         assert c.read_bytes() == (doc.to_json_line() + "\n").encode()
+
+
+def _spy(method):
+    """Patch a Document method to record the documents it is called on."""
+    return mock.patch.object(
+        Document, method, autospec=True, side_effect=getattr(Document, method)
+    )
+
+
+def _called_on(spy) -> set:
+    return {id(call.args[0]) for call in spy.call_args_list}
+
+
+class TestEncoding:
+    @given(_DOC)
+    def test_line_is_the_canonical_json_of_the_record(self, doc):
+        meta = dict(doc.meta)
+        if doc.token_count is not None:
+            meta["token_count"] = str(doc.token_count)
+        record = {"id": doc.id, "source": doc.source, "url": doc.url,
+                  "text": doc.text, "meta": {k: meta[k] for k in sorted(meta)}}
+        assert doc.to_json_line() == canonical_json(record)
+
+    @pytest.mark.parametrize(
+        "meta", [{"k": 1}, {"k": 1.0}, {"k": True}, {"k": None}, {"k": b"1"}, {1: "1"}]
+    )
+    def test_meta_of_strings_only(self, tmp_path, meta):
+        # a line is copied when its meta is == the meta it was written from;
+        # only strings are written, and a string equals only an equal string
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        (key, value), = meta.items()
+        with pytest.raises(TypeError):
+            write_jsonl([Document(id="d", source="s", text="t", meta=meta)], a)
+        doc = Document(id="d", source="s", text="t", meta={str(key): str(value)})
+        write_jsonl([doc], a)
+        doc.meta = meta
+        with pytest.raises(TypeError):
+            write_jsonl([doc], b, prev=a)
+
+
+# what a later stage does to one document it keeps
+_EDITS = ["none", "meta_in_place", "meta_reassigned", "token_count", "head"]
+
+
+class TestWriteChains:
+    """Chains of writes, each with the previous file as *prev*, write the
+    bytes of a fresh encode, and copy every unchanged line whole."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_DOC, max_size=8), st.integers(3, 5), st.integers(1, 64), st.data())
+    def test_chain(self, tmp_path, docs, n_writes, chunk, data):
+        paths = [tmp_path / f"{i}.jsonl" for i in range(n_writes)]
+        # a few bytes a chunk, so copies cross chunk edges
+        with mock.patch.object(core, "COPY_CHUNK_BYTES", chunk):
+            write_jsonl(docs, paths[0])
+            for prev, path in zip(paths, paths[1:]):
+                # keep, drop and reorder
+                docs = data.draw(st.permutations(docs))[: data.draw(st.integers(0, len(docs)))]
+                unchanged = set()
+                for doc in docs:
+                    edit = data.draw(st.sampled_from(_EDITS))
+                    if edit == "none":
+                        unchanged.add(id(doc))
+                    elif edit == "meta_in_place":
+                        key = data.draw(st.sampled_from(["ppl", "meta", *doc.meta]))
+                        if key in doc.meta and data.draw(st.booleans()):
+                            del doc.meta[key]
+                        else:
+                            doc.meta[key] = data.draw(_TEXT)
+                    elif edit == "meta_reassigned":
+                        doc.meta = data.draw(_META)
+                    elif edit == "token_count":
+                        doc.token_count = data.draw(st.one_of(st.none(), st.integers(0, 10**6)))
+                    else:
+                        field = data.draw(st.sampled_from(["id", "source", "url", "text"]))
+                        setattr(doc, field, data.draw(_TEXT))
+                with _spy("to_json_line") as line, _spy("meta_json") as tail:
+                    assert write_jsonl(docs, path, prev=prev) == len(docs)
+                assert not (_called_on(line) | _called_on(tail)) & unchanged
+                assert path.read_bytes() == "".join(
+                    d.to_json_line() + "\n" for d in docs
+                ).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_truncated_prev_raises(self, tmp_path, chunk):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        docs = [Document(id=f"d{i}", source="s", text="teksts " * i) for i in range(4)]
+        write_jsonl(docs, a)
+        data = a.read_bytes()
+        with mock.patch.object(core, "COPY_CHUNK_BYTES", chunk):
+            for size in range(0, len(data), 5):
+                a.write_bytes(data[:size])
+                with pytest.raises(OSError, match="shorter than when it was written"):
+                    write_jsonl(docs, b, prev=a)
+                assert not b.exists()
+            # only the head of a line whose meta changed is read from prev
+            docs[-1].meta["k"] = "v"
+            a.write_bytes(data[: docs[-1].line_at[1] + docs[-1].line_at[2] - 1])
+            with pytest.raises(OSError, match="shorter than when it was written"):
+                write_jsonl(docs, b, prev=a)
 
 
 class TestAtomicWrites:

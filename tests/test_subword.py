@@ -84,7 +84,7 @@ class TestTokenize:
         assert small_vocab.pieces[ids[0]] == word.encode("utf-8")
 
     def test_empty_string(self, small_vocab):
-        assert tokenize("", small_vocab) == []
+        assert list(tokenize("", small_vocab)) == []
 
     def test_longest_match_greedy(self, tmp_path):
         tokens = make_basic_vocab(["abc", "ab"])
@@ -100,7 +100,7 @@ class TestTokenize:
         ids = tokenize("ab", small_vocab)
         a_id = small_vocab.initial[b"a"]
         b_cont_id = small_vocab.continuation[b"b"]
-        assert ids == [a_id, b_cont_id]
+        assert list(ids) == [a_id, b_cont_id]
 
     def test_unmatched_byte_becomes_unk(self, tmp_path):
         tokens = [t for t in make_basic_vocab() if t not in ("q", "##q")]
@@ -108,7 +108,7 @@ class TestTokenize:
         path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
         v = load_vocab(path)
         ids = tokenize("q", v)
-        assert ids == [v.unk_id]
+        assert list(ids) == [v.unk_id]
 
     def test_byte_recovery_on_unk_free_text(self, small_vocab, lang):
         text = " ".join(lang.words[:20]) + " un vēl kaut-kas 123"
@@ -179,13 +179,13 @@ class TestTokenizeMatchesReference:
     @example("ab AB Ab rīga RĪGA ab")
     def test_fresh_vocab(self, text):
         v = _gappy_vocab()
-        assert tokenize(text, v) == reference_tokenize(text, v)
+        assert list(tokenize(text, v)) == reference_tokenize(text, v)
 
     @given(_TOKENIZER_TEXT)
     @example("ab \ud800 q\udfffab")
     def test_warm_memo(self, text):
         tokenize(text, _WARM_VOCAB)
-        assert tokenize(text, _WARM_VOCAB) == reference_tokenize(text, _WARM_VOCAB)
+        assert list(tokenize(text, _WARM_VOCAB)) == reference_tokenize(text, _WARM_VOCAB)
 
     @given(_TOKENIZER_TEXT)
     @example("ab \ud800 q\udfffab")
@@ -193,9 +193,27 @@ class TestTokenizeMatchesReference:
         v = _gappy_vocab()
         with mock.patch.object(subword, "WORD_CACHE_SIZE", 2):
             tokenize("ab qab", v)
-            assert tokenize(text, v) == reference_tokenize(text, v)
-            assert tokenize(text, v) == reference_tokenize(text, v)
+            assert list(tokenize(text, v)) == reference_tokenize(text, v)
+            assert list(tokenize(text, v)) == reference_tokenize(text, v)
         assert len(v._word_ids) == 2
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, None], ids=["0", "1", "2", "default"])
+    @given(texts=st.lists(_TOKENIZER_TEXT, min_size=1, max_size=4))
+    def test_any_memo_bound(self, bound, texts):
+        v = _gappy_vocab()
+        bound = subword.WORD_CACHE_SIZE if bound is None else bound
+        with mock.patch.object(subword, "WORD_CACHE_SIZE", bound):
+            for text in texts:
+                assert list(tokenize(text, v)) == reference_tokenize(text, v)
+                assert len(v._word_ids) <= bound
+
+    def test_lone_surrogate_is_its_surrogatepass_bytes(self):
+        v = _gappy_vocab()
+        for _ in range(2):  # segmented, then read from the memo
+            ids = list(tokenize("a\ud800 \udfff", v))
+            assert ids == reference_tokenize("a\ud800 \udfff", v)
+            assert v.unk_id not in ids
+            assert detokenize(ids, v) == "a\ud800 \udfff".encode("utf-8", "surrogatepass")
 
     def test_memo_filled_by_tokenize_not_load(self, small_vocab_path):
         v = load_vocab(small_vocab_path)
@@ -247,11 +265,18 @@ class TestTokenIds:
         doc = Document(id="d", source="s", text=text)
         ids = token_ids(doc, small_vocab)
         assert ids.dtype == np.uint16
-        assert ids.tolist() == tokenize(text, small_vocab)
+        assert ids.tolist() == list(tokenize(text, small_vocab))
         tokenized.clear()
         assert token_ids(doc, small_vocab) is ids
         assert token_count(doc, small_vocab) == len(ids)
         assert tokenized == []
+
+    @pytest.mark.parametrize("text", ["", "ab", "ab ba qqq ab rīga"])
+    def test_ids_are_a_writable_contiguous_uint16_array(self, small_vocab, text):
+        ids = token_ids(Document(id="d", source="s", text=text), small_vocab)
+        assert ids.dtype == np.uint16
+        assert ids.flags.writeable and ids.flags.c_contiguous
+        assert ids.tolist() == reference_tokenize(text, small_vocab)
 
     def test_another_vocab_object_tokenizes_again(
         self, tokenized, small_vocab, small_vocab_path
@@ -268,7 +293,7 @@ class TestTokenIds:
         token_ids(doc, small_vocab)
         copy = doc.with_text("ba")
         assert copy.token_ids is None
-        assert token_ids(copy, small_vocab).tolist() == tokenize("ba", small_vocab)
+        assert token_ids(copy, small_vocab).tolist() == list(tokenize("ba", small_vocab))
         assert tokenized == ["ab", "ba"]
 
     def test_eq_repr_and_json_ignore_the_ids(self, small_vocab):
