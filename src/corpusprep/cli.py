@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the configured pipeline")
     _add_config_arg(p)
-    p.add_argument("--resume", action="store_true", help="resume from manifest")
+    p.add_argument("--resume", action="store_true",
+                   help="continue after the stages the work dir's report.json records")
 
     p = sub.add_parser("stats", help="render the report table for a finished run")
     p.add_argument("--report", required=True, help="path to report.json")
@@ -79,7 +80,7 @@ def _run_single_stage(stage: str, args) -> int:
         extra = pipeline.pack_docs(docs, cfg, args.output, loaded.vocab)
         _, stats, _ = StageStats.tally("pack", docs, extra=extra)
     else:
-        _, stats = pipeline.run_stage(stage, docs, cfg, None, loaded, args.output)
+        _, stats = pipeline.run_stage(stage, docs, cfg, loaded, args.output)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
     return EXIT_OK
 
@@ -96,7 +97,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             report = pipeline.run_pipeline(cfg, resume=args.resume)
-            report.check_conservation()
             print(pipeline.report_table(report.to_dict()))
             print(
                 f"total wall time: {report.total_wall_time:.2f}s", file=sys.stderr
@@ -104,14 +104,12 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "stats":
-            with open(args.report, encoding="utf-8") as fh:
-                try:
-                    table = pipeline.report_table(json.load(fh))
-                except (ValueError, LookupError, TypeError, AttributeError) as e:
-                    print(f"report error: {args.report}: not a run report "
-                          f"({type(e).__name__}: {e})", file=sys.stderr)
-                    return EXIT_STAGE
-            print(table)
+            try:
+                report = pipeline.read_report(args.report)
+            except ValueError as e:
+                print(f"report error: {args.report}: {e}", file=sys.stderr)
+                return EXIT_STAGE
+            print(pipeline.report_table(report.to_dict()))
             return EXIT_OK
 
         stage = args.command.replace("-", "_")

@@ -269,15 +269,22 @@ class StageStats:
 
     def check_conservation(self) -> None:
         """Every input doc is an output or a reject, and so is every input
-        word of each source; per-source sums match."""
-        assert self.docs_in == self.docs_out + self.rejected_docs, self.stage
-        assert self.docs_in == sum(s.docs_in for s in self.per_source.values())
-        assert self.docs_out == sum(s.docs_out for s in self.per_source.values())
-        assert self.words_in == sum(s.words_in for s in self.per_source.values())
-        assert self.words_out == sum(s.words_out for s in self.per_source.values())
-        for src, s in self.per_source.items():
-            assert s.docs_in == s.docs_out + s.rejected_docs, (self.stage, src)
-            assert s.words_in == s.words_out + s.rejected_words, (self.stage, src)
+        word of each source; per-source sums match. AssertionError naming
+        the stage and the failed totals or sources otherwise, raised under
+        ``python -O`` too, since reports read back are checked with it."""
+        failed = [
+            key for key in ("docs_in", "docs_out", "words_in", "words_out")
+            if getattr(self, key) != sum(getattr(s, key) for s in self.per_source.values())
+        ]
+        if self.docs_in != self.docs_out + self.rejected_docs:
+            failed.append("rejected")
+        failed += [
+            src for src, s in self.per_source.items()
+            if s.docs_in != s.docs_out + s.rejected_docs
+            or s.words_in != s.words_out + s.rejected_words
+        ]
+        if failed:
+            raise AssertionError((self.stage, *failed))
 
     def to_dict(self) -> dict:
         # no timings: serialized stats must be byte-stable across reruns
@@ -442,8 +449,8 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
 
 
 def write_rejects(records: Iterable[dict], path) -> int:
-    """Write canonical JSONL records, the ``.rejects`` sidecars' and
-    ``clusters.jsonl``'s, replacing *path* atomically; returns the count."""
+    """Write canonical JSONL records, a ``.rejects`` sidecar's, replacing
+    *path* atomically; returns the count."""
     n = 0
     with open_replacing(path) as fh:
         for rec in records:

@@ -296,24 +296,19 @@ def find_duplicate_clusters(
     return uf.clusters(min_size=2)
 
 
-def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, list[dict]]:
+def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, int]:
     """Near-duplicate verdicts, keeping the longest document per cluster
     (ties broken by smallest id): per document in order None, or
-    ``("near_dup", "kept=<keeper id>")``; and the clusters, each
-    ``{"kept": id, "removed": [ids]}``, sorted. Document ids are unique,
-    as read_jsonl checks."""
-    by_id = {doc.id: doc for doc in docs}
+    ``("near_dup", "kept=<keeper id>")``; and the number of clusters.
+    Document ids are unique, as read_jsonl checks."""
     values, sizes = shingles((doc.text for doc in docs), cfg.shingle_n)
     mat = minhash_signature(values, sizes, cfg.num_perm, cfg.perm_seed)
     sets = np.split(values, np.cumsum(sizes)[:-1]) if cfg.exact_verify else None
     clusters = find_duplicate_clusters(mat, cfg.bands, cfg.rows, cfg.threshold, sets)
-    clusters = sorted(sorted(docs[i].id for i in cluster) for cluster in clusters)
-    removed_by = {}  # removed id -> ("near_dup", "kept=<keeper id>")
-    report = []
+    verdicts = [None] * len(docs)
     for cluster in clusters:
-        keeper = min(cluster, key=lambda i: (-by_id[i].word_count, i))
-        removed = [i for i in cluster if i != keeper]
-        for i in removed:
-            removed_by[i] = ("near_dup", f"kept={keeper}")
-        report.append({"kept": keeper, "removed": removed})
-    return [removed_by.get(doc.id) for doc in docs], report
+        keeper = min(cluster, key=lambda i: (-docs[i].word_count, docs[i].id))
+        for i in cluster:
+            if i != keeper:
+                verdicts[i] = ("near_dup", f"kept={docs[keeper].id}")
+    return verdicts, len(clusters)

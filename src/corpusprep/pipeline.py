@@ -1,8 +1,9 @@
-"""Stage sequencing, resume manifest, and run reporting.
+"""Stage sequencing, resume, and run reporting.
 
 Every stage reads the previous stage's JSONL, writes its own JSONL plus a
-``.rejects`` sidecar, and then appends itself to the work-dir manifest, written
-last, so an interrupted run can resume exactly. Every work-dir file is
+``.rejects`` sidecar, and then rewrites the work-dir ``report.json``, the
+run's one record, with its stats appended: last, so an interrupted run can
+resume exactly after the stages the report holds. Every work-dir file is
 replaced atomically. All randomness derives from the config seed, so reruns
 with an identical config and input are byte-identical.
 """
@@ -28,7 +29,6 @@ from corpusprep.core import (
     write_rejects,
 )
 
-MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "report.json"
 
 
@@ -55,12 +55,14 @@ class RunReport:
 
     def check_conservation(self) -> None:
         """Each stage's own conservation, and each stage reads exactly the
-        documents the previous stage kept. Words are not chained: ``filter``
-        counts its stripped texts, wherever it runs."""
+        documents the previous stage kept; AssertionError otherwise, under
+        ``python -O`` too. Words are not chained: ``filter`` counts its
+        stripped texts, wherever it runs."""
         for stats in self.stages:
             stats.check_conservation()
         for prev, cur in zip(self.stages, self.stages[1:]):
-            assert prev.docs_out == cur.docs_in, (prev.stage, cur.stage)
+            if prev.docs_out != cur.docs_in:
+                raise AssertionError((prev.stage, cur.stage))
 
     def to_dict(self) -> dict:
         # wall time excluded so reports are byte-stable across reruns
@@ -101,8 +103,8 @@ def report_table(report: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# The stage contract. There is one stage_<name>(docs, cfg, work_dir,
-# loaded) per config.KNOWN_STAGES name, looked up by name at call time
+# The stage contract. There is one stage_<name>(docs, cfg, loaded) per
+# config.KNOWN_STAGES name, looked up by name at call time
 # by run_stage, which writes the stage's JSONL and .rejects for both `run`
 # and the single-stage subcommands.
 # *docs* is a list: the previous stage's output, or the documents
@@ -113,10 +115,9 @@ def report_table(report: dict) -> str:
 # documents, the stats and the .rejects records with StageStats.tally,
 # which counts documents and the words of the returned texts (filter's
 # stripped ones) in, out and rejected per source; the algorithm modules
-# only decide, and never name a stage. Side files go
-# to *work_dir*: clusters.jsonl (skipped when work_dir is None) and
-# packed.bin with its packed.meta.jsonl, through writers that replace them
-# atomically.
+# only decide, and never name a stage. No stage is given a work dir: pack
+# alone writes side files, packed.bin and its packed.meta.jsonl, into
+# cfg.work_dir through a writer that replaces them atomically.
 # *loaded* is preflight's Loaded, read before any input: token_count and
 # pack share its vocabulary and word-segmentation memo (pack reads the ids
 # subword.token_ids kept at token_count), and lm_score scores with its LM.
@@ -144,7 +145,7 @@ def preflight(cfg: PipelineConfig, stages) -> Loaded:
     )
 
 
-def stage_filter(docs, cfg: PipelineConfig, work_dir, loaded):
+def stage_filter(docs, cfg: PipelineConfig, loaded):
     docs = [
         doc.with_text(quality.strip_boilerplate(normalize_text(doc.text)))
         for doc in docs
@@ -152,30 +153,28 @@ def stage_filter(docs, cfg: PipelineConfig, work_dir, loaded):
     return docs, quality.heuristic_verdicts(docs, cfg.heuristics), None
 
 
-def stage_dedup_exact(docs, cfg: PipelineConfig, work_dir, loaded):
+def stage_dedup_exact(docs, cfg: PipelineConfig, loaded):
     docs = sorted(docs, key=lambda d: (d.source, d.id))
     return docs, exact_dedup.dedup_exact(docs), None
 
 
-def stage_dedup_near(docs, cfg: PipelineConfig, work_dir, loaded):
-    verdicts, clusters = near_dedup.dedup_near(docs, cfg.near_dedup)
-    if work_dir is not None:
-        write_rejects(clusters, Path(work_dir) / "clusters.jsonl")
-    return docs, verdicts, {"clusters": len(clusters)}
+def stage_dedup_near(docs, cfg: PipelineConfig, loaded):
+    verdicts, n_clusters = near_dedup.dedup_near(docs, cfg.near_dedup)
+    return docs, verdicts, {"clusters": n_clusters}
 
 
-def stage_lm_score(docs, cfg: PipelineConfig, work_dir, loaded):
+def stage_lm_score(docs, cfg: PipelineConfig, loaded):
     verdicts, cutoff = ngram_lm.filter_by_perplexity(docs, loaded.model, cfg.lm.policy)
     return docs, verdicts, {"cutoff": repr(cutoff)}
 
 
-def stage_token_count(docs, cfg: PipelineConfig, work_dir, loaded):
+def stage_token_count(docs, cfg: PipelineConfig, loaded):
     for doc in docs:
         doc.token_count = len(subword.token_ids(doc, loaded.vocab))
     return docs, None, None
 
 
-def stage_sample(docs, cfg: PipelineConfig, work_dir, loaded):
+def stage_sample(docs, cfg: PipelineConfig, loaded):
     return docs, *sampler.sample_to_quota(
         docs,
         cfg.quotas,
@@ -185,8 +184,8 @@ def stage_sample(docs, cfg: PipelineConfig, work_dir, loaded):
     )
 
 
-def stage_pack(docs, cfg: PipelineConfig, work_dir, loaded):
-    return docs, None, pack_docs(docs, cfg, Path(work_dir) / "packed.bin", loaded.vocab)
+def stage_pack(docs, cfg: PipelineConfig, loaded):
+    return docs, None, pack_docs(docs, cfg, Path(cfg.work_dir) / "packed.bin", loaded.vocab)
 
 
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
@@ -221,16 +220,14 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
     return {"windows": n, "efficiency": f"{efficiency:.6f}"}
 
 
-def run_stage(
-    name: str, docs, cfg: PipelineConfig, work_dir, loaded, out_path, prev=None
-):
+def run_stage(name: str, docs, cfg: PipelineConfig, loaded, out_path, prev=None):
     """Run stage *name*, write its output to *out_path* (copying lines from
     *prev*) with ``.rejects`` beside it and print its counts and time to
     stderr; returns (kept, stats), which ``StageStats.tally`` makes
     conserve. An error inside the stage becomes a StageFailure naming it."""
     t0 = time.monotonic()
     try:
-        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, work_dir, loaded)
+        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
         kept, stats, rejects = StageStats.tally(name, docs, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
@@ -258,69 +255,68 @@ def read_input(path) -> tuple[list, int]:
     return docs, len(diagnostics)
 
 
-def _load_manifest(cfg: PipelineConfig) -> tuple[list, int]:
-    """The checked stats of the stages an earlier run of *cfg* completed, in
-    order, and its number of malformed input lines; ([], 0) if there is no
-    manifest. StageFailure if it was written for another config or is not
-    of the shape run_pipeline writes."""
-    path = Path(cfg.work_dir) / MANIFEST_NAME
-    if not path.exists():
-        return [], 0
+def read_report(path) -> RunReport:
+    """The run report at *path*, checked where it enters: ValueError naming
+    the problem unless it is the object RunReport.to_dict writes (a string
+    config hash, an int diagnostics count and the ``per_source_words_*``
+    totals of its stages) and its stages conserve and chain
+    (RunReport.check_conservation)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
-        except ValueError as e:  # truncated or garbled by a crash
-            raise StageFailure(f"corrupt manifest {path}: {e}") from e
-
-    def corrupt(problem: str) -> StageFailure:
-        return StageFailure(f"corrupt manifest {path}: {problem}")
-
-    if not isinstance(manifest, dict) or type(manifest.get("config_hash")) is not str:
-        raise corrupt("not an object with a string config_hash")
-    if manifest["config_hash"] != cfg.config_hash():
-        raise StageFailure("manifest config hash does not match; refusing to resume")
-    completed, stats = manifest.get("completed"), manifest.get("stats")
-    if not isinstance(completed, list) or completed != cfg.stages[: len(completed)]:
-        raise corrupt("'completed' is not a prefix of the configured stages")
-    if not isinstance(stats, dict):
-        raise corrupt("'stats' is not an object")
-    done = []
-    for stage in completed:
-        try:
-            stage_stats = StageStats.from_dict(stats[stage])
-            stage_stats.check_conservation()
-        except (AssertionError, LookupError, TypeError, ValueError) as e:
-            raise corrupt(f"stats of {stage}: {type(e).__name__}: {e}") from e
-        if stage_stats.stage != stage:
-            raise corrupt(f"stats of {stage} name stage {stage_stats.stage!r}")
-        done.append(stage_stats)
-    if type(manifest.get("diagnostics")) is not int:
-        raise corrupt("'diagnostics' is not an int")
-    return done, manifest["diagnostics"]
+            raw = json.load(fh)
+            report = RunReport(
+                raw["config_hash"],
+                [StageStats.from_dict(s) for s in raw["stages"]],
+                raw["diagnostics"],
+            )
+            report.check_conservation()
+        except AssertionError as e:
+            raise ValueError(f"stages do not conserve or do not chain: {e}") from e
+        except (AttributeError, LookupError, TypeError, ValueError) as e:
+            raise ValueError(f"not a run report ({type(e).__name__}: {e})") from e
+    if (
+        report.to_dict() != raw
+        or type(report.config_hash) is not str
+        or type(report.diagnostics) is not int
+    ):
+        raise ValueError("not a run report: not the object RunReport.to_dict writes")
+    return report
 
 
 def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
-    """Execute the configured stages in order.
+    """Execute the configured stages in order, rewriting the work-dir
+    report after each.
 
-    With resume=True, stages recorded complete in the work-dir manifest
-    (for the same config hash) are skipped and the pipeline continues from
-    the last completed stage's output. That file must hold no malformed
-    line and no repeated id, and per source the documents and words the
-    manifest records as that stage's output; otherwise StageFailure (or
-    read_jsonl's JsonlReadError) names the file before any stage runs.
-    preflight checks and loads what the stages left to run need before any
-    document is read.
+    With resume=True, the stages the work-dir report records (read through
+    read_report, and for the same config hash) are skipped and the pipeline
+    continues from the last one's output. That file must hold no malformed line and no
+    repeated id, and per source the documents and words the report records
+    as that stage's output; otherwise StageFailure (or read_jsonl's
+    JsonlReadError) names the file before any stage runs. preflight checks
+    and loads what the stages left to run need before any document is read.
     """
     t0 = time.monotonic()
     work_dir = Path(cfg.work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
+    report_path = work_dir / REPORT_NAME
     config_hash = cfg.config_hash()
-
-    done, n_diagnostics = _load_manifest(cfg) if resume else ([], 0)
-    loaded = preflight(cfg, cfg.stages[len(done):])
-    if done:
-        last = done[-1]
-        last_out = work_dir / f"{len(done) - 1:02d}_{last.stage}.jsonl"
+    report = RunReport(config_hash)
+    if resume and report_path.exists():
+        try:
+            report = read_report(report_path)
+        except ValueError as e:
+            raise StageFailure(f"corrupt report {report_path}: {e}") from e
+        if report.config_hash != config_hash:
+            raise StageFailure("report config hash does not match; refusing to resume")
+        completed = [s.stage for s in report.stages]
+        if completed != cfg.stages[: len(completed)]:
+            raise StageFailure(f"corrupt report {report_path}: its stages {completed} "
+                               "do not begin the configured stages")
+    n_done = len(report.stages)
+    loaded = preflight(cfg, cfg.stages[n_done:])
+    if n_done:
+        last = report.stages[-1]
+        last_out = work_dir / f"{n_done - 1:02d}_{last.stage}.jsonl"
         skipped: list = []
         docs = list(read_jsonl(last_out, diagnostics=skipped))
         if skipped:
@@ -332,34 +328,23 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
             if (have.docs_out, have.words_out) != (want.docs_out, want.words_out):
                 raise StageFailure(
                     f"{last_out} holds {have.docs_out} documents of {have.words_out} "
-                    f"words from source {src!r}, the manifest records {want.docs_out} "
+                    f"words from source {src!r}, the report records {want.docs_out} "
                     f"documents of {want.words_out} words; refusing to resume"
                 )
     else:
-        docs, n_diagnostics = read_input(cfg.input)
-
-    report = RunReport(config_hash=config_hash, stages=done, diagnostics=n_diagnostics)
+        docs, report.diagnostics = read_input(cfg.input)
 
     # the previous stage's output when this call wrote it: its documents'
     # lines are copied from there instead of encoded again
     prev = None
-    for idx in range(len(done), len(cfg.stages)):
+    for idx in range(n_done, len(cfg.stages)):
         stage = cfg.stages[idx]
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
-        docs, stats = run_stage(stage, docs, cfg, work_dir, loaded, out_path, prev)
+        docs, stats = run_stage(stage, docs, cfg, loaded, out_path, prev)
         prev = out_path
         report.stages.append(stats)
-        write_json(
-            {
-                "config_hash": config_hash,
-                "completed": [s.stage for s in report.stages],
-                "stats": {s.stage: s.to_dict() for s in report.stages},
-                "diagnostics": n_diagnostics,
-            },
-            work_dir / MANIFEST_NAME,
-        )
+        write_json(report.to_dict(), report_path)
 
     report.total_wall_time = time.monotonic() - t0
-    write_json(report.to_dict(), work_dir / REPORT_NAME)
     return report
 

@@ -146,8 +146,12 @@ def load_vocab(path, expected_size: Optional[int] = None) -> SubwordVocab:
         raise VocabError(f"{path}: vocabulary file not found")
     pieces = []
     seen: dict = {}
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise VocabError(f"{path}:{lineno + 1}: invalid UTF-8: {e}") from e
             token = unescape_token(line.rstrip("\n"))
             if token in seen:
                 raise VocabError(

@@ -38,6 +38,16 @@ def drop_mask_token(workspace):
     vocab.write_text("\n".join(t for t in lines if t != "<mask>") + "\n", encoding="utf-8")
 
 
+def append_invalid_utf8_piece(workspace) -> str:
+    """Append the line ``\\xff`` to the workspace's vocabulary; returns the
+    error load_vocab names it by."""
+    vocab = Path(yaml.safe_load(workspace.read_text("utf-8"))["vocab"]["path"])
+    n_lines = len(vocab.read_bytes().splitlines())
+    with open(vocab, "ab") as fh:
+        fh.write(b"\xff\n")
+    return f"vocabulary error: {vocab}:{n_lines + 1}: invalid UTF-8: "
+
+
 class TestValidateCommand:
     def test_ok(self, workspace, capsys):
         assert main(["validate", "--config", str(workspace)]) == EXIT_OK
@@ -62,6 +72,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "missing special token <mask>" in err and err.count("\n") == 1
+
+    def test_vocabulary_not_utf8_exits_1(self, workspace, capsys):
+        error = append_invalid_utf8_piece(workspace)
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
 
     def test_model_with_wrong_gram_length_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -166,41 +182,83 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "invalid UTF-8" in err and err.count("\n") == 1
 
-    def test_truncated_manifest_exits_2(self, workspace, capsys):
-        main(["run", "--config", str(workspace)])
-        manifest = workspace.parent / "work" / "manifest.json"
-        manifest.write_bytes(manifest.read_bytes()[:40])
+    def refused_resume(self, workspace, capsys, damage):
+        """Finish a run, apply *damage* to its report.json, and check that
+        `run --resume` exits 2 with one ``corrupt report`` line and leaves
+        every work-dir file as it found it; returns that line."""
+        assert main(["run", "--config", str(workspace)]) == EXIT_OK
+        work = workspace.parent / "work"
+        report = work / "report.json"
+        damage(report)
+        before = workdir_bytes(work)
         capsys.readouterr()
         assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
         err = capsys.readouterr().err
-        assert "corrupt manifest" in err and err.count("\n") == 1
+        assert err.startswith(f"stage failure: corrupt report {report}: ")
+        assert err.count("\n") == 1
+        assert workdir_bytes(work) == before
+        return err
+
+    def test_truncated_manifest_exits_2(self, workspace, capsys):
+        self.refused_resume(
+            workspace, capsys, lambda p: p.write_bytes(p.read_bytes()[:40]))
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda m: [],
-            lambda m: {k: v for k, v in m.items() if k != "completed"},
-            lambda m: {**m, "config_hash": 7},
-            lambda m: {**m, "completed": ["nope"]},
-            lambda m: {**m, "completed": m["completed"][1:]},
-            lambda m: {**m, "stats": {}},
-            lambda m: {**m, "stats": {**m["stats"], "filter": {"stage": "filter"}}},
-            lambda m: {**m, "stats": {**m["stats"], "filter": m["stats"]["sample"]}},
-            lambda m: {**m, "diagnostics": "0"},
+            lambda r: [],
+            lambda r: {k: v for k, v in r.items() if k != "stages"},
+            lambda r: {**r, "config_hash": 7},
+            lambda r: {**r, "stages": [{**r["stages"][0], "stage": "nope"},
+                                       *r["stages"][1:]]},
+            # the totals follow the stages, so only the order is wrong
+            lambda r: {**r, "stages": r["stages"][1:], "per_source_words_initial": {
+                src: s["words_in"] for src, s in r["stages"][1]["per_source"].items()}},
+            lambda r: {**r, "stages": {}},
+            lambda r: {**r, "stages": [{"stage": "filter"}, *r["stages"][1:]]},
+            lambda r: {**r, "stages": [r["stages"][5], *r["stages"][1:]]},
+            lambda r: {**r, "diagnostics": "0"},
         ],
         ids=["list", "no_completed", "hash_not_str", "unknown_stage", "not_prefix",
              "no_stats", "stats_cut", "stats_of_other_stage", "diagnostics_str"],
     )
     def test_manifest_of_wrong_shape_exits_2(self, workspace, capsys, edit):
-        main(["run", "--config", str(workspace)])
-        manifest = workspace.parent / "work" / "manifest.json"
-        manifest.write_text(
-            json.dumps(edit(json.loads(manifest.read_text("utf-8")))), encoding="utf-8"
-        )
-        capsys.readouterr()
-        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
-        err = capsys.readouterr().err
-        assert "corrupt manifest" in err and err.count("\n") == 1
+        """Each of these reports is refused; the test keeps the name it had
+        when the resume state was a separate manifest file."""
+        def damage(path):
+            path.write_text(json.dumps(edit(json.loads(path.read_text("utf-8")))),
+                            encoding="utf-8")
+
+        self.refused_resume(workspace, capsys, damage)
+
+    def test_report_with_a_broken_chain_exits_2(self, workspace, capsys):
+        """One filter document moved from kept to too_short: filter still
+        conserves, but dedup_exact reads one document more than it kept."""
+        def damage(path):
+            report = json.loads(path.read_text("utf-8"))
+            stats = report["stages"][0]
+            assert stats["stage"] == "filter"
+            src = stats["per_source"]["web"]
+            stats["docs_out"] -= 1
+            src["docs_out"] -= 1
+            src["rejected_docs"] += 1
+            stats["rejected"]["too_short"] += 1
+            for s in (stats, src):
+                s["words_out"] -= 30
+            src["rejected_words"] += 30
+            path.write_text(json.dumps(report), encoding="utf-8")
+
+        err = self.refused_resume(workspace, capsys, damage)
+        assert "do not chain" in err and "('filter', 'dedup_exact')" in err
+
+    def test_report_with_edited_totals_exits_2(self, workspace, capsys):
+        def damage(path):
+            report = json.loads(path.read_text("utf-8"))
+            report["per_source_words_final"]["web"] += 1
+            path.write_text(json.dumps(report), encoding="utf-8")
+
+        err = self.refused_resume(workspace, capsys, damage)
+        assert "not the object RunReport.to_dict writes" in err
 
     def test_unknown_top_level_key_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -276,7 +334,7 @@ class TestRunCommand:
             words = sum(len(d["text"].split()) for d in web)
             cut = sum(len(d["text"].split()) for d in web[-5:])
             found = (f"{len(web) - 5} documents of {words - cut} words from source "
-                     f"'web', the manifest records {len(web)} documents of {words} words")
+                     f"'web', the report records {len(web)} documents of {words} words")
         else:
             lines[3] = b"{garbled\n"
             stage_file.write_bytes(b"".join(lines))
@@ -317,7 +375,7 @@ class TestRunCommand:
     def test_resume_refuses_stage_file_with_an_edited_text(
         self, workspace, capsys, monkeypatch
     ):
-        """The file holds as many documents per source as the manifest
+        """The file holds as many documents per source as the report
         records, but one text has lost a word."""
         work, lines = self.stopped_after_lm_score(workspace, monkeypatch)
         doc = json.loads(lines[0])
@@ -327,15 +385,16 @@ class TestRunCommand:
         )
         stage_file = work / "03_lm_score.jsonl"
         stage_file.write_bytes(b"".join(lines))
-        recorded = json.loads((work / "manifest.json").read_text("utf-8"))
-        kept = recorded["stats"]["lm_score"]["per_source"][doc["source"]]
+        recorded = json.loads((work / "report.json").read_text("utf-8"))
+        assert recorded["stages"][-1]["stage"] == "lm_score"
+        kept = recorded["stages"][-1]["per_source"][doc["source"]]
         n, n_words = kept["docs_out"], kept["words_out"]
         before = workdir_bytes(work)
         capsys.readouterr()
         assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_STAGE
         assert capsys.readouterr().err == (
             f"stage failure: {stage_file} holds {n} documents of {n_words - 1} words "
-            f"from source {doc['source']!r}, the manifest records {n} documents of "
+            f"from source {doc['source']!r}, the report records {n} documents of "
             f"{n_words} words; refusing to resume\n"
         )
         assert workdir_bytes(work) == before
@@ -379,12 +438,14 @@ class TestSingleStageCommands:
     def test_stage_subcommands_from_stage_names(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         out = tmp_path / "x.jsonl"
+        before = set(tmp_path.iterdir())
         for stage in KNOWN_STAGES[:3]:
             argv = [stage.replace("_", "-"), "--config", str(workspace),
                     "--input", cfg["input"], "--output", str(out)]
             assert main(argv) == EXIT_OK
             assert json.loads(capsys.readouterr().out)["stage"] == stage
-        assert not (tmp_path / "clusters.jsonl").exists()
+        # dedup-near among them: each writes its output and sidecar only
+        assert set(tmp_path.iterdir()) - before == {out, tmp_path / "x.jsonl.rejects"}
 
     def test_each_stage_writes_the_bytes_of_run(self, workspace, tmp_path, capsys):
         """`run` and the single-stage subcommands share one stage path: each
@@ -453,7 +514,7 @@ class TestSingleStageCommands:
     def test_verdict_count_mismatch_exits_2(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
-        def one_verdict_short(docs, cfg, work_dir, loaded):
+        def one_verdict_short(docs, cfg, loaded):
             return docs, [None] * (len(docs) - 1), None
 
         monkeypatch.setattr(pipeline, "stage_token_count", one_verdict_short)
@@ -651,6 +712,15 @@ class TestSingleStageCommands:
         assert err.startswith("vocabulary error: ") and err.count("\n") == 1
         assert "missing special token <mask>" in err
         assert list(out_dir.iterdir()) == []
+
+    def test_tokenize_with_vocabulary_not_utf8_exits_1(self, workspace, capsys):
+        error = append_invalid_utf8_piece(workspace)
+        vocab = yaml.safe_load(workspace.read_text("utf-8"))["vocab"]["path"]
+        rc = main(["tokenize", "--vocab", vocab, "--text", "x"])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error) and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_missing_vocab_exits_1(self, workspace, tmp_path):
         rc = main(

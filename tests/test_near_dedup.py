@@ -388,8 +388,8 @@ class TestTemplatedPages:
 def near(docs, cfg):
     """(kept, stats) of dedup_near over *docs*, counted as
     pipeline.run_stage counts the dedup_near stage."""
-    verdicts, clusters = dedup_near(docs, cfg)
-    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": len(clusters)})[:2]
+    verdicts, n_clusters = dedup_near(docs, cfg)
+    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": n_clusters})[:2]
 
 
 class TestDedupNear:
@@ -468,8 +468,15 @@ class TestDedupNearMatchesReference:
         for exact in (False, True):
             cfg = NearDupConfig(num_perm=k, bands=bands, rows=rows, shingle_n=n,
                                 threshold=threshold, perm_seed=SEED, exact_verify=exact)
-            _, clusters = dedup_near(docs, cfg)
+            verdicts, n_clusters = dedup_near(docs, cfg)
+            # each cluster is its keeper and the documents naming it
+            clusters: dict = {}
+            for doc, verdict in zip(docs, verdicts):
+                if verdict is not None:
+                    keeper = verdict[1].removeprefix("kept=")
+                    clusters.setdefault(keeper, {keeper}).add(doc.id)
             want = reference_clusters(mat, bands, rows, threshold, sets if exact else None)
-            assert sorted(sorted([c["kept"], *c["removed"]]) for c in clusters) == sorted(
+            assert sorted(sorted(c) for c in clusters.values()) == sorted(
                 sorted(docs[i].id for i in cluster) for cluster in want
             )
+            assert n_clusters == len(want)

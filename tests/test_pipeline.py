@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -122,8 +124,11 @@ class TestRun:
             assert (work / f"{i:02d}_{stage}.jsonl.rejects").exists(), stage
         assert (work / "packed.bin").exists()
         assert (work / "packed.meta.jsonl").exists()
-        assert (work / "clusters.jsonl").exists()
         assert (work / "report.json").exists()
+        # the report is the one run record, and the clusters are the
+        # near_dup:kept=<id> lines of dedup_near's sidecar
+        assert not (work / "manifest.json").exists()
+        assert not (work / "clusters.jsonl").exists()
 
     def test_stage_chaining_and_conservation(self, ran_workspace):
         _, cfg, report = ran_workspace
@@ -200,7 +205,7 @@ class TestDeterminismAndResume:
         a = workdir_bytes(tmp_path / "a" / "work")
         b = workdir_bytes(tmp_path / "b" / "work")
         assert a.keys() == b.keys()
-        # manifests/reports embed the config hash, which covers absolute
+        # reports embed the config hash, which covers absolute
         # paths; compare those after normalizing the hash away
         ha, hb = cfg_a.config_hash(), cfg_b.config_hash()
         for name in a:
@@ -221,6 +226,11 @@ class TestDeterminismAndResume:
         with monkeypatch.context() as m, pytest.raises(StageFailure, match="injected"):
             crash_after(m, cfg_b, fail_after)
             run_pipeline(cfg_b)
+        report = tmp_path / "b" / "work" / "report.json"
+        completed = cfg_b.stages[: cfg_b.stages.index(fail_after) + 1]
+        recorded = json.loads(report.read_text("utf-8"))["stages"]
+        assert [s["stage"] for s in recorded] == completed
+        assert main(["stats", "--report", str(report)]) == EXIT_OK
         run_pipeline(cfg_b, resume=True)
         a = workdir_bytes(tmp_path / "a" / "work")
         b = workdir_bytes(tmp_path / "b" / "work")
@@ -245,9 +255,9 @@ class TestDeterminismAndResume:
         with monkeypatch.context() as m, pytest.raises(StageFailure):
             crash_after(m, cfg, "filter")
             run_pipeline(cfg)
-        manifest = tmp_path / "work" / "manifest.json"
-        manifest.write_bytes(manifest.read_bytes()[:40])
-        with pytest.raises(StageFailure, match="corrupt manifest"):
+        report = tmp_path / "work" / "report.json"
+        report.write_bytes(report.read_bytes()[:40])
+        with pytest.raises(StageFailure, match="corrupt report"):
             run_pipeline(cfg, resume=True)
 
     def test_malformed_input_lines_counted(self, tmp_path):
@@ -282,9 +292,13 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", spy)
         run_pipeline(cfg)
         on_disk = sorted(p.name for p in (tmp_path / "work").iterdir())
-        assert "clusters.jsonl" in on_disk and "packed.bin" in on_disk
+        assert "packed.bin" in on_disk
         assert sorted(set(replaced)) == on_disk
-        assert replaced[-1] == "report.json" and replaced[-2] == "manifest.json"
+        # the report is rewritten once per stage, right after its sidecar
+        ends = [i for i, name in enumerate(replaced) if name == "report.json"]
+        assert len(ends) == len(cfg.stages) and ends[-1] == len(replaced) - 1
+        for idx, (stage, end) in enumerate(zip(cfg.stages, ends)):
+            assert replaced[end - 1] == f"{idx:02d}_{stage}.jsonl.rejects"
 
     def test_failed_pack_leaves_earlier_files(self, tmp_path, monkeypatch):
         from corpusprep import packing
@@ -353,6 +367,27 @@ class TestConservationCheck:
         report.stages[0].words_out += 1
         with pytest.raises(AssertionError):
             report.check_conservation()
+
+    def test_checks_hold_under_python_O(self):
+        """Reports read back are checked with check_conservation, so it
+        raises with asserts compiled out too."""
+        code = (
+            "from corpusprep.core import SourceStats, StageStats\n"
+            "from corpusprep.pipeline import RunReport\n"
+            "kept = StageStats('b', docs_in=1, docs_out=1,\n"
+            "                  per_source={'s': SourceStats(docs_in=1, docs_out=1)})\n"
+            "for stages in ([StageStats('a', docs_in=1)], [StageStats('a'), kept]):\n"
+            "    try:\n"
+            "        RunReport('h', stages).check_conservation()\n"
+            "    except AssertionError as e:\n"
+            "        print(e)\n"
+        )
+        src = Path(__file__).parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60,
+        ).stdout
+        assert out.splitlines() == ["('a', 'docs_in', 'rejected')", "('a', 'b')"]
 
 
 class TestStageProtocol:

@@ -217,7 +217,7 @@ class TestLengthRuleFirst:
             return original(chunk)
 
         with mock.patch.object(quality, "_class_counts", recording):
-            out, verdicts, extra = pipeline.stage_filter(docs, cfg, None, None)
+            out, verdicts, extra = pipeline.stage_filter(docs, cfg, None)
         assert long_text not in counted and "tikai divi" not in counted
         assert len(counted) == 3
         assert [d.id for d in out] == [d.id for d in docs]

@@ -224,7 +224,7 @@ class TestTokenizeMatchesReference:
 
 def token_count(doc, vocab):
     """The token count the token_count stage sets on *doc*."""
-    pipeline.stage_token_count([doc], None, None, pipeline.Loaded(vocab=vocab))
+    pipeline.stage_token_count([doc], None, pipeline.Loaded(vocab=vocab))
     return doc.token_count
 
 
