@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lm-train", help="train the n-gram LM on a reference corpus")
     p.add_argument("--input", required=True, help="reference corpus JSONL")
     p.add_argument("--output", required=True, help="model file path")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--min-count", type=int, default=2)
+    p.add_argument("--order", type=int, default=ngram_lm.DEFAULT_ORDER)
+    p.add_argument("--min-count", type=int, default=ngram_lm.DEFAULT_MIN_COUNT)
 
     p = sub.add_parser("tokenize", help="tokenize text against a vocabulary")
     p.add_argument("--vocab", required=True)

@@ -27,7 +27,7 @@ from corpusprep.ngram_lm import PerplexityPolicy
 from corpusprep.near_dedup import NearDupConfig
 from corpusprep.packing import MAX_SEQ_LEN, MaskConfig
 from corpusprep.quality import HeuristicConfig
-from corpusprep.sampler import BucketQuota, validate_quotas
+from corpusprep.sampler import DEFAULT_OVERSHOOT, BucketQuota, validate_quotas
 from corpusprep.subword import MAX_VOCAB_SIZE
 
 KNOWN_STAGES = (
@@ -70,7 +70,7 @@ class VocabConfig:
 @dataclass
 class SampleConfig:
     mode: Literal["quality", "uniform"] = "quality"
-    overshoot: Annotated[float, ">= 0"] = 0.01
+    overshoot: Annotated[float, ">= 0"] = DEFAULT_OVERSHOOT
 
 
 @dataclass
@@ -192,6 +192,8 @@ def validate(cfg: PipelineConfig) -> list[str]:
         errors.append(f"input: path does not exist: {cfg.input}")
     if not cfg.work_dir:
         errors.append("work_dir: required")
+    if not cfg.stages:
+        errors.append("stages: empty")
     for i, stage in enumerate(cfg.stages):
         if stage not in KNOWN_STAGES:
             errors.append(f"stages: unknown stage {stage!r}")

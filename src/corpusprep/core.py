@@ -34,6 +34,9 @@ not copied by ``with_text``.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
+
+Per-word work (subword ids, shingle word hashes) is memoized in a
+``WordMemo``, bounded in words (MEMO_WORDS) and in characters per word.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).e
 _json_str = json.encoder.encode_basestring
 # bytes of *prev* one read of a run copy in write_jsonl holds at most
 COPY_CHUNK_BYTES = 1 << 16
+# a WordMemo stores words of at most this many characters, this many words
+MEMO_WORD_CHARS = 64
+MEMO_WORDS = 1 << 16
 
 
 def normalize_text(text: str) -> str:
@@ -84,6 +90,21 @@ def normalize_text(text: str) -> str:
 def word_count(text: str) -> int:
     """Number of maximal non-whitespace runs."""
     return len(text.split())
+
+
+class WordMemo(dict):
+    """word -> fn(word), for *fn* of the word alone. A missing word is
+    stored if it has at most MEMO_WORD_CHARS characters and fewer than
+    MEMO_WORDS words are stored."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, word: str):
+        value = self.fn(word)
+        if len(word) <= MEMO_WORD_CHARS and len(self) < MEMO_WORDS:
+            self[word] = value
+        return value
 
 
 @dataclass(slots=True)

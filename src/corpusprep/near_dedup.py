@@ -1,13 +1,14 @@
 """MinHash-LSH near-duplicate detection over word 5-gram shingles.
 
-Shingles: each lowercased word type is hashed once with blake2b (memoized),
-n consecutive word hashes are combined by a Karp-Rabin polynomial mod 2^64,
-and each value is finished with splitmix64, so that the multiply-add family
-below does not see the polynomial's low-bit structure. A whole corpus is
-shingled in one pass over its words (in chunks, to bound memory): one
-polynomial over the concatenated word hashes, whose windows that cross a
-document boundary are dropped, and one sort by (document, value). Its
-shingle sets come back concatenated, with one size per document.
+Shingles: each lowercased word is hashed with blake2b (through a
+``core.WordMemo`` per call), n consecutive word hashes are combined by a
+Karp-Rabin polynomial mod 2^64, and each value is finished with splitmix64,
+so that the multiply-add family below does not see the polynomial's
+low-bit structure. A whole corpus is shingled in one pass over its words
+(in chunks, to bound memory): one polynomial over the concatenated word
+hashes, whose windows that cross a document boundary are dropped, and one
+sort by (document, value). Its shingle sets come back concatenated, with
+one size per document.
 
 Signatures use a seeded multiply-add family over the 64-bit ring: with an
 odd multiplier, h(x) = a*x + b (mod 2^64) is a bijection of the hash
@@ -20,20 +21,17 @@ with union-find.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
-from corpusprep.core import Document
+from corpusprep.core import Document, WordMemo
 
 DEFAULT_SHINGLE_N = 5
 # Karp-Rabin base: an odd 64-bit multiplier (Steele & Vigna's LCG constant)
 SHINGLE_BASE = np.uint64(0xD1342543DE82EF95)
-# Most word types whose hashes are memoized, so memory stays bounded
-WORD_MEMO_SIZE = 1 << 16
 # Documents are shingled in chunks of at most this many documents, closed
 # once they reach this many words, so that shingling needs no corpus-sized
 # temporary (and a chunk's document numbers fit in uint16)
@@ -43,7 +41,6 @@ SHINGLE_CHUNK = 1 << 13
 SIGN_CHUNK_BYTES = 4 << 20
 
 
-@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def _word_hash(word: str) -> bytes:
     return hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
 
@@ -58,12 +55,13 @@ def shingles(
     order, and the int64 number of each text's shingles."""
     if isinstance(texts, str):
         raise TypeError("shingles takes a sequence of texts, not a str")
+    word_hash = WordMemo(_word_hash).__getitem__
     chunks = []
     hashes: list = []  # the word hashes of the chunk's documents
     lens: list = []  # their numbers of words
     for text in texts:
         before = len(hashes)
-        hashes += map(_word_hash, text.lower().split())
+        hashes += map(word_hash, text.lower().split())
         lens.append(len(hashes) - before)
         if len(hashes) >= SHINGLE_CHUNK or len(lens) == SHINGLE_CHUNK:
             chunks.append(_shingle_chunk(hashes, lens, n))

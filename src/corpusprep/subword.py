@@ -12,13 +12,13 @@ Tokenizing <unk>-free text loses nothing: each word's pieces, continuation
 pieces without their ``##``, joined by single spaces give back the exact
 bytes of the whitespace-normalized input.
 
-Each word type is segmented once per loaded vocabulary: the SubwordVocab
-keeps a word -> ids memo whose values are the ids as native-order uint16
-bytes, bounded at WORD_CACHE_SIZE entries (once full, new words are
-segmented but not stored). tokenize() joins the memo's bytes of the words
-into one ``array('H')``, with no Python object per id. A word's ids depend
-only on its bytes and the vocabulary, so the output does not depend on
-the memo.
+A word is segmented once per loaded vocabulary if the SubwordVocab's
+``core.WordMemo`` of each word's ids, as native-order uint16 bytes, stores
+it: a word of at most MEMO_WORD_CHARS (64) characters, while fewer than
+MEMO_WORDS (65,536) are stored. Any other word is segmented at each
+occurrence. tokenize() joins the ids of the words into one
+``array('H')``, with no Python object per id. A word's ids depend only on
+its bytes and the vocabulary, so the output does not depend on the memo.
 
 A run tokenizes each document once: token_ids() keeps a document's ids,
 copied from tokenize()'s array into a uint16 numpy array, on
@@ -39,17 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from corpusprep.core import Document
+from corpusprep.core import Document, WordMemo
 
 SPECIAL_TOKENS = ("<unk>", "<pad>", "<mask>", "<s>", "</s>")
 CONT_PREFIX = b"##"
 
 # packed.bin stores token ids as u16
 MAX_VOCAB_SIZE = 65536
-
-# Most word types a vocabulary memoizes; later new words are segmented
-# without being stored, so memory stays bounded on open-vocabulary text.
-WORD_CACHE_SIZE = 1 << 16
 
 _ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})")
 
@@ -96,7 +92,7 @@ class SubwordVocab:
     _word_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._word_ids = _WordIds(self)
+        self._word_ids = WordMemo(lambda word: _segment(word, self))
         self.initial = {}
         self.continuation = {}
         special_ids = set(self.specials.values())
@@ -213,31 +209,12 @@ def _segment(word: str, vocab: SubwordVocab) -> bytes:
     return array("H", ids).tobytes()
 
 
-class _WordIds(dict):
-    """A vocabulary's word -> ids memo, each word's ids as native-order
-    uint16 bytes. Looking up a missing word segments it and stores it
-    while fewer than WORD_CACHE_SIZE words are stored."""
-
-    def __init__(self, vocab: SubwordVocab):
-        self.vocab = vocab
-
-    def __missing__(self, word: str) -> bytes:
-        ids = _segment(word, self.vocab)
-        if len(self) < WORD_CACHE_SIZE:
-            self[word] = ids
-        return ids
-
-
 def tokenize(
     text: str, vocab: SubwordVocab, words: Optional[list] = None
 ) -> array:
     """Greedy longest-match segmentation of each whitespace-split word of
-    *text*, as an ``array('H')`` of ids; pass *words*, ``text.split()``,
-    when it is already split.
-
-    A word's ids depend only on the word and the vocabulary, so each word
-    type is segmented once and then read from the vocabulary's memo.
-    """
+    *text*, read through the vocabulary's memo, as an ``array('H')`` of ids;
+    pass *words*, ``text.split()``, when it is already split."""
     if words is None:
         words = text.split()
     return array("H", b"".join(map(vocab._word_ids.__getitem__, words)))

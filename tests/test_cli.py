@@ -109,6 +109,17 @@ class TestValidateCommand:
             f"model error: {model}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 "
             "model? rebuild it with corpusprep lm-train or scripts/convert_kn_v1.py)\n")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_no_stages_exits_1(self, workspace, capsys, command):
+        """A config that lists no stages is refused with one line, before
+        the work dir is made."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["stages"] = []
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main([command, "--config", str(workspace)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "invalid config: stages: empty\n"
+        assert not Path(cfg["work_dir"]).exists()
+
     def test_mistyped_value_exits_1_one_line_per_violation(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         cfg["pack"]["mask"]["rate"] = "x"

@@ -412,6 +412,11 @@ class TestValidate:
         setattr(getattr(cfg, section) if section else cfg, key, value)
         assert error in validate(cfg)
 
+    def test_no_stages_rejected(self):
+        cfg = self.base()
+        cfg.stages = []
+        assert validate(cfg) == ["stages: empty"]
+
     def test_repeated_stage_rejected(self):
         cfg = self.base()
         cfg.stages = ["filter", "dedup_exact", "filter"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpusprep import near_dedup
+from corpusprep import core, near_dedup
 from corpusprep.core import Document, StageStats
 from corpusprep.near_dedup import (
     NearDupConfig,
@@ -119,6 +119,35 @@ class TestShingles:
             values, sizes = shingles(corpus, n)
         assert values.dtype == np.uint64 and sizes.dtype == np.int64
         assert len(sizes) == len(corpus) and sizes.sum() == len(values)
+        for s, text in zip(split_sets(values, sizes), corpus):
+            assert s.tolist() == reference_shingles(text, n)
+
+    def test_memo_stores_words_of_at_most_memo_word_chars(self, monkeypatch):
+        """Within one call, a word of MEMO_WORD_CHARS characters is hashed
+        once and a word of one character more at each occurrence; no
+        hash outlives the call."""
+        hashed, word_hash = [], near_dedup._word_hash
+        monkeypatch.setattr(near_dedup, "_word_hash",
+                            lambda word: hashed.append(word) or word_hash(word))
+        n = core.MEMO_WORD_CHARS
+        short, longer = "ī" * n, "ī" * (n + 1)
+        text = " ".join([short, longer] * 3)
+        for _ in range(2):
+            assert shingles_of(text, 2).tolist() == reference_shingles(text, 2)
+        assert sorted(hashed) == sorted([short] * 2 + [longer] * 6)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        corpus=st.lists(st.one_of(texts(), st.sampled_from(["", "viens", "a b a b a b a b"])),
+                        max_size=8),
+        n=st.integers(1, 6),
+    )
+    def test_memo_bounds_change_no_shingle(self, corpus, n):
+        values, sizes = shingles(corpus, n)
+        with mock.patch.multiple(core, MEMO_WORDS=0, MEMO_WORD_CHARS=0):
+            unmemoized = shingles(corpus, n)
+        assert np.array_equal(values, unmemoized[0])
+        assert np.array_equal(sizes, unmemoized[1])
         for s, text in zip(split_sets(values, sizes), corpus):
             assert s.tolist() == reference_shingles(text, n)
 

@@ -410,6 +410,21 @@ class TestStageProtocol:
 
 
 class TestSourceTree:
+    def test_no_process_global_cache(self):
+        """No module in src/corpusprep memoizes with functools.lru_cache or
+        functools.cache, so every memo belongs to a run (core.WordMemo)."""
+        src = Path(__file__).parent.parent / "src" / "corpusprep"
+        for path in sorted(src.glob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(n, ast.ImportFrom) and n.module == "functools":
+                    names = {a.name for a in n.names}
+                elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                      and n.value.id == "functools"):
+                    names = {n.attr}
+                else:
+                    continue
+                assert not names & {"lru_cache", "cache"}, (path.name, n.lineno)
+
     def test_every_definition_is_used(self):
         """Every function, class and method that src/corpusprep defines is
         used by the package or the benchmark: its name appears in

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from corpusprep import pipeline, subword
+from corpusprep import core, pipeline, subword
 from corpusprep.core import Document
 from corpusprep.subword import (
     SPECIAL_TOKENS,
@@ -191,21 +191,37 @@ class TestTokenizeMatchesReference:
     @example("ab \ud800 q\udfffab")
     def test_full_memo(self, text):
         v = _gappy_vocab()
-        with mock.patch.object(subword, "WORD_CACHE_SIZE", 2):
+        with mock.patch.object(core, "MEMO_WORDS", 2):
             tokenize("ab qab", v)
             assert list(tokenize(text, v)) == reference_tokenize(text, v)
             assert list(tokenize(text, v)) == reference_tokenize(text, v)
         assert len(v._word_ids) == 2
 
     @pytest.mark.parametrize("bound", [0, 1, 2, None], ids=["0", "1", "2", "default"])
-    @given(texts=st.lists(_TOKENIZER_TEXT, min_size=1, max_size=4))
-    def test_any_memo_bound(self, bound, texts):
+    @given(texts=st.lists(_TOKENIZER_TEXT, min_size=1, max_size=4),
+           chars=st.sampled_from([0, 1, 2, None]))
+    def test_any_memo_bound(self, bound, texts, chars):
+        """Any bound on the words stored and on their characters."""
         v = _gappy_vocab()
-        bound = subword.WORD_CACHE_SIZE if bound is None else bound
-        with mock.patch.object(subword, "WORD_CACHE_SIZE", bound):
+        bound = core.MEMO_WORDS if bound is None else bound
+        chars = core.MEMO_WORD_CHARS if chars is None else chars
+        with mock.patch.multiple(core, MEMO_WORDS=bound, MEMO_WORD_CHARS=chars):
             for text in texts:
                 assert list(tokenize(text, v)) == reference_tokenize(text, v)
                 assert len(v._word_ids) <= bound
+                assert all(len(word) <= chars for word in v._word_ids)
+
+    def test_memo_stores_words_of_at_most_memo_word_chars(self):
+        """A word of MEMO_WORD_CHARS characters, whatever its bytes, is
+        stored; one of a character more is not."""
+        v = _gappy_vocab()
+        n = core.MEMO_WORD_CHARS
+        stored = [("ab" * n)[:n], "ī" * n, "€" * n]
+        longer = [word + "q" for word in stored]
+        text = " ".join(stored + longer)
+        for _ in range(2):  # segmented, then read from the memo or segmented again
+            assert list(tokenize(text, v)) == reference_tokenize(text, v)
+        assert sorted(v._word_ids) == sorted(stored)
 
     def test_lone_surrogate_is_its_surrogatepass_bytes(self):
         v = _gappy_vocab()
