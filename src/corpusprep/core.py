@@ -36,7 +36,7 @@ Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
 
 Per-word work (subword ids, shingle word hashes) is memoized in a
-``WordMemo``, bounded in words (MEMO_WORDS) and in characters per word.
+``WordMemo``, bounded in words and in the characters of its long words.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ canonical_json = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).e
 _json_str = json.encoder.encode_basestring
 # bytes of *prev* one read of a run copy in write_jsonl holds at most
 COPY_CHUNK_BYTES = 1 << 16
-# a WordMemo stores words of at most this many characters, this many words
-MEMO_WORD_CHARS = 64
+# bounds of a WordMemo
 MEMO_WORDS = 1 << 16
+MEMO_WORD_CHARS = 64
+MEMO_LONG_CHARS = 1 << 18
 
 
 def normalize_text(text: str) -> str:
@@ -94,15 +95,19 @@ def word_count(text: str) -> int:
 
 class WordMemo(dict):
     """word -> fn(word), for *fn* of the word alone. A missing word is
-    stored if it has at most MEMO_WORD_CHARS characters and fewer than
-    MEMO_WORDS words are stored."""
+    stored while fewer than MEMO_WORDS are and the words stored longer than
+    MEMO_WORD_CHARS hold at most MEMO_LONG_CHARS characters in all, so a
+    repeated URL is computed once and base64 blobs cannot crowd out words."""
 
     def __init__(self, fn):
         self.fn = fn
+        self.long_chars = 0
 
     def __missing__(self, word: str):
         value = self.fn(word)
-        if len(word) <= MEMO_WORD_CHARS and len(self) < MEMO_WORDS:
+        chars = len(word) if len(word) > MEMO_WORD_CHARS else 0
+        if len(self) < MEMO_WORDS and self.long_chars + chars <= MEMO_LONG_CHARS:
+            self.long_chars += chars
             self[word] = value
         return value
 

@@ -12,13 +12,12 @@ Tokenizing <unk>-free text loses nothing: each word's pieces, continuation
 pieces without their ``##``, joined by single spaces give back the exact
 bytes of the whitespace-normalized input.
 
-A word is segmented once per loaded vocabulary if the SubwordVocab's
-``core.WordMemo`` of each word's ids, as native-order uint16 bytes, stores
-it: a word of at most MEMO_WORD_CHARS (64) characters, while fewer than
-MEMO_WORDS (65,536) are stored. Any other word is segmented at each
-occurrence. tokenize() joins the ids of the words into one
-``array('H')``, with no Python object per id. A word's ids depend only on
-its bytes and the vocabulary, so the output does not depend on the memo.
+Each word's ids, as native-order uint16 bytes, are read through the
+SubwordVocab's ``core.WordMemo``: a word it stores is segmented once per
+loaded vocabulary, any other word at each occurrence. tokenize() joins the
+ids of the words into one ``array('H')``, with no Python object per id. A
+word's ids depend only on its bytes and the vocabulary, so the output does
+not depend on the memo.
 
 A run tokenizes each document once: token_ids() keeps a document's ids,
 copied from tokenize()'s array into a uint16 numpy array, on

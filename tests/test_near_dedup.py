@@ -122,19 +122,21 @@ class TestShingles:
         for s, text in zip(split_sets(values, sizes), corpus):
             assert s.tolist() == reference_shingles(text, n)
 
-    def test_memo_stores_words_of_at_most_memo_word_chars(self, monkeypatch):
+    def test_memo_stores_long_words_within_memo_long_chars(self, monkeypatch):
         """Within one call, a word of MEMO_WORD_CHARS characters is hashed
-        once and a word of one character more at each occurrence; no
-        hash outlives the call."""
+        once, and so is a longer one while the long words stored hold at
+        most MEMO_LONG_CHARS characters; another is hashed at each
+        occurrence. No hash outlives the call."""
         hashed, word_hash = [], near_dedup._word_hash
         monkeypatch.setattr(near_dedup, "_word_hash",
                             lambda word: hashed.append(word) or word_hash(word))
         n = core.MEMO_WORD_CHARS
-        short, longer = "ī" * n, "ī" * (n + 1)
-        text = " ".join([short, longer] * 3)
+        monkeypatch.setattr(core, "MEMO_LONG_CHARS", n + 1)
+        short, stored, longer = "ī" * n, "ī" * (n + 1), "ā" * (n + 1)
+        text = " ".join([short, stored, longer] * 3)
         for _ in range(2):
             assert shingles_of(text, 2).tolist() == reference_shingles(text, 2)
-        assert sorted(hashed) == sorted([short] * 2 + [longer] * 6)
+        assert sorted(hashed) == sorted([short] * 2 + [stored] * 2 + [longer] * 6)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -144,7 +146,7 @@ class TestShingles:
     )
     def test_memo_bounds_change_no_shingle(self, corpus, n):
         values, sizes = shingles(corpus, n)
-        with mock.patch.multiple(core, MEMO_WORDS=0, MEMO_WORD_CHARS=0):
+        with mock.patch.multiple(core, MEMO_WORDS=0, MEMO_WORD_CHARS=0, MEMO_LONG_CHARS=0):
             unmemoized = shingles(corpus, n)
         assert np.array_equal(values, unmemoized[0])
         assert np.array_equal(sizes, unmemoized[1])

@@ -199,29 +199,43 @@ class TestTokenizeMatchesReference:
 
     @pytest.mark.parametrize("bound", [0, 1, 2, None], ids=["0", "1", "2", "default"])
     @given(texts=st.lists(_TOKENIZER_TEXT, min_size=1, max_size=4),
-           chars=st.sampled_from([0, 1, 2, None]))
-    def test_any_memo_bound(self, bound, texts, chars):
-        """Any bound on the words stored and on their characters."""
+           chars=st.sampled_from([0, 1, 2, None]), long_chars=st.sampled_from([0, 1, 3, None]))
+    def test_any_memo_bound(self, bound, texts, chars, long_chars):
+        """Any bound on the words stored and on the characters of long ones."""
         v = _gappy_vocab()
         bound = core.MEMO_WORDS if bound is None else bound
         chars = core.MEMO_WORD_CHARS if chars is None else chars
-        with mock.patch.multiple(core, MEMO_WORDS=bound, MEMO_WORD_CHARS=chars):
+        long_chars = core.MEMO_LONG_CHARS if long_chars is None else long_chars
+        with mock.patch.multiple(core, MEMO_WORDS=bound, MEMO_WORD_CHARS=chars,
+                                 MEMO_LONG_CHARS=long_chars):
             for text in texts:
                 assert list(tokenize(text, v)) == reference_tokenize(text, v)
                 assert len(v._word_ids) <= bound
-                assert all(len(word) <= chars for word in v._word_ids)
+                assert sum(len(w) for w in v._word_ids if len(w) > chars) <= long_chars
 
-    def test_memo_stores_words_of_at_most_memo_word_chars(self):
+    def test_memo_stores_long_words_within_memo_long_chars(self):
         """A word of MEMO_WORD_CHARS characters, whatever its bytes, is
-        stored; one of a character more is not."""
+        stored; longer ones while they hold at most MEMO_LONG_CHARS
+        characters in all, and after that shorter words still are."""
         v = _gappy_vocab()
         n = core.MEMO_WORD_CHARS
-        stored = [("ab" * n)[:n], "ī" * n, "€" * n]
-        longer = [word + "q" for word in stored]
-        text = " ".join(stored + longer)
-        for _ in range(2):  # segmented, then read from the memo or segmented again
-            assert list(tokenize(text, v)) == reference_tokenize(text, v)
-        assert sorted(v._word_ids) == sorted(stored)
+        short = [("ab" * n)[:n], "ī" * n, "€" * n]
+        longer = [word + "q" for word in short]
+        text = " ".join(longer + short + ["ab"])
+        with mock.patch.object(core, "MEMO_LONG_CHARS", 2 * (n + 1)):
+            for _ in range(2):  # segmented, then read from the memo or segmented again
+                assert list(tokenize(text, v)) == reference_tokenize(text, v)
+        assert sorted(v._word_ids) == sorted(longer[:2] + short + ["ab"])
+
+    def test_repeated_long_word_segmented_once(self, monkeypatch):
+        segmented, segment = [], subword._segment
+        monkeypatch.setattr(subword, "_segment",
+                            lambda word, vocab: segmented.append(word) or segment(word, vocab))
+        v = _gappy_vocab()
+        word = "ab" * 2000
+        text = " ".join([word, "q"] * 3)
+        assert list(tokenize(text, v)) == reference_tokenize(text, v)
+        assert sorted(segmented) == sorted(["q", word])
 
     def test_lone_surrogate_is_its_surrogatepass_bytes(self):
         v = _gappy_vocab()
