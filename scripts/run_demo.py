@@ -106,7 +106,6 @@ def main() -> None:
     (root / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
 
     report = run_pipeline(load_config(root / "config.yaml"))
-    report.check_conservation()
     print()
     print(report_table(report.to_dict()))
     print(f"\noutputs in {root / 'work'}")

@@ -2,7 +2,8 @@
 
 The config dataclasses' annotations are the schema, bounds included:
 load_config reads each section into its dataclass, then validate checks
-ranges, and that the files the config names exist, relative paths taken
+ranges, that the files the config names are files and that no file
+stands in the way of its work dir, relative paths taken
 from the current directory. A bound on one field is written on its
 annotation as a string, ``Annotated[float, "(0, 1]"]`` (either end open or
 closed) or ``Annotated[int, ">= 1"]``; rules that span fields and
@@ -184,14 +185,21 @@ def _check_bounds(section, path: str, errors: list) -> None:
                 errors.append(f"{key}: {why}")
 
 
+def _file_errors(key: str, path: Optional[str], required: str) -> list[str]:
+    """``<key>: <why>`` unless *path* names a file."""
+    if not path:
+        return [f"{key}: {required}"]
+    why = "not a file" if Path(path).exists() else "path does not exist"
+    return [] if Path(path).is_file() else [f"{key}: {why}: {path}"]
+
+
 def validate(cfg: PipelineConfig) -> list[str]:
-    errors: list[str] = []
-    if not cfg.input:
-        errors.append("input: required")
-    elif not Path(cfg.input).exists():
-        errors.append(f"input: path does not exist: {cfg.input}")
+    errors = _file_errors("input", cfg.input, "required")
     if not cfg.work_dir:
         errors.append("work_dir: required")
+    elif any(p.exists() and not p.is_dir()
+             for p in (Path(cfg.work_dir), *Path(cfg.work_dir).parents)):
+        errors.append(f"work_dir: not a directory: {cfg.work_dir}")
     if not cfg.stages:
         errors.append("stages: empty")
     for i, stage in enumerate(cfg.stages):
@@ -233,18 +241,12 @@ def validate(cfg: PipelineConfig) -> list[str]:
 
 def stage_errors(cfg: PipelineConfig, stages) -> list[str]:
     """What breaks the rules of *stages*: the files lm_score, token_count
-    and pack read must exist, and sample's quotas pass validate_quotas."""
+    and pack read must be files, and sample's quotas pass validate_quotas."""
     errors: list[str] = []
     if "lm_score" in stages:
-        if not cfg.lm.model_path:
-            errors.append("lm.model_path: required by lm_score stage")
-        elif not Path(cfg.lm.model_path).exists():
-            errors.append(f"lm.model_path: path does not exist: {cfg.lm.model_path}")
+        errors += _file_errors("lm.model_path", cfg.lm.model_path, "required by lm_score stage")
     if "token_count" in stages or "pack" in stages:
-        if not cfg.vocab.path:
-            errors.append("vocab.path: required by token_count/pack stages")
-        elif not Path(cfg.vocab.path).exists():
-            errors.append(f"vocab.path: path does not exist: {cfg.vocab.path}")
+        errors += _file_errors("vocab.path", cfg.vocab.path, "required by token_count/pack stages")
     if "sample" in stages:
         errors.extend(validate_quotas(cfg.quotas))
     return errors

@@ -20,17 +20,16 @@ is split once: reading splits nothing, and the tokenizer's split
 (``Document.split_words``) fills ``Document.word_count``, which is
 otherwise counted when first read.
 
-A run also encodes each document's JSON line once (``to_json_line``, built
-with ``json``'s C string encoder; meta keys and values must be strings).
-``write_jsonl`` keeps on ``Document.line_at`` where the line went (file,
-offset, lengths of its head, the bytes before ``, "meta": {``, and of the
-line) and what it was encoded from: the ``id``, ``source``, ``url`` and
-``text`` objects and a copy of ``meta`` and ``token_count``. Given that file
-as *prev*, a later ``write_jsonl`` copies the line from it unless one of
-those four fields was reassigned since: whole, in one byte range with its
-neighbours, if meta and token count are unchanged, else its head with a new
-meta tail. ``line_at`` holds no encoded bytes, is never serialized and is
-not copied by ``with_text``.
+A run encodes a document's JSON line only when the document changed
+(``to_json_line``, built with ``json``'s C string encoder; meta keys and
+values must be strings). ``write_jsonl`` keeps on ``Document.line_at`` where
+the line went (file, offset and length) and what it was encoded from: the
+``id``, ``source``, ``url`` and ``text`` objects, a copy of ``meta`` and the
+``token_count``. Given that file as *prev*, a later ``write_jsonl`` copies
+the line from it, in one byte range with its neighbours, if all six are
+those it was written with, and encodes it whole otherwise. ``line_at``
+holds no encoded bytes, is never serialized and is not copied by
+``with_text``.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
@@ -55,9 +54,6 @@ _TOKEN_COUNT_RE = re.compile(r"[0-9]+")
 # a JSON escape of a UTF-16 surrogate; only a line holding one can decode
 # to a string that UTF-8 cannot encode
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-# every meta value is a JSON string, so the last match in a line is the
-# start of its top-level meta object
-_META_KEY = b', "meta": {'
 
 
 # Canonical JSON: non-ASCII kept, ", " and ": " separators. One encoder
@@ -126,8 +122,8 @@ class Document:
     token_count: Optional[int] = None
     # (vocab, uint16 ids), filled by subword.token_ids; never serialized
     token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (path, offset, head length, line length, id, source, url, text, meta
-    # copy, token_count) of the line write_jsonl last wrote; not serialized
+    # (path, offset, line length, id, source, url, text, meta copy,
+    # token_count) of the line write_jsonl last wrote; not serialized
     line_at: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -160,23 +156,19 @@ class Document:
             token_count=self.token_count,
         )
 
-    def meta_json(self) -> str:
-        """The ``meta`` object as written: sorted keys, with the token count
-        when known. Keys and values must be strings (TypeError otherwise),
-        so equal meta dicts are written as equal bytes."""
+    def to_json_line(self) -> str:
+        """The canonical line, without its newline: meta keys sorted, with
+        the token count when known. Meta keys and values must be strings
+        (TypeError otherwise), so equal meta dicts are written as equal
+        bytes."""
         meta = self.meta
         if self.token_count is not None:
             meta = {**meta, TOKEN_COUNT_META_KEY: str(self.token_count)}
-        return "{" + ", ".join(
-            [f"{_json_str(k)}: {_json_str(meta[k])}" for k in sorted(meta)]
-        ) + "}"
-
-    def to_json_line(self) -> str:
         url = "null" if self.url is None else _json_str(self.url)
+        items = ", ".join([f"{_json_str(k)}: {_json_str(meta[k])}" for k in sorted(meta)])
         return (
             f'{{"id": {_json_str(self.id)}, "source": {_json_str(self.source)}, '
-            f'"url": {url}, "text": {_json_str(self.text)}, '
-            f'"meta": {self.meta_json()}}}'
+            f'"url": {url}, "text": {_json_str(self.text)}, "meta": {{{items}}}}}'
         )
 
     @classmethod
@@ -410,18 +402,17 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
     """Write documents in canonical serialization; returns count written.
 
     A document whose ``line_at`` names *prev*, with the same ``id``,
-    ``source``, ``url`` and ``text`` objects it was written from, has its
-    line copied from *prev*: whole if its ``meta`` and ``token_count`` are
-    those it was written with, else the head with a new meta tail. Whole
-    lines next to each other in *prev* are one copy, read COPY_CHUNK_BYTES
-    at a time. Any other document is encoded whole; the bytes are the same.
-    OSError if *prev* is shorter than a line it should hold. The file is
-    replaced atomically, and ``line_at`` is set once it is in place."""
+    ``source``, ``url`` and ``text`` objects, ``meta`` and ``token_count``
+    it was written with, has its line copied from *prev*; lines next to
+    each other in *prev* are one copy, read COPY_CHUNK_BYTES at a time. Any
+    other document is encoded whole; the bytes are the same. OSError if
+    *prev* is shorter than a line it should hold. The file is replaced
+    atomically, and ``line_at`` is set once it is in place."""
     path = os.fspath(path)
     prev = None if prev is None else os.fspath(prev)
     placed = []
     offset = 0
-    # the range of prev to copy before the next line not copied whole
+    # the range of prev to copy before the next line that is encoded
     run_start = run_end = 0
     with open_replacing(path, "wb") as fh, (
         nullcontext() if prev is None else open(prev, "rb")
@@ -439,34 +430,26 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
             if (
                 at is not None
                 and at[0] == prev
-                and at[4] is doc.id
-                and at[5] is doc.source
-                and at[6] is doc.url
-                and at[7] is doc.text
+                and at[3] is doc.id
+                and at[4] is doc.source
+                and at[5] is doc.url
+                and at[6] is doc.text
+                and at[8] is doc.token_count
+                and at[7] == doc.meta
             ):
-                start, head_len, n_bytes = at[1:4]
+                start, n_bytes = at[1:3]
                 if start != run_end:
                     copy(run_start, run_end)
                     run_start = start
-                if doc.token_count is at[9] and doc.meta == at[8]:
-                    run_end = start + n_bytes
-                    placed.append((doc, (path, offset) + at[2:]))
-                    offset += n_bytes
-                    continue
-                run_end = start + head_len
-                copy(run_start, run_end)
-                tail = f', "meta": {doc.meta_json()}}}\n'.encode("utf-8")
-                n_bytes = head_len + fh.write(tail)
+                run_end = start + n_bytes
+                at = (path, offset) + at[2:]
             else:
                 copy(run_start, run_end)
-                line = doc.to_json_line().encode("utf-8")
-                head_len = line.rindex(_META_KEY)
-                n_bytes = fh.write(line) + fh.write(b"\n")
-            run_start = run_end
-            placed.append((doc, (
-                path, offset, head_len, n_bytes, doc.id, doc.source, doc.url,
-                doc.text, dict(doc.meta), doc.token_count,
-            )))
+                run_start = run_end
+                n_bytes = fh.write(doc.to_json_line().encode("utf-8")) + fh.write(b"\n")
+                at = (path, offset, n_bytes, doc.id, doc.source, doc.url,
+                      doc.text, dict(doc.meta), doc.token_count)
+            placed.append((doc, at))
             offset += n_bytes
         copy(run_start, run_end)
     for doc, at in placed:

@@ -224,11 +224,14 @@ def run_stage(name: str, docs, cfg: PipelineConfig, loaded, out_path, prev=None)
     """Run stage *name*, write its output to *out_path* (copying lines from
     *prev*) with ``.rejects`` beside it and print its counts and time to
     stderr; returns (kept, stats), which ``StageStats.tally`` makes
-    conserve. An error inside the stage becomes a StageFailure naming it."""
+    conserve. An error inside the stage, or another number of documents
+    out than in, becomes a StageFailure naming it, so the stages chain."""
     t0 = time.monotonic()
     try:
-        docs, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
-        kept, stats, rejects = StageStats.tally(name, docs, verdicts, extra)
+        out, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
+        if len(out) != len(docs):
+            raise ValueError(f"returned {len(out)} documents for {len(docs)}")
+        kept, stats, rejects = StageStats.tally(name, out, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
     write_jsonl(kept, out_path, prev)

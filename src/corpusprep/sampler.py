@@ -32,7 +32,15 @@ def validate_quotas(quotas: list[BucketQuota]) -> list[str]:
         for i, q in enumerate(quotas)
         if q.target_tokens < 1
     ]
-    order = sorted(range(len(quotas)), key=lambda i: quotas[i].min_tokens)
+    errors += [
+        f"quotas[{i}]: empty interval [{q.min_tokens}, {q.max_tokens})"
+        for i, q in enumerate(quotas)
+        if q.max_tokens is not None and q.max_tokens <= q.min_tokens
+    ]
+    # an unbounded bucket sorts after a bounded one of the same start
+    order = sorted(
+        range(len(quotas)), key=lambda i: (quotas[i].min_tokens, quotas[i].max_tokens is None)
+    )
     if quotas[order[0]].min_tokens != 0:
         errors.append(
             f"quotas: intervals do not start at 0 (lowest is quotas[{order[0]}])"

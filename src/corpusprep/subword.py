@@ -137,8 +137,9 @@ class SubwordVocab:
 
 def load_vocab(path, expected_size: Optional[int] = None) -> SubwordVocab:
     path = Path(path)
-    if not path.exists():
-        raise VocabError(f"{path}: vocabulary file not found")
+    if not path.is_file():
+        raise VocabError(f"{path}: vocabulary file not found" if not path.exists()
+                         else f"{path}: not a file")
     pieces = []
     seen: dict = {}
     with open(path, "rb") as fh:

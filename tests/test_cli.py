@@ -120,6 +120,25 @@ class TestValidateCommand:
         assert capsys.readouterr().err == "invalid config: stages: empty\n"
         assert not Path(cfg["work_dir"]).exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["input", "lm.model_path", "vocab.path", "work_dir"])
+    def test_path_of_the_wrong_kind_exits_1(self, workspace, tmp_path, capsys, command, key):
+        """A directory where a file belongs, or a file where the work dir
+        belongs, is refused with one line before the work dir is made."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        section, _, name = key.rpartition(".")
+        if key == "work_dir":
+            wrong, why = tmp_path / "work_file", "not a directory"
+            wrong.write_text("x", encoding="utf-8")
+        else:
+            wrong, why = tmp_path / "a_dir", "not a file"
+            wrong.mkdir()
+        (cfg[section] if section else cfg)[name] = str(wrong)
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main([command, "--config", str(workspace)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"invalid config: {key}: {why}: {wrong}\n"
+        assert not Path(cfg["work_dir"]).is_dir()
+
     def test_mistyped_value_exits_1_one_line_per_violation(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         cfg["pack"]["mask"]["rate"] = "x"
@@ -270,6 +289,30 @@ class TestRunCommand:
 
         err = self.refused_resume(workspace, capsys, damage)
         assert "not the object RunReport.to_dict writes" in err
+
+    @pytest.mark.parametrize(
+        "change", [lambda docs: docs[1:], lambda docs: docs + docs[:1]], ids=["fewer", "more"]
+    )
+    def test_stage_that_changes_the_document_count_exits_2(
+        self, workspace, capsys, monkeypatch, change
+    ):
+        """A stage that returns another number of documents than it was
+        given fails the run with one line; the report keeps the stages
+        before it and reads back."""
+        monkeypatch.setattr(
+            pipeline, "stage_dedup_near", lambda docs, cfg, loaded: (change(docs), None, None)
+        )
+        assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        work = workspace.parent / "work"
+        report = pipeline.read_report(work / "report.json")
+        assert [s.stage for s in report.stages] == ["filter", "dedup_exact"]
+        n = report.stages[-1].docs_out
+        assert err.splitlines()[-1] == (
+            f"stage failure: stage dedup_near failed: "
+            f"returned {len(change([None] * n))} documents for {n}"
+        )
+        assert not (work / "02_dedup_near.jsonl").exists()
 
     def test_unknown_top_level_key_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -732,6 +775,11 @@ class TestSingleStageCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith(error) and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_vocab_directory_exits_1(self, tmp_path, capsys):
+        rc = main(["tokenize", "--vocab", str(tmp_path), "--text", "x"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"vocabulary error: {tmp_path}: not a file\n"
 
     def test_missing_vocab_exits_1(self, workspace, tmp_path):
         rc = main(

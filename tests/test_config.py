@@ -429,6 +429,21 @@ class TestValidate:
         assert any("lm.model_path" in e for e in errors)
         assert any("vocab.path" in e for e in errors)
 
+    @pytest.mark.parametrize("key", ["input", "lm.model_path", "vocab.path"])
+    def test_directory_in_place_of_a_file_rejected(self, tmp_path, key):
+        cfg = self.base()
+        cfg.stages = ["lm_score", "token_count"]
+        cfg.lm.model_path, cfg.vocab.path = "model.json", "vocab.txt"
+        section, _, name = key.rpartition(".")
+        setattr(getattr(cfg, section) if section else cfg, name, str(tmp_path))
+        assert validate(cfg) == [f"{key}: not a file: {tmp_path}"]
+
+    @pytest.mark.parametrize("work_dir", ["x", "x/work"])
+    def test_work_dir_in_place_of_a_file_rejected(self, work_dir):
+        cfg = self.base()
+        cfg.work_dir = work_dir  # x is a file of in_config_dir
+        assert validate(cfg) == [f"work_dir: not a directory: {work_dir}"]
+
     def test_missing_paths_reported(self, tmp_path):
         cfg = PipelineConfig(
             input=str(tmp_path / "absent.jsonl"),

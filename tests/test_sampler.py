@@ -52,6 +52,20 @@ class TestAssignBucket:
         assert validate_quotas(bad2)
         assert validate_quotas(quotas()) == []
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["a_b_c", "a_c_b"])
+    def test_empty_interval_rejected_in_any_order(self, order):
+        """assign_bucket never returns an empty bucket, so its target could
+        never be met: refused alone, wherever it is listed."""
+        buckets = [
+            BucketQuota("a", 0, 10, 5),
+            BucketQuota("b", 10, 10, 5),
+            BucketQuota("c", 10, None, 5),
+        ]
+        listed = [buckets[i] for i in order]
+        assert validate_quotas(listed) == [
+            f"quotas[{order.index(1)}]: empty interval [10, 10)"
+        ]
+
 
 class TestSampleToQuota:
     def _synthetic_supply(self, seed=0, n=6000):
