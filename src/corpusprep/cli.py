@@ -5,13 +5,15 @@ stage is also its own subcommand (``dedup_exact`` -> ``dedup-exact``) for
 shell-pipeline composition. ``validate``, ``run`` and each stage
 subcommand check and load what their stages need (pipeline.preflight)
 before reading any input. Exit codes: 0 success, 1 a config, vocabulary
-or model file refused, 2 stage failure or unreadable input.
+or model file refused or an ``--output`` that is a directory, 2 stage
+failure or unreadable input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from corpusprep import ngram_lm, pipeline, subword
@@ -80,13 +82,16 @@ def _run_single_stage(stage: str, args) -> int:
         extra = pipeline.pack_docs(docs, cfg, args.output, loaded.vocab)
         _, stats, _ = StageStats.tally("pack", docs, extra=extra)
     else:
-        _, stats = pipeline.run_stage(stage, docs, cfg, loaded, args.output)
+        _, stats = pipeline.run_stage(stage, docs, cfg, loaded, args.output, args.input)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if os.path.isdir(getattr(args, "output", None) or ""):
+        print(f"{args.command}: --output {args.output} is a directory", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         if args.command == "validate":
             cfg = load_config(args.config)

@@ -20,16 +20,26 @@ is split once: reading splits nothing, and the tokenizer's split
 (``Document.split_words``) fills ``Document.word_count``, which is
 otherwise counted when first read.
 
-A run encodes a document's JSON line only when the document changed
-(``to_json_line``, built with ``json``'s C string encoder; meta keys and
-values must be strings). ``write_jsonl`` keeps on ``Document.line_at`` where
-the line went (file, offset and length) and what it was encoded from: the
-``id``, ``source``, ``url`` and ``text`` objects, a copy of ``meta`` and the
-``token_count``. Given that file as *prev*, a later ``write_jsonl`` copies
-the line from it, in one byte range with its neighbours, if all six are
-those it was written with, and encodes it whole otherwise. ``line_at``
-holds no encoded bytes, is never serialized and is not copied by
-``with_text``.
+A line is two parts: the *prefix* ``{"id": …, "source": …, "url": …,
+"text": "…"`` and the *tail* ``, "meta": {…}}`` with its newline, encoded by
+``Document.json_prefix`` and ``Document.json_tail`` with ``json``'s C string
+encoder (meta keys and values must be strings). ``Document.line_at`` records
+where a document's line lies: the file (its device, inode, size and
+``mtime_ns``), the offset, the line and prefix lengths, and what the line
+holds: the ``id``, ``source``, ``url`` and ``text`` objects, a copy of
+``meta`` and the ``token_count``. ``write_jsonl`` records every line it
+writes, and ``read_jsonl`` every line of a regular file it can prove
+canonical without encoding the text: the head and tail are those the
+encoders give, and the text is one JSON string whose only escapes are
+``\\"``, ``\\\\`` and ``\\n``. Corpusprep's own files are spelled so; an
+input dumped another way (``\\u`` escapes, no ``meta`` key) is encoded on
+its first write. Given that file as *prev*, while ``fstat`` shows it
+unchanged (``_file_key`` says which rewrites it cannot see), a later
+``write_jsonl`` copies a document's prefix from it when the four objects
+are those recorded, and its tail when ``meta`` and ``token_count`` are, in
+byte ranges merged with their neighbours; it encodes the other parts.
+``line_at`` holds no encoded bytes, is never serialized and is not copied
+by ``with_text``.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
@@ -43,6 +53,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import unicodedata
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -54,6 +65,9 @@ _TOKEN_COUNT_RE = re.compile(r"[0-9]+")
 # a JSON escape of a UTF-16 surrogate; only a line holding one can decode
 # to a string that UTF-8 cannot encode
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+# a backslash that does not start a \" or \n escape: another escape, or
+# the first of an escaped backslash
+_OTHER_ESCAPE = re.compile(rb'\\[^"n]')
 
 
 # Canonical JSON: non-ASCII kept, ", " and ": " separators. One encoder
@@ -122,8 +136,8 @@ class Document:
     token_count: Optional[int] = None
     # (vocab, uint16 ids), filled by subword.token_ids; never serialized
     token_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (path, offset, line length, id, source, url, text, meta copy,
-    # token_count) of the line write_jsonl last wrote; not serialized
+    # (file key, offset, line length, prefix length, id, source, url, text,
+    # meta copy, token_count) of the line last read or written; not serialized
     line_at: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -156,20 +170,27 @@ class Document:
             token_count=self.token_count,
         )
 
-    def to_json_line(self) -> str:
-        """The canonical line, without its newline: meta keys sorted, with
-        the token count when known. Meta keys and values must be strings
-        (TypeError otherwise), so equal meta dicts are written as equal
-        bytes."""
+    def json_head(self) -> str:
+        """The line up to its text literal: ``{"id": …, "source": …, "url":
+        …, "text": ``."""
+        url = "null" if self.url is None else _json_str(self.url)
+        return (f'{{"id": {_json_str(self.id)}, "source": {_json_str(self.source)}, '
+                f'"url": {url}, "text": ')
+
+    def json_prefix(self) -> str:
+        """The line up to the end of its text literal."""
+        return self.json_head() + _json_str(self.text)
+
+    def json_tail(self) -> str:
+        """The line after its text literal, newline included: meta keys
+        sorted, with the token count when known. Meta keys and values must
+        be strings (TypeError otherwise), so equal meta dicts are written as
+        equal bytes."""
         meta = self.meta
         if self.token_count is not None:
             meta = {**meta, TOKEN_COUNT_META_KEY: str(self.token_count)}
-        url = "null" if self.url is None else _json_str(self.url)
         items = ", ".join([f"{_json_str(k)}: {_json_str(meta[k])}" for k in sorted(meta)])
-        return (
-            f'{{"id": {_json_str(self.id)}, "source": {_json_str(self.source)}, '
-            f'"url": {url}, "text": {_json_str(self.text)}, "meta": {{{items}}}}}'
-        )
+        return f', "meta": {{{items}}}}}\n'
 
     @classmethod
     def from_record(cls, record) -> "Document":
@@ -339,6 +360,59 @@ class JsonlReadError(IOError):
     pass
 
 
+def _file_key(fh) -> Optional[tuple]:
+    """What ``line_at`` names an open file by: its device, inode, size and
+    ``mtime_ns``, so a file replaced, or rewritten to another size or in a
+    later timestamp tick, does not match. A rewrite at the same size within
+    one tick of the file system's clock (milliseconds on ext4, seconds on
+    FAT or some NFS mounts) keeps the key. None if the file is not a
+    regular file: a pipe or FIFO cannot be read again."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _escape_count(raw: bytes, start: int, end: int) -> Optional[int]:
+    """The number of escapes in ``raw[start:end]``, a JSON string literal,
+    when each is ``\\"``, ``\\\\`` or ``\\n``, else None."""
+    if _OTHER_ESCAPE.search(raw, start, end):
+        # escaped backslashes, paired from the left as a parser pairs them
+        unpaired = raw[start:end].replace(b"\\\\", b"")
+        if _OTHER_ESCAPE.search(unpaired):
+            return None
+        return unpaired.count(b"\\") + (end - start - len(unpaired)) // 2
+    return raw.count(b"\\", start, end)
+
+
+def _canonical_prefix(doc: Document, raw: bytes, line: str) -> Optional[int]:
+    """The length of *raw*'s prefix if *raw*, the line *doc* was parsed
+    from (*line* decoded), is the line write_jsonl writes for *doc*, else
+    None. UnicodeEncodeError (a ValueError) if a field holds a lone
+    surrogate, which no output file could hold.
+
+    The head and tail are encoded and compared; the text is not. Between
+    them lies the text's value, which JSON allows to be one string literal
+    plus whitespace and further keys. If every backslash there starts a
+    ``\\"``, ``\\\\`` or ``\\n`` escape, each of its string literals is
+    canonical, and it holds the text's literal, 2 characters more than the
+    text per escape; anything else in it adds more characters than
+    escapes. So it is exactly that literal if its length in characters is
+    the text's plus 2 plus its number of escapes."""
+    head, tail = doc.json_head(), doc.json_tail()
+    head_bytes, tail_bytes = head.encode("utf-8"), tail.encode("utf-8")
+    n_prefix = len(raw) - len(tail_bytes)
+    if raw.startswith(head_bytes) and raw.endswith(tail_bytes) and len(head_bytes) < n_prefix:
+        escapes = _escape_count(raw, len(head_bytes), n_prefix)
+        if escapes is not None and (
+            len(line) - len(head) - len(tail) == len(doc.text) + 2 + escapes
+        ):
+            return n_prefix
+    if _SURROGATE_ESCAPE.search(raw):
+        doc.text.encode("utf-8")
+    return None
+
+
 def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
     """Stream Documents from a JSONL file.
 
@@ -347,12 +421,17 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
     ``{"line", "reason"}`` entry to *diagnostics* when given. Hard I/O /
     encoding failures raise JsonlReadError with path and line number, and
     a document id read before in the file raises it naming the id and path.
+    In a regular file, a document whose line _canonical_prefix shows to be
+    the one write_jsonl writes for it has its ``line_at`` set.
     """
     path = Path(path)
     seen = set()
     with open(path, "rb") as fh:
+        key = _file_key(fh)
+        end = 0
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            offset, end = end, end + len(raw)
+            if raw.isspace():
                 continue
             try:
                 line = raw.decode("utf-8")
@@ -361,14 +440,8 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
             # JSONDecodeError is a ValueError; nesting past the parser's
             # depth limit raises RecursionError
             try:
-                record = json.loads(line)
-                doc = Document.from_record(record)
-                if _SURROGATE_ESCAPE.search(raw):
-                    # UnicodeEncodeError (a ValueError) on a lone surrogate,
-                    # which no output file could hold
-                    for s in (doc.id, doc.source, doc.url or "", doc.text,
-                              *doc.meta, *doc.meta.values()):
-                        s.encode("utf-8")
+                doc = Document.from_record(json.loads(line))
+                n_prefix = _canonical_prefix(doc, raw, line)
             except (RecursionError, TypeError, ValueError) as e:
                 if diagnostics is not None:
                     diagnostics.append({"line": lineno, "reason": str(e)})
@@ -376,6 +449,9 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
             if doc.id in seen:
                 raise JsonlReadError(f"duplicate document id {doc.id!r} in {path}")
             seen.add(doc.id)
+            if n_prefix is not None and key is not None:
+                doc.line_at = (key, offset, len(raw), n_prefix, doc.id, doc.source,
+                               doc.url, doc.text, dict(doc.meta), doc.token_count)
             yield doc
 
 
@@ -401,59 +477,69 @@ def open_replacing(path, mode: str = "w"):
 def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
     """Write documents in canonical serialization; returns count written.
 
-    A document whose ``line_at`` names *prev*, with the same ``id``,
-    ``source``, ``url`` and ``text`` objects, ``meta`` and ``token_count``
-    it was written with, has its line copied from *prev*; lines next to
-    each other in *prev* are one copy, read COPY_CHUNK_BYTES at a time. Any
-    other document is encoded whole; the bytes are the same. OSError if
-    *prev* is shorter than a line it should hold. The file is replaced
-    atomically, and ``line_at`` is set once it is in place."""
-    path = os.fspath(path)
-    prev = None if prev is None else os.fspath(prev)
+    For a document whose ``line_at`` names *prev* as ``fstat`` shows it
+    now, the prefix is copied from *prev* if its ``id``, ``source``,
+    ``url`` and ``text`` are the objects recorded, and the tail if its
+    ``meta`` equals the copy recorded and its ``token_count`` is the one
+    recorded; ranges next to each other in *prev* are one copy, read
+    COPY_CHUNK_BYTES at a time. Every other part is encoded; the bytes are
+    those of a fresh encode. A *prev* that is not a regular file is not
+    opened. OSError if *prev* is shorter than a range it should hold. The
+    file is replaced atomically, and ``line_at`` is set once it is in
+    place."""
     placed = []
     offset = 0
-    # the range of prev to copy before the next line that is encoded
+    # the range of prev to copy before the next part that is encoded
     run_start = run_end = 0
     with open_replacing(path, "wb") as fh, (
-        nullcontext() if prev is None else open(prev, "rb")
+        open(prev, "rb") if prev is not None and os.path.isfile(prev) else nullcontext()
     ) as src:
+        prev_key = None if src is None else _file_key(src)
 
-        def copy(start: int, end: int) -> None:
-            while start < end:
-                chunk = os.pread(src.fileno(), min(end - start, COPY_CHUNK_BYTES), start)
+        def flush() -> None:
+            nonlocal run_start
+            while run_start < run_end:
+                chunk = os.pread(src.fileno(), min(run_end - run_start, COPY_CHUNK_BYTES),
+                                 run_start)
                 if not chunk:
                     raise OSError(f"{prev}: shorter than when it was written")
-                start += fh.write(chunk)
+                run_start += fh.write(chunk)
+
+        def copy(start: int, end: int) -> None:
+            nonlocal run_start, run_end
+            if start != run_end:
+                flush()
+                run_start = start
+            run_end = end
+
+        def encode(part: str) -> int:
+            flush()
+            return fh.write(part.encode("utf-8"))
 
         for doc in docs:
             at = doc.line_at
-            if (
-                at is not None
-                and at[0] == prev
-                and at[3] is doc.id
-                and at[4] is doc.source
-                and at[5] is doc.url
-                and at[6] is doc.text
-                and at[8] is doc.token_count
-                and at[7] == doc.meta
-            ):
-                start, n_bytes = at[1:3]
-                if start != run_end:
-                    copy(run_start, run_end)
-                    run_start = start
-                run_end = start + n_bytes
-                at = (path, offset) + at[2:]
+            in_prev = at is not None and at[0] == prev_key
+            if (in_prev and at[4] is doc.id and at[5] is doc.source and at[6] is doc.url
+                    and at[7] is doc.text):
+                n_prefix = at[3]
+                copy(at[1], at[1] + n_prefix)
             else:
-                copy(run_start, run_end)
-                run_start = run_end
-                n_bytes = fh.write(doc.to_json_line().encode("utf-8")) + fh.write(b"\n")
-                at = (path, offset, n_bytes, doc.id, doc.source, doc.url,
-                      doc.text, dict(doc.meta), doc.token_count)
-            placed.append((doc, at))
-            offset += n_bytes
-        copy(run_start, run_end)
-    for doc, at in placed:
-        doc.line_at = at
+                n_prefix = encode(doc.json_prefix())
+            if in_prev and at[9] is doc.token_count and at[8] == doc.meta:
+                meta = at[8]
+                copy(at[1] + at[3], at[1] + at[2])
+                n_line = n_prefix + at[2] - at[3]
+            else:
+                meta = dict(doc.meta)
+                n_line = n_prefix + encode(doc.json_tail())
+            placed.append((doc, offset, n_line, n_prefix, meta))
+            offset += n_line
+        flush()
+        fh.flush()
+        key = _file_key(fh)
+    for doc, offset, n_line, n_prefix, meta in placed:
+        doc.line_at = (key, offset, n_line, n_prefix, doc.id, doc.source, doc.url,
+                       doc.text, meta, doc.token_count)
     return len(placed)
 
 

@@ -10,10 +10,13 @@ from urllib.parse import urlsplit
 from corpusprep.core import Document, normalize_text
 
 
+def _digest(text: str) -> bytes:
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+
+
 def text_digest(text: str) -> bytes:
-    return hashlib.blake2b(
-        normalize_text(text).encode("utf-8"), digest_size=16
-    ).digest()
+    """The digest of *text* normalized."""
+    return _digest(normalize_text(text))
 
 
 def canonical_url(url: str) -> str:
@@ -31,10 +34,10 @@ def canonical_url(url: str) -> str:
     return host + path.rstrip("/")
 
 
-def dedup_exact(docs: list[Document]) -> list[Optional[str]]:
+def dedup_exact(docs: list[Document], normalized: bool = False) -> list[Optional[str]]:
     """Per document in order: None for the first occurrence of its text
     hash and of its URL key, else the reject reason, ``exact_text`` or
-    ``exact_url``.
+    ``exact_url``. *normalized* says every text is normalized already.
 
     Input must already be in a deterministic order (the pipeline sorts by
     (source, id) beforehand).
@@ -43,7 +46,7 @@ def dedup_exact(docs: list[Document]) -> list[Optional[str]]:
     seen_url: set[str] = set()
     verdicts: list[Optional[str]] = []
     for doc in docs:
-        text_hash = text_digest(doc.text)
+        text_hash = _digest(doc.text) if normalized else text_digest(doc.text)
         url_key = canonical_url(doc.url) if doc.url else None
         if text_hash in seen_text:
             verdicts.append("exact_text")

@@ -120,15 +120,19 @@ def report_table(report: dict) -> str:
 # cfg.work_dir through a writer that replaces them atomically.
 # *loaded* is preflight's Loaded, read before any input: token_count and
 # pack share its vocabulary and word-segmentation memo (pack reads the ids
-# subword.token_ids kept at token_count), and lm_score scores with its LM.
+# subword.token_ids kept at token_count), and lm_score scores with its LM;
+# dedup_exact does not normalize texts again when its ``filtered`` is set.
 # --------------------------------------------------------------------------
 
 
 class Loaded(NamedTuple):
-    """The files the stages about to run read, loaded; None if none reads it."""
+    """The files the stages about to run read, loaded (None if none reads
+    it), and whether filter ran earlier in the run, so every text is
+    normalized already (run_pipeline sets it per stage)."""
 
     vocab: Optional[subword.SubwordVocab] = None
     model: Optional[ngram_lm.KneserNeyModel] = None
+    filtered: bool = False
 
 
 def preflight(cfg: PipelineConfig, stages) -> Loaded:
@@ -146,16 +150,20 @@ def preflight(cfg: PipelineConfig, stages) -> Loaded:
 
 
 def stage_filter(docs, cfg: PipelineConfig, loaded):
-    docs = [
-        doc.with_text(quality.strip_boilerplate(normalize_text(doc.text)))
-        for doc in docs
-    ]
-    return docs, quality.heuristic_verdicts(docs, cfg.heuristics), None
+    # a document whose text is already its own filtered text is kept itself,
+    # so its line is copied
+    out = []
+    for doc in docs:
+        text = quality.strip_boilerplate(normalize_text(doc.text))
+        out.append(doc if text == doc.text else doc.with_text(text))
+    return out, quality.heuristic_verdicts(out, cfg.heuristics), None
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, loaded):
+    # filter's texts are whole lines of a normalized text, which
+    # normalize_text leaves as they are
     docs = sorted(docs, key=lambda d: (d.source, d.id))
-    return docs, exact_dedup.dedup_exact(docs), None
+    return docs, exact_dedup.dedup_exact(docs, normalized=loaded.filtered), None
 
 
 def stage_dedup_near(docs, cfg: PipelineConfig, loaded):
@@ -317,32 +325,33 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
                                "do not begin the configured stages")
     n_done = len(report.stages)
     loaded = preflight(cfg, cfg.stages[n_done:])
+    # the file the documents were read from: their lines are copied from
+    # there, and then from each stage file, instead of encoded again
     if n_done:
         last = report.stages[-1]
-        last_out = work_dir / f"{n_done - 1:02d}_{last.stage}.jsonl"
+        prev = work_dir / f"{n_done - 1:02d}_{last.stage}.jsonl"
         skipped: list = []
-        docs = list(read_jsonl(last_out, diagnostics=skipped))
+        docs = list(read_jsonl(prev, diagnostics=skipped))
         if skipped:
-            raise StageFailure(f"{last_out} holds {len(skipped)} malformed lines; "
+            raise StageFailure(f"{prev} holds {len(skipped)} malformed lines; "
                                "refusing to resume")
         _, found, _ = StageStats.tally(last.stage, docs)
         for src in sorted(found.per_source.keys() | last.per_source.keys()):
             have, want = (s.per_source.get(src, SourceStats()) for s in (found, last))
             if (have.docs_out, have.words_out) != (want.docs_out, want.words_out):
                 raise StageFailure(
-                    f"{last_out} holds {have.docs_out} documents of {have.words_out} "
+                    f"{prev} holds {have.docs_out} documents of {have.words_out} "
                     f"words from source {src!r}, the report records {want.docs_out} "
                     f"documents of {want.words_out} words; refusing to resume"
                 )
     else:
-        docs, report.diagnostics = read_input(cfg.input)
+        prev = cfg.input
+        docs, report.diagnostics = read_input(prev)
 
-    # the previous stage's output when this call wrote it: its documents'
-    # lines are copied from there instead of encoded again
-    prev = None
     for idx in range(n_done, len(cfg.stages)):
         stage = cfg.stages[idx]
         out_path = work_dir / f"{idx:02d}_{stage}.jsonl"
+        loaded = loaded._replace(filtered="filter" in cfg.stages[:idx])
         docs, stats = run_stage(stage, docs, cfg, loaded, out_path, prev)
         prev = out_path
         report.stages.append(stats)

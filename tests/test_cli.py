@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +524,55 @@ class TestSingleStageCommands:
             prev = ran
         capsys.readouterr()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and /dev/fd")
+    @pytest.mark.parametrize("kind", ["pipe", "fifo"])
+    def test_pipe_or_fifo_input_is_read_once(self, workspace, tmp_path, capsys, kind):
+        """A stage subcommand reads an --input that is a pipe or a FIFO once,
+        copies no line from it, and writes the bytes a file input gives."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        data = Path(cfg["input"]).read_bytes()
+        argv = ["token-count", "--config", str(workspace), "--output"]
+        assert main([*argv, str(tmp_path / "ref.jsonl"), "--input", cfg["input"]]) == EXIT_OK
+        if kind == "fifo":
+            path = str(tmp_path / "in.fifo")
+            os.mkfifo(path)
+            writer = threading.Thread(target=Path(path).write_bytes, args=(data,))
+        else:
+            r, w = os.pipe()
+            path = f"/dev/fd/{r}"
+
+            def write_all():
+                with open(w, "wb") as fh:
+                    fh.write(data)
+
+            writer = threading.Thread(target=write_all)
+
+        unblocked = []
+
+        def unblock():
+            # a second open of the FIFO waits for a writer: give it one, so
+            # that the test fails instead of hanging
+            unblocked.append(True)
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+
+        watchdog = threading.Timer(60, unblock)
+        writer.start()
+        watchdog.start()
+        try:
+            rc = main([*argv, str(tmp_path / "out.jsonl"), "--input", path])
+        finally:
+            watchdog.cancel()
+            writer.join()
+            if kind == "pipe":
+                os.close(r)
+        assert not unblocked, "the input was opened again"
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        capsys.readouterr()
+
     def test_dedup_near_rejects_duplicate_id(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         lines = Path(cfg["input"]).read_text("utf-8").splitlines()
@@ -689,6 +740,29 @@ class TestSingleStageCommands:
         err = capsys.readouterr().err
         assert "--order 0 < 1" in err and err.count("\n") == 1
         assert not (tmp_path / "lm.json").exists()
+
+    @pytest.mark.parametrize("command", [*KNOWN_STAGES, "lm-train"])
+    def test_output_directory_exits_1_before_reading_input(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        """An --output that names a directory is refused with one line
+        before the config or the input is read, not after the stage ran."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+
+        def unread(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(pipeline, "read_input", unread)
+        monkeypatch.setattr(pipeline, "read_jsonl", unread)
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        config = [] if command == "lm-train" else ["--config", str(workspace)]
+        rc = main([command.replace("_", "-"), *config, "--input", cfg["input"],
+                   "--output", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"{command.replace('_', '-')}: --output {out} is a directory\n"
+        assert list(out.iterdir()) == []
 
     def test_lm_train_min_count_below_one_exits_1(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))

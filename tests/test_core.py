@@ -1,8 +1,10 @@
 import json
+import os
 import re
 import sys
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -156,7 +158,7 @@ class TestJsonl:
 
     def test_malformed_lines_counted_not_dropped_silently(self, tmp_path):
         path = tmp_path / "docs.jsonl"
-        lines = [d.to_json_line() for d in self._docs()]
+        lines = [_line(d)[:-1] for d in self._docs()]
         bad = [
             "{not json",
             json.dumps({"source": "x", "text": "no id"}),
@@ -233,16 +235,48 @@ _DOC = st.builds(
 )
 
 
+def _line(doc) -> str:
+    """The line of a fresh encode, newline included."""
+    return doc.json_prefix() + doc.json_tail()
+
+
+def _key(path) -> tuple:
+    """The file key ``line_at`` names *path* by."""
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+@contextmanager
 def _not_encoded():
-    """Patch the line encoder to fail: every line must be copied."""
+    """Patch both part encoders to fail: every line must be copied."""
+    with mock.patch.object(
+        Document, "json_prefix", side_effect=AssertionError("prefix encoded")
+    ), mock.patch.object(Document, "json_tail", side_effect=AssertionError("tail encoded")):
+        yield
+
+
+def _spy(method):
+    """Patch a Document method to record the documents it is called on."""
     return mock.patch.object(
-        Document, "to_json_line", side_effect=AssertionError("line encoded")
+        Document, method, autospec=True, side_effect=getattr(Document, method)
     )
 
 
+@contextmanager
+def _spy_parts():
+    """Record the documents each part encoder is called on: (prefix, tail)."""
+    with _spy("json_prefix") as prefix, _spy("json_tail") as tail:
+        yield prefix, tail
+
+
+def _called_on(spy) -> list:
+    return [id(c.args[0]) for c in spy.call_args_list]
+
+
 class TestLineCopy:
-    """write_jsonl with *prev* copies each unchanged line from *prev*,
-    encodes each changed one, and writes the bytes of a fresh encode."""
+    """write_jsonl with *prev* copies each unchanged part of a line from
+    *prev*, encodes each changed one, and writes the bytes of a fresh
+    encode."""
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_DOC, max_size=8), st.data())
@@ -255,7 +289,7 @@ class TestLineCopy:
             assert write_jsonl(kept, b, prev=a) == len(kept)
         write_jsonl(kept, c)
         assert b.read_bytes() == c.read_bytes()
-        assert b.read_bytes() == "".join(d.to_json_line() + "\n" for d in kept).encode()
+        assert b.read_bytes() == "".join(_line(d) for d in kept).encode()
 
     def test_chain_of_copies(self, tmp_path):
         docs = [
@@ -265,54 +299,45 @@ class TestLineCopy:
         paths = [tmp_path / f"{i}.jsonl" for i in range(4)]
         write_jsonl(docs, paths[0])
         for i in (1, 2, 3):
-            # one document changes, the other is copied
+            # one document's tail changes, the rest is copied
             changed = docs[i % 2]
             if i % 2:
                 changed.meta["ppl"] = f"{i}.5"
             else:
                 changed.token_count = i
-            with _spy("to_json_line") as line:
+            with _spy_parts() as (prefix, tail):
                 write_jsonl(docs, paths[i], prev=paths[i - 1])
-            assert [id(c.args[0]) for c in line.call_args_list] == [id(changed)]
-            assert docs[0].line_at[0] == str(paths[i])
+            assert (_called_on(prefix), _called_on(tail)) == ([], [id(changed)])
+            assert docs[0].line_at[0] == _key(paths[i])
         write_jsonl(docs, tmp_path / "fresh.jsonl")
         assert paths[3].read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
-        "change",
+        "change, encoded",
         [
-            lambda doc: setattr(doc, "id", "d2"),
-            lambda doc: setattr(doc, "source", "news"),
-            lambda doc: setattr(doc, "url", None),
-            lambda doc: setattr(doc, "text", "cits teksts"),
+            (lambda doc, _: setattr(doc, "id", "d2"), "prefix"),
+            (lambda doc, _: setattr(doc, "source", "news"), "prefix"),
+            (lambda doc, _: setattr(doc, "url", None), "prefix"),
+            (lambda doc, _: setattr(doc, "text", "cits teksts"), "prefix"),
             # equal to the old text, but another object
-            lambda doc: setattr(doc, "text", "".join(["sveika ", "pasaule"])),
+            (lambda doc, _: setattr(doc, "text", "".join(["sveika ", "pasaule"])), "prefix"),
             # the document was last written to b.jsonl, not to a.jsonl
-            lambda doc: write_jsonl([doc], doc.line_at[0].replace("a.jsonl", "b.jsonl")),
-            lambda doc: doc.meta.update(ppl="1.5"),
-            lambda doc: setattr(doc, "token_count", 2),
+            (lambda doc, tmp: write_jsonl([doc], tmp / "b.jsonl"), "both"),
+            (lambda doc, _: doc.meta.update(ppl="1.5"), "tail"),
+            (lambda doc, _: setattr(doc, "token_count", 2), "tail"),
         ],
         ids=["id", "source", "url", "text", "equal_text", "other_file", "meta", "token_count"],
     )
-    def test_stale_record_is_encoded_afresh(self, tmp_path, change):
+    def test_stale_record_is_encoded_afresh(self, tmp_path, change, encoded):
         a, c = tmp_path / "a.jsonl", tmp_path / "c.jsonl"
         doc = Document(id="d1", source="web", text="sveika pasaule", url="http://a.lv")
         write_jsonl([doc], a)
-        change(doc)
-        encode = mock.patch.object(
-            Document, "to_json_line", autospec=True, side_effect=Document.to_json_line
-        )
-        with encode as encoder:
+        change(doc, tmp_path)
+        with _spy_parts() as (prefix, tail):
             write_jsonl([doc], c, prev=a)
-        assert encoder.call_count == 1
-        assert c.read_bytes() == (doc.to_json_line() + "\n").encode()
-
-
-def _spy(method):
-    """Patch a Document method to record the documents it is called on."""
-    return mock.patch.object(
-        Document, method, autospec=True, side_effect=getattr(Document, method)
-    )
+        assert (prefix.call_count, tail.call_count) == {
+            "prefix": (1, 0), "tail": (0, 1), "both": (1, 1)}[encoded]
+        assert c.read_bytes() == _line(doc).encode()
 
 
 class TestEncoding:
@@ -323,7 +348,8 @@ class TestEncoding:
             meta["token_count"] = str(doc.token_count)
         record = {"id": doc.id, "source": doc.source, "url": doc.url,
                   "text": doc.text, "meta": {k: meta[k] for k in sorted(meta)}}
-        assert doc.to_json_line() == canonical_json(record)
+        assert _line(doc) == canonical_json(record) + "\n"
+        assert doc.json_prefix().startswith(doc.json_head())
 
     @pytest.mark.parametrize(
         "meta", [{"k": 1}, {"k": 1.0}, {"k": True}, {"k": None}, {"k": b"1"}, {1: "1"}]
@@ -347,19 +373,24 @@ _EDITS = ["none", "meta_in_place", "meta_reassigned", "token_count", "head"]
 
 
 def _written_from(doc) -> tuple:
-    """What write_jsonl compares a document by: its id, source, url, text
-    and token count objects, and its meta by value."""
-    return (doc.id, doc.source, doc.url, doc.text, doc.token_count, dict(doc.meta))
+    """What write_jsonl compares a document's prefix by, its id, source,
+    url and text objects, and its tail by, its token count object and its
+    meta by value."""
+    return (doc.id, doc.source, doc.url, doc.text), (doc.token_count, dict(doc.meta))
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    return all(x is y for x, y in zip(a[:5], b[:5])) and a[5] == b[5]
+def _same_prefix(a: tuple, b: tuple) -> bool:
+    return all(x is y for x, y in zip(a[0], b[0]))
+
+
+def _same_tail(a: tuple, b: tuple) -> bool:
+    return a[1][0] is b[1][0] and a[1][1] == b[1][1]
 
 
 class TestWriteChains:
     """Chains of writes, each with the previous file as *prev*, write the
-    bytes of a fresh encode, copy every unchanged line and encode every
-    changed one once."""
+    bytes of a fresh encode, copy every unchanged part of a line and encode
+    every changed one once."""
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_DOC, max_size=8), st.integers(3, 5), st.integers(1, 64), st.data())
@@ -387,28 +418,135 @@ class TestWriteChains:
                     elif edit == "head":
                         field = data.draw(st.sampled_from(["id", "source", "url", "text"]))
                         setattr(doc, field, data.draw(_TEXT))
-                changed = sorted(
-                    id(doc) for doc in docs if not _same(before[id(doc)], _written_from(doc))
-                )
-                with _spy("to_json_line") as line:
+                after = {id(doc): _written_from(doc) for doc in docs}
+                changed = [
+                    sorted(i for i in before if not same(before[i], after[i]))
+                    for same in (_same_prefix, _same_tail)
+                ]
+                with _spy_parts() as (prefix, tail):
                     assert write_jsonl(docs, path, prev=prev) == len(docs)
-                assert sorted(id(c.args[0]) for c in line.call_args_list) == changed
-                assert path.read_bytes() == "".join(
-                    d.to_json_line() + "\n" for d in docs
-                ).encode()
+                assert [sorted(_called_on(prefix)), sorted(_called_on(tail))] == changed
+                assert path.read_bytes() == "".join(_line(d) for d in docs).encode()
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_truncated_prev_raises(self, tmp_path, chunk):
+        """A *prev* cut short since its lines were recorded is not the file
+        recorded, so every line is encoded; if fstat still showed the file
+        recorded, a copy past its end raises instead of writing short."""
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         docs = [Document(id=f"d{i}", source="s", text="teksts " * i) for i in range(4)]
         write_jsonl(docs, a)
-        data = a.read_bytes()
+        data, recorded, lines_at = a.read_bytes(), os.stat(a), [d.line_at for d in docs]
+        fresh = "".join(_line(d) for d in docs).encode()
         with mock.patch.object(core, "COPY_CHUNK_BYTES", chunk):
             for size in range(0, len(data), 5):
                 a.write_bytes(data[:size])
-                with pytest.raises(OSError, match="shorter than when it was written"):
-                    write_jsonl(docs, b, prev=a)
+                for doc, at in zip(docs, lines_at):
+                    doc.line_at = at
+                with mock.patch.object(core.os, "fstat", return_value=recorded):
+                    with pytest.raises(OSError, match="shorter than when it was written"):
+                        write_jsonl(docs, b, prev=a)
                 assert not b.exists()
+                with _spy_parts() as (prefix, tail):
+                    write_jsonl(docs, b, prev=a)
+                assert (prefix.call_count, tail.call_count) == (len(docs), len(docs))
+                assert b.read_bytes() == fresh
+                b.unlink()
+
+
+_HEAD = '{"id": "d", "source": "s", "url": null, "text": '
+
+
+class TestReadRecordsLines:
+    """read_jsonl records a line for copying only when it is the line
+    write_jsonl writes for its document; a copy from the file read writes
+    the bytes of a fresh encode either way."""
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", 'quote " and \\ backslash', "line\nbreak", "\\\\\n\"\\",
+        "ā ž   😀", "/ slash",
+    ])
+    def test_canonical_line_is_recorded(self, tmp_path, text):
+        a = tmp_path / "a.jsonl"
+        doc = Document(id="d", source="s", text=text, meta={"k": "v"}, token_count=4)
+        a.write_bytes(_line(doc).encode())
+        back, = read_jsonl(a)
+        prefix = doc.json_prefix().encode()
+        assert back.line_at[:4] == (_key(a), 0, len(_line(doc).encode()), len(prefix))
+        with _not_encoded():
+            write_jsonl([back], tmp_path / "b.jsonl", prev=a)
+        assert (tmp_path / "b.jsonl").read_bytes() == _line(doc).encode()
+
+    @pytest.mark.parametrize("line", [
+        # the text key twice, or another key after the text: the value
+        # between head and tail is more than one string
+        _HEAD + '"abc", "text": "abc", "meta": {}}\n',
+        _HEAD + '"x", "text": "abcdef", "meta": {}}\n',
+        _HEAD + '"abc", "id": "d", "meta": {}}\n',
+        _HEAD + '"a\\"b", "k": "\\n", "meta": {}}\n',
+        _HEAD + '"abc" , "meta": {}}\n',
+        _HEAD + ' "abc", "meta": {}}\n',
+        # escapes a fresh encode does not write
+        _HEAD + '"a\\/b", "meta": {}}\n',
+        _HEAD + '"\\u0101", "meta": {}}\n',
+        _HEAD + '"\\u00E9", "meta": {}}\n',
+        _HEAD + '"\\ud83d\\ude00", "meta": {}}\n',
+        _HEAD + '"\\u000a", "meta": {}}\n',
+        _HEAD + '"\\\\\\u0041", "meta": {}}\n',
+        _HEAD + '"\\t", "meta": {}}\n',
+        # head and tail spelled otherwise
+        '{"id": "d", "source": "s", "url": null, "text": "abc", "meta": {}}\r\n',
+        '{"id": "d", "source": "s", "url": null, "text": "abc", "meta": {}}',
+        '{"id": "d", "url": null, "text": "abc", "meta": {}}\n',
+        '{"source": "s", "id": "d", "url": null, "text": "abc", "meta": {}}\n',
+        '{"id": "d", "source": "s", "url": null, "text": "abc", "meta": {"b": "1", "a": "2"}}\n',
+        '{"id": "d", "source": "s", "url": null, "text": "abc"}\n',
+        '{"id":"d","source":"s","url":null,"text":"abc","meta":{}}\n',
+        '{"id": "\\u0064", "source": "s", "url": null, "text": "abc", "meta": {}}\n',
+    ])
+    def test_other_spellings_are_encoded(self, tmp_path, line):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(line.encode())
+        back, = read_jsonl(a)
+        assert back.line_at is None
+        write_jsonl([back], b, prev=a)
+        assert b.read_bytes() == _line(back).encode()
+
+    @pytest.mark.parametrize("how", ["rename", "rewrite"])
+    def test_input_changed_after_the_read_is_not_copied(self, tmp_path, how):
+        """An input replaced by rename, or rewritten in place at its size in
+        a later tick of the file system's clock, between the read and the
+        write is not the file read: every line is encoded afresh."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        docs = [Document(id=f"d{i}", source="s", text=f"teksts {i}") for i in range(3)]
+        write_jsonl(docs, a)
+        docs = list(read_jsonl(a))
+        assert all(d.line_at is not None for d in docs)
+        changed = a.read_bytes().replace(b"teksts", b"TEKSTS")
+        if how == "rename":
+            (tmp_path / "new").write_bytes(changed)
+            os.replace(tmp_path / "new", a)
+        else:
+            st = os.stat(a)
+            a.write_bytes(changed)
+            # a file timestamp may not move within one clock tick
+            os.utime(a, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        write_jsonl(docs, b, prev=a)
+        assert b.read_bytes() == "".join(_line(d) for d in docs).encode()
+        assert b"TEKSTS" not in b.read_bytes()
+
+    def test_rewrite_within_one_tick_is_not_seen(self, tmp_path):
+        """The guard's limit, as core._file_key states it: a rewrite in
+        place at the same size that leaves ``mtime_ns`` as it was (as one
+        within a clock tick can) is taken for the file read."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl([Document(id="d", source="s", text="teksts")], a)
+        docs = list(read_jsonl(a))
+        st = os.stat(a)
+        a.write_bytes(a.read_bytes().replace(b"teksts", b"TEKSTS"))
+        os.utime(a, ns=(st.st_atime_ns, st.st_mtime_ns))
+        write_jsonl(docs, b, prev=a)
+        assert b"TEKSTS" in b.read_bytes()
 
 
 class TestAtomicWrites:
@@ -445,7 +583,7 @@ class TestAtomicWrites:
         write_jsonl([doc], path)
         line = b'{"id": "a", "source": "web", "url": null, "text": "labs", "meta": {}}\n'
         assert path.read_bytes() == line
-        assert doc.line_at[:3] == (str(path), 0, len(line))
+        assert doc.line_at[:4] == (_key(path), 0, len(line), line.index(b', "meta"'))
 
 
 # A verdict per document: keep, reject for a reason, or reject for a

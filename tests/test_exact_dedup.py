@@ -2,8 +2,9 @@ import hashlib
 
 from hypothesis import given, strategies as st
 
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document, StageStats, normalize_text
 from corpusprep.exact_dedup import canonical_url, dedup_exact, text_digest
+from corpusprep.quality import strip_boilerplate
 
 
 def doc(i, text, url=None, source="s"):
@@ -16,6 +17,16 @@ class TestExactKey:
 
     def test_url_canonicalization(self):
         assert canonical_url("http://a.lv/x?utm=1") == canonical_url("https://A.lv/x/")
+
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(
+        ["a", "ā", "a\u0304", " ", "\t", "\n", "\r", "\u2028", "x" * 81]), max_size=30
+    ).map("".join)))
+    def test_filter_texts_are_normalized(self, text):
+        """filter writes strip_boilerplate(normalize_text(t)), which
+        normalize_text leaves as it is, so a run whose filter came first
+        digests its texts without normalizing them again."""
+        filtered = strip_boilerplate(normalize_text(text))
+        assert normalize_text(filtered) == filtered
 
     def test_frozen_digest(self):
         # frozen once from blake2b-128 of the normalized text

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corpusprep.cli import EXIT_OK, main
 from corpusprep.config import KNOWN_STAGES, load_config
@@ -19,7 +21,7 @@ from corpusprep.pipeline import (
     run_pipeline,
 )
 
-from pipeline_fixture import build_workspace, crash_after, workdir_bytes
+from pipeline_fixture import build_fixture_corpus, build_workspace, crash_after, workdir_bytes
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +102,87 @@ class TestRun:
             docs_in = docs_out
 
     def test_each_document_line_encoded_once_per_run(self, tmp_path, monkeypatch):
-        calls = []
-        real = Document.to_json_line
+        """On a canonical input, token_count -> sample -> pack encodes no
+        text literal, and each document's tail twice: read_jsonl's check
+        encodes it, and token_count's write, which adds the count."""
+        calls = {"json_prefix": [], "json_tail": []}
 
-        def counting(doc):
-            calls.append(doc.id)
-            return real(doc)
+        def spy(name):
+            real = getattr(Document, name)
+
+            def counting(doc):
+                calls[name].append(doc.id)
+                return real(doc)
+
+            monkeypatch.setattr(Document, name, counting)
 
         cfg = load_config(
             build_workspace(tmp_path, n_docs=120, stages=["token_count", "sample", "pack"])
         )
-        monkeypatch.setattr(Document, "to_json_line", counting)
+        spy("json_prefix")
+        spy("json_tail")
         report = run_pipeline(cfg)
         stats = {s.stage: s for s in report.stages}
         assert stats["pack"].docs_in > 0
-        assert len(calls) == stats["token_count"].docs_in
+        assert calls["json_prefix"] == []
+        assert Counter(calls["json_tail"]) == {d.id: 2 for d in read_jsonl(cfg.input)}
+
+    @pytest.mark.parametrize("filter_first", [True, False])
+    def test_dedup_exact_normalizes_unless_filter_ran(self, tmp_path, monkeypatch, filter_first):
+        """dedup_exact normalizes no text when filter precedes it in the
+        run, also on resume, and every text otherwise and in the
+        dedup-exact subcommand."""
+        from corpusprep import exact_dedup
+
+        normalized = []
+        real = exact_dedup.normalize_text
+
+        def counting(text):
+            normalized.append(text)
+            return real(text)
+
+        stages = ["filter", "dedup_exact", "dedup_near"] if filter_first else ["dedup_exact"]
+        config = build_workspace(tmp_path, n_docs=60, stages=stages)
+        cfg = load_config(config)
+        monkeypatch.setattr(exact_dedup, "normalize_text", counting)
+        report = run_pipeline(cfg)
+        docs_in = {s.stage: s.docs_in for s in report.stages}["dedup_exact"]
+        assert len(normalized) == (0 if filter_first else docs_in)
+        if filter_first:
+            with monkeypatch.context() as m, pytest.raises(StageFailure):
+                crash_after(m, cfg, "filter")
+                run_pipeline(cfg)
+            run_pipeline(cfg, resume=True)
+            assert normalized == []
+        out = tmp_path / "dedup.jsonl"
+        rc = main(["dedup-exact", "--config", str(config), "--input", cfg.input,
+                   "--output", str(out)])
+        assert rc == EXIT_OK
+        assert len(normalized) == (0 if filter_first else docs_in) + len(
+            list(read_jsonl(cfg.input)))
+
+    def test_filter_keeps_documents_it_does_not_change(self, tmp_path, monkeypatch):
+        """filter passes on a document whose text is its own filtered text
+        as it is, so its line is copied from the input; only the texts it
+        changes are encoded."""
+        cfg = load_config(build_workspace(tmp_path, n_docs=60, stages=["filter"]))
+        docs = list(read_jsonl(cfg.input))
+        spaced = Document(id="spaced", source="web", text=docs[0].text.replace(" ", "  "))
+        write_jsonl([*docs, spaced], cfg.input)
+        encoded = []
+        real = Document.json_prefix
+
+        def counting(doc):
+            encoded.append(doc.id)
+            return real(doc)
+
+        monkeypatch.setattr(Document, "json_prefix", counting)
+        run_pipeline(cfg)
+        texts = {d.id: d.text for d in [*docs, spaced]}
+        out = list(read_jsonl(Path(cfg.work_dir) / "00_filter.jsonl"))
+        assert "spaced" in {d.id for d in out}
+        assert encoded == [d.id for d in out if d.text != texts[d.id]]
+        assert encoded[-1:] == ["spaced"]
 
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
@@ -277,6 +345,108 @@ class TestDeterminismAndResume:
             fh.write('{"id": "s1", "text": "lone \\ud800"}\n')  # unwritable
         report = run_pipeline(cfg)
         assert report.diagnostics == 9
+
+
+# how one input line is spelled: up to two of these, each JSON a fresh
+# encode does not write
+_SPELLING = st.one_of(
+    st.just(frozenset()),
+    st.sets(st.sampled_from([
+        "ascii",  # ensure_ascii: \u escapes, surrogate pairs
+        "slash",  # "/" as "\/"
+        "upper_hex",  # upper-case hex digits in \u escapes
+        "newline_u",  # a newline as "\u000a"
+        "compact",  # "," and ":" separators
+        "reorder",  # keys, and meta keys, reversed
+        "extra",  # a key the schema does not read
+        "crlf",
+        # a key given twice, the first time with a decoy value
+        *[f"repeat:{key}" for key in ("id", "source", "url", "text", "meta")],
+    ]), min_size=1, max_size=2),
+)
+_DECOY = {"id": "decoy", "source": "decoy", "url": "http://decoy.lv",
+          "text": "decoy", "meta": {"a": "b"}}
+# an unescaped backslash run, then an escape: the escape itself
+_ESCAPE = r'(?<!\\)((?:\\\\)*)\\'
+
+
+def _spelled(value, how) -> str:
+    """*value* as JSON, spelled as *how* says."""
+    if isinstance(value, dict):
+        keys = sorted(value, reverse="reorder" in how)
+        sep = ":" if "compact" in how else ": "
+        return "{" + ", ".join(f"{_spelled(k, how)}{sep}{_spelled(value[k], how)}"
+                               for k in keys) + "}"
+    out = json.dumps(value, ensure_ascii="ascii" in how)
+    if "slash" in how:
+        out = out.replace("/", "\\/")
+    if "upper_hex" in how:
+        out = re.sub(_ESCAPE + "u([0-9a-f]{4})",
+                     lambda m: m[1] + "\\u" + m[2].upper(), out)
+    if "newline_u" in how:
+        out = re.sub(_ESCAPE + "n", lambda m: m[1] + "\\u000a", out)
+    return out
+
+
+def _spelled_line(doc, how) -> str:
+    meta = dict(doc.meta)
+    if doc.token_count is not None:
+        meta["token_count"] = str(doc.token_count)
+    pairs = [("id", doc.id), ("source", doc.source), ("url", doc.url),
+             ("text", doc.text), ("meta", meta)]
+    if "reorder" in how:
+        pairs.reverse()
+    for key in _DECOY:
+        if f"repeat:{key}" in how:
+            pairs.insert(0, (key, _DECOY[key]))
+    if "extra" in how:
+        pairs.insert(2, ("extra", [1, None]))
+    sep = ":" if "compact" in how else ": "
+    body = ", ".join(f"{_spelled(k, how)}{sep}{_spelled(v, how)}" for k, v in pairs)
+    return "{" + body + "}" + ("\r\n" if "crlf" in how else "\n")
+
+
+@pytest.fixture(scope="module")
+def spelling_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("spelling")
+    return root, build_workspace(root, n_docs=40)
+
+
+class TestInputSpelling:
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_work_dir_does_not_depend_on_the_input_spelling(self, spelling_workspace, data):
+        r"""An input whose lines are spelled in any JSON a fresh encode does
+        not write (\u escapes, "\/", upper-case hex, surrogate pairs,
+        escaped control characters, extra, repeated or reordered keys, CRLF,
+        no final newline) runs to the work-dir files of its canonical
+        spelling."""
+        root, config = spelling_workspace
+        docs = build_fixture_corpus(n_docs=40)
+        for doc in docs:
+            doc.text += " a/b" + data.draw(st.text(st.sampled_from(
+                [" ", "/", "é", "😀", "\t", "\x01", "\\", '"', " ", "\r"]), max_size=4))
+        stages = data.draw(st.sampled_from([list(KNOWN_STAGES), ["token_count", "sample", "pack"]]))
+        lines = [_spelled_line(doc, data.draw(_SPELLING)) for doc in docs]
+        if data.draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        files = {}
+        for name in ("canonical", "spelled"):
+            cfg = load_config(config)
+            cfg.stages = stages
+            cfg.input = str(root / f"{name}.jsonl")
+            cfg.work_dir = str(root / f"work_{name}")
+            if name == "canonical":
+                write_jsonl(docs, cfg.input)
+            else:
+                Path(cfg.input).write_bytes("".join(lines).encode("utf-8"))
+            run_pipeline(cfg)
+            files[name] = {
+                k: v.replace(cfg.config_hash().encode(), b"")
+                for k, v in workdir_bytes(Path(cfg.work_dir)).items()
+            }
+        assert files["spelled"] == files["canonical"]
 
 
 class TestAtomicWrites:
