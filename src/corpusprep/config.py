@@ -252,13 +252,45 @@ def stage_errors(cfg: PipelineConfig, stages) -> list[str]:
     return errors
 
 
+class _RepeatedKey(yaml.YAMLError):
+    def __init__(self, key, mark):
+        super().__init__(key, mark)
+        self.key, self.mark = key, mark
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` refusing a key repeated in one mapping, which it
+    would otherwise read as the last value given, silently dropping the
+    first (a whole section, for ``pack:`` given twice). Keys a ``<<`` merge
+    brings in may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: SafeLoader refuses it below
+                continue
+            if repeated:
+                raise _RepeatedKey(key, key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and fully validate a pipeline config; raises ConfigError
-    listing every violation."""
+    listing every violation, or naming the first key repeated in a
+    mapping."""
     try:
-        raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8")) or {}
+        raw = yaml.load(Path(path).read_bytes().decode("utf-8"), Loader=_Loader) or {}
     except UnicodeDecodeError as e:
         raise ConfigError([f"{path}: invalid UTF-8 at byte {e.start}"]) from e
+    except _RepeatedKey as e:
+        where = f"{path}:{e.mark.line + 1}:{e.mark.column + 1}"
+        raise ConfigError([f"{where}: repeated key {e.key!r}"]) from e
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else f"{path}"

@@ -16,9 +16,10 @@ A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
 ``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only. They
 are never serialized and ``with_text`` does not copy them, so a document
 read from JSONL is tokenized again when its ids are first needed. Its text
-is split once: reading splits nothing, and the tokenizer's split
-(``Document.split_words``) fills ``Document.word_count``, which is
-otherwise counted when first read.
+is split at most once: reading splits nothing, the filter stage counts
+its texts' words by their separators (``Document.with_normalized_text``),
+and the tokenizer's split (``Document.split_words``) fills
+``Document.word_count``, which is otherwise counted when first read.
 
 A line is two parts: the *prefix* ``{"id": …, "source": …, "url": …,
 "text": "…"`` and the *tail* ``, "meta": {…}}`` with its newline, encoded by
@@ -103,6 +104,14 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def separated_word_count(text: str) -> int:
+    """``word_count`` of a text whose words are separated by exactly one
+    space or newline, with no other whitespace: normalize_text's output,
+    or some of its lines joined by newlines (``strip_boilerplate``'s). It
+    counts the separators instead of splitting the text."""
+    return text.count(" ") + text.count("\n") + 1 if text else 0
+
+
 class WordMemo(dict):
     """word -> fn(word), for *fn* of the word alone. A missing word is
     stored while fewer than MEMO_WORDS are and the words stored longer than
@@ -169,6 +178,15 @@ class Document:
             meta=dict(self.meta),
             token_count=self.token_count,
         )
+
+    def with_normalized_text(self, text: str) -> "Document":
+        """This document if *text* is its text, so that its line can be
+        copied, else ``with_text(text)``; either way with the word count of
+        *text*, which must be in normalize_text's format, counted by
+        ``separated_word_count``."""
+        doc = self if text == self.text else self.with_text(text)
+        doc._word_count = separated_word_count(text)
+        return doc
 
     def json_head(self) -> str:
         """The line up to its text literal: ``{"id": …, "source": …, "url":

@@ -22,9 +22,15 @@ def text_digest(text: str) -> bytes:
 def canonical_url(url: str) -> str:
     """host+path, lowercased, query and trailing slash stripped.
 
-    The scheme is dropped so http/https variants of one page collide.
+    The scheme is dropped so http/https variants of one page collide. A URL
+    that ``urlsplit`` refuses (an unclosed or invalid ``[`` host) is keyed
+    by its stripped, lowercased text.
     """
-    parts = urlsplit(url.strip().lower())
+    url = url.strip().lower()
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return url
     host = parts.netloc or ""
     path = parts.path or ""
     if not host and path:

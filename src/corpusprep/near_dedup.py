@@ -229,17 +229,30 @@ def _signature_hits(mat: np.ndarray, x: int, cands: list, threshold: float):
 
 def _link_bucket(members: list, uf: UnionFind, similar) -> None:
     """Union the verified pairs of one LSH bucket, skipping every pair whose
-    ends are already connected.
+    ends are already connected, and verifying no pair twice.
 
-    Each member is verified against the earlier members outside its own
-    component: first one representative per component, then, for the
-    components whose representative missed, their remaining members. A
+    First, every later member outside the first member's component is
+    verified against the first in one ``similar`` call, and the hits join
+    it: on templated pages that settles the whole bucket. If the bucket
+    still spans two components, each later member is verified against the
+    earlier later members outside its own component: first one
+    representative per component, then, for the components whose
+    representative missed, their remaining members. The first member is
+    left out of that loop, since its pair with every member is settled. A
     component joins when any of its members verifies, so the components
     equal those of verifying every pair in the bucket."""
+    first, later = members[0], members[1:]
+    root = uf.find(first)
+    cands = [m for m in later if uf.find(m) != root]
+    if not cands:
+        return
+    for m, hit in zip(cands, similar(first, cands)):
+        if hit:
+            uf.union(first, m)
     if len({uf.find(m) for m in members}) < 2:
         return
-    groups: dict = {}  # component root -> earlier bucket members in it
-    for x in members:
+    groups: dict = {}  # component root -> its members before x, bar the first
+    for x in later:
         rx = uf.find(x)
         others = [r for r in groups if r != rx]
         if others:
@@ -281,7 +294,8 @@ def find_duplicate_clusters(
     The clusters are the connected components of the verified candidate
     pairs. Buckets are verified one at a time (see ``_link_bucket``), so on
     templated pages, where one bucket holds hundreds of near-identical
-    members, the work grows with the bucket's size instead of its square."""
+    members, the work grows with the bucket's size instead of its square,
+    and is mostly one array comparison per bucket."""
 
     def similar(x, cands):
         if shingle_sets is None:

@@ -150,12 +150,8 @@ def preflight(cfg: PipelineConfig, stages) -> Loaded:
 
 
 def stage_filter(docs, cfg: PipelineConfig, loaded):
-    # a document whose text is already its own filtered text is kept itself,
-    # so its line is copied
-    out = []
-    for doc in docs:
-        text = quality.strip_boilerplate(normalize_text(doc.text))
-        out.append(doc if text == doc.text else doc.with_text(text))
+    out = [doc.with_normalized_text(quality.strip_boilerplate(normalize_text(doc.text)))
+           for doc in docs]
     return out, quality.heuristic_verdicts(out, cfg.heuristics), None
 
 

@@ -1,10 +1,13 @@
 """Heuristic boilerplate stripping and low-quality document filtering.
 
 strip_boilerplate works on a text, so the filter stage makes one document
-per input from its normalized, stripped text. heuristic_verdicts applies
-the length rule first; the character ratios of the documents that pass it
-are counted in a few array passes (char_ratios) and handed to
-apply_heuristics document by document.
+per input from its normalized, stripped text, whose words it counts by
+their separators (core.separated_word_count), as such a text has one space
+or newline between words and no other whitespace. heuristic_verdicts
+applies the length rule first; the character ratios of the documents that
+pass it are counted in a few array passes (char_ratios), each character
+classified by a lookup in a table of the code points below U+0800, and
+handed to apply_heuristics document by document.
 """
 
 from __future__ import annotations
@@ -61,20 +64,28 @@ def _char_class(ch: str) -> int:
     return DIGIT if ch.isdigit() else OTHER
 
 
+# _char_class of each code point below the table's length (U+0000-U+07FF:
+# Latin, Greek, Cyrillic and more), so that most characters are classified
+# by one array lookup
+_CLASS_TABLE = np.fromiter(map(_char_class, map(chr, range(1 << 11))), np.uint8, 1 << 11)
+
+
 def _class_counts(texts: list[str]) -> list[list[int]]:
     """Per text, its number of characters of each class, indexed by class.
 
-    Each character becomes the key (text index << 21) | code point, as
-    every code point is below 2**21; one sort counts each distinct key, and
-    each distinct code point of the texts is classified once."""
-    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
-    text_of = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(t) for t in texts])
-    keys, runs = np.unique((text_of << 21) | codes, return_counts=True)
-    distinct, inverse = np.unique(keys & 0x1FFFFF, return_inverse=True)
-    classes = np.fromiter(map(_char_class, map(chr, distinct.tolist())), np.int64,
-                          len(distinct))
-    counts = np.zeros(len(texts) * N_CLASSES, np.int64)
-    np.add.at(counts, (keys >> 21).astype(np.int64) * N_CLASSES + classes[inverse], runs)
+    A character's class is looked up in _CLASS_TABLE, or, above it, found
+    once per distinct code point of the texts; each character then counts
+    at (text index * N_CLASSES + class) in one ``np.bincount``."""
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"),
+                          np.uint32).astype(np.intp)
+    above = codes >= len(_CLASS_TABLE)
+    classes = _CLASS_TABLE[np.minimum(codes, len(_CLASS_TABLE) - 1)]
+    if above.any():
+        distinct, inverse = np.unique(codes[above], return_inverse=True)
+        classes[above] = np.fromiter(map(_char_class, map(chr, distinct.tolist())),
+                                     np.uint8, len(distinct))[inverse]
+    text_of = np.repeat(np.arange(len(texts), dtype=np.intp), [len(t) for t in texts])
+    counts = np.bincount(text_of * N_CLASSES + classes, minlength=len(texts) * N_CLASSES)
     return counts.reshape(len(texts), N_CLASSES).tolist()
 
 
@@ -84,7 +95,7 @@ def char_ratios(texts: Iterable[str]) -> list[tuple[float, float, float]]:
     alpha and digit ratios are over non-whitespace characters; the Latvian
     diacritic ratio is over alphabetic characters. Texts are counted in
     chunks, each closed at the first text boundary at or past RATIO_CHUNK
-    characters; each distinct character of a chunk is classified once.
+    characters (see _class_counts).
     """
     counts: list[list[int]] = []
     chunk: list[str] = []

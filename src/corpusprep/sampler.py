@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Literal, Optional
@@ -73,7 +74,17 @@ def assign_bucket(token_count: int, quotas: list[BucketQuota]) -> str:
 
 
 def _quality_key(doc: Document) -> tuple:
-    ppl = float(doc.meta.get(PPL_META_KEY, "inf"))
+    """(perplexity, id); a document without a perplexity sorts last.
+    ValueError naming the document if its perplexity is not a number (NaN
+    included, which would sort arbitrarily)."""
+    value = doc.meta.get(PPL_META_KEY, "inf")
+    try:
+        ppl = float(value)
+    except ValueError:
+        ppl = math.nan
+    if math.isnan(ppl):
+        raise ValueError(f"document {doc.id!r} has meta.{PPL_META_KEY} {value!r}, "
+                         "not a number")
     return (ppl, doc.id)
 
 

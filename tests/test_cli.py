@@ -179,6 +179,17 @@ class TestValidateCommand:
         assert error in err and err.count("\n") == 1
 
 
+    def test_repeated_section_exits_1_one_line(self, workspace, capsys):
+        """``pack:`` given twice would keep only the second section's values
+        (seq_len back at its default) and pass as ``config ok``."""
+        text = workspace.read_text("utf-8")
+        workspace.write_text(text + "pack:\n  split: false\n", encoding="utf-8")
+        line = text.count("\n") + 1
+        assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"invalid config: {workspace}:{line}:1: repeated key 'pack'\n"
+
+
 class TestRunCommand:
     def test_run_prints_table_and_writes_outputs(self, workspace, capsys):
         assert main(["run", "--config", str(workspace)]) == EXIT_OK
@@ -604,6 +615,20 @@ class TestSingleStageCommands:
         assert f"duplicate document id {doc_id!r} in {dup}" in err
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("out.*"))
+
+    def test_dedup_exact_keys_a_malformed_url_by_its_text(self, workspace, tmp_path, capsys):
+        """urlsplit refuses an unclosed IPv6 host; dedup-exact keeps going and
+        finds the second document with the same URL an exact_url repeat."""
+        docs = [{"id": f"d{i}", "source": "s", "url": url, "text": f"teksts {i}"}
+                for i, url in enumerate(["http://[::1/x", "https://[bad]/p", "HTTP://[::1/x"])]
+        src = tmp_path / "urls.jsonl"
+        src.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        rc = main(["dedup-exact", "--config", str(workspace),
+                   "--input", str(src), "--output", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rejected"] == {"exact_url": 1}
+        assert [d.id for d in read_jsonl(out)] == ["d0", "d1"]
 
     def test_malformed_lines_reported(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))

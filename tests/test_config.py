@@ -185,6 +185,34 @@ class TestLoadConfig:
         assert "stage: unknown config key" in exc.value.errors
         assert "workers: unknown config key" in exc.value.errors
 
+    @pytest.mark.parametrize("text, where, key", [
+        ("input: x\npack:\n  seq_len: 512\npack:\n  split: false\n", "4:1", "pack"),
+        ("seed: 1\ninput: x\nseed: 2\n", "3:1", "seed"),
+        ("pack:\n  mask: {rate: 0.1, rate: 0.2}\n", "2:21", "rate"),
+        ("quotas:\n  - name: a\n    name: b\n", "3:5", "name"),
+    ])
+    def test_repeated_key_refused_naming_its_place(self, tmp_path, text, where, key):
+        """PyYAML keeps a repeated key's last value, which would drop a whole
+        section without a word; the loader refuses it in any mapping."""
+        p = tmp_path / "c.yaml"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.errors == [f"{p}:{where}: repeated key {key!r}"]
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text(
+            "input: x\nwork_dir: y\nstages: [filter]\n"
+            "base: &b {seq_len: 512, split: false}\n"
+            "pack:\n  <<: *b\n  seq_len: 256\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        # the loader got past the merge: only the unknown key is left
+        assert exc.value.errors == ["base: unknown config key"]
+
     def test_all_violations_collected(self, tmp_path):
         """One load reports every problem, not just the first."""
         p = write_yaml(

@@ -18,6 +18,10 @@ class TestExactKey:
     def test_url_canonicalization(self):
         assert canonical_url("http://a.lv/x?utm=1") == canonical_url("https://A.lv/x/")
 
+    def test_url_urlsplit_refuses_is_keyed_by_its_text(self):
+        assert canonical_url(" http://[::1/X ") == "http://[::1/x"
+        assert canonical_url("https://[bad]/p") == "https://[bad]/p"
+
     @given(st.one_of(st.text(), st.lists(st.sampled_from(
         ["a", "ā", "a\u0304", " ", "\t", "\n", "\r", "\u2028", "x" * 81]), max_size=30
     ).map("".join)))
@@ -56,6 +60,15 @@ class TestDedupExact:
         kept, stats, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
         assert [d.id for d in kept] == ["1"]
         assert stats.rejected == {"exact_url": 1}
+
+    def test_malformed_urls_pass_and_repeats_are_url_duplicates(self):
+        docs = [
+            doc("1", "viens saturs", url="http://[::1/x"),
+            doc("2", "cits saturs", url="https://[bad]/p"),
+            doc("3", "trešais saturs", url="HTTPS://[bad]/p "),
+            doc("4", "ceturtais saturs", url="https://bad/p"),
+        ]
+        assert dedup_exact(docs) == [None, None, "exact_url", None]
 
     def test_planted_duplicates_all_removed(self):
         docs = [doc(f"u{i}", f"unikāls teksts {i}") for i in range(1000)]

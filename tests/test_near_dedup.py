@@ -402,18 +402,73 @@ class TestTemplatedPages:
         pages = [replace_one_word(template, rng, lang) for template in templates
                  for _ in range(1000)]
         sigs = minhash_signature(*shingles(pages), cfg.num_perm, cfg.perm_seed)
-        verified = 0
+        verified = calls = 0
         hits = near_dedup._signature_hits
 
         def counting_hits(mat, x, cands, threshold):
-            nonlocal verified
+            nonlocal verified, calls
             verified += len(cands)
+            calls += 1
             return hits(mat, x, cands, threshold)
 
         monkeypatch.setattr(near_dedup, "_signature_hits", counting_hits)
         clusters = find_duplicate_clusters(sigs, cfg.bands, cfg.rows, cfg.threshold)
         assert clusters == [list(range(1000)), list(range(1000, 2000))]
         assert verified <= cfg.bands * len(pages)
+        # the pages verify against their bucket's first member: at most one
+        # array pass per bucket, not one per page
+        assert calls <= len(near_dedup.LshIndex(cfg.bands, cfg.rows).buckets(sigs))
+
+    @staticmethod
+    def link(members, similar_pairs, uf=None):
+        """The ``similar`` calls of _link_bucket over *members*, a pair being
+        similar when it is in *similar_pairs*, as (x, candidates) lists."""
+        calls = []
+
+        def similar(x, cands):
+            calls.append((x, list(cands)))
+            return [(min(x, c), max(x, c)) in similar_pairs for c in cands]
+
+        near_dedup._link_bucket(members, UnionFind() if uf is None else uf, similar)
+        return calls
+
+    def test_bucket_verified_by_its_first_member_costs_one_call(self):
+        members = [2, 3, 5, 8, 13]
+        calls = self.link(members, {(2, m) for m in members})
+        assert calls == [(2, [3, 5, 8, 13])]
+
+    @pytest.mark.parametrize("pairs", [set(), {(4, 9)}])
+    def test_two_member_bucket_costs_one_call(self, pairs):
+        assert self.link([4, 9], pairs) == [(4, [9])]
+
+    def test_connected_bucket_costs_no_call(self):
+        uf = UnionFind()
+        uf.union(4, 9)
+        assert self.link([4, 9], set(), uf) == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        pairs=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))),
+        buckets=st.lists(
+            st.lists(st.integers(0, 9), min_size=2, max_size=10, unique=True).map(sorted),
+            max_size=5,
+        ),
+    )
+    def test_no_pair_verified_twice_in_a_bucket(self, pairs, buckets):
+        """The loop after the first-member pass takes that pass's verdicts as
+        known, and the components equal those of every pair verified."""
+        similar_pairs = {(min(a, b), max(a, b)) for a, b in pairs}
+        uf, reference = UnionFind(), UnionFind()
+        for members in buckets:
+            verified = [frozenset((x, c)) for x, cands in self.link(members, similar_pairs, uf)
+                        for c in cands]
+            assert len(verified) == len(set(verified))
+            assert all(len(pair) == 2 and pair <= set(members) for pair in verified)
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    if (a, b) in similar_pairs:
+                        reference.union(a, b)
+        assert uf.clusters() == reference.clusters()
 
 
 def near(docs, cfg):

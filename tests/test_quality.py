@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from corpusprep import pipeline, quality
 from corpusprep.config import PipelineConfig
-from corpusprep.core import Document
+from corpusprep.core import Document, normalize_text
 from corpusprep.quality import (
     LATVIAN_DIACRITICS,
     HeuristicConfig,
@@ -147,18 +147,29 @@ class TestCharRatios:
     def test_equals_per_character_loop_on_tricky_characters(self, text):
         assert char_ratios([text]) == [char_ratios_per_character(text)]
 
+    # code points on both sides of the class table's bound, the surrogates
+    # (which a str may hold alone) and the rest of Unicode
+    BOUND = len(quality._CLASS_TABLE)
+    CODE_POINTS = st.one_of(
+        st.integers(BOUND - 64, BOUND + 63),
+        st.integers(0xD800, 0xDFFF),
+        st.integers(0, 0x10FFFF),
+    ).map(chr)
+
     @given(
         texts=st.lists(
             st.one_of(
                 st.text(alphabet=TRICKY + "ab1 ", max_size=30),
                 st.text(max_size=30),
+                st.lists(CODE_POINTS, max_size=30).map("".join),
                 st.sampled_from(["", " ", "\n", "\u2003", *ASTRAL]),
             ),
             max_size=12,
         ),
-        chunk=st.sampled_from([1, 2, 5, quality.RATIO_CHUNK]),
+        chunk=st.sampled_from([1, 2, 5, 40, quality.RATIO_CHUNK]),
     )
     @example(texts=["", "😀", "𝟗 a", " ", "", TRICKY, "Āb 1"], chunk=2)
+    @example(texts=["\u07ff\u0800", chr(0xD83D) + chr(0xDE00) + " ž", "\u3000ア"], chunk=1)
     def test_corpus_pass_equals_per_character_loop(self, texts, chunk):
         with mock.patch.object(quality, "RATIO_CHUNK", chunk):
             got = char_ratios(texts)
@@ -192,6 +203,26 @@ class TestCharRatios:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+class TestFilterWordCount:
+    @given(st.lists(st.sampled_from(
+        ["vārds", "a", "1", "\u0301", "e\u0301", " ", "  ", "\t", "\n", "\r\n", "\r",
+         "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\u3000",
+         "\x0b\x0c", "x" * 81]), max_size=40).map("".join))
+    @example("a\x1cb\x85c\xa0d\u2028e\r\nf  \u0301g\n\n\na\x1cb")
+    def test_word_count_equals_split(self, text):
+        """filter counts its texts' words by their separators; each equals
+        the split of the text it writes, whatever whitespace the raw text
+        held."""
+        filtered = strip_boilerplate(normalize_text(text))
+        # the second document is kept itself, its text already filtered
+        docs = [doc(text, id="a"), doc(filtered, id="b")]
+        out, _, _ = pipeline.stage_filter(docs, PipelineConfig(), None)
+        assert out[1] is docs[1]
+        for d in out:
+            assert d.text == filtered
+            assert d.word_count == len(d.text.split())
 
 
 class TestLengthRuleFirst:

@@ -141,6 +141,15 @@ class TestSampleToQuota:
         with pytest.raises(ValueError):
             sample_to_quota([d], quotas())
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "NaN"])
+    def test_perplexity_not_a_number_rejected_naming_the_document(self, value):
+        docs = [doc(0, 100, ppl=5.0), doc(1, 100)]
+        docs[1].meta[PPL_META_KEY] = value
+        with pytest.raises(ValueError) as exc:
+            sample_to_quota(docs, [BucketQuota("all", 0, None, 150)])
+        assert str(exc.value) == (
+            f"document 'd000001' has meta.perplexity {value!r}, not a number")
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32 - 1))
     def test_quota_accuracy_property(self, seed):

@@ -120,3 +120,63 @@ def test_convert_kn_v1_refuses_bad_grams_with_one_line(tmp_path, counts, error):
     err = run_script("convert_kn_v1.py", v1, tmp_path / "model.json", returncode=1)
     assert error in err and err.count("\n") == 1
     assert not (tmp_path / "model.json").exists()
+
+
+def canned_run(wall_s, correct=True, digest="d1"):
+    """The stdout of one perfbench/run.py --trace 0 invocation, cut down to
+    the lines bench_pairs reads."""
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"},
+               "mb_per_s": {"value": 1.0 / wall_s, "unit": "MB/s"}}
+    last = {"correct": correct, "attempted": 5, "failed": 0 if correct else 1,
+            "metrics": metrics}
+    return f"environment: {{}}\noutput digest: {digest}\n{json.dumps(last)}\n"
+
+
+BENCH_DECLARED = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "mb_per_s", "unit": "MB/s", "better": "higher", "bound": 0.25},
+]
+
+
+def bench_summary(parent_walls, change_walls, **change):
+    from bench_pairs import parse_result, summarize
+
+    pairs = [(parse_result(canned_run(p)), parse_result(canned_run(c, **change)))
+             for p, c in zip(parent_walls, change_walls)]
+    return summarize(pairs, BENCH_DECLARED)
+
+
+def test_bench_pairs_claim_holds_on_nine_wins_beyond_the_parent_iqr():
+    parent = [0.120, 0.121, 0.122, 0.123, 0.124, 0.125, 0.126, 0.127, 0.128, 0.100]
+    change = [0.100, 0.101, 0.102, 0.103, 0.104, 0.105, 0.106, 0.107, 0.108, 0.109]
+    lines = bench_summary(parent, change)
+    assert lines[0] == ("pair 1: parent correct=True failed=0/5 digest=d1; "
+                        "change correct=True failed=0/5 digest=d1")
+    assert lines[10] == "output digests: all equal"
+    wall, wall_pairs, mbps, _ = lines[11:]
+    # sorted parent runs 0.100, 0.120 .. 0.128: quartiles at positions 2.25
+    # and 6.75 of 0 .. 9, 0.12125 and 0.12575
+    assert wall == ("wall_s (s, lower is better): parent 0.1235 [0.1212, 0.1258], "
+                    "change 0.1045 [0.1022, 0.1067], change -15.4% (bound 0.25), "
+                    "won 9/10 pairs, median gain 0.0190 vs parent IQR 0.0045: claim holds")
+    assert wall_pairs == "  per pair, parent/change: " + " ".join(
+        f"{p:.4f}/{c:.4f}" for p, c in zip(parent, change))
+    assert "won 9/10 pairs" in mbps and mbps.endswith("claim holds")
+
+
+@pytest.mark.parametrize("parent, change, why", [
+    # 8 of 10 pairs won, whatever the medians
+    ([0.12] * 8 + [0.10] * 2, [0.10] * 8 + [0.11] * 2, "won 8/10 pairs"),
+    # every pair won, by less than the parent's spread
+    ([0.10, 0.20, 0.10, 0.20], [0.09, 0.19, 0.09, 0.19], "won 4/4 pairs"),
+])
+def test_bench_pairs_claim_not_met(parent, change, why):
+    wall = bench_summary(parent, change)[len(parent) + 1]
+    assert why in wall and wall.endswith("claim not met")
+
+
+def test_bench_pairs_reports_failed_runs_and_differing_digests():
+    lines = bench_summary([0.1, 0.1], [0.1, 0.1], correct=False, digest="d2")
+    assert lines[0].endswith("change correct=False failed=1/5 digest=d2")
+    assert lines[2] == "output digests: DIFFER"
+    assert "won 0/2 pairs" in lines[3] and lines[3].endswith("claim not met")
