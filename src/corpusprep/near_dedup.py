@@ -231,51 +231,21 @@ def _link_bucket(members: list, uf: UnionFind, similar) -> None:
     """Union the verified pairs of one LSH bucket, skipping every pair whose
     ends are already connected, and verifying no pair twice.
 
-    First, every later member outside the first member's component is
-    verified against the first in one ``similar`` call, and the hits join
-    it: on templated pages that settles the whole bucket. If the bucket
-    still spans two components, each later member is verified against the
-    earlier later members outside its own component: first one
-    representative per component, then, for the components whose
-    representative missed, their remaining members. The first member is
-    left out of that loop, since its pair with every member is settled. A
-    component joins when any of its members verifies, so the components
-    equal those of verifying every pair in the bucket."""
-    first, later = members[0], members[1:]
-    root = uf.find(first)
-    cands = [m for m in later if uf.find(m) != root]
-    if not cands:
-        return
-    for m, hit in zip(cands, similar(first, cands)):
-        if hit:
-            uf.union(first, m)
-    if len({uf.find(m) for m in members}) < 2:
-        return
-    groups: dict = {}  # component root -> its members before x, bar the first
-    for x in later:
-        rx = uf.find(x)
-        others = [r for r in groups if r != rx]
-        if others:
-            hits = similar(x, [groups[r][0] for r in others])
-            linked = {r for r, hit in zip(others, hits) if hit}
-            missed = [r for r, hit in zip(others, hits) if not hit]
-            rest = [(r, m) for r in missed for m in groups[r][1:]]
-            if rest:
-                hits = similar(x, [m for _, m in rest])
-                linked.update(r for (r, _), hit in zip(rest, hits) if hit)
-            if linked:
-                for r in linked:
-                    uf.union(x, r)
-                # extend the largest member list by the others
-                parts = sorted(
-                    (groups.pop(r) for r in linked | {rx} if r in groups), key=len
-                )
-                merged = parts.pop()
-                for part in parts:
-                    merged.extend(part)
-                rx = uf.find(x)
-                groups[rx] = merged
-        groups.setdefault(rx, []).append(x)
+    Each member in turn verifies the later members outside its component
+    in one ``similar`` call, and the hits join it. Once a member has no
+    such later member, every later member shares its component, so the
+    loop stops there: on templated pages, at the second member. A pair is
+    verified only at the turn of its earlier member, and only if its ends
+    are not yet connected, so the components equal those of verifying
+    every pair in the bucket, in at most len(members) - 1 calls."""
+    for i, x in enumerate(members):
+        root = uf.find(x)
+        cands = [m for m in members[i + 1 :] if uf.find(m) != root]
+        if not cands:
+            return
+        for m, hit in zip(cands, similar(x, cands)):
+            if hit:
+                uf.union(x, m)
 
 
 def find_duplicate_clusters(

@@ -116,7 +116,6 @@ def _read_arrays(path) -> list:
     """The arrays of a kn-ngram-v2 model file, in FIELDS order; else ModelError."""
     try:
         with open(path, "rb") as fh:
-            head = fh.peek(1)[:1]
             npz = np.load(fh, allow_pickle=False)
             names = npz.zip.namelist() if isinstance(npz, np.lib.npyio.NpzFile) else []
             if names != [f"{name}.npy" for name in FIELDS]:
@@ -126,10 +125,8 @@ def _read_arrays(path) -> list:
         if arrays[0].tolist() != MODEL_FORMAT:
             raise ValueError(f"format {arrays[0].tolist()!r}")
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
-        why = e
-        if "pickled" in str(e):  # np.load's words for a file neither npy nor zip
-            why = ("a JSON kn-ngram-v1 model? rebuild it with corpusprep lm-train or "
-                   "scripts/convert_kn_v1.py") if head == b"{" else "not an npz archive"
+        # "pickled" is np.load's word for a file neither npy nor zip
+        why = "not an npz archive" if "pickled" in str(e) else e
         raise ModelError(f"{path}: not a {MODEL_FORMAT} model file ({why})") from None
     return arrays
 

@@ -76,27 +76,18 @@ class RunReport:
 
 
 def report_table(report: dict) -> str:
-    """Render per-source word counts in millions, with a filtered total."""
+    """Render per-source word counts, exactly, with a filtered total."""
     initial = report["per_source_words_initial"]
     final = report["per_source_words_final"]
-    rows = [("Source", "Initial (M)", "Final (M)")]
-    for src in sorted(initial):
-        rows.append(
-            (src, f"{initial[src] / 1e6:.1f}", f"{final.get(src, 0) / 1e6:.1f}")
-        )
-    rows.append(
-        (
-            "Total after filtering and deduplication",
-            f"{sum(initial.values()) / 1e6:.1f}",
-            f"{sum(final.values()) / 1e6:.1f}",
-        )
-    )
+    counts = [(src, initial[src], final.get(src, 0)) for src in sorted(initial)]
+    counts.append(("Total after filtering and deduplication",
+                   sum(initial.values()), sum(final.values())))
+    rows = [("Source", "Initial words", "Final words")]
+    rows += [(src, f"{a:,}", f"{b:,}") for src, a, b in counts]
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     lines = []
-    for i, row in enumerate(rows):
-        lines.append(
-            "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
-        )
+    for i, (src, a, b) in enumerate(rows):
+        lines.append(f"{src:<{widths[0]}}  {a:>{widths[1]}}  {b:>{widths[2]}}")
         if i == 0 or i == len(rows) - 2:
             lines.append("-" * (sum(widths) + 4))
     return "\n".join(lines)

@@ -108,8 +108,7 @@ class TestValidateCommand:
         }), encoding="utf-8")
         assert main(["validate", "--config", str(workspace)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            f"model error: {model}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 "
-            "model? rebuild it with corpusprep lm-train or scripts/convert_kn_v1.py)\n")
+            f"model error: {model}: not a kn-ngram-v2 model file (not an npz archive)\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_no_stages_exits_1(self, workspace, capsys, command):

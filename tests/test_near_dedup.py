@@ -437,6 +437,15 @@ class TestTemplatedPages:
         calls = self.link(members, {(2, m) for m in members})
         assert calls == [(2, [3, 5, 8, 13])]
 
+    def test_two_interleaved_clusters_cost_one_call_per_member_but_the_last(self):
+        # evens and odds: 0 links the evens, 1 the odds, and each later
+        # member verifies only the later members of the other cluster
+        members = list(range(10))
+        pairs = {(a, b) for a in members for b in members if a < b and (b - a) % 2 == 0}
+        calls = self.link(members, pairs)
+        assert [x for x, _ in calls] == members[:-1]
+        assert calls[:3] == [(0, members[1:]), (1, [2, 3, 4, 5, 6, 7, 8, 9]), (2, [3, 5, 7, 9])]
+
     @pytest.mark.parametrize("pairs", [set(), {(4, 9)}])
     def test_two_member_bucket_costs_one_call(self, pairs):
         assert self.link([4, 9], pairs) == [(4, [9])]
@@ -455,13 +464,15 @@ class TestTemplatedPages:
         ),
     )
     def test_no_pair_verified_twice_in_a_bucket(self, pairs, buckets):
-        """The loop after the first-member pass takes that pass's verdicts as
-        known, and the components equal those of every pair verified."""
+        """No pair is verified twice, a bucket of n members costs at most
+        n - 1 calls, and the components equal those of every pair
+        verified."""
         similar_pairs = {(min(a, b), max(a, b)) for a, b in pairs}
         uf, reference = UnionFind(), UnionFind()
         for members in buckets:
-            verified = [frozenset((x, c)) for x, cands in self.link(members, similar_pairs, uf)
-                        for c in cands]
+            calls = self.link(members, similar_pairs, uf)
+            assert len(calls) <= len(members) - 1
+            verified = [frozenset((x, c)) for x, cands in calls for c in cands]
             assert len(verified) == len(set(verified))
             assert all(len(pair) == 2 and pair <= set(members) for pair in verified)
             for i, a in enumerate(members):

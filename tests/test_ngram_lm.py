@@ -182,8 +182,8 @@ class TestSerialization:
     ])
     def test_trainer_output_bytes_pinned(self, tmp_path, order, sha256):
         # digests of the kn-ngram-v2 files the trainer wrote when the format
-        # was introduced; each holds the model of the kn-ngram-v1 file the
-        # recursive scorer's trainer wrote, converted by scripts/convert_kn_v1.py
+        # was introduced; each held the model of the kn-ngram-v1 file the
+        # recursive scorer's trainer wrote
         path = tmp_path / "m.json"
         train_kn_sentences(golden_corpus(), order=order).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -340,15 +340,13 @@ class TestMalformedModelFile:
             "vocab": [UNK, BOS, EOS, "a"], "discounts": {"1": 0.5, "2": 0.5},
             "counts": [[f"{BOS} a", 1], ["a </s>", 1]],
         }), encoding="utf-8")
-        assert self._refused(path) == (
-            f"{path}: not a kn-ngram-v2 model file (a JSON kn-ngram-v1 model? rebuild "
-            "it with corpusprep lm-train or scripts/convert_kn_v1.py)")
+        # a v1 file is refused as any other file that is not npz
+        assert self._refused(path) == f"{path}: not a kn-ngram-v2 model file (not an npz archive)"
 
     @pytest.mark.parametrize("content, why", [
         (b"not a model", "not an npz archive"),
         (b"[1, 2]", "not an npz archive"),
-        (b'{"format": "kn-ngram-v1"}', "a JSON kn-ngram-v1 model? rebuild it with "
-         "corpusprep lm-train or scripts/convert_kn_v1.py"),
+        (b'{"format": "kn-ngram-v1"}', "not an npz archive"),
     ])
     def test_v1_hint_only_for_a_file_opening_a_json_object(self, tmp_path, content, why):
         path = tmp_path / "model.json"

@@ -508,16 +508,26 @@ class TestAtomicWrites:
 class TestReportTable:
     def test_two_source_rendering(self):
         report = {
-            "per_source_words_initial": {"news": 500_000, "web": 1_000_000},
+            "per_source_words_initial": {"news": 500_000, "web": 1_234_567},
             "per_source_words_final": {"news": 400_000, "web": 800_000},
         }
-        table = report_table(report)
-        lines = table.splitlines()
-        assert "Source" in lines[0]
-        assert any(l.startswith("news") and "0.5" in l and "0.4" in l for l in lines)
-        assert any(l.startswith("web") and "1.0" in l and "0.8" in l for l in lines)
+        lines = report_table(report).splitlines()
+        assert lines[0].split() == ["Source", "Initial", "words", "Final", "words"]
+        assert lines[2].split() == ["news", "500,000", "400,000"]
+        assert lines[3].split() == ["web", "1,234,567", "800,000"]
         assert lines[-1].startswith("Total after filtering and deduplication")
-        assert "1.5" in lines[-1] and "1.2" in lines[-1]
+        assert lines[-1].split()[-2:] == ["1,734,567", "1,200,000"]
+
+    def test_small_counts_are_exact(self):
+        # a few hundred documents hold thousands of words, not 0.0 million
+        table = report_table(
+            {
+                "per_source_words_initial": {"news": 5_639, "web": 7},
+                "per_source_words_final": {"news": 2_244, "web": 0},
+            }
+        )
+        assert table.splitlines()[2].split() == ["news", "5,639", "2,244"]
+        assert table.splitlines()[3].split() == ["web", "7", "0"]
 
     def test_missing_final_source_renders_zero(self):
         table = report_table(
@@ -526,7 +536,7 @@ class TestReportTable:
                 "per_source_words_final": {},
             }
         )
-        assert "2.0" in table and "0.0" in table
+        assert table.splitlines()[2].split() == ["web", "2,000,000", "0"]
 
 
 class TestConservationCheck:

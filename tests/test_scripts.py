@@ -7,12 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from corpusprep.core import Document
-from corpusprep.ngram_lm import KneserNeyModel, perplexities, train_kn_sentences
-from kn_reference import ReferenceKN
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,47 +74,6 @@ def test_packing_efficiency_refuses_seq_len_outside_u16(seq_len):
     err = run_script("packing_efficiency.py", "--n-docs", 10, "--seq-lens", seq_len,
                      returncode=2)
     assert f"argument --seq-lens: {seq_len} outside 2..65535" in err
-
-
-def test_convert_kn_v1_scores_as_the_trained_model(tmp_path, lang):
-    rng = np.random.default_rng(5)
-    sentences = [lang.sentence(rng, 10) for _ in range(150)]
-    trained = train_kn_sentences(sentences, order=4)
-    ref = ReferenceKN(sentences, order=4)  # the grams, counted apart from the model
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({
-        "format": "kn-ngram-v1", "order": 4, "min_count": 2, "vocab": ref.vocab,
-        "discounts": {str(o): d for o, d in trained.discounts.items()},
-        "counts": sorted([" ".join(g), c] for g, c in ref.counts[4].items()),
-    }, ensure_ascii=False), encoding="utf-8")
-    v2 = tmp_path / "model.json"
-    run_script("convert_kn_v1.py", v1, v2)
-    converted = KneserNeyModel.load(v2)
-    held_out = [lang.sentence(rng, 10) for _ in range(20)] + ["zz " + sentences[0]]
-    docs = [Document(id=str(i), source="s", text=s) for i, s in enumerate(sentences + held_out)]
-    assert perplexities(converted, docs) == perplexities(trained, docs)
-    trained.save(tmp_path / "trained.json")
-    assert v2.read_bytes() == (tmp_path / "trained.json").read_bytes()
-
-
-@pytest.mark.parametrize("counts, error", [
-    ([["<s> a", 1], ["a", 1]], "gram 'a' has 1 words, order is 2"),
-    ([["<s> a", 1], ["a b", 1]], "word 'b' is not in the vocab"),
-    ([["<s> a", 1], ["a </s>", 1.5]], "gram 'a </s>' has count 1.5"),
-    ([["<s> a", 1], ["a </s>", 0]], "gram 'a </s>' has count 0"),
-    ([["<s> a", 1], ["a </s>", 2**63]], "OverflowError"),
-    ([["<s> a", 1], ["<s> a", 2]], "gram '<s> a' is listed twice"),
-])
-def test_convert_kn_v1_refuses_bad_grams_with_one_line(tmp_path, counts, error):
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps({
-        "format": "kn-ngram-v1", "order": 2, "min_count": 1,
-        "vocab": ["<unk>", "<s>", "</s>", "a"], "discounts": {"1": 0.5, "2": 0.5},
-        "counts": counts,
-    }), encoding="utf-8")
-    err = run_script("convert_kn_v1.py", v1, tmp_path / "model.json", returncode=1)
-    assert error in err and err.count("\n") == 1
-    assert not (tmp_path / "model.json").exists()
 
 
 def canned_run(wall_s, correct=True, digest="d1"):
