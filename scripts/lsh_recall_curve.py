@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from corpusprep.near_dedup import LshIndex, minhash_signature
+from corpusprep.near_dedup import LshIndex, banding_odds, minhash_signature
 
 
 def pair_at_jaccard(rng, j: float, n: int = 400):
@@ -49,8 +49,9 @@ def main() -> None:
         ap.error(f"--bands * --rows is {args.bands * args.rows}, not --num-perm {args.num_perm}")
 
     rng = np.random.default_rng(args.seed)
+    _, banding = banding_odds(0.0, args.bands, args.rows)
     print(f"k={args.num_perm}, b={args.bands}, r={args.rows}, "
-          f"t* = (1/b)^(1/r) = {(1 / args.bands) ** (1 / args.rows):.3f}\n")
+          f"t* = (1/b)^(1/r) = {banding:.3f}\n")
     print(f"{'jaccard':>8}  {'empirical':>9}  {'theory':>7}")
     for j in np.arange(0.3, 1.0001, 0.05):
         hits = 0
@@ -60,7 +61,7 @@ def main() -> None:
             mat = minhash_signature(np.concatenate((sa, sb)), [len(sa), len(sb)],
                                     args.num_perm, perm_seed=t)
             hits += (0, 1) in candidate_pairs(index, mat)
-        theory = 1.0 - (1.0 - float(j) ** args.rows) ** args.bands
+        theory, _ = banding_odds(float(j), args.bands, args.rows)
         print(f"{j:>8.2f}  {hits / args.trials:>9.3f}  {theory:>7.3f}")
 
 

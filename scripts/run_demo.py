@@ -81,7 +81,7 @@ def main() -> None:
     )
     train_kn_sentences(
         [lang.sentence(rng, 12) for _ in range(600)], order=5
-    ).save(root / "model.json")
+    ).save(root / "model.npz")
 
     config = {
         "input": str(root / "corpus.jsonl"),
@@ -89,7 +89,7 @@ def main() -> None:
         "seed": args.seed,
         "heuristics": {"min_words": 20},
         "lm": {
-            "model_path": str(root / "model.json"),
+            "model_path": str(root / "model.npz"),
             "policy": {"kind": "percentile", "value": 90.0},
         },
         "vocab": {"path": str(root / "vocab.txt")},

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from corpusprep import ngram_lm, pipeline, subword
+from corpusprep import near_dedup, ngram_lm, pipeline, subword
 from corpusprep.config import KNOWN_STAGES, ConfigError, load_config
 from corpusprep.core import JsonlReadError, StageStats
 
@@ -97,6 +97,11 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             pipeline.preflight(cfg, cfg.stages)
             print("config ok")
+            if "dedup_near" in cfg.stages:
+                nd = cfg.near_dedup
+                odds, banding = near_dedup.banding_odds(nd.threshold, nd.bands, nd.rows)
+                print(f"dedup_near: a pair of Jaccard {nd.threshold} shares an LSH bucket "
+                      f"with probability {odds:.3f}; banding threshold {banding:.3f}")
             return EXIT_OK
 
         if args.command == "run":

@@ -13,13 +13,13 @@ document's subword token count, when known, rides in ``meta["token_count"]``
 on disk and is lifted into ``Document.token_count`` on read.
 
 A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
-``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only. They
-are never serialized and ``with_text`` does not copy them, so a document
-read from JSONL is tokenized again when its ids are first needed. Its text
-is split at most once: reading splits nothing, the filter stage counts
-its texts' words by their separators (``Document.with_normalized_text``),
-and the tokenizer's split (``Document.split_words``) fills
-``Document.word_count``, which is otherwise counted when first read.
+``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only, until
+``Document.set_normalized_text`` gives it a new text; a document read from
+JSONL is tokenized again when its ids are first needed. Its text is split
+at most once: reading splits nothing, the filter stage counts its texts'
+words by their separators (``set_normalized_text``), and the tokenizer's
+split (``Document.split_words``) fills ``Document.word_count``, which is
+otherwise counted when first read.
 
 A line is two parts: the *prefix* ``{"id": …, "source": …, "url": …,
 "text": "…"`` and the *tail* ``, "meta": {…}}`` with its newline, encoded by
@@ -39,8 +39,7 @@ unchanged (``_file_key`` says which rewrites it cannot see), a later
 ``write_jsonl`` copies a document's prefix from it when the four objects
 are those recorded, and its tail when ``meta`` and ``token_count`` are, in
 byte ranges merged with their neighbours; it encodes the other parts.
-``line_at`` holds no encoded bytes, is never serialized and is not copied
-by ``with_text``.
+``line_at`` holds no encoded bytes and is never serialized.
 
 Rejected records go to a ``<output>.rejects`` sidecar as
 ``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
@@ -168,25 +167,14 @@ class Document:
         self._word_count = len(words)
         return words
 
-    def with_text(self, text: str) -> "Document":
-        """Copy with new text; its word count is counted when first read."""
-        return Document(
-            id=self.id,
-            source=self.source,
-            text=text,
-            url=self.url,
-            meta=dict(self.meta),
-            token_count=self.token_count,
-        )
-
-    def with_normalized_text(self, text: str) -> "Document":
-        """This document if *text* is its text, so that its line can be
-        copied, else ``with_text(text)``; either way with the word count of
-        *text*, which must be in normalize_text's format, counted by
-        ``separated_word_count``."""
-        doc = self if text == self.text else self.with_text(text)
-        doc._word_count = separated_word_count(text)
-        return doc
+    def set_normalized_text(self, text: str) -> None:
+        """Set *text*, in normalize_text's format, with its word count by
+        ``separated_word_count``. An equal text keeps the text object, whose
+        line can be copied; a new one drops the ids kept for the old."""
+        if text != self.text:
+            self.text = text
+            self.token_ids = None
+        self._word_count = separated_word_count(text)
 
     def json_head(self) -> str:
         """The line up to its text literal: ``{"id": …, "source": …, "url":
@@ -477,12 +465,16 @@ def read_jsonl(path, diagnostics: Optional[list] = None) -> Iterator[Document]:
 def open_replacing(path, mode: str = "w"):
     """Open ``<path>.tmp`` for writing and move it onto *path* when the block
     ends; on an exception remove it and leave *path* untouched. Text mode
-    writes UTF-8 with ``\\n`` line ends."""
+    writes UTF-8 with ``\\n`` line ends. The file is synced before the
+    rename and its directory after it, so that once this returns *path*
+    holds the new bytes also after an OS crash or power loss."""
     tmp = f"{os.fspath(path)}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
         with open(tmp, mode, **text) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -490,6 +482,11 @@ def open_replacing(path, mode: str = "w"):
         except FileNotFoundError:
             pass
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:

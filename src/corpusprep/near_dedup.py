@@ -194,6 +194,14 @@ class NearDupConfig:
     exact_verify: bool = False
 
 
+def banding_odds(jaccard: float, bands: int, rows: int) -> tuple[float, float]:
+    """The probability ``1 - (1 - jaccard^rows)^bands`` that two documents of
+    that Jaccard similarity share a bucket of LSH banding, and the banding's
+    own threshold ``(1/bands)^(1/rows)``, near which that probability rises
+    most steeply."""
+    return 1.0 - (1.0 - jaccard**rows) ** bands, (1 / bands) ** (1 / rows)
+
+
 @dataclass
 class LshIndex:
     """LSH banding of a signature matrix: rows that agree on all *rows*

@@ -95,20 +95,20 @@ def report_table(report: dict) -> str:
 
 # --------------------------------------------------------------------------
 # The stage contract. There is one stage_<name>(docs, cfg, loaded) per
-# config.KNOWN_STAGES name, looked up by name at call time
-# by run_stage, which writes the stage's JSONL and .rejects for both `run`
-# and the single-stage subcommands.
-# *docs* is a list: the previous stage's output, or the documents
-# read_jsonl read, no id twice. A stage returns (docs, verdicts, extra): its
-# output documents, one verdict per document (None keeps it, a reason string
-# or a (reason, detail) pair rejects it; verdicts=None keeps every document)
-# and its report dict or None. run_stage alone turns them into the kept
-# documents, the stats and the .rejects records with StageStats.tally,
-# which counts documents and the words of the returned texts (filter's
-# stripped ones) in, out and rejected per source; the algorithm modules
-# only decide, and never name a stage. No stage is given a work dir: pack
-# alone writes side files, packed.bin and its packed.meta.jsonl, into
-# cfg.work_dir through a writer that replaces them atomically.
+# config.KNOWN_STAGES name, looked up by name at call time by run_stage,
+# which writes the stage's JSONL and .rejects for both `run` and the
+# single-stage subcommands. *docs* is a list: the documents the previous
+# stage kept, or those read_jsonl read, no id twice. A stage may change
+# them and their order in place, not their number, and returns (verdicts,
+# extra): one verdict per document as the list then stands (None keeps it,
+# a reason string or a (reason, detail) pair rejects it; verdicts=None
+# keeps every document) and its report dict or None. run_stage alone turns
+# them into the kept documents, the stats and the .rejects records with
+# StageStats.tally, which counts documents and the words of their texts
+# (filter's stripped ones) in, out and rejected per source; the algorithm
+# modules only decide, and never name a stage. No stage is given a work
+# dir: pack alone writes side files, packed.bin and its packed.meta.jsonl,
+# into cfg.work_dir through a writer that replaces them atomically.
 # *loaded* is preflight's Loaded, read before any input: token_count and
 # pack share its vocabulary and word-segmentation memo (pack reads the ids
 # subword.token_ids kept at token_count), and lm_score scores with its LM;
@@ -141,36 +141,36 @@ def preflight(cfg: PipelineConfig, stages) -> Loaded:
 
 
 def stage_filter(docs, cfg: PipelineConfig, loaded):
-    out = [doc.with_normalized_text(quality.strip_boilerplate(normalize_text(doc.text)))
-           for doc in docs]
-    return out, quality.heuristic_verdicts(out, cfg.heuristics), None
+    for doc in docs:
+        doc.set_normalized_text(quality.strip_boilerplate(normalize_text(doc.text)))
+    return quality.heuristic_verdicts(docs, cfg.heuristics), None
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, loaded):
     # filter's texts are whole lines of a normalized text, which
     # normalize_text leaves as they are
-    docs = sorted(docs, key=lambda d: (d.source, d.id))
-    return docs, exact_dedup.dedup_exact(docs, normalized=loaded.filtered), None
+    docs.sort(key=lambda d: (d.source, d.id))
+    return exact_dedup.dedup_exact(docs, normalized=loaded.filtered), None
 
 
 def stage_dedup_near(docs, cfg: PipelineConfig, loaded):
     verdicts, n_clusters = near_dedup.dedup_near(docs, cfg.near_dedup)
-    return docs, verdicts, {"clusters": n_clusters}
+    return verdicts, {"clusters": n_clusters}
 
 
 def stage_lm_score(docs, cfg: PipelineConfig, loaded):
     verdicts, cutoff = ngram_lm.filter_by_perplexity(docs, loaded.model, cfg.lm.policy)
-    return docs, verdicts, {"cutoff": repr(cutoff)}
+    return verdicts, {"cutoff": repr(cutoff)}
 
 
 def stage_token_count(docs, cfg: PipelineConfig, loaded):
     for doc in docs:
         doc.token_count = len(subword.token_ids(doc, loaded.vocab))
-    return docs, None, None
+    return None, None
 
 
 def stage_sample(docs, cfg: PipelineConfig, loaded):
-    return docs, *sampler.sample_to_quota(
+    return sampler.sample_to_quota(
         docs,
         cfg.quotas,
         seed=cfg.seed,
@@ -180,7 +180,7 @@ def stage_sample(docs, cfg: PipelineConfig, loaded):
 
 
 def stage_pack(docs, cfg: PipelineConfig, loaded):
-    return docs, None, pack_docs(docs, cfg, Path(cfg.work_dir) / "packed.bin", loaded.vocab)
+    return None, pack_docs(docs, cfg, Path(cfg.work_dir) / "packed.bin", loaded.vocab)
 
 
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
@@ -216,17 +216,18 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
 
 
 def run_stage(name: str, docs, cfg: PipelineConfig, loaded, out_path, prev=None):
-    """Run stage *name*, write its output to *out_path* (copying lines from
-    *prev*) with ``.rejects`` beside it and print its counts and time to
-    stderr; returns (kept, stats), which ``StageStats.tally`` makes
-    conserve. An error inside the stage, or another number of documents
-    out than in, becomes a StageFailure naming it, so the stages chain."""
+    """Run stage *name* on the list *docs*, write the ones it keeps to
+    *out_path* (copying lines from *prev*) with ``.rejects`` beside it and
+    print its counts and time to stderr; returns (kept, stats), which
+    ``StageStats.tally`` makes conserve. An error inside the stage, or a
+    new length of *docs*, becomes a StageFailure naming it: stages chain."""
     t0 = time.monotonic()
+    n = len(docs)
     try:
-        out, verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
-        if len(out) != len(docs):
-            raise ValueError(f"returned {len(out)} documents for {len(docs)}")
-        kept, stats, rejects = StageStats.tally(name, out, verdicts, extra)
+        verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
+        if len(docs) != n:
+            raise ValueError(f"left {len(docs)} documents of {n}")
+        kept, stats, rejects = StageStats.tally(name, docs, verdicts, extra)
     except Exception as e:
         raise StageFailure(f"stage {name} failed: {e}") from e
     write_jsonl(kept, out_path, prev)

@@ -55,6 +55,25 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(workspace)]) == EXIT_OK
         assert "config ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stages, threshold, line", [
+        (None, 0.7, "dedup_near: a pair of Jaccard 0.7 shares an LSH bucket "
+                    "with probability 0.565; banding threshold 0.719"),
+        (None, 0.5, "dedup_near: a pair of Jaccard 0.5 shares an LSH bucket "
+                    "with probability 0.053; banding threshold 0.719"),
+        (["filter", "dedup_exact"], 0.5, None),
+    ])
+    def test_states_the_lsh_candidate_probability(
+        self, workspace, capsys, stages, threshold, line
+    ):
+        """validate states the chance that a pair at the configured
+        threshold becomes an LSH candidate, when dedup_near runs."""
+        cfg = yaml.safe_load(workspace.read_text("utf-8"))
+        cfg["near_dedup"]["threshold"] = threshold
+        cfg["stages"] = stages or cfg["stages"]
+        workspace.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(workspace)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["config ok", *([line] if line else [])]
+
     def test_seq_len_over_u16_exits_1(self, workspace, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         cfg["pack"]["seq_len"] = 70000
@@ -303,17 +322,22 @@ class TestRunCommand:
         assert "not the object RunReport.to_dict writes" in err
 
     @pytest.mark.parametrize(
-        "change", [lambda docs: docs[1:], lambda docs: docs + docs[:1]], ids=["fewer", "more"]
+        "change, delta",
+        [(list.pop, -1), (lambda docs: docs.append(docs[0]), 1)],
+        ids=["fewer", "more"],
     )
     def test_stage_that_changes_the_document_count_exits_2(
-        self, workspace, capsys, monkeypatch, change
+        self, workspace, capsys, monkeypatch, change, delta
     ):
-        """A stage that returns another number of documents than it was
-        given fails the run with one line; the report keeps the stages
+        """A stage that leaves its list of documents another length than it
+        was given fails the run with one line; the report keeps the stages
         before it and reads back."""
-        monkeypatch.setattr(
-            pipeline, "stage_dedup_near", lambda docs, cfg, loaded: (change(docs), None, None)
-        )
+
+        def changing(docs, cfg, loaded):
+            change(docs)
+            return None, None
+
+        monkeypatch.setattr(pipeline, "stage_dedup_near", changing)
         assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
         err = capsys.readouterr().err
         work = workspace.parent / "work"
@@ -321,8 +345,7 @@ class TestRunCommand:
         assert [s.stage for s in report.stages] == ["filter", "dedup_exact"]
         n = report.stages[-1].docs_out
         assert err.splitlines()[-1] == (
-            f"stage failure: stage dedup_near failed: "
-            f"returned {len(change([None] * n))} documents for {n}"
+            f"stage failure: stage dedup_near failed: left {n + delta} documents of {n}"
         )
         assert not (work / "02_dedup_near.jsonl").exists()
 
@@ -644,7 +667,7 @@ class TestSingleStageCommands:
         self, workspace, tmp_path, capsys, monkeypatch
     ):
         def one_verdict_short(docs, cfg, loaded):
-            return docs, [None] * (len(docs) - 1), None
+            return [None] * (len(docs) - 1), None
 
         monkeypatch.setattr(pipeline, "stage_token_count", one_verdict_short)
         cfg = yaml.safe_load(workspace.read_text("utf-8"))

@@ -30,7 +30,7 @@ def in_config_dir(tmp_path_factory):
     """Run each test in a directory holding the files, all empty, that the
     configs below name by relative path, so that validate finds them."""
     root = tmp_path_factory.mktemp("cwd")
-    for name in ("corpus.jsonl", "model.json", "vocab.txt", "in.jsonl", "x"):
+    for name in ("corpus.jsonl", "model.json", "model.npz", "vocab.txt", "in.jsonl", "x"):
         (root / name).touch()
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)

@@ -251,6 +251,17 @@ class TestSignatureMatrix:
             assert row.tolist() == reference_signature(s, k, perm_seed)
 
 
+class TestBandingOdds:
+    @given(st.integers(1, 30), st.integers(1, 30))
+    def test_odds_at_the_ends_and_at_the_banding_threshold(self, bands, rows):
+        assert near_dedup.banding_odds(0.0, bands, rows)[0] == 0.0
+        assert near_dedup.banding_odds(1.0, bands, rows)[0] == 1.0
+        # at (1/b)^(1/r), t^r = 1/b: the odds are 1 - (1 - 1/b)^b, in [1 - 1/e, 1]
+        _, banding = near_dedup.banding_odds(0.0, bands, rows)
+        odds, _ = near_dedup.banding_odds(banding, bands, rows)
+        assert 1 - 1 / math.e - 1e-9 <= odds <= 1 + 1e-9
+
+
 class TestUnionFind:
     def test_transitive_chain(self):
         uf = UnionFind()

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -183,6 +184,41 @@ class TestRun:
         assert "spaced" in {d.id for d in out}
         assert encoded == [d.id for d in out if d.text != texts[d.id]]
         assert encoded[-1:] == ["spaced"]
+
+    def test_pack_reads_the_ids_of_the_filtered_texts(self, tmp_path, lang):
+        """filter changes texts in place after token_count has kept their
+        ids; pack tokenizes the new texts, so packed.bin holds the ids of
+        the texts written, never those cached before filter changed them."""
+        from corpusprep import packing, subword
+
+        config = build_workspace(tmp_path, n_docs=10, stages=["token_count", "filter", "pack"])
+        raw = yaml.safe_load(config.read_text("utf-8"))
+        raw["heuristics"] = {"min_words": 5}
+        raw["pack"]["split"] = False
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        cfg = load_config(config)
+        rng = np.random.default_rng(3)
+        # a repeated short line is boilerplate, which filter strips
+        texts = [f"{lang.sentence(rng, 8)}\nsākums  kontakti\n{lang.sentence(rng, 8)}\n"
+                 "sākums kontakti" for _ in range(6)]
+        write_jsonl([Document(id=f"d{i}", source="web", text=t) for i, t in enumerate(texts)],
+                    cfg.input)
+        report = run_pipeline(cfg)
+        assert [s.docs_out for s in report.stages] == [6, 6, 6]
+
+        work = Path(cfg.work_dir)
+        vocab = subword.load_vocab(cfg.vocab.path)
+        filtered = [d.text for d in read_jsonl(work / "02_pack.jsonl")]
+        assert all(a != b for a, b in zip(texts, filtered))
+        ids = [subword.tokenize(t, vocab) for t in filtered]
+        assert ids != [subword.tokenize(t, vocab) for t in texts]
+        packed = []
+        for window in packing.read_packed(work / "packed.bin"):
+            tokens = window["tokens"].copy()
+            for pos, _, orig in window["masks"]:
+                tokens[pos] = orig
+            packed += [t for t in tokens.tolist() if t != vocab.pad_id]
+        assert packed == [t for doc_ids in ids for t in (vocab.bos_id, *doc_ids, vocab.eos_id)]
 
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
@@ -451,24 +487,43 @@ class TestInputSpelling:
 
 class TestAtomicWrites:
     def test_every_work_dir_file_arrives_by_replace(self, tmp_path, monkeypatch):
-        replaced = []
-        real = os.replace
+        """Every work-dir file is synced, then renamed into place, then its
+        directory is synced, one file after the other; the report is
+        replaced last in each stage, right after the stage's sidecar."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-        def spy(src, dst):
-            replaced.append(Path(dst).name)
-            real(src, dst)
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, Path(dst)))
+            real_replace(src, dst)
 
         cfg = load_config(build_workspace(tmp_path, n_docs=120))
-        monkeypatch.setattr(os, "replace", spy)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
         run_pipeline(cfg)
-        on_disk = sorted(p.name for p in (tmp_path / "work").iterdir())
+        work = tmp_path / "work"
+        replaced = []
+        assert len(events) % 3 == 0
+        for i in range(0, len(events), 3):
+            synced, (op, ino, dst), dir_synced = events[i:i + 3]
+            assert op == "replace" and dst.parent == work
+            assert synced == ("fsync", ino)
+            assert dir_synced == ("fsync", work.stat().st_ino)
+            replaced.append(dst.name)
+        on_disk = sorted(p.name for p in work.iterdir())
         assert "packed.bin" in on_disk
         assert sorted(set(replaced)) == on_disk
-        # the report is rewritten once per stage, right after its sidecar
         ends = [i for i, name in enumerate(replaced) if name == "report.json"]
         assert len(ends) == len(cfg.stages) and ends[-1] == len(replaced) - 1
-        for idx, (stage, end) in enumerate(zip(cfg.stages, ends)):
-            assert replaced[end - 1] == f"{idx:02d}_{stage}.jsonl.rejects"
+        for idx, (stage, start, end) in enumerate(zip(cfg.stages, [-1, *ends], ends)):
+            out = f"{idx:02d}_{stage}.jsonl"
+            side = {"packed.bin", "packed.meta.jsonl"} if stage == "pack" else set()
+            assert set(replaced[start + 1:end]) == {out, f"{out}.rejects", *side}
+            assert replaced[end - 1] == f"{out}.rejects"
 
     def test_failed_pack_leaves_earlier_files(self, tmp_path, monkeypatch):
         from corpusprep import packing

@@ -216,11 +216,11 @@ class TestFilterWordCount:
         the split of the text it writes, whatever whitespace the raw text
         held."""
         filtered = strip_boilerplate(normalize_text(text))
-        # the second document is kept itself, its text already filtered
+        # the second document keeps its text object, its text already filtered
         docs = [doc(text, id="a"), doc(filtered, id="b")]
-        out, _, _ = pipeline.stage_filter(docs, PipelineConfig(), None)
-        assert out[1] is docs[1]
-        for d in out:
+        pipeline.stage_filter(docs, PipelineConfig(), None)
+        assert docs[1].text is filtered
+        for d in docs:
             assert d.text == filtered
             assert d.word_count == len(d.text.split())
 
@@ -248,9 +248,9 @@ class TestLengthRuleFirst:
             return original(chunk)
 
         with mock.patch.object(quality, "_class_counts", recording):
-            out, verdicts, extra = pipeline.stage_filter(docs, cfg, None)
+            verdicts, extra = pipeline.stage_filter(docs, cfg, None)
         assert long_text not in counted and "tikai divi" not in counted
         assert len(counted) == 3
-        assert [d.id for d in out] == [d.id for d in docs]
-        assert verdicts == [apply_heuristics(d, cfg.heuristics) for d in out]
+        assert [d.id for d in docs] == ["a", "long", "short", "digits", "b"]
+        assert verdicts == [apply_heuristics(d, cfg.heuristics) for d in docs]
         assert verdicts[1:3] == ["too_long", "too_short"] and extra is None

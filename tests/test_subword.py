@@ -318,12 +318,14 @@ class TestTokenIds:
         assert tokenized == ["ab ba"] * 3
         assert doc.token_ids[0] is small_vocab
 
-    def test_with_text_drops_the_ids(self, tokenized, small_vocab):
+    def test_a_new_text_drops_the_ids(self, tokenized, small_vocab):
         doc = Document(id="d", source="s", text="ab")
-        token_ids(doc, small_vocab)
-        copy = doc.with_text("ba")
-        assert copy.token_ids is None
-        assert token_ids(copy, small_vocab).tolist() == list(tokenize("ba", small_vocab))
+        ids = token_ids(doc, small_vocab)
+        doc.set_normalized_text("ab")
+        assert doc.token_ids[1] is ids
+        doc.set_normalized_text("ba")
+        assert doc.token_ids is None
+        assert token_ids(doc, small_vocab).tolist() == list(tokenize("ba", small_vocab))
         assert tokenized == ["ab", "ba"]
 
     def test_eq_repr_and_json_ignore_the_ids(self, small_vocab):
