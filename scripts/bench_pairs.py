@@ -6,10 +6,12 @@ one invocation at a time (two at once would share a checkout's work dir and
 the machine), alternating which side goes first. For each end-to-end
 metric that the change's ``BENCHMARK.json`` declares, it prints each side's
 median and quartiles, the pairs the change won (ties count for neither),
-whether the claim rule holds (the change won at least nine tenths of the
-pairs, and the medians differ, in the metric's better direction, by more
-than the parent's interquartile range) and each pair's values. It also
-prints each run's ``correct`` and ``failed`` and its output digest.
+the no-regression verdict a change that claims no gain needs (none, WORSE
+or unresolved; see ``regression``), whether the claim rule holds (the
+change won at least nine tenths of the pairs, and the medians differ, in
+the metric's better direction, by more than the parent's interquartile
+range) and each pair's values. It also prints each run's ``correct`` and
+``failed`` and its output digest.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -62,6 +64,20 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def regression(parent: list, change: list, lower: bool, bound: float) -> str:
+    """The no-regression verdict of one metric's runs: ``WORSE`` when the
+    change's median is worse than the parent's by more than *bound*, a
+    share of the parent's median; else ``unresolved`` when the parent's
+    interquartile range is wider than that share and not every change run
+    beats every parent run; else ``none``."""
+    p1, p_med, p3 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    if (c_med - p_med if lower else p_med - c_med) > bound * p_med:
+        return "WORSE"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    return "unresolved" if p3 - p1 > bound * p_med and not beats_all else "none"
+
+
 def summarize(pairs: list, declared: list) -> list[str]:
     """The report lines of *pairs*, ``(parent result, change result)`` as
     parse_result gives them, for the end-to-end metrics *declared* (the
@@ -79,17 +95,19 @@ def summarize(pairs: list, declared: list) -> list[str]:
     for metric in declared:
         name, unit, lower = metric["name"], metric["unit"], metric["better"] == "lower"
         values = [[r["metrics"][name]["value"] for r in pair] for pair in pairs]
-        p1, p_med, p3 = quartiles([p for p, _ in values])
-        c1, c_med, c3 = quartiles([c for _, c in values])
+        parent_values, change_values = [p for p, _ in values], [c for _, c in values]
+        p1, p_med, p3 = quartiles(parent_values)
+        c1, c_med, c3 = quartiles(change_values)
         won = sum(c < p if lower else c > p for p, c in values)
         gain = p_med - c_med if lower else c_med - p_med
         holds = won >= WIN_SHARE * len(pairs) and gain > p3 - p1
+        verdict = regression(parent_values, change_values, lower, metric["bound"])
         out.append(
             f"{name} ({unit}, {metric['better']} is better): parent {p_med:.4f} "
             f"[{p1:.4f}, {p3:.4f}], change {c_med:.4f} [{c1:.4f}, {c3:.4f}], "
             f"change {(c_med / p_med - 1) * 100:+.1f}% (bound {metric['bound']}), "
             f"won {won}/{len(pairs)} pairs, median gain {gain:.4f} vs parent IQR "
-            f"{p3 - p1:.4f}: claim {'holds' if holds else 'not met'}"
+            f"{p3 - p1:.4f}: regression {verdict}, claim {'holds' if holds else 'not met'}"
         )
         out.append("  per pair, parent/change: "
                    + " ".join(f"{p:.4f}/{c:.4f}" for p, c in values))

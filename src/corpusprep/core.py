@@ -14,11 +14,12 @@ on disk and is lifted into ``Document.token_count`` on read.
 
 A run tokenizes each document once: ``subword.token_ids`` keeps the ids on
 ``Document.token_ids`` as ``(vocab, uint16 array)``, in memory only, until
-``Document.set_normalized_text`` gives it a new text; a document read from
-JSONL is tokenized again when its ids are first needed. Its text is split
-at most once: reading splits nothing, the filter stage counts its texts'
-words by their separators (``set_normalized_text``), and the tokenizer's
-split (``Document.split_words``) fills ``Document.word_count``, which is
+``Document.set_normalized_text`` gives it a new text, which drops the ids
+and ``Document.token_count``; a document read from JSONL is tokenized
+again when its ids are first needed. Its text is split at most once:
+reading splits nothing, the filter stage counts its texts' words by their
+separators (``set_normalized_text``), and the tokenizer's split
+(``Document.split_words``) fills ``Document.word_count``, which is
 otherwise counted when first read.
 
 A line is two parts: the *prefix* ``{"id": …, "source": …, "url": …,
@@ -46,6 +47,10 @@ Rejected records go to a ``<output>.rejects`` sidecar as
 
 Per-word work (subword ids, shingle word hashes) is memoized in a
 ``WordMemo``, bounded in words and in the characters of its long words.
+The array layers (``quality.char_ratios``, ``near_dedup.shingles``,
+``ngram_lm.perplexities``) make one payload per document and run one array
+kernel per list of ``chunks``, which closes a list at the first document
+that brings its total size to the layer's constant or past it.
 """
 
 from __future__ import annotations
@@ -130,6 +135,23 @@ class WordMemo(dict):
         return value
 
 
+def chunks(items: Iterable, size, limit: int) -> Iterator[list]:
+    """Consecutive lists of *items*, in order: each list is closed at the
+    first item that brings its total ``size(item)`` to *limit* or past it,
+    and the items after the last such item make one more list (none if
+    there are none). So a list's total stays below *limit* plus its largest
+    item, and an array kernel run per list needs no corpus-sized temporary."""
+    chunk, total = [], 0
+    for item in items:
+        chunk.append(item)
+        total += size(item)
+        if total >= limit:
+            yield chunk
+            chunk, total = [], 0
+    if chunk:
+        yield chunk
+
+
 @dataclass(slots=True)
 class Document:
     """One corpus record. ``word_count`` is the number of words of
@@ -170,10 +192,11 @@ class Document:
     def set_normalized_text(self, text: str) -> None:
         """Set *text*, in normalize_text's format, with its word count by
         ``separated_word_count``. An equal text keeps the text object, whose
-        line can be copied; a new one drops the ids kept for the old."""
+        line can be copied; a new one drops the ids and token count kept
+        for the old."""
         if text != self.text:
             self.text = text
-            self.token_ids = None
+            self.token_ids = self.token_count = None
         self._word_count = separated_word_count(text)
 
     def json_head(self) -> str:

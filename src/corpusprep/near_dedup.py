@@ -4,11 +4,11 @@ Shingles: each lowercased word is hashed with blake2b (through a
 ``core.WordMemo`` per call), n consecutive word hashes are combined by a
 Karp-Rabin polynomial mod 2^64, and each value is finished with splitmix64,
 so that the multiply-add family below does not see the polynomial's
-low-bit structure. A whole corpus is shingled in one pass over its words
-(in chunks, to bound memory): one polynomial over the concatenated word
-hashes, whose windows that cross a document boundary are dropped, and one
-sort by (document, value). Its shingle sets come back concatenated, with
-one size per document.
+low-bit structure. A corpus is shingled in one pass per ``core.chunks``
+list of its documents' word hashes (one bytes object per document): one
+polynomial over the concatenated hashes, whose windows that cross a
+document boundary are dropped, and one sort by (document, value). Its
+shingle sets come back concatenated, with one size per document.
 
 Signatures use a seeded multiply-add family over the 64-bit ring: with an
 odd multiplier, h(x) = a*x + b (mod 2^64) is a bijection of the hash
@@ -27,14 +27,14 @@ from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
-from corpusprep.core import Document, WordMemo
+from corpusprep.core import Document, WordMemo, chunks
 
 DEFAULT_SHINGLE_N = 5
 # Karp-Rabin base: an odd 64-bit multiplier (Steele & Vigna's LCG constant)
 SHINGLE_BASE = np.uint64(0xD1342543DE82EF95)
-# Documents are shingled in chunks of at most this many documents, closed
-# once they reach this many words, so that shingling needs no corpus-sized
-# temporary (and a chunk's document numbers fit in uint16)
+# Documents are shingled in core.chunks of this many words plus one per
+# document, so that shingling needs no corpus-sized temporary and a
+# chunk's at most SHINGLE_CHUNK document numbers fit in uint16
 SHINGLE_CHUNK = 1 << 13
 # Most bytes of one signing chunk's products, so that signing needs no
 # corpus-sized temporary
@@ -56,28 +56,19 @@ def shingles(
     if isinstance(texts, str):
         raise TypeError("shingles takes a sequence of texts, not a str")
     word_hash = WordMemo(_word_hash).__getitem__
-    chunks = []
-    hashes: list = []  # the word hashes of the chunk's documents
-    lens: list = []  # their numbers of words
-    for text in texts:
-        before = len(hashes)
-        hashes += map(word_hash, text.lower().split())
-        lens.append(len(hashes) - before)
-        if len(hashes) >= SHINGLE_CHUNK or len(lens) == SHINGLE_CHUNK:
-            chunks.append(_shingle_chunk(hashes, lens, n))
-            hashes, lens = [], []
-    chunks.append(_shingle_chunk(hashes, lens, n))
-    values, sizes = zip(*chunks)
+    hashes = (b"".join(map(word_hash, text.lower().split())) for text in texts)
+    docs = chunks(hashes, lambda h: len(h) // 8 + 1, SHINGLE_CHUNK)
+    values, sizes = zip(*[_shingle_chunk(c, n) for c in docs] or [_shingle_chunk([], n)])
     return np.concatenate(values), np.concatenate(sizes)
 
 
-def _shingle_chunk(hashes: list, lens: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``shingles`` of the documents whose word hashes, one after another,
-    are *hashes*, *lens* words each."""
-    n_docs = len(lens)
-    n_words = len(hashes)
-    lens = np.array(lens, dtype=np.int64)
+def _shingle_chunk(hashes: list[bytes], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shingles`` of the documents whose word hashes are *hashes*, one
+    bytes object of 8 bytes a word per document."""
+    n_docs = len(hashes)
+    lens = np.array([len(h) // 8 for h in hashes], dtype=np.int64)
     ends = np.cumsum(lens)
+    n_words = int(lens.sum())
     # padded so that every window has n words
     w = np.frombuffer(b"".join(hashes) + bytes(8 * (n - 1)), dtype="<u8")
     # a document of fewer than n words has the one window of all of them,

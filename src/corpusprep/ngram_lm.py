@@ -27,9 +27,9 @@ row of level k-1 that is a context of a k-gram (1.0 for a row that is
 not); the unigram level is one array over the ids. The key, alpha and
 lam arrays have one more entry, for the row of a window not in the trie.
 
-Documents are scored together, in one pass per chunk of about SCORE_CHUNK
-positions: the ids of the chunk's sentences, each padded with order-1 start
-symbols and closed with the end symbol. Per order k there is one
+Documents are scored together, in one pass per ``core.chunks`` list of
+SCORE_CHUNK positions: the ids of its sentences, each padded with order-1
+start symbols and closed with the end symbol. Per order k there is one
 searchsorted over all positions, of the queries in sorted order (one
 argsort), with the rows scattered back: the k-gram ending at position i
 extends the (k-1)-gram ending there by the word k-1 places back, and the
@@ -65,14 +65,14 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from corpusprep.core import Document, open_replacing
+from corpusprep.core import Document, chunks, open_replacing
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -81,8 +81,8 @@ EOS = "</s>"
 DEFAULT_ORDER = 5
 DEFAULT_MIN_COUNT = 2
 
-# perplexities closes a chunk of documents, scored in one _token_probs
-# call, at the first document boundary at or past this many positions
+# perplexities scores documents in core.chunks of this many positions,
+# one _token_probs call each
 SCORE_CHUNK = 1 << 14
 
 MODEL_FORMAT = "kn-ngram-v2"
@@ -357,26 +357,38 @@ def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[Perple
     n scored tokens (each sentence's words and end symbol), or inf with
     log_prob 0.0 if it has none.
 
-    The padded ids of consecutive documents are scored together, one
-    _token_probs call per chunk; a chunk is closed at the first document
-    boundary at or past SCORE_CHUNK positions. A position reads only the
-    order-1 ids before it, which are its own sentence's start symbols or
-    words, so scoring documents together gives each token the probability
-    it gets alone. Per sentence, math.log is mapped over its probabilities
-    and reduce adds them left to right, from 0.0; a document's log_prob
-    adds its sentences' sums in order.
+    Each document's padded ids are scored together with its neighbours',
+    one _token_probs call per ``core.chunks`` list of SCORE_CHUNK positions.
+    A position reads only the order-1 ids before it, which are its own
+    sentence's start symbols or words, so scoring documents together gives
+    each token the probability it gets alone. Per sentence, math.log is
+    mapped over its probabilities and reduce adds them left to right, from
+    0.0; a document's log_prob adds its sentences' sums in order.
     """
     get = model.vocab_index.get
     unk, eos, k = model._unk, model._eos, model.order - 1
     pad = [model._bos] * k
-    out: list[PerplexityVerdict] = []
-    seq: list[int] = []
-    pending = []  # (doc id, scored tokens per sentence) of the open chunk
 
-    def score_chunk() -> None:
-        probs = model._token_probs(np.array(seq, np.int64)).tolist()
+    def padded(doc: Document) -> tuple[str, list, list]:
+        """doc.id, the padded ids of its sentences, and each one's scored tokens."""
+        ids, lengths = [], []
+        # str.lower reads context only for a final sigma, and a line break
+        # ends that context, so lowercasing the whole text lowercases each line
+        for line in doc.text.lower().split("\n"):
+            words = line.split()
+            if words:
+                ids += pad
+                ids += map(get, words, repeat(unk))
+                ids.append(eos)
+                lengths.append(len(words) + 1)
+        return doc.id, ids, lengths
+
+    out: list[PerplexityVerdict] = []
+    for chunk in chunks(map(padded, docs), lambda d: len(d[1]), SCORE_CHUNK):
+        seq = np.fromiter(chain.from_iterable(ids for _, ids, _ in chunk), np.int64)
+        probs = model._token_probs(seq).tolist()
         end = 0
-        for doc_id, lengths in pending:
+        for doc_id, _, lengths in chunk:
             lp = 0.0
             for length in lengths:
                 start = end + k
@@ -385,24 +397,6 @@ def perplexities(model: KneserNeyModel, docs: Iterable[Document]) -> list[Perple
             n = sum(lengths)
             out.append(PerplexityVerdict(doc_id, math.exp(-lp / n), lp, n) if n
                        else PerplexityVerdict(doc_id, math.inf, 0.0, 0))
-        seq.clear()
-        pending.clear()
-
-    for doc in docs:
-        lengths = []
-        # str.lower reads context only for a final sigma, and a line break
-        # ends that context, so lowercasing the whole text lowercases each line
-        for line in doc.text.lower().split("\n"):
-            words = line.split()
-            if words:
-                seq += pad
-                seq += map(get, words, repeat(unk))
-                seq.append(eos)
-                lengths.append(len(words) + 1)
-        pending.append((doc.id, lengths))
-        if len(seq) >= SCORE_CHUNK:
-            score_chunk()
-    score_chunk()
     return out
 
 

@@ -5,9 +5,9 @@ per input from its normalized, stripped text, whose words it counts by
 their separators (core.separated_word_count), as such a text has one space
 or newline between words and no other whitespace. heuristic_verdicts
 applies the length rule first; the character ratios of the documents that
-pass it are counted in a few array passes (char_ratios), each character
-classified by a lookup in a table of the code points below U+0800, and
-handed to apply_heuristics document by document.
+pass it are counted by char_ratios, one array pass per core.chunks list,
+each character classified by a lookup in a table of the code points below
+U+0800, and handed to apply_heuristics document by document.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
-from corpusprep.core import Document
+from corpusprep.core import Document, chunks
 
 LATVIAN_DIACRITICS = set("āčēģīķļņšūž")
 
@@ -26,8 +26,8 @@ BOILERPLATE_MAX_LINE_LEN = 80
 # character classes of char_ratios, in the order of its counts
 WHITESPACE, OTHER, ALPHA, LATVIAN, DIGIT = range(5)
 N_CLASSES = 5
-# char_ratios closes a chunk of texts, counted in one pass, at the first
-# text boundary at or past this many characters
+# char_ratios counts texts in core.chunks of this many characters, one
+# array pass each
 RATIO_CHUNK = 1 << 16
 
 
@@ -94,28 +94,17 @@ def char_ratios(texts: Iterable[str]) -> list[tuple[float, float, float]]:
 
     alpha and digit ratios are over non-whitespace characters; the Latvian
     diacritic ratio is over alphabetic characters. Texts are counted in
-    chunks, each closed at the first text boundary at or past RATIO_CHUNK
-    characters (see _class_counts).
+    ``core.chunks`` of RATIO_CHUNK characters, one _class_counts call each.
     """
-    counts: list[list[int]] = []
-    chunk: list[str] = []
-    size = 0
-    for text in texts:
-        chunk.append(text)
-        size += len(text)
-        if size >= RATIO_CHUNK:
-            counts += _class_counts(chunk)
-            chunk, size = [], 0
-    if chunk:
-        counts += _class_counts(chunk)
     out = []
-    for _, other, alpha_only, latvian, digit in counts:
-        non_ws = other + alpha_only + latvian + digit
-        alpha = alpha_only + latvian
-        if non_ws == 0:
-            out.append((0.0, 0.0, 0.0))
-        else:
-            out.append((alpha / non_ws, digit / non_ws, latvian / alpha if alpha else 0.0))
+    for chunk in chunks(texts, len, RATIO_CHUNK):
+        for _, other, alpha_only, latvian, digit in _class_counts(chunk):
+            non_ws = other + alpha_only + latvian + digit
+            alpha = alpha_only + latvian
+            if non_ws == 0:
+                out.append((0.0, 0.0, 0.0))
+            else:
+                out.append((alpha / non_ws, digit / non_ws, latvian / alpha if alpha else 0.0))
     return out
 
 

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from corpusprep import core
 from corpusprep.core import (
@@ -103,6 +103,22 @@ class TestWordCount:
         assert word_count(" ".join(words)) == len(words)
 
 
+class TestChunks:
+    @given(sizes=st.lists(st.integers(0, 9), max_size=30), limit=st.integers(1, 20))
+    @example(sizes=[], limit=1)
+    @example(sizes=[0, 0, 5, 0], limit=5)
+    def test_each_chunk_closes_at_the_first_item_reaching_the_limit(self, sizes, limit):
+        items = list(enumerate(sizes))  # distinct items of those sizes
+        got = list(core.chunks(iter(items), lambda item: item[1], limit))
+        assert [item for chunk in got for item in chunk] == items
+        assert all(got) and (got != []) == (items != [])
+        totals = [sum(size for _, size in chunk) for chunk in got]
+        assert all(total >= limit for total in totals[:-1])
+        assert all(sum(size for _, size in chunk[:-1]) < limit for chunk in got)
+        assert all(total < limit + max(size for _, size in chunk)
+                   for chunk, total in zip(got, totals))
+
+
 class TestLazyWordCount:
     """``Document.word_count`` is counted when first read, or filled by the
     tokenizer's split, and always equals ``len(text.split())``."""
@@ -119,6 +135,14 @@ class TestLazyWordCount:
         token_ids(tokenized, small_vocab)
         with mock.patch("corpusprep.core.word_count", side_effect=AssertionError):
             assert tokenized.word_count == len(text.split())
+
+    def test_a_new_text_drops_its_token_count_and_ids(self, small_vocab):
+        doc = Document(id="d", source="s", text="viens divi\nviens")
+        doc.token_count = len(token_ids(doc, small_vocab))
+        doc.set_normalized_text("viens divi\nviens")
+        assert doc.token_count is not None and doc.token_ids is not None
+        doc.set_normalized_text("viens divi")
+        assert doc.token_count is None and doc.token_ids is None
 
     @given(text=_WHITESPACE_TEXT)
     def test_equality_does_not_depend_on_counting(self, text):

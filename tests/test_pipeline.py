@@ -219,6 +219,27 @@ class TestRun:
                 tokens[pos] = orig
             packed += [t for t in tokens.tolist() if t != vocab.pad_id]
         assert packed == [t for doc_ids in ids for t in (vocab.bos_id, *doc_ids, vocab.eos_id)]
+        # filter drops a changed text's token count with its ids
+        for name in ("01_filter.jsonl", "02_pack.jsonl"):
+            for doc in read_jsonl(work / name):
+                assert doc.token_count in (None, len(subword.tokenize(doc.text, vocab))), name
+
+    def test_sample_after_filter_refuses_a_document_filter_changed(self, tmp_path, lang,
+                                                                   capsys):
+        """After [token_count, filter], a text filter changed has no count,
+        and sample names it instead of budgeting with its old text's."""
+        config = build_workspace(tmp_path, n_docs=10,
+                                 stages=["token_count", "filter", "sample"])
+        cfg = load_config(config)
+        rng = np.random.default_rng(3)
+        write_jsonl([Document(id="kept", source="web", text=lang.document(rng, 4, 12)),
+                     Document(id="stripped", source="web",
+                              text=f"{lang.document(rng, 4, 12)}\nsākums\nsākums")],
+                    cfg.input)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("[")] == [
+            "stage failure: stage sample failed: document 'stripped' has no token_count"]
 
     def test_all_stages_produce_outputs(self, ran_workspace):
         root, cfg, report = ran_workspace
@@ -689,3 +710,31 @@ class TestSourceTree:
             if not (name.startswith("__") and name.endswith("__"))
         }
         assert not unused, sorted(unused)
+
+    def test_every_traced_span_wraps_a_name_that_exists(self):
+        """perfbench's spans.install wraps each layer by attribute name and
+        skips a missing one silently, so its metrics would read 0. Run it
+        in a fresh process (it patches the modules it wraps), writing no
+        bytecode under perfbench/, and list every name it did not find.
+        LshIndex.candidate_pairs and ngram_lm.perplexity are known stale."""
+        root = Path(__file__).parent.parent
+        code = f"""
+import json, sys
+sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+import spans
+missing = []
+def recording(wrap):
+    def wrapped(self, owner, attr, *args, **kwargs):
+        if getattr(owner, attr, None) is None:
+            missing.append(owner.__name__.rsplit(".", 1)[-1] + "." + attr)
+        return wrap(self, owner, attr, *args, **kwargs)
+    return wrapped
+spans.Tracer.wrap = recording(spans.Tracer.wrap)
+spans.Tracer.wrap_generator = recording(spans.Tracer.wrap_generator)
+spans.install(spans.Tracer())
+print(json.dumps(missing))
+"""
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        missing = set(json.loads(proc.stdout))
+        assert missing <= {"LshIndex.candidate_pairs", "ngram_lm.perplexity"}, missing

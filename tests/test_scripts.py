@@ -112,7 +112,8 @@ def test_bench_pairs_claim_holds_on_nine_wins_beyond_the_parent_iqr():
     # and 6.75 of 0 .. 9, 0.12125 and 0.12575
     assert wall == ("wall_s (s, lower is better): parent 0.1235 [0.1212, 0.1258], "
                     "change 0.1045 [0.1022, 0.1067], change -15.4% (bound 0.25), "
-                    "won 9/10 pairs, median gain 0.0190 vs parent IQR 0.0045: claim holds")
+                    "won 9/10 pairs, median gain 0.0190 vs parent IQR 0.0045: "
+                    "regression none, claim holds")
     assert wall_pairs == "  per pair, parent/change: " + " ".join(
         f"{p:.4f}/{c:.4f}" for p, c in zip(parent, change))
     assert "won 9/10 pairs" in mbps and mbps.endswith("claim holds")
@@ -127,6 +128,25 @@ def test_bench_pairs_claim_holds_on_nine_wins_beyond_the_parent_iqr():
 def test_bench_pairs_claim_not_met(parent, change, why):
     wall = bench_summary(parent, change)[len(parent) + 1]
     assert why in wall and wall.endswith("claim not met")
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # medians 0.100 and 0.120: 20% worse, within the bound of 25%
+    ([0.099, 0.100, 0.101, 0.100], [0.119, 0.120, 0.121, 0.120], "none"),
+    # medians 0.100 and 0.140: 40% worse, and MB/s 29% worse
+    ([0.099, 0.100, 0.101, 0.100], [0.139, 0.140, 0.141, 0.140], "WORSE"),
+    # equal medians, but the parent's IQR is 0.10 of a median of 0.15
+    ([0.10, 0.20, 0.10, 0.20], [0.10, 0.20, 0.20, 0.10], "unresolved"),
+    # as wide a parent spread, which every change run beats
+    ([0.10, 0.20, 0.10, 0.20], [0.09, 0.09, 0.08, 0.09], "none"),
+])
+def test_bench_pairs_no_regression_verdict(parent, change, verdict):
+    lines = bench_summary(parent, change)
+    wall, mbps = lines[len(parent) + 1], lines[len(parent) + 3]
+    assert f": regression {verdict}, claim" in wall
+    # MB/s, higher is better, falls as wall_s rises
+    if verdict == "WORSE":
+        assert ": regression WORSE, claim" in mbps
 
 
 def test_bench_pairs_reports_failed_runs_and_differing_digests():
