@@ -79,8 +79,9 @@ def _run_single_stage(stage: str, args) -> int:
     docs, _ = pipeline.read_input(args.input)
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
-        extra = pipeline.pack_docs(docs, cfg, args.output, loaded.vocab)
-        _, stats, _ = StageStats.tally("pack", docs, extra=extra)
+        stats = StageStats("pack", extra=pipeline.pack_docs(docs, cfg, args.output, loaded.vocab))
+        for _ in stats.tally(docs):
+            pass
     else:
         _, stats = pipeline.run_stage(stage, docs, cfg, loaded, args.output, args.input)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))

@@ -42,8 +42,9 @@ are those recorded, and its tail when ``meta`` and ``token_count`` are, in
 byte ranges merged with their neighbours; it encodes the other parts.
 ``line_at`` holds no encoded bytes and is never serialized.
 
-Rejected records go to a ``<output>.rejects`` sidecar as
-``{"id", "stage", "reason"}`` JSONL lines, which ``StageStats.tally`` returns.
+``StageStats.tally`` reads a stage's documents and verdicts in one pass
+and yields each document with its ``{"id", "stage", "reason"}`` record for
+the ``<output>.rejects`` sidecar (``write_rejects``), or None when kept.
 
 Per-word work (subword ids, shingle word hashes) is memoized in a
 ``WordMemo``, bounded in words and in the characters of its long words.
@@ -62,6 +63,7 @@ import stat
 import unicodedata
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -271,7 +273,8 @@ class StageStats:
     """Per-stage accounting; every input doc is counted exactly once as
     output or reject. Words are counted on the texts a stage passes on, so
     ``filter``'s ``words_in`` counts its normalized, stripped texts, not
-    the raw input's. Build one with ``tally``."""
+    the raw input's. Counted by ``tally`` in the pass that hands each
+    document on, building no list of kept documents or reject records."""
 
     stage: str
     docs_in: int = 0
@@ -282,54 +285,47 @@ class StageStats:
     per_source: dict = field(default_factory=dict)  # source -> SourceStats
     extra: dict = field(default_factory=dict)
 
-    @classmethod
-    def tally(
-        cls,
-        stage: str,
-        docs: list,
-        reasons: Optional[list] = None,
-        extra: Optional[dict] = None,
-    ) -> tuple[list, "StageStats", list]:
-        """The kept documents, the stats of *stage* over *docs* and the
-        ``.rejects`` sidecar records ``{"id", "stage", "reason"}``.
+    def tally(self, docs: list, verdicts: Optional[Iterable] = None) -> Iterator[tuple]:
+        """Count each document of *docs* with its verdict, read together in
+        one pass, and yield it with its ``.rejects`` record ``{"id",
+        "stage", "reason"}``, or None when it is kept.
 
-        *reasons* holds one verdict per document, in order: None keeps it,
-        a string rejects it for that reason, and a ``(reason, detail)`` pair
-        rejects it with ``reason:detail`` written in the sidecar only.
-        ``reasons=None`` keeps every document; ValueError if the verdicts
-        and the documents differ in number."""
-        if reasons is None:
-            reasons = [None] * len(docs)
-        elif len(reasons) != len(docs):
-            raise ValueError(f"{len(reasons)} verdicts for {len(docs)} documents")
-        stats = cls(stage=stage, extra=dict(extra or {}))
-        kept, rejects = [], []
-        for doc, reason in zip(docs, reasons):
-            s = stats.per_source.get(doc.source)
+        *verdicts*, one per document in order, is read once, each verdict
+        before its document's words are counted: None keeps it, a string
+        rejects it for that reason, and a ``(reason, detail)`` pair rejects
+        it with ``reason:detail`` written in the sidecar only. No *verdicts*
+        keeps every document; ValueError at the end of the pass if the
+        verdicts and the documents differ in number."""
+        n, read = len(docs), 0
+        verdicts = iter(repeat(None, n) if verdicts is None else verdicts)
+        for read, (doc, reason) in enumerate(zip(docs, verdicts), 1):
+            s = self.per_source.get(doc.source)
             if s is None:
-                s = stats.per_source[doc.source] = SourceStats()
+                s = self.per_source[doc.source] = SourceStats()
+            words = doc.word_count
             s.docs_in += 1
-            s.words_in += doc.word_count
+            s.words_in += words
+            self.docs_in += 1
+            self.words_in += words
             if reason is None:
                 s.docs_out += 1
-                s.words_out += doc.word_count
-                kept.append(doc)
+                s.words_out += words
+                self.docs_out += 1
+                self.words_out += words
+                yield doc, None
                 continue
             if isinstance(reason, str):
                 logged = reason
             else:
                 reason, detail = reason
                 logged = f"{reason}:{detail}"
-            stats.rejected[reason] = stats.rejected.get(reason, 0) + 1
-            rejects.append({"id": doc.id, "stage": stage, "reason": logged})
+            self.rejected[reason] = self.rejected.get(reason, 0) + 1
             s.rejected_docs += 1
-            s.rejected_words += doc.word_count
-        per_source = stats.per_source.values()
-        stats.docs_in = sum(s.docs_in for s in per_source)
-        stats.docs_out = sum(s.docs_out for s in per_source)
-        stats.words_in = sum(s.words_in for s in per_source)
-        stats.words_out = sum(s.words_out for s in per_source)
-        return kept, stats, rejects
+            s.rejected_words += words
+            yield doc, {"id": doc.id, "stage": self.stage, "reason": logged}
+        read += sum(1 for _ in verdicts)
+        if read != n:
+            raise ValueError(f"{read} verdicts for {n} documents")
 
     @property
     def rejected_docs(self) -> int:
@@ -581,16 +577,13 @@ def write_jsonl(docs: Iterable[Document], path, prev=None) -> int:
     return len(placed)
 
 
-def write_rejects(records: Iterable[dict], path) -> int:
-    """Write canonical JSONL records, a ``.rejects`` sidecar's, replacing
-    *path* atomically; returns the count."""
-    n = 0
+@contextmanager
+def write_rejects(path):
+    """Give a function that writes one record, a ``.rejects`` sidecar's, as
+    a canonical JSONL line to *path*, replaced atomically when the block
+    ends (``open_replacing``)."""
     with open_replacing(path) as fh:
-        for rec in records:
-            fh.write(canonical_json(rec))
-            fh.write("\n")
-            n += 1
-    return n
+        yield lambda record: fh.write(canonical_json(record) + "\n")
 
 
 def write_json(obj, path) -> None:

@@ -55,8 +55,10 @@ def shingles(
     order, and the int64 number of each text's shingles."""
     if isinstance(texts, str):
         raise TypeError("shingles takes a sequence of texts, not a str")
-    word_hash = WordMemo(_word_hash).__getitem__
-    hashes = (b"".join(map(word_hash, text.lower().split())) for text in texts)
+    # each word lowercased alone: str.lower neither makes nor removes
+    # whitespace, and its one context rule, final sigma, stops at it
+    word_hash = WordMemo(lambda word: _word_hash(word.lower())).__getitem__
+    hashes = (b"".join(map(word_hash, text.split())) for text in texts)
     docs = chunks(hashes, lambda h: len(h) // 8 + 1, SHINGLE_CHUNK)
     values, sizes = zip(*[_shingle_chunk(c, n) for c in docs] or [_shingle_chunk([], n)])
     return np.concatenate(values), np.concatenate(sizes)
@@ -119,8 +121,8 @@ def minhash_signature(values: np.ndarray, sizes, k: int, perm_seed: int) -> np.n
     set holds at least one value, as ``shingles`` gives every text one.
 
     The values are signed in chunks of at most SIGN_CHUNK_BYTES of
-    products; a chunk's per-set minima are taken with
-    ``np.minimum.reduceat`` and folded into the rows of the sets it
+    products, into one buffer per call; a chunk's per-set minima are taken
+    with ``np.minimum.reduceat`` and folded into the rows of the sets it
     overlaps."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.sum() != len(values):
@@ -131,13 +133,14 @@ def minhash_signature(values: np.ndarray, sizes, k: int, perm_seed: int) -> np.n
     out = np.full((len(sizes), k), np.iinfo(np.uint64).max, dtype=np.uint64)
     starts = np.cumsum(sizes) - sizes
     step = max(1, SIGN_CHUNK_BYTES // (8 * k))
+    products = np.empty((k, min(step, len(values))), dtype=np.uint64)
     for lo in range(0, len(values), step):
         hi = min(lo + step, len(values))
         # sets d0 .. d1-1 overlap shingles lo .. hi-1
         d0 = int(np.searchsorted(starts, lo, side="right")) - 1
         d1 = int(np.searchsorted(starts, hi, side="left"))
         # uint64 arithmetic wraps mod 2^64 by construction
-        h = np.multiply.outer(a, values[lo:hi])
+        h = np.multiply(a[:, None], values[lo:hi], out=products[:, : hi - lo])
         h += b[:, None]
         part = np.minimum.reduceat(h, np.maximum(starts[d0:d1], lo) - lo, axis=1)
         np.minimum(out[d0:d1], part.T, out=out[d0:d1])

@@ -278,17 +278,9 @@ def write_packed(
             masks["pos"] = plan.positions
             masks["action"] = plan.actions
             masks["orig"] = plan.originals
-            fh.write(
-                b"".join(
-                    (
-                        masked_tokens.astype("<u2").tobytes(),
-                        _COUNTS.pack(seq.pad_count, len(bounds)),
-                        bounds.tobytes(),
-                        _N_MASKED.pack(len(masks)),
-                        masks.tobytes(),
-                    )
-                )
-            )
+            fh.writelines((masked_tokens.astype("<u2").tobytes(),
+                           _COUNTS.pack(seq.pad_count, len(bounds)), bounds.tobytes(),
+                           _N_MASKED.pack(len(masks)), masks.tobytes()))
             meta = {
                 "window": n,
                 "doc_ids": [d for _, _, d in seq.boundaries],

@@ -43,16 +43,6 @@ class RunReport:
     diagnostics: int = 0  # malformed input lines
     total_wall_time: float = 0.0
 
-    def initial_per_source_words(self) -> dict:
-        if not self.stages:
-            return {}
-        return {s: v.words_in for s, v in sorted(self.stages[0].per_source.items())}
-
-    def final_per_source_words(self) -> dict:
-        if not self.stages:
-            return {}
-        return {s: v.words_out for s, v in sorted(self.stages[-1].per_source.items())}
-
     def check_conservation(self) -> None:
         """Each stage's own conservation, and each stage reads exactly the
         documents the previous stage kept; AssertionError otherwise, under
@@ -66,12 +56,14 @@ class RunReport:
 
     def to_dict(self) -> dict:
         # wall time excluded so reports are byte-stable across reruns
+        initial = self.stages[0].per_source if self.stages else {}
+        final = self.stages[-1].per_source if self.stages else {}
         return {
             "config_hash": self.config_hash,
             "diagnostics": self.diagnostics,
             "stages": [s.to_dict() for s in self.stages],
-            "per_source_words_initial": self.initial_per_source_words(),
-            "per_source_words_final": self.final_per_source_words(),
+            "per_source_words_initial": {s: initial[s].words_in for s in sorted(initial)},
+            "per_source_words_final": {s: final[s].words_out for s in sorted(final)},
         }
 
 
@@ -102,17 +94,19 @@ def report_table(report: dict) -> str:
 # them and their order in place, not their number, and returns (verdicts,
 # extra): one verdict per document as the list then stands (None keeps it,
 # a reason string or a (reason, detail) pair rejects it; verdicts=None
-# keeps every document) and its report dict or None. run_stage alone turns
-# them into the kept documents, the stats and the .rejects records with
-# StageStats.tally, which counts documents and the words of their texts
-# (filter's stripped ones) in, out and rejected per source; the algorithm
-# modules only decide, and never name a stage. No stage is given a work
-# dir: pack alone writes side files, packed.bin and its packed.meta.jsonl,
-# into cfg.work_dir through a writer that replaces them atomically.
-# *loaded* is preflight's Loaded, read before any input: token_count and
-# pack share its vocabulary and word-segmentation memo (pack reads the ids
-# subword.token_ids kept at token_count), and lm_score scores with its LM;
-# dedup_exact does not normalize texts again when its ``filtered`` is set.
+# keeps every document), in an iterable read once (filter and token_count
+# yield theirs lazily, so a document may change until its verdict is read),
+# and its report dict or None. run_stage's one pass, StageStats.tally,
+# counts documents and the words of their texts (filter's stripped ones)
+# in, out and rejected per source and writes each as it arrives; the
+# algorithm modules only decide, and never name a stage. No stage is given
+# a work dir: pack alone writes side files, packed.bin and its
+# packed.meta.jsonl, into cfg.work_dir through a writer that replaces them
+# atomically. *loaded* is preflight's Loaded, read before any input:
+# token_count and pack share its vocabulary and word-segmentation memo
+# (pack reads the ids subword.token_ids kept at token_count), and lm_score
+# scores with its LM; dedup_exact does not normalize texts again when its
+# ``filtered`` is set.
 # --------------------------------------------------------------------------
 
 
@@ -141,9 +135,11 @@ def preflight(cfg: PipelineConfig, stages) -> Loaded:
 
 
 def stage_filter(docs, cfg: PipelineConfig, loaded):
-    for doc in docs:
+    def stripped(doc):
         doc.set_normalized_text(quality.strip_boilerplate(normalize_text(doc.text)))
-    return quality.heuristic_verdicts(docs, cfg.heuristics), None
+        return doc
+
+    return quality.heuristic_verdicts(map(stripped, docs), cfg.heuristics), None
 
 
 def stage_dedup_exact(docs, cfg: PipelineConfig, loaded):
@@ -164,9 +160,12 @@ def stage_lm_score(docs, cfg: PipelineConfig, loaded):
 
 
 def stage_token_count(docs, cfg: PipelineConfig, loaded):
-    for doc in docs:
-        doc.token_count = len(subword.token_ids(doc, loaded.vocab))
-    return None, None
+    def counted():
+        for doc in docs:
+            doc.token_count = len(subword.token_ids(doc, loaded.vocab))
+            yield None
+
+    return counted(), None
 
 
 def stage_sample(docs, cfg: PipelineConfig, loaded):
@@ -216,22 +215,37 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
 
 
 def run_stage(name: str, docs, cfg: PipelineConfig, loaded, out_path, prev=None):
-    """Run stage *name* on the list *docs*, write the ones it keeps to
-    *out_path* (copying lines from *prev*) with ``.rejects`` beside it and
-    print its counts and time to stderr; returns (kept, stats), which
-    ``StageStats.tally`` makes conserve. An error inside the stage, or a
-    new length of *docs*, becomes a StageFailure naming it: stages chain."""
+    """Run stage *name* on the list *docs* in one pass, StageStats.tally,
+    writing each kept document to *out_path* (copying lines from *prev*) and
+    each reject's record to ``.rejects`` as its verdict arrives; prints counts
+    and time to stderr and returns (kept, stats). An error of the stage, a
+    new length of *docs* or another number of verdicts is a StageFailure
+    naming it, and writes neither file: stages chain."""
     t0 = time.monotonic()
-    n = len(docs)
-    try:
-        verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
-        if len(docs) != n:
-            raise ValueError(f"left {len(docs)} documents of {n}")
-        kept, stats, rejects = StageStats.tally(name, docs, verdicts, extra)
-    except Exception as e:
-        raise StageFailure(f"stage {name} failed: {e}") from e
-    write_jsonl(kept, out_path, prev)
-    write_rejects(rejects, f"{out_path}.rejects")
+    stats = StageStats(name)
+    kept = []
+
+    def counted():
+        n = len(docs)
+        try:
+            verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
+            if len(docs) != n:
+                raise ValueError(f"left {len(docs)} documents of {n}")
+            stats.extra = dict(extra or {})
+            yield from stats.tally(docs, verdicts)
+        except Exception as e:
+            raise StageFailure(f"stage {name} failed: {e}") from e
+
+    def passed(reject):
+        for doc, record in counted():
+            if record is None:
+                kept.append(doc)
+                yield doc
+            else:
+                reject(record)
+
+    with write_rejects(f"{out_path}.rejects") as reject:
+        write_jsonl(passed(reject), out_path, prev)
     print(
         f"[{name}] in={stats.docs_in} out={stats.docs_out} "
         f"rejected={stats.rejected_docs} ({time.monotonic() - t0:.2f}s)",
@@ -323,7 +337,9 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
         if skipped:
             raise StageFailure(f"{prev} holds {len(skipped)} malformed lines; "
                                "refusing to resume")
-        _, found, _ = StageStats.tally(last.stage, docs)
+        found = StageStats(last.stage)
+        for _ in found.tally(docs):
+            pass
         for src in sorted(found.per_source.keys() | last.per_source.keys()):
             have, want = (s.per_source.get(src, SourceStats()) for s in (found, last))
             if (have.docs_out, have.words_out) != (want.docs_out, want.words_out):

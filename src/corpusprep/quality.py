@@ -13,7 +13,7 @@ U+0800, and handed to apply_heuristics document by document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Iterable, Optional
+from typing import Annotated, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -141,11 +141,13 @@ def apply_heuristics(doc: Document, cfg: HeuristicConfig,
     return None
 
 
-def heuristic_verdicts(docs: list[Document], cfg: HeuristicConfig) -> list[Optional[str]]:
-    """apply_heuristics' verdict of each document, in order. The length rule
-    comes first, so character ratios are counted only for the documents
-    within min_words..max_words."""
-    sized = [cfg.min_words <= doc.word_count <= cfg.max_words for doc in docs]
-    ratios = iter(char_ratios(doc.text for doc, ok in zip(docs, sized) if ok))
-    return [apply_heuristics(doc, cfg, next(ratios) if ok else None)
-            for doc, ok in zip(docs, sized)]
+def heuristic_verdicts(docs: Iterable[Document], cfg: HeuristicConfig) -> Iterator[Optional[str]]:
+    """apply_heuristics' verdict of each document, in order, read from *docs*
+    one ``core.chunks`` list of RATIO_CHUNK characters at a time. The length
+    rule comes first, so character ratios are counted only for the
+    documents within min_words..max_words."""
+    for chunk in chunks(docs, lambda doc: len(doc.text), RATIO_CHUNK):
+        sized = [cfg.min_words <= doc.word_count <= cfg.max_words for doc in chunk]
+        ratios = iter(char_ratios(doc.text for doc, ok in zip(chunk, sized) if ok))
+        for doc, ok in zip(chunk, sized):
+            yield apply_heuristics(doc, cfg, next(ratios) if ok else None)

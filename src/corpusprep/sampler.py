@@ -106,12 +106,10 @@ def sample_to_quota(
     the tokens kept even when ids repeat. *quotas* break no rule of
     validate_quotas, which load_config applies when sample is configured.
     """
-    for doc in docs:
-        if doc.token_count is None:
-            raise ValueError(f"document {doc.id!r} has no token_count")
-
     by_bucket: dict[str, list[int]] = {q.name: [] for q in quotas}
     for i, doc in enumerate(docs):
+        if doc.token_count is None:
+            raise ValueError(f"document {doc.id!r} has no token_count")
         by_bucket[assign_bucket(doc.token_count, quotas)].append(i)
 
     selected = [False] * len(docs)

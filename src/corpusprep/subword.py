@@ -190,22 +190,17 @@ def _segment(word: str, vocab: SubwordVocab) -> bytes:
     data = word.encode("utf-8", "surrogatepass")
     ids: list[int] = []
     pos = 0
-    first = True
+    table, max_len, prefix = vocab.initial, vocab._max_init, 0
     while pos < len(data):
-        if first:
-            piece_id = _match_longest(data, pos, vocab.initial, vocab._max_init)
-        else:
-            piece_id = _match_longest(
-                data, pos, vocab.continuation, vocab._max_cont
-            )
+        piece_id = _match_longest(data, pos, table, max_len)
         if piece_id is None:
             ids.append(vocab.unk_id)
             pos += 1
         else:
-            piece = vocab.pieces[piece_id]
-            pos += len(piece) - (0 if first else len(CONT_PREFIX))
             ids.append(piece_id)
-        first = False
+            pos += len(vocab.pieces[piece_id]) - prefix
+        # every piece after the first is a continuation piece
+        table, max_len, prefix = vocab.continuation, vocab._max_cont, len(CONT_PREFIX)
     return array("H", ids).tobytes()
 
 

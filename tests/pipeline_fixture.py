@@ -7,7 +7,7 @@ import numpy as np
 import yaml
 
 from corpusprep import pipeline
-from corpusprep.core import Document, write_jsonl
+from corpusprep.core import Document, StageStats, write_jsonl
 from corpusprep.ngram_lm import train_kn_sentences
 
 from synthetic import (
@@ -133,3 +133,17 @@ def crash_after(monkeypatch, cfg, stage: str) -> None:
         raise RuntimeError(f"injected failure after stage {stage}")
 
     monkeypatch.setattr(pipeline, f"stage_{following}", fail)
+
+
+def tally(stage, docs, verdicts=None, extra=None):
+    """(kept, stats, rejects) of one StageStats.tally pass of *stage* over
+    *docs* and *verdicts*: the kept documents and the .rejects records that
+    run_stage hands to its writers, collected."""
+    stats = StageStats(stage, extra=dict(extra or {}))
+    kept, rejects = [], []
+    for doc, record in stats.tally(docs, verdicts):
+        if record is None:
+            kept.append(doc)
+        else:
+            rejects.append(record)
+    return kept, stats, rejects

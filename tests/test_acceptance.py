@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from corpusprep.config import load_config
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 from corpusprep.exact_dedup import dedup_exact
 from corpusprep.near_dedup import (
     find_duplicate_clusters,
@@ -48,7 +48,7 @@ from corpusprep.subword import SubwordVocab, load_vocab
 from kn_probe import map_word, prob
 from kn_reference import ReferenceKN
 from near_dedup_reference import estimate_jaccard
-from pipeline_fixture import build_workspace, crash_after, workdir_bytes
+from pipeline_fixture import build_workspace, crash_after, tally, workdir_bytes
 from synthetic import (
     SyntheticLanguage,
     lognormal_token_docs,
@@ -201,7 +201,7 @@ class TestPerplexitySeparation:
         verdicts, _ = filter_by_perplexity(
             docs, model, PerplexityPolicy(kind="percentile", value=50.0)
         )
-        kept, *_ = StageStats.tally("lm_score", docs, verdicts)
+        kept, *_ = tally("lm_score", docs, verdicts)
         fluent_kept = sum(1 for d in kept if d.id.startswith("fluent-"))
         report(f"perplexity separation: {fluent_kept}/50 fluent kept (>=45)")
         assert fluent_kept >= 45
@@ -235,7 +235,7 @@ class TestQuotaAccuracy:
         order = rng.permutation(len(docs))
         docs = [docs[int(i)] for i in order]
 
-        kept, stats, _ = StageStats.tally(
+        kept, stats, _ = tally(
             "sample", docs, *sample_to_quota(docs, quotas, seed=3, mode="uniform")
         )
         realized = Counter()
@@ -416,11 +416,11 @@ class TestExactDedup:
                     )
                 )
                 planted.add(dup)
-        kept, *_ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, *_ = tally("dedup_exact", docs, dedup_exact(docs))
         kept_ids = {d.id for d in kept}
         removed = {d.id for d in docs} - kept_ids
         assert removed == planted  # 100% removed, zero false removals
-        again, stats, _ = StageStats.tally("dedup_exact", kept, dedup_exact(kept))
+        again, stats, _ = tally("dedup_exact", kept, dedup_exact(kept))
         assert [d.id for d in again] == [d.id for d in kept]
         assert stats.rejected_docs == 0
         report(

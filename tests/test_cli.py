@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import threading
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from corpusprep import ngram_lm, pipeline
+from corpusprep import ngram_lm, pipeline, quality, subword
 from corpusprep.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from corpusprep.config import KNOWN_STAGES, load_config
 from corpusprep.core import read_jsonl
@@ -506,6 +507,116 @@ class TestRunCommand:
         assert "Total after filtering" in capsys.readouterr().out
 
 
+def fail_on_call(monkeypatch, module, name, n):
+    """Make *module*.*name* raise on its *n*-th call."""
+    original, calls = getattr(module, name), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError(f"injected failure in call {n} of {name}")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+class TestOnePass:
+    """run_stage reads a stage's documents and verdicts in one pass and
+    writes each document as its verdict arrives; filter and token_count
+    yield their verdicts lazily."""
+
+    @pytest.mark.parametrize("stage, module, name, call", [
+        ("filter", quality, "apply_heuristics", 3),
+        ("token_count", subword, "token_ids", 40),
+    ], ids=["filter", "token_count"])
+    def test_failure_mid_pass_then_resume(
+        self, workspace, capsys, monkeypatch, stage, module, name, call
+    ):
+        """A verdict that raises after the stage has begun writing exits 2
+        with one line and leaves no .tmp file and a report of the stages
+        before it; once the fault is gone, --resume writes the work dir of
+        a clean run."""
+        work = workspace.parent / "work"
+        assert main(["run", "--config", str(workspace)]) == EXIT_OK
+        clean = workdir_bytes(work)
+        shutil.rmtree(work)
+        capsys.readouterr()
+        stages = load_config(workspace).stages
+        before = stages[: stages.index(stage)]
+
+        with monkeypatch.context() as m:
+            fail_on_call(m, module, name, call)
+            assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        *summaries, last = err.splitlines()
+        assert [line.split("]")[0] for line in summaries] == [f"[{s}" for s in before]
+        assert last == (f"stage failure: stage {stage} failed: "
+                        f"injected failure in call {call} of {name}")
+        assert not list(work.rglob("*.tmp"))
+        report = work / "report.json"
+        done = [s.stage for s in pipeline.read_report(report).stages] if before else []
+        assert done == before and report.exists() == bool(before)
+        assert not (work / f"{len(before):02d}_{stage}.jsonl").exists()
+
+        assert main(["run", "--config", str(workspace), "--resume"]) == EXIT_OK
+        assert workdir_bytes(work) == clean
+
+    @pytest.mark.parametrize("stages, module, name", [
+        (["filter"], quality, "apply_heuristics"),
+        (["filter", "token_count"], subword, "token_ids"),
+    ], ids=["filter", "token_count"])
+    def test_first_kept_document_is_written_before_the_last_verdict(
+        self, tmp_path, capsys, monkeypatch, stages, module, name
+    ):
+        """write_jsonl receives the last stage's first kept document before
+        the stage computes its last verdict."""
+        workspace = build_workspace(tmp_path, n_docs=200, stages=stages)
+        events = []
+        original_write, original_verdict = pipeline.write_jsonl, getattr(module, name)
+
+        def recording_write(docs, path, prev=None):
+            def passing():
+                for i, doc in enumerate(docs):
+                    if i == 0:
+                        events.append(("written", Path(path).name))
+                    yield doc
+
+            return original_write(passing(), path, prev)
+
+        def recording_verdict(*args):
+            events.append(("verdict", name))
+            return original_verdict(*args)
+
+        monkeypatch.setattr(pipeline, "write_jsonl", recording_write)
+        monkeypatch.setattr(module, name, recording_verdict)
+        assert main(["run", "--config", str(workspace)]) == EXIT_OK
+        first_written = events.index(("written", f"{len(stages) - 1:02d}_{stages[-1]}.jsonl"))
+        last_verdict = max(i for i, event in enumerate(events) if event[0] == "verdict")
+        assert first_written < last_verdict
+
+    def test_writer_error_mid_pass_is_an_io_error(self, workspace, capsys, monkeypatch):
+        """An OSError raised while the stage file is written, after some
+        documents, exits 2 as an I/O error, not a stage failure, and
+        leaves neither that file, its .rejects nor a .tmp file."""
+        original = pipeline.write_jsonl
+
+        def failing_write(docs, path, prev=None):
+            def passing():
+                for i, doc in enumerate(docs):
+                    if i == 5:
+                        raise OSError("disk full")
+                    yield doc
+
+            return original(passing(), path, prev)
+
+        monkeypatch.setattr(pipeline, "write_jsonl", failing_write)
+        assert main(["run", "--config", str(workspace)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err == "I/O error: disk full\n"
+        assert list((workspace.parent / "work").iterdir()) == []
+
+
 class TestSingleStageCommands:
     def test_filter_stage_roundtrip(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
@@ -663,13 +774,21 @@ class TestSingleStageCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"skipped 1 malformed input lines in {bad}\n")
 
+    @pytest.mark.parametrize("verdicts, n", [
+        (lambda docs: [None] * (len(docs) - 1), 199),
+        (lambda docs: (None for _ in docs[1:]), 199),
+        (lambda docs: (None for _ in [*docs, None, None]), 202),
+    ], ids=["list_short", "lazy_short", "lazy_long"])
     def test_verdict_count_mismatch_exits_2(
-        self, workspace, tmp_path, capsys, monkeypatch
+        self, workspace, tmp_path, capsys, monkeypatch, verdicts, n
     ):
-        def one_verdict_short(docs, cfg, loaded):
-            return [None] * (len(docs) - 1), None
+        """Verdicts another number than the documents, in a list or read
+        lazily, fail the stage with one line and write no stage file."""
 
-        monkeypatch.setattr(pipeline, "stage_token_count", one_verdict_short)
+        def mismatched(docs, cfg, loaded):
+            return verdicts(docs), None
+
+        monkeypatch.setattr(pipeline, "stage_token_count", mismatched)
         cfg = yaml.safe_load(workspace.read_text("utf-8"))
         out = tmp_path / "out.jsonl"
         rc = main(["token-count", "--config", str(workspace),
@@ -677,8 +796,8 @@ class TestSingleStageCommands:
         assert rc == EXIT_STAGE
         err = capsys.readouterr().err
         assert err.startswith("stage failure: stage token_count failed: ")
-        assert "199 verdicts for 200 documents" in err and err.count("\n") == 1
-        assert not out.exists()
+        assert f"{n} verdicts for 200 documents" in err and err.count("\n") == 1
+        assert not list(tmp_path.glob("out.jsonl*"))
 
     @pytest.mark.parametrize("stage, section, key, error", [
         ("token_count", "vocab", "path", "vocab.path: required by token_count/pack stages"),

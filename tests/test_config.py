@@ -4,14 +4,14 @@ import re
 import textwrap
 from dataclasses import is_dataclass
 from pathlib import Path
-from typing import Annotated, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corpusprep.cli import EXIT_VALIDATION, main
+from corpusprep.cli import EXIT_OK, EXIT_VALIDATION, main
 from corpusprep.config import (
     ConfigError,
     KNOWN_STAGES,
@@ -84,15 +84,25 @@ def _replaced(path, value):
     return cfg
 
 
-def _bounded_fields(cls=PipelineConfig, prefix=()):
+def _schema(cls=PipelineConfig, prefix=()):
+    """(key path, annotation) of every config field, sections included; a
+    list of sections is walked through its first item."""
+    for name, tp in get_type_hints(cls, include_extras=True).items():
+        path = prefix + (name,)
+        yield path, tp
+        if is_dataclass(tp):
+            yield from _schema(tp, path)
+        elif get_origin(tp) is list and is_dataclass(get_args(tp)[0]):
+            yield from _schema(get_args(tp)[0], path + (0,))
+
+
+SCHEMA = list(_schema())
+
+
+def _bounded_fields():
     """(key path, type, bound) of every field with a bound in its
     annotation, found by walking the config schema."""
-    for name, tp in get_type_hints(cls, include_extras=True).items():
-        if is_dataclass(tp):
-            yield from _bounded_fields(tp, prefix + (name,))
-        elif get_origin(tp) is Annotated:
-            base, bound = get_args(tp)
-            yield prefix + (name,), base, bound
+    return [(path, *get_args(tp)) for path, tp in SCHEMA if get_origin(tp) is Annotated]
 
 
 def _edges(base, bound):
@@ -583,3 +593,132 @@ class TestConfigHash:
         assert a.config_hash() == b.config_hash()
         b.seed += 1
         assert a.config_hash() != b.config_hash()
+
+
+SECTIONS = [()] + [p for p, tp in SCHEMA if is_dataclass(tp)] + [("quotas", 0)]
+# one value of each YAML type
+YAML_TYPES = ["x", 7, 0.5, True, [1], {"a": 1}, None]
+
+
+def _accepts(tp, value) -> bool:
+    """Whether the config reader reads *value* as the annotation *tp*."""
+    if get_origin(tp) is Annotated:
+        tp = get_args(tp)[0]
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return True
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return value is None or isinstance(value, dict)
+    if get_origin(tp) is list:
+        return value is None or isinstance(value, list)
+    if get_origin(tp) is Literal:
+        return value in get_args(tp)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _parent(cfg, path):
+    """The mapping that holds *path*'s key, or None if there is none."""
+    for key in path[:-1]:
+        cfg = cfg[key] if isinstance(cfg, list) or key in cfg else None
+        if not isinstance(cfg, (dict, list)):
+            return None
+    return cfg
+
+
+def _present(cfg, path) -> bool:
+    parent = _parent(cfg, path)
+    return isinstance(parent, dict) and path[-1] in parent
+
+
+# keys whose absence validate refuses, with the key its message names;
+# every other key reads as its default
+REQUIRED = {("input",): "input: required", ("work_dir",): "work_dir: required",
+            ("lm",): "lm.model_path: required", ("lm", "model_path"): "lm.model_path: required",
+            ("vocab",): "vocab.path: required", ("vocab", "path"): "vocab.path: required",
+            ("quotas",): "quotas: empty"}
+# out-of-range values of the keys whose bounds validate writes out
+OUT_OF_RANGE = [(("pack", "seq_len"), 1), (("pack", "seq_len"), 65536),
+                (("vocab", "expected_size"), 65537), (("quotas", 0, "target_tokens"), 0)]
+OUT_OF_RANGE += [(path, outside) for path, base, bound in _bounded_fields()
+                 for _, outside in _edges(base, bound)]
+# the same examples on every run, and none carried over from an earlier
+# one; capsys is read after every command, so it may span examples
+BROKEN_CONFIGS = settings(derandomize=True, max_examples=60, database=None, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def workspace_config(tmp_path_factory):
+    config = build_workspace(tmp_path_factory.mktemp("ws"), n_docs=20)
+    return yaml.safe_load(config.read_text("utf-8"))
+
+
+class TestCommandsOnBrokenConfigs:
+    @BROKEN_CONFIGS
+    @given(data=st.data())
+    def test_validate_and_run_exit_as_documented(
+        self, tmp_path_factory, capsys, workspace_config, data
+    ):
+        """A working config with one key missing, of a wrong YAML type, out
+        of range, repeated or unknown: validate and run exit 1 with no
+        traceback and a message naming the key (its line and column when
+        repeated), and create no work dir. A missing key with a default
+        passes validate; run is not tried on it, as it would run the whole
+        pipeline."""
+        cfg = copy.deepcopy(workspace_config)
+        kind = data.draw(st.sampled_from(["missing", "mistyped", "out_of_range", "repeated",
+                                          "unknown"]))
+        text = None
+        if kind == "missing":
+            path = data.draw(st.sampled_from([p for p, _ in SCHEMA if _present(cfg, p)]))
+            del _parent(cfg, path)[path[-1]]
+            named = REQUIRED.get(path)
+            if path[:2] == ("quotas", 0):
+                named = f"quotas[0]: missing key '{path[-1]}'"
+        elif kind == "mistyped":
+            path, tp = data.draw(st.sampled_from([(p, tp) for p, tp in SCHEMA
+                                                  if isinstance(_parent(cfg, p), dict)]))
+            value = data.draw(st.sampled_from([v for v in YAML_TYPES if not _accepts(tp, v)]))
+            _parent(cfg, path)[path[-1]] = value
+            named = f"{_dotted(path)}: expected "
+        elif kind == "out_of_range":
+            path, value = data.draw(st.sampled_from(OUT_OF_RANGE))
+            _parent(cfg, path)[path[-1]] = value
+            named = f"{_dotted(path)}: "
+        elif kind == "unknown":
+            section = data.draw(st.sampled_from(SECTIONS))
+            _parent(cfg, section + ("bogus",))["bogus"] = 1
+            named = (f"{_dotted(section)}: unknown config key 'bogus'" if section
+                     else "bogus: unknown config key")
+        else:
+            path = data.draw(st.sampled_from([p for p, _ in SCHEMA
+                                               if 0 not in p and _present(cfg, p)]))
+            lines = yaml.safe_dump(cfg, sort_keys=False).splitlines(keepends=True)
+            at = 0
+            for depth, key in enumerate(path):
+                at = next(i for i in range(at, len(lines))
+                          if lines[i].startswith(f"{'  ' * depth}{key}:"))
+            lines.insert(at + 1, lines[at])
+            text = "".join(lines)
+        config = tmp_path_factory.mktemp("broken") / "config.yaml"
+        config.write_text(text or yaml.safe_dump(cfg), encoding="utf-8")
+        if kind == "repeated":
+            named = f"{config}:{at + 2}:{2 * len(path) - 1}: repeated key '{path[-1]}'"
+
+        work_dir = Path(workspace_config["work_dir"])
+        if named is None:
+            assert main(["validate", "--config", str(config)]) == EXIT_OK
+            assert capsys.readouterr().out.startswith("config ok\n")
+        for command in ("validate", "run") if named else ():
+            assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("invalid config:") and "Traceback" not in err
+            assert named in err, (kind, err)
+        assert not work_dir.exists()

@@ -598,8 +598,9 @@ class TestAtomicWrites:
     def test_failed_rejects_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.jsonl.rejects"
         records = [{"id": "a", "stage": "s", "reason": "r"}, {"id": object()}]
-        with pytest.raises(TypeError):
-            write_rejects(records, path)
+        with pytest.raises(TypeError), write_rejects(path) as reject:
+            for record in records:
+                reject(record)
         assert list(tmp_path.iterdir()) == []
 
     def test_line_at_names_the_final_path(self, tmp_path):
@@ -647,15 +648,18 @@ class TestStageStats:
     @given(_DOCS_AND_VERDICTS)
     def test_conservation(self, docs_and_verdicts):
         docs, verdicts = docs_and_verdicts
-        kept, stats, rejects = StageStats.tally("t", docs, verdicts)
+        stats = StageStats("t")
+        passed = list(stats.tally(docs, iter(verdicts)))
         stats.check_conservation()
         pairs = list(zip(docs, verdicts))
+        assert [d for d, _ in passed] == docs
+        kept = [d for d, record in passed if record is None]
         assert kept == [d for d, v in pairs if v is None]
         assert stats.docs_in == len(docs)
         assert stats.words_in == sum(d.word_count for d in docs)
         assert stats.words_out == sum(d.word_count for d in kept)
         assert stats.rejected == Counter(_reason(v) for _, v in pairs if v is not None)
-        assert rejects == [
+        assert [record for _, record in passed if record is not None] == [
             {"id": d.id, "stage": "t", "reason": _logged(v)} for d, v in pairs if v is not None
         ]
         for src, s in stats.per_source.items():
@@ -668,7 +672,8 @@ class TestStageStats:
         and every document count; only the per-source word check sees it."""
         docs = [Document(id="a", source="web", text="viens divi trīs"),
                 Document(id="b", source="news", text="četri pieci")]
-        _, stats, _ = StageStats.tally("t", docs, ["short", "short"])
+        stats = StageStats("t")
+        list(stats.tally(docs, ["short", "short"]))
         stats.check_conservation()
         stats.per_source["web"].rejected_words -= 1
         stats.per_source["news"].rejected_words += 1
@@ -678,19 +683,39 @@ class TestStageStats:
     @given(_DOCS_AND_VERDICTS)
     def test_dict_round_trip(self, docs_and_verdicts):
         docs, verdicts = docs_and_verdicts
-        extra = {"windows": 3, "cutoff": "1.5"}
-        _, stats, _ = StageStats.tally("t", docs, verdicts, extra=extra)
+        stats = StageStats("t", extra={"windows": 3, "cutoff": "1.5"})
+        list(stats.tally(docs, verdicts))
         assert StageStats.from_dict(stats.to_dict()).to_dict() == stats.to_dict()
 
     def test_no_verdicts_keeps_every_document(self):
         docs = [Document(id=str(i), source="s" + str(i % 2), text="a b c") for i in range(5)]
-        kept, stats, rejects = StageStats.tally("t", docs, extra={"windows": 2})
-        assert kept == docs
-        assert (stats.docs_out, stats.rejected, rejects) == (5, {}, [])
+        stats = StageStats("t", extra={"windows": 2})
+        assert list(stats.tally(docs)) == [(d, None) for d in docs]
+        assert (stats.docs_out, stats.rejected) == (5, {})
         assert stats.extra == {"windows": 2}
 
-    @pytest.mark.parametrize("n_verdicts", [2, 4])
+    @pytest.mark.parametrize("n_verdicts", [2, 4, 6])
     def test_wrong_number_of_verdicts_raises(self, n_verdicts):
         docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
-        with pytest.raises(ValueError):
-            StageStats.tally("t", docs, [None] * n_verdicts)
+        verdicts = (None for _ in range(n_verdicts))
+        with pytest.raises(ValueError, match=f"^{n_verdicts} verdicts for 3 documents$"):
+            list(StageStats("t").tally(docs, verdicts))
+
+    def test_each_verdict_is_read_before_its_document_is_counted(self):
+        """The pass reads verdicts one at a time, each before the words of
+        its document, which the verdict's producer may still change, are
+        counted, and hands each document on before the next verdict."""
+        docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
+        events = []
+
+        def verdicts():
+            for doc in docs:
+                doc.text = doc.text + " b"
+                events.append(("verdict", doc.id))
+                yield None
+
+        stats = StageStats("t")
+        for doc, _ in stats.tally(docs, verdicts()):
+            events.append(("passed", doc.id))
+        assert events == [(e, str(i)) for i in range(3) for e in ("verdict", "passed")]
+        assert (stats.words_in, stats.words_out) == (6, 6)

@@ -2,9 +2,11 @@ import hashlib
 
 from hypothesis import given, strategies as st
 
-from corpusprep.core import Document, StageStats, normalize_text
+from corpusprep.core import Document, normalize_text
 from corpusprep.exact_dedup import canonical_url, dedup_exact, text_digest
 from corpusprep.quality import strip_boilerplate
+
+from pipeline_fixture import tally
 
 
 def doc(i, text, url=None, source="s"):
@@ -41,14 +43,14 @@ class TestExactKey:
 class TestDedupExact:
     def test_keep_first(self):
         docs = [doc("1", "A teksts"), doc("2", "A teksts"), doc("3", "B teksts")]
-        kept, stats, rejects = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, stats, rejects = tally("dedup_exact", docs, dedup_exact(docs))
         assert [d.id for d in kept] == ["1", "3"]
         assert stats.rejected == {"exact_text": 1}
         assert rejects[0]["id"] == "2"
 
     def test_all_distinct_identity(self):
         docs = [doc(str(i), f"teksts numur {i}") for i in range(5)]
-        kept, stats, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, stats, _ = tally("dedup_exact", docs, dedup_exact(docs))
         assert [d.id for d in kept] == [d.id for d in docs]
         assert stats.rejected_docs == 0
 
@@ -57,7 +59,7 @@ class TestDedupExact:
             doc("1", "viens saturs", url="http://a.lv/x?utm=1"),
             doc("2", "cits saturs", url="https://A.lv/x/"),
         ]
-        kept, stats, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, stats, _ = tally("dedup_exact", docs, dedup_exact(docs))
         assert [d.id for d in kept] == ["1"]
         assert stats.rejected == {"exact_url": 1}
 
@@ -74,21 +76,21 @@ class TestDedupExact:
         docs = [doc(f"u{i}", f"unikāls teksts {i}") for i in range(1000)]
         planted = [doc(f"p{i}", f"unikāls teksts {i % 50}") for i in range(500)]
         docs += planted
-        kept, stats, _ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, stats, _ = tally("dedup_exact", docs, dedup_exact(docs))
         assert stats.rejected == {"exact_text": 500}
         assert len(kept) == 1000
 
     def test_idempotent(self):
         docs = [doc(str(i), f"t {i % 4}") for i in range(10)]
-        once, *_ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
-        twice, stats, _ = StageStats.tally("dedup_exact", once, dedup_exact(once))
+        once, *_ = tally("dedup_exact", docs, dedup_exact(docs))
+        twice, stats, _ = tally("dedup_exact", once, dedup_exact(once))
         assert [d.id for d in twice] == [d.id for d in once]
         assert stats.rejected_docs == 0
 
     @given(st.lists(st.sampled_from(["a b", "c d", "e f", "g h"]), max_size=20))
     def test_output_is_subsequence_and_unique(self, texts):
         docs = [doc(str(i), t) for i, t in enumerate(texts)]
-        kept, *_ = StageStats.tally("dedup_exact", docs, dedup_exact(docs))
+        kept, *_ = tally("dedup_exact", docs, dedup_exact(docs))
         ids = [d.id for d in kept]
         assert ids == sorted(ids, key=int)  # subsequence of input order
         hashes = [text_digest(d.text) for d in kept]

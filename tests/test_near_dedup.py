@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpusprep import core, near_dedup
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 from corpusprep.near_dedup import (
     NearDupConfig,
     UnionFind,
@@ -25,6 +25,7 @@ from near_dedup_reference import (
     reference_signature,
     verified_pairs,
 )
+from pipeline_fixture import tally
 
 K = 112
 SEED = 1
@@ -96,6 +97,20 @@ class TestShingles:
         s = shingles_of(text, n)
         assert s.dtype == np.uint64
         assert s.tolist() == reference_shingles(text, n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        text=st.lists(st.sampled_from(["Σ", "σ", "ς", "İ", "i\u0307", "ΑΣ", "ὈΔΥΣΣΕΎΣ", "Ā", "ā",
+                                       "Vārds", "\u0301", "'", ".", " ", "\x85", "\xa0",
+                                       "\u2028", "\n"]), max_size=30).map("".join),
+        n=st.integers(1, 3),
+    )
+    @example(text="ΑΣ\x85ΑΣ\xa0ΑΣ.\x85Σ İΣ\u0301 x", n=1)
+    def test_each_word_lowercased_alone_equals_reference(self, text, n):
+        """shingles lowercases each word on its own, the reference the
+        whole text: they agree on final sigma, on dotted capital I and
+        around U+0085 and U+00A0."""
+        assert shingles_of(text, n).tolist() == reference_shingles(text, n)
 
     def test_str_rejected(self):
         # a str is a sequence too, of one-character texts
@@ -497,7 +512,7 @@ def near(docs, cfg):
     """(kept, stats) of dedup_near over *docs*, counted as
     pipeline.run_stage counts the dedup_near stage."""
     verdicts, n_clusters = dedup_near(docs, cfg)
-    return StageStats.tally("dedup_near", docs, verdicts, {"clusters": n_clusters})[:2]
+    return tally("dedup_near", docs, verdicts, {"clusters": n_clusters})[:2]
 
 
 class TestDedupNear:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpusprep import ngram_lm
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 from corpusprep.ngram_lm import (
     BOS,
     EOS,
@@ -25,6 +25,7 @@ from corpusprep.ngram_lm import (
 from kn_probe import encode, map_word, prob
 from kn_recursive_reference import RecursiveKN
 from kn_reference import ReferenceKN
+from pipeline_fixture import tally
 from synthetic import SyntheticLanguage, shuffle_words
 
 
@@ -593,7 +594,7 @@ def lm_filter(docs, model, policy):
     """(kept, stats) of filter_by_perplexity over *docs*, counted as
     pipeline.run_stage counts the lm_score stage."""
     verdicts, cutoff = filter_by_perplexity(docs, model, policy)
-    return StageStats.tally("lm_score", docs, verdicts, {"cutoff": repr(cutoff)})[:2]
+    return tally("lm_score", docs, verdicts, {"cutoff": repr(cutoff)})[:2]
 
 
 class TestFilter:

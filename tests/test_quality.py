@@ -214,11 +214,12 @@ class TestFilterWordCount:
     def test_word_count_equals_split(self, text):
         """filter counts its texts' words by their separators; each equals
         the split of the text it writes, whatever whitespace the raw text
-        held."""
+        held. A text is set when its verdict is read."""
         filtered = strip_boilerplate(normalize_text(text))
         # the second document keeps its text object, its text already filtered
         docs = [doc(text, id="a"), doc(filtered, id="b")]
-        pipeline.stage_filter(docs, PipelineConfig(), None)
+        verdicts, _ = pipeline.stage_filter(docs, PipelineConfig(), None)
+        list(verdicts)
         assert docs[1].text is filtered
         for d in docs:
             assert d.text == filtered
@@ -249,6 +250,7 @@ class TestLengthRuleFirst:
 
         with mock.patch.object(quality, "_class_counts", recording):
             verdicts, extra = pipeline.stage_filter(docs, cfg, None)
+            verdicts = list(verdicts)
         assert long_text not in counted and "tikai divi" not in counted
         assert len(counted) == 3
         assert [d.id for d in docs] == ["a", "long", "short", "digits", "b"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusprep.core import Document, StageStats
+from corpusprep.core import Document
 from corpusprep.ngram_lm import PPL_META_KEY
 from corpusprep.sampler import (
     BucketQuota,
@@ -10,6 +10,8 @@ from corpusprep.sampler import (
     sample_to_quota,
     validate_quotas,
 )
+
+from pipeline_fixture import tally
 
 
 def quotas(short=500_000, mid=1_000_000, long=1_000_000):
@@ -31,7 +33,7 @@ def doc(i, tokens, ppl=None):
 def sample(docs, q, **kwargs):
     """(kept, stats) of sample_to_quota over *docs*, counted as
     pipeline.run_stage counts the sample stage."""
-    return StageStats.tally("sample", docs, *sample_to_quota(docs, q, **kwargs))[:2]
+    return tally("sample", docs, *sample_to_quota(docs, q, **kwargs))[:2]
 
 
 class TestAssignBucket:

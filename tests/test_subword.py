@@ -253,8 +253,10 @@ class TestTokenizeMatchesReference:
 
 
 def token_count(doc, vocab):
-    """The token count the token_count stage sets on *doc*."""
-    pipeline.stage_token_count([doc], None, pipeline.Loaded(vocab=vocab))
+    """The token count the token_count stage sets on *doc* once its verdict
+    is read."""
+    verdicts, _ = pipeline.stage_token_count([doc], None, pipeline.Loaded(vocab=vocab))
+    list(verdicts)
     return doc.token_count
 
 
