@@ -80,8 +80,8 @@ def _run_single_stage(stage: str, args) -> int:
     if stage == "pack":
         # --output names the .bin itself, and pack writes no JSONL
         stats = StageStats("pack", extra=pipeline.pack_docs(docs, cfg, args.output, loaded.vocab))
-        for _ in stats.tally(docs):
-            pass
+        for doc in docs:
+            stats.count(doc, None)
     else:
         _, stats = pipeline.run_stage(stage, docs, cfg, loaded, args.output, args.input)
     print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))

@@ -42,13 +42,13 @@ are those recorded, and its tail when ``meta`` and ``token_count`` are, in
 byte ranges merged with their neighbours; it encodes the other parts.
 ``line_at`` holds no encoded bytes and is never serialized.
 
-``StageStats.tally`` reads a stage's documents and verdicts in one pass
-and yields each document with its ``{"id", "stage", "reason"}`` record for
-the ``<output>.rejects`` sidecar (``write_rejects``), or None when kept.
+``StageStats.count`` counts one document with its verdict and returns its
+``{"id", "stage", "reason"}`` record for the ``<output>.rejects`` sidecar
+(``write_rejects``), or None when it is kept.
 
 Per-word work (subword ids, shingle word hashes) is memoized in a
 ``WordMemo``, bounded in words and in the characters of its long words.
-The array layers (``quality.char_ratios``, ``near_dedup.shingles``,
+The array layers (``quality.heuristic_verdicts``, ``near_dedup.shingles``,
 ``ngram_lm.perplexities``) make one payload per document and run one array
 kernel per list of ``chunks``, which closes a list at the first document
 that brings its total size to the layer's constant or past it.
@@ -63,7 +63,6 @@ import stat
 import unicodedata
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -273,8 +272,8 @@ class StageStats:
     """Per-stage accounting; every input doc is counted exactly once as
     output or reject. Words are counted on the texts a stage passes on, so
     ``filter``'s ``words_in`` counts its normalized, stripped texts, not
-    the raw input's. Counted by ``tally`` in the pass that hands each
-    document on, building no list of kept documents or reject records."""
+    the raw input's. Counted by ``count``, one document at a time, in the
+    pass that hands each document on (``pipeline.run_stage``)."""
 
     stage: str
     docs_in: int = 0
@@ -285,47 +284,35 @@ class StageStats:
     per_source: dict = field(default_factory=dict)  # source -> SourceStats
     extra: dict = field(default_factory=dict)
 
-    def tally(self, docs: list, verdicts: Optional[Iterable] = None) -> Iterator[tuple]:
-        """Count each document of *docs* with its verdict, read together in
-        one pass, and yield it with its ``.rejects`` record ``{"id",
-        "stage", "reason"}``, or None when it is kept.
-
-        *verdicts*, one per document in order, is read once, each verdict
-        before its document's words are counted: None keeps it, a string
-        rejects it for that reason, and a ``(reason, detail)`` pair rejects
-        it with ``reason:detail`` written in the sidecar only. No *verdicts*
-        keeps every document; ValueError at the end of the pass if the
-        verdicts and the documents differ in number."""
-        n, read = len(docs), 0
-        verdicts = iter(repeat(None, n) if verdicts is None else verdicts)
-        for read, (doc, reason) in enumerate(zip(docs, verdicts), 1):
-            s = self.per_source.get(doc.source)
-            if s is None:
-                s = self.per_source[doc.source] = SourceStats()
-            words = doc.word_count
-            s.docs_in += 1
-            s.words_in += words
-            self.docs_in += 1
-            self.words_in += words
-            if reason is None:
-                s.docs_out += 1
-                s.words_out += words
-                self.docs_out += 1
-                self.words_out += words
-                yield doc, None
-                continue
-            if isinstance(reason, str):
-                logged = reason
-            else:
-                reason, detail = reason
-                logged = f"{reason}:{detail}"
-            self.rejected[reason] = self.rejected.get(reason, 0) + 1
-            s.rejected_docs += 1
-            s.rejected_words += words
-            yield doc, {"id": doc.id, "stage": self.stage, "reason": logged}
-        read += sum(1 for _ in verdicts)
-        if read != n:
-            raise ValueError(f"{read} verdicts for {n} documents")
+    def count(self, doc: Document, verdict) -> Optional[dict]:
+        """Count *doc* with its *verdict* into the stage and per-source
+        totals, and return its ``.rejects`` record ``{"id", "stage",
+        "reason"}``, or None when it is kept: a None verdict keeps it, a
+        string rejects it for that reason, and a ``(reason, detail)`` pair
+        rejects it with ``reason:detail`` written in the sidecar only."""
+        s = self.per_source.get(doc.source)
+        if s is None:
+            s = self.per_source[doc.source] = SourceStats()
+        words = doc.word_count
+        s.docs_in += 1
+        s.words_in += words
+        self.docs_in += 1
+        self.words_in += words
+        if verdict is None:
+            s.docs_out += 1
+            s.words_out += words
+            self.docs_out += 1
+            self.words_out += words
+            return None
+        if isinstance(verdict, str):
+            reason = logged = verdict
+        else:
+            reason, detail = verdict
+            logged = f"{reason}:{detail}"
+        self.rejected[reason] = self.rejected.get(reason, 0) + 1
+        s.rejected_docs += 1
+        s.rejected_words += words
+        return {"id": doc.id, "stage": self.stage, "reason": logged}
 
     @property
     def rejected_docs(self) -> int:

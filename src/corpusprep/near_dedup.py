@@ -168,11 +168,11 @@ class UnionFind:
                 rx, ry = ry, rx
             self._parent[ry] = rx
 
-    def clusters(self, min_size: int = 2) -> list[list]:
+    def clusters(self) -> list[list]:
         groups: dict = {}
         for x in self._parent:
             groups.setdefault(self.find(x), []).append(x)
-        out = [sorted(g) for g in groups.values() if len(g) >= min_size]
+        out = [sorted(g) for g in groups.values() if len(g) > 1]
         out.sort()
         return out
 
@@ -277,7 +277,7 @@ def find_duplicate_clusters(
     uf = UnionFind()
     for members in LshIndex(bands=bands, rows=rows).buckets(mat):
         _link_bucket(members, uf, similar)
-    return uf.clusters(min_size=2)
+    return uf.clusters()
 
 
 def dedup_near(docs: list[Document], cfg: NearDupConfig) -> tuple[list, int]:

@@ -93,12 +93,12 @@ def report_table(report: dict) -> str:
 # stage kept, or those read_jsonl read, no id twice. A stage may change
 # them and their order in place, not their number, and returns (verdicts,
 # extra): one verdict per document as the list then stands (None keeps it,
-# a reason string or a (reason, detail) pair rejects it; verdicts=None
-# keeps every document), in an iterable read once (filter and token_count
-# yield theirs lazily, so a document may change until its verdict is read),
-# and its report dict or None. run_stage's one pass, StageStats.tally,
-# counts documents and the words of their texts (filter's stripped ones)
-# in, out and rejected per source and writes each as it arrives; the
+# a reason string or a (reason, detail) pair rejects it), in an iterable
+# read once (filter and token_count yield theirs lazily, so a document may
+# change until its verdict is read), and its report dict or None. run_stage
+# reads each verdict in one loop, counts its document and the words of its
+# text (filter's stripped one) in, out or rejected per source with
+# StageStats.count, and writes the document or its record at once; the
 # algorithm modules only decide, and never name a stage. No stage is given
 # a work dir: pack alone writes side files, packed.bin and its
 # packed.meta.jsonl, into cfg.work_dir through a writer that replaces them
@@ -179,7 +179,7 @@ def stage_sample(docs, cfg: PipelineConfig, loaded):
 
 
 def stage_pack(docs, cfg: PipelineConfig, loaded):
-    return None, pack_docs(docs, cfg, Path(cfg.work_dir) / "packed.bin", loaded.vocab)
+    return [None] * len(docs), pack_docs(docs, cfg, Path(cfg.work_dir, "packed.bin"), loaded.vocab)
 
 
 def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
@@ -215,29 +215,41 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
 
 
 def run_stage(name: str, docs, cfg: PipelineConfig, loaded, out_path, prev=None):
-    """Run stage *name* on the list *docs* in one pass, StageStats.tally,
-    writing each kept document to *out_path* (copying lines from *prev*) and
-    each reject's record to ``.rejects`` as its verdict arrives; prints counts
-    and time to stderr and returns (kept, stats). An error of the stage, a
-    new length of *docs* or another number of verdicts is a StageFailure
-    naming it, and writes neither file: stages chain."""
+    """Run stage *name* on the list *docs* in one loop, the generator that
+    write_jsonl reads: each verdict is read and counted with its document
+    (StageStats.count), and the document is written to *out_path* (copying
+    lines from *prev*), or its record to ``.rejects``; prints counts and
+    time to stderr and returns (kept, stats). An error of the stage or of a
+    verdict, a new length of *docs* or another number of verdicts is a
+    StageFailure naming it, and writes neither file: stages chain."""
     t0 = time.monotonic()
     stats = StageStats(name)
     kept = []
 
-    def counted():
-        n = len(docs)
+    def passed(reject):
+        n, end = len(docs), object()
         try:
             verdicts, extra = globals()[f"stage_{name}"](docs, cfg, loaded)
             if len(docs) != n:
                 raise ValueError(f"left {len(docs)} documents of {n}")
             stats.extra = dict(extra or {})
-            yield from stats.tally(docs, verdicts)
+            verdicts = iter(verdicts)
         except Exception as e:
             raise StageFailure(f"stage {name} failed: {e}") from e
-
-    def passed(reject):
-        for doc, record in counted():
+        # an error reading or counting a verdict, or counting those left at
+        # the end, fails the stage; an error of the writers does not
+        left = iter(docs)
+        while True:
+            try:
+                doc, verdict = next(left, end), next(verdicts, end)
+                if doc is end or verdict is end:
+                    read = stats.docs_in + (verdict is not end) + sum(1 for _ in verdicts)
+                    if read != n:
+                        raise ValueError(f"{read} verdicts for {n} documents")
+                    break
+                record = stats.count(doc, verdict)
+            except Exception as e:
+                raise StageFailure(f"stage {name} failed: {e}") from e
             if record is None:
                 kept.append(doc)
                 yield doc
@@ -338,8 +350,8 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> RunReport:
             raise StageFailure(f"{prev} holds {len(skipped)} malformed lines; "
                                "refusing to resume")
         found = StageStats(last.stage)
-        for _ in found.tally(docs):
-            pass
+        for doc in docs:
+            found.count(doc, None)
         for src in sorted(found.per_source.keys() | last.per_source.keys()):
             have, want = (s.per_source.get(src, SourceStats()) for s in (found, last))
             if (have.docs_out, have.words_out) != (want.docs_out, want.words_out):

@@ -26,8 +26,8 @@ BOILERPLATE_MAX_LINE_LEN = 80
 # character classes of char_ratios, in the order of its counts
 WHITESPACE, OTHER, ALPHA, LATVIAN, DIGIT = range(5)
 N_CLASSES = 5
-# char_ratios counts texts in core.chunks of this many characters, one
-# array pass each
+# heuristic_verdicts reads documents in core.chunks of this many
+# characters, one char_ratios array pass each
 RATIO_CHUNK = 1 << 16
 
 
@@ -89,22 +89,22 @@ def _class_counts(texts: list[str]) -> list[list[int]]:
     return counts.reshape(len(texts), N_CLASSES).tolist()
 
 
-def char_ratios(texts: Iterable[str]) -> list[tuple[float, float, float]]:
+def char_ratios(texts: list[str]) -> list[tuple[float, float, float]]:
     """(alpha_ratio, digit_ratio, latvian_ratio) of each text, in order.
 
     alpha and digit ratios are over non-whitespace characters; the Latvian
-    diacritic ratio is over alphabetic characters. Texts are counted in
-    ``core.chunks`` of RATIO_CHUNK characters, one _class_counts call each.
+    diacritic ratio is over alphabetic characters. The texts are counted in
+    one _class_counts call, so heuristic_verdicts hands them in one
+    ``core.chunks`` list at a time.
     """
     out = []
-    for chunk in chunks(texts, len, RATIO_CHUNK):
-        for _, other, alpha_only, latvian, digit in _class_counts(chunk):
-            non_ws = other + alpha_only + latvian + digit
-            alpha = alpha_only + latvian
-            if non_ws == 0:
-                out.append((0.0, 0.0, 0.0))
-            else:
-                out.append((alpha / non_ws, digit / non_ws, latvian / alpha if alpha else 0.0))
+    for _, other, alpha_only, latvian, digit in _class_counts(texts):
+        non_ws = other + alpha_only + latvian + digit
+        alpha = alpha_only + latvian
+        if non_ws == 0:
+            out.append((0.0, 0.0, 0.0))
+        else:
+            out.append((alpha / non_ws, digit / non_ws, latvian / alpha if alpha else 0.0))
     return out
 
 
@@ -148,6 +148,6 @@ def heuristic_verdicts(docs: Iterable[Document], cfg: HeuristicConfig) -> Iterat
     documents within min_words..max_words."""
     for chunk in chunks(docs, lambda doc: len(doc.text), RATIO_CHUNK):
         sized = [cfg.min_words <= doc.word_count <= cfg.max_words for doc in chunk]
-        ratios = iter(char_ratios(doc.text for doc, ok in zip(chunk, sized) if ok))
+        ratios = iter(char_ratios([doc.text for doc, ok in zip(chunk, sized) if ok]))
         for doc, ok in zip(chunk, sized):
             yield apply_heuristics(doc, cfg, next(ratios) if ok else None)

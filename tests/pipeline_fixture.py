@@ -135,13 +135,14 @@ def crash_after(monkeypatch, cfg, stage: str) -> None:
     monkeypatch.setattr(pipeline, f"stage_{following}", fail)
 
 
-def tally(stage, docs, verdicts=None, extra=None):
-    """(kept, stats, rejects) of one StageStats.tally pass of *stage* over
-    *docs* and *verdicts*: the kept documents and the .rejects records that
-    run_stage hands to its writers, collected."""
+def tally(stage, docs, verdicts, extra=None):
+    """(kept, stats, rejects) of *docs* and their *verdicts*, one each,
+    counted by StageStats.count as run_stage counts them: the kept documents
+    and the .rejects records that run_stage hands to its writers, collected."""
     stats = StageStats(stage, extra=dict(extra or {}))
     kept, rejects = [], []
-    for doc, record in stats.tally(docs, verdicts):
+    for doc, verdict in zip(docs, verdicts, strict=True):
+        record = stats.count(doc, verdict)
         if record is None:
             kept.append(doc)
         else:

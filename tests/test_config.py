@@ -667,11 +667,12 @@ class TestCommandsOnBrokenConfigs:
         self, tmp_path_factory, capsys, workspace_config, data
     ):
         """A working config with one key missing, of a wrong YAML type, out
-        of range, repeated or unknown: validate and run exit 1 with no
-        traceback and a message naming the key (its line and column when
-        repeated), and create no work dir. A missing key with a default
-        passes validate; run is not tried on it, as it would run the whole
-        pipeline."""
+        of range, repeated or unknown: validate, run and a drawn stage
+        subcommand exit 1 with no traceback and a message naming the key
+        (its line and column when repeated), and create no work dir, no
+        --output file and no .tmp. A missing key with a default passes
+        validate; run and the stage are not tried on it, as they would run
+        the pipeline or the stage."""
         cfg = copy.deepcopy(workspace_config)
         kind = data.draw(st.sampled_from(["missing", "mistyped", "out_of_range", "repeated",
                                           "unknown"]))
@@ -716,9 +717,13 @@ class TestCommandsOnBrokenConfigs:
         if named is None:
             assert main(["validate", "--config", str(config)]) == EXIT_OK
             assert capsys.readouterr().out.startswith("config ok\n")
-        for command in ("validate", "run") if named else ():
-            assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        stage = data.draw(st.sampled_from(KNOWN_STAGES)).replace("_", "-")
+        commands = [["validate"], ["run"], [stage, "--input", workspace_config["input"],
+                                            "--output", str(config.parent / "out")]]
+        for argv in commands if named else ():
+            assert main([*argv, "--config", str(config)]) == EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.startswith("invalid config:") and "Traceback" not in err
-            assert named in err, (kind, err)
+            assert named in err, (kind, argv[0], err)
         assert not work_dir.exists()
+        assert list(config.parent.iterdir()) == [config]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from corpusprep import pipeline
 from corpusprep.cli import EXIT_OK, main
-from corpusprep.config import KNOWN_STAGES, load_config
+from corpusprep.config import KNOWN_STAGES, PipelineConfig, load_config
 from corpusprep.core import Document, StageStats, read_jsonl, write_jsonl
 from corpusprep.pipeline import (
     RunReport,
@@ -644,6 +646,86 @@ class TestConservationCheck:
             env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60,
         ).stdout
         assert out.splitlines() == ["('a', 'docs_in', 'rejected')", "('a', 'b')"]
+
+
+class TestRunStage:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "lazy"])
+    @pytest.mark.parametrize("n_verdicts", [2, 4, 6])
+    def test_wrong_number_of_verdicts_fails_the_stage(
+        self, tmp_path, monkeypatch, lazy, n_verdicts
+    ):
+        """Verdicts of another number than the documents, in a list or read
+        lazily, are a stage failure that names both numbers and writes
+        neither file."""
+        docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
+
+        def mismatched(docs, cfg, loaded):
+            verdicts = (None for _ in range(n_verdicts))
+            return (verdicts if lazy else list(verdicts)), None
+
+        monkeypatch.setattr(pipeline, "stage_token_count", mismatched)
+        with pytest.raises(StageFailure, match=(
+            f"^stage token_count failed: {n_verdicts} verdicts for 3 documents$"
+        )):
+            pipeline.run_stage("token_count", docs, PipelineConfig(), pipeline.Loaded(),
+                               tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_verdict_is_read_before_its_document_is_counted(self, tmp_path, monkeypatch):
+        """The pass reads verdicts one at a time, each before the words of
+        its document, which the verdict's producer may still change, are
+        counted, and hands each document on before the next verdict."""
+        docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
+        events = []
+
+        def stage(docs, cfg, loaded):
+            def verdicts():
+                for doc in docs:
+                    doc.text = doc.text + " b"
+                    events.append(("verdict", doc.id))
+                    yield None
+
+            return verdicts(), None
+
+        original = pipeline.write_jsonl
+
+        def recording_write(docs, path, prev=None):
+            def passing():
+                for doc in docs:
+                    events.append(("passed", doc.id))
+                    yield doc
+
+            return original(passing(), path, prev)
+
+        monkeypatch.setattr(pipeline, "stage_token_count", stage)
+        monkeypatch.setattr(pipeline, "write_jsonl", recording_write)
+        kept, stats = pipeline.run_stage("token_count", docs, PipelineConfig(),
+                                         pipeline.Loaded(), tmp_path / "out.jsonl")
+        assert events == [(e, str(i)) for i in range(3) for e in ("verdict", "passed")]
+        assert kept == docs
+        assert (stats.words_in, stats.words_out) == (6, 6)
+
+    def test_rejects_writer_error_is_not_a_stage_failure(self, tmp_path, monkeypatch):
+        """An OSError of the .rejects writer mid-pass reaches the caller as
+        it is, to exit as an I/O error, and leaves neither file."""
+        docs = [Document(id=str(i), source="s", text="a") for i in range(3)]
+        original = pipeline.write_rejects
+
+        def full(record):
+            raise OSError("disk full")
+
+        @contextmanager
+        def failing_rejects(path):
+            with original(path):
+                yield full
+
+        monkeypatch.setattr(pipeline, "stage_token_count",
+                            lambda docs, cfg, loaded: ([None, "short", None], None))
+        monkeypatch.setattr(pipeline, "write_rejects", failing_rejects)
+        with pytest.raises(OSError, match="^disk full$"):
+            pipeline.run_stage("token_count", docs, PipelineConfig(), pipeline.Loaded(),
+                               tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStageProtocol:

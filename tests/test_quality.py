@@ -133,6 +133,21 @@ def char_ratios_per_character(text):
     return alpha / non_ws, digit / non_ws, latvian_ratio
 
 
+def heuristic_ratios(texts):
+    """The character ratios that heuristic_verdicts hands apply_heuristics
+    for each text; min_words=0 lets texts of no words reach the count."""
+    seen = []
+    original = quality.apply_heuristics
+
+    def recording(d, cfg, ratios):
+        seen.append(ratios)
+        return original(d, cfg, ratios)
+
+    with mock.patch.object(quality, "apply_heuristics", recording):
+        list(quality.heuristic_verdicts([doc(t) for t in texts], HeuristicConfig(min_words=0)))
+    return seen
+
+
 class TestCharRatios:
     # isdigit() but not a decimal digit (\d): superscripts, circled digits;
     # numeric but neither alpha nor digit: vulgar fractions, roman numerals
@@ -172,7 +187,7 @@ class TestCharRatios:
     @example(texts=["\u07ff\u0800", chr(0xD83D) + chr(0xDE00) + " ž", "\u3000ア"], chunk=1)
     def test_corpus_pass_equals_per_character_loop(self, texts, chunk):
         with mock.patch.object(quality, "RATIO_CHUNK", chunk):
-            got = char_ratios(texts)
+            got = heuristic_ratios(texts)
         assert got == [char_ratios_per_character(t) for t in texts]
 
     def test_uppercase_latvian_and_unicode_digits(self):
@@ -192,13 +207,13 @@ class TestCharRatios:
             return original(chunk)
 
         with mock.patch.object(quality, "_class_counts", recording):
-            got = char_ratios(texts)
+            got = heuristic_ratios(texts)
         assert got == [char_ratios_per_character(t) for t in texts]
         assert len(sizes) > 2
         assert max(sizes) < quality.RATIO_CHUNK + max(map(len, texts))
         tracemalloc.start()
         try:
-            char_ratios(["\U0010ffff", "😀"])
+            heuristic_ratios(["\U0010ffff", "😀"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
