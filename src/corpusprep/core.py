@@ -52,19 +52,32 @@ The array layers (``quality.heuristic_verdicts``, ``near_dedup.shingles``,
 ``ngram_lm.perplexities``) make one payload per document and run one array
 kernel per list of ``chunks``, which closes a list at the first document
 that brings its total size to the layer's constant or past it.
+
+Seeded draws that must not depend on numpy's version are counter-based
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+``draw_words`` is a pure function of an address, a uint64 key and a uint64
+counter, so any set of draws is one array pass, made in any order.
+``draw_uniform``, ``draw_below`` and ``draw_subsets`` derive uniforms,
+bounded integers and k-of-n samples from it; an address retried (a bounded
+integer rejected, an index drawn twice) is drawn again with ``ROUND`` added
+to its counter.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import stat
+import struct
 import unicodedata
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 TOKEN_COUNT_META_KEY = "token_count"
 _TOKEN_COUNT_RE = re.compile(r"[0-9]+")
@@ -88,6 +101,16 @@ COPY_CHUNK_BYTES = 1 << 16
 MEMO_WORDS = 1 << 16
 MEMO_WORD_CHARS = 64
 MEMO_LONG_CHARS = 1 << 18
+# A counter's bits 32..55 hold its round. Draws use np.uint64 operands
+# only, wrapping mod 2**64: a Python int would make the result depend on
+# numpy's promotion rules (NEP 50).
+ROUND = np.uint64(1 << 32)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+_ONE, _S11, _S27, _S30, _S31, _S32 = (np.uint64(v) for v in (1, 11, 27, 30, 31, 32))
 
 
 def normalize_text(text: str) -> str:
@@ -151,6 +174,91 @@ def chunks(items: Iterable, size, limit: int) -> Iterator[list]:
             chunk, total = [], 0
     if chunk:
         yield chunk
+
+
+def draw_key(seed: int, index: int) -> int:
+    """The key of stream *index* of a run seeded *seed*: blake2b's 8-byte
+    digest of both, as little-endian u64s, read little-endian."""
+    digest = hashlib.blake2b(
+        struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, index), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def draw_words(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """The uint64 word at each address, *key* and *counter* uint64 arrays
+    that broadcast: SplitMix64's finalizer over key + (counter + 1) * gamma.
+    Key 0 and counters 0, 1, ... give SplitMix64's stream from seed 0."""
+    z = key + (counter + _ONE) * _GAMMA
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
+def draw_uniform(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Uniform float64 values in [0, 1), from the top 53 bits of each
+    address's word."""
+    return (draw_words(key, counter) >> _S11).astype(np.float64) * 2.0**-53
+
+
+def draw_below(key: np.ndarray, counter: np.ndarray, bound: np.ndarray):
+    """Uniform integers in [0, bound) at each address, *bound* in 1..2**32,
+    by Lemire's multiply-shift of the word's top 32 bits; a word whose
+    product's low half is below 2**32 mod bound is rejected, and its
+    address is drawn again with ROUND added. The three arguments are 1-d
+    uint64 arrays of one length, or broadcast to one; returns the values
+    and the counters that gave them, both uint64."""
+    key, counter, bound = np.broadcast_arrays(key, counter, bound)
+    counter = counter.copy()
+    values = np.empty(len(counter), np.uint64)
+    threshold = _TWO32 % bound
+    todo = np.arange(len(counter))
+    while len(todo):
+        product = (draw_words(key[todo], counter[todo]) >> _S32) * bound[todo]
+        kept = (product & _LOW32) >= threshold[todo]
+        values[todo[kept]] = product[kept] >> _S32
+        todo = todo[~kept]
+        counter[todo] += ROUND
+    return values, counter
+
+
+def draw_subsets(key: np.ndarray, counter: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """A uniform k[g]-subset of range(n[g]) for each group g, 0 <= k[g] <=
+    n[g] <= 2**32, drawn at the addresses (key[g], counter[g] + j) for j
+    below min(k[g], n[g] - k[g]); *key* and *counter* are uint64 arrays,
+    *n* and *k* int64 arrays, one entry per group. Group g's indices are
+    [start, start + n[g]) of one range, start the sum of the n before it;
+    returns every group's chosen indices there, sorted.
+
+    A group draws min(k, n - k) indices with replacement and, a round
+    later, draws again each one that repeats an index drawn before it; it
+    keeps the indices drawn, or the rest of its range when k > n / 2. Each
+    step treats the group's n indices alike, so every k-subset is equally
+    likely."""
+    start = np.cumsum(n) - n
+    complement = 2 * k > n
+    m = np.where(complement, n - k, k)
+    group = np.repeat(np.arange(len(n)), m)
+    j = np.arange(len(group)) - np.repeat(np.cumsum(m) - m, m)
+    key, counter = key[group], counter[group] + j.astype(np.uint64)
+    bound = n.astype(np.uint64)[group]
+    taken = np.zeros(int(n.sum()), dtype=bool)
+    todo = np.arange(len(group))
+    while len(todo):
+        values, counter[todo] = draw_below(key[todo], counter[todo], bound[todo])
+        index = start[group[todo]] + values.astype(np.int64)
+        # an index's first draw of this round, unless an earlier round drew it
+        drawn, first = np.unique(index, return_index=True)
+        fresh = ~taken[drawn]
+        taken[drawn[fresh]] = True
+        again = np.ones(len(todo), dtype=bool)
+        again[first[fresh]] = False
+        todo = todo[again]
+        counter[todo] += ROUND
+    # +1 where a complement group starts and -1 where it ends
+    edges = np.bincount(start[complement], minlength=len(taken) + 1)
+    edges -= np.bincount((start + n)[complement], minlength=len(taken) + 1)
+    return np.flatnonzero(taken ^ (np.cumsum(edges[:-1]) > 0))
 
 
 @dataclass(slots=True)

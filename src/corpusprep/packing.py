@@ -15,24 +15,28 @@ The span scheme covers the maskable positions with truncated-geometric spans
 placed as a uniformly random composition of the unmasked gaps (T5's
 random_spans_noise_mask); the token scheme picks positions uniformly. Each
 selected position gets a mask/random/keep action (default 80/10/10). Spans
-never cross document boundaries. The maskable positions of a window are
-found in one pass and cut into its segments with one search. Each segment
-then makes its own draws from the window's generator, in segment order:
-for spans, its span lengths, their order and its gap slots; for tokens,
-its positions. The rest is one pass over the whole window: sorting each
-segment's slots or positions, the span starts and positions, and the
-action and random-id draws.
+never cross document boundaries.
+
+``apply_masking`` masks a list of consecutive windows in one array pass:
+a lookup table finds the maskable positions, one search cuts them into
+segments, and every segment's span lengths, gap slots (or, for tokens,
+positions), actions and random ids are drawn at once. The draws are
+core's counter-based ones: a window's key comes from the run seed and its
+number, and a draw's counter holds its kind, its segment within the
+window, its index and its round. So a window's masking depends only on
+the seed, its number, its tokens and boundaries and the mask config, not
+on the windows masked with it, nor on numpy's random generators.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Annotated, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
+from corpusprep import core
 from corpusprep.core import canonical_json, open_replacing
 
 DEFAULT_GEOM_P = 0.2
@@ -115,54 +119,90 @@ def truncated_geometric_pmf(p: float, max_span: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _span_arrays(
-    lo: np.ndarray, hi: np.ndarray, rate: float, geom_p: float, max_span: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping spans in each segment [lo[j], hi[j]) of one index
-    range, the segments in order and disjoint, covering exactly
-    floor(rate * (hi[j] - lo[j])) positions of segment j; as two int64
-    arrays, sorted by start: their starts and their lengths.
+# A draw's counter: its kind in bits 56..63, its round in bits 32..55
+# (core.ROUND), its segment's number within the window in bits 16..31 and
+# its index in bits 0..15; the window is the key. Segments, span lengths,
+# slots and window positions all number fewer than 2**16.
+_LENGTHS, _CLAMPED, _SLOTS, _PICKS, _ACTIONS, _IDS = (
+    np.uint64(kind) << np.uint64(56) for kind in range(6)
+)
+_S16 = np.uint64(16)
 
-    Span lengths are truncated-geometric, drawn in one batch and cut where
-    they reach the target; the last one is clamped and the lengths are
-    shuffled, so the clamped span lands anywhere. The unmasked gaps between
-    spans are a uniformly random composition of the rest of the segment.
-    Each segment makes those three draws in turn; the sort of the gap slots
-    and the span starts are then computed once over all segments. The
-    parameters are within MaskConfig's bounds, as load_config checks.
+
+def _counters(kind: np.uint64, number: np.ndarray, index=None) -> np.ndarray:
+    """Round-0 counters of the draws of *kind* at *index* (0 if None) in
+    the segments numbered *number*, int64 arrays of one length."""
+    counters = kind | (number.astype(np.uint64) << _S16)
+    return counters if index is None else counters | index.astype(np.uint64)
+
+
+def _spans(keys, number, n, target, geom_p: float, max_span: int):
+    """Non-overlapping spans covering exactly target[s] of the n[s]
+    positions of each segment s, its draws keyed keys[s] and numbered
+    number[s]; returns each span's segment, its start among the segment's
+    positions and its length, int64 arrays grouped by segment and sorted
+    by start.
+
+    Lengths are truncated-geometric, drawn until they reach the target:
+    each segment draws a budget of them at once, about three standard
+    deviations past its expected count, and a segment the budget leaves
+    short draws again in the next round. The last length is clamped to the
+    target, then swapped with a uniformly chosen one of its segment: the
+    others are exchangeable, so that is the law of shuffling them all. The
+    unmasked gaps between spans are a uniformly random composition of the
+    rest of the segment (T5's random_spans_noise_mask). The parameters are
+    within MaskConfig's bounds, as load_config checks.
     """
+    pmf = truncated_geometric_pmf(geom_p, max_span)
     # searching the cdf without its last value keeps lengths <= max_span
     # when the float cdf ends a hair below 1
-    cdf = np.cumsum(truncated_geometric_pmf(geom_p, max_span))[:-1]
-    drawn_lengths, drawn_slots, counts = [], [], []
-    for first, n in zip(lo.tolist(), (hi - lo).tolist()):
-        target = int(rate * n)
-        if target <= 0:
-            continue
-        lengths = cdf.searchsorted(rng.random(target), side="right") + 1
-        ends = lengths.cumsum()
-        k = int(ends.searchsorted(target)) + 1
-        lengths = lengths[:k]
-        lengths[-1] -= ends[k - 1] - target
-        drawn_lengths.append(rng.permutation(lengths))
-        # stars and bars: span i is the slot_i-th of k spans among the
-        # n - target unmasked positions; the slots lie in [first, first + n)
-        drawn_slots.append(rng.choice(n - target + k, size=k, replace=False) + first)
-        counts.append(k)
-    if not counts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    lengths = np.concatenate(drawn_lengths)
-    # the segments' slot ranges are disjoint and in order, so one sort
-    # sorts each segment's slots
-    slots = np.sort(np.concatenate(drawn_slots))
-    # start = slot - (index of the span in its segment) + (lengths of the
-    # segment's spans before it), from window-wide index and cumsum
+    cdf = np.cumsum(pmf)[:-1]
+    mean = float(pmf @ np.arange(1, max_span + 1))
+    sd = float(np.sqrt(pmf @ (np.arange(1, max_span + 1) - mean) ** 2))
+    remaining = target.copy()
+    live = np.flatnonzero(remaining > 0)
+    drawn_segments, drawn_lengths = [], []
+    round_ = np.uint64(0)
+    while len(live):
+        left = remaining[live]
+        budget = np.ceil((left + 3 * sd * np.sqrt(left / mean)) / mean).astype(np.int64)
+        budget = np.minimum(left, budget + 1)
+        firsts = np.cumsum(budget) - budget
+        seg = np.repeat(live, budget)
+        index = np.arange(len(seg)) - np.repeat(firsts, budget)
+        counters = _counters(_LENGTHS, number[seg], index) + round_ * core.ROUND
+        lengths = cdf.searchsorted(core.draw_uniform(keys[seg], counters), side="right") + 1
+        # each span's end among its segment's spans of this round
+        ends = np.cumsum(lengths)
+        ends -= np.repeat(ends[firsts] - lengths[firsts], budget)
+        need = np.repeat(left, budget)
+        kept = ends - lengths < need
+        drawn_segments.append(seg[kept])
+        drawn_lengths.append(np.where(ends > need, need - ends + lengths, lengths)[kept])
+        remaining[live] = np.maximum(left - ends[firsts + budget - 1], 0)
+        live = live[remaining[live] > 0]
+        round_ += np.uint64(1)
+    segments = np.concatenate([np.zeros(0, np.int64), *drawn_segments])
+    order = np.argsort(segments, kind="stable")
+    segments = segments[order]
+    lengths = np.concatenate([np.zeros(0, np.int64), *drawn_lengths])[order]
+    counts = np.bincount(segments, minlength=len(target))
+    has = np.flatnonzero(counts)
+    last = np.cumsum(counts)[has] - 1
+    swap, _ = core.draw_below(keys[has], _counters(_CLAMPED, number[has]),
+                              counts[has].astype(np.uint64))
+    other = last - counts[has] + 1 + swap.astype(np.int64)
+    lengths[last], lengths[other] = lengths[other], lengths[last]
+    # stars and bars: span i of a segment is the slot_i-th of its k spans
+    # among its n - target unmasked positions, so it starts at its slot,
+    # less the spans before it, plus their lengths
+    slots = n - target + counts
+    starts = core.draw_subsets(keys, _counters(_SLOTS, number), slots, counts)
     before = np.cumsum(lengths) - lengths
     firsts = np.cumsum(counts) - counts
-    starts = slots - np.arange(len(lengths)) + before
-    starts -= np.repeat(before[firsts] - firsts, counts)
-    return starts, lengths
+    starts += before - np.arange(len(lengths))
+    starts += (firsts - np.cumsum(slots) + slots)[segments] - before[firsts[segments]]
+    return segments, starts, lengths
 
 
 @dataclass
@@ -179,72 +219,94 @@ class MaskConfig:
 
 @dataclass
 class MaskPlan:
-    """One window's masked positions. ``apply_masking`` gives the three
-    per-position fields as numpy arrays of equal length (int64, uint8 and
-    uint16); ``write_packed`` also accepts sequences of ints."""
+    """The masked positions of consecutive windows, grouped by window:
+    window i's are the counts[i] that follow those of the windows before
+    it. ``apply_masking`` gives the per-position fields as numpy arrays of
+    equal length (int64, uint8 and uint16); ``write_packed`` also accepts
+    sequences of ints."""
 
-    positions: np.ndarray  # sorted window-level indices
+    positions: np.ndarray  # window-level indices, sorted within each window
     actions: np.ndarray  # per position: ACTION_MASK / ACTION_RANDOM / ACTION_KEEP
     originals: np.ndarray  # original token id per position
+    counts: np.ndarray  # masked positions per window
     rate: float
     scheme: str
 
 
 def apply_masking(
-    seq: PackedSequence,
+    windows: Sequence[PackedSequence],
     cfg: MaskConfig,
     mask_id: int,
     special_ids: frozenset,
     vocab_size: int,
-    rng: np.random.Generator,
+    seed: int,
+    first: int,
 ) -> tuple[np.ndarray, MaskPlan]:
-    """Produce masked tokens and the plan; input sequence is not modified."""
+    """Mask the consecutive *windows*, at least one, numbered from *first*
+    in the run seeded *seed*; returns their masked rows as one
+    (len(windows), seq_len) uint16 array, and their plan. The windows are
+    not modified. A window's masking depends only on the seed, its number,
+    its tokens and boundaries, and *cfg*."""
+    rows = np.stack([w.tokens for w in windows])
+    seq_len = rows.shape[1]
+    flat = rows.reshape(-1)
     specials = np.array(sorted(special_ids), dtype=np.int64)
-    maskable = np.flatnonzero(~np.isin(seq.tokens, specials))
-    # segment j's maskable positions are maskable[lo[j]:hi[j]]
-    edges = np.array([b[:2] for b in seq.boundaries], dtype=np.int64).reshape(-1, 2)
+    is_special = np.zeros(1 << 16, dtype=bool)
+    is_special[specials[specials < 1 << 16]] = True
+    maskable = np.flatnonzero(~is_special[flat])
+    # segment s lies in window[s], numbered number[s] there, and its
+    # maskable positions are maskable[lo[s]:hi[s]]
+    per_window = [len(w.boundaries) for w in windows]
+    window = np.repeat(np.arange(len(windows)), per_window)
+    number = np.arange(len(window)) - np.repeat(np.cumsum(per_window) - per_window, per_window)
+    edges = np.array([b[:2] for w in windows for b in w.boundaries], dtype=np.int64)
+    edges = edges.reshape(-1, 2) + (window * seq_len)[:, None]
     lo, hi = maskable.searchsorted(edges).T
+    n = hi - lo
+    target = (cfg.rate * n).astype(np.int64)
+    keys = np.array([core.draw_key(seed, first + i) for i in range(len(windows))],
+                    dtype=np.uint64)[window]
     if cfg.scheme == "span":
-        starts, lens = _span_arrays(lo, hi, cfg.rate, cfg.geom_p, cfg.max_span, rng)
-        # start + j for j < len, for every span at once
-        ends = np.cumsum(lens)
-        picks = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+        segments, starts, lengths = _spans(keys, number, n, target, cfg.geom_p, cfg.max_span)
+        # start + j for j < length, for every span at once
+        ends = np.cumsum(lengths)
+        picks = np.repeat(lo[segments] + starts - ends + lengths, lengths)
+        picks += np.arange(len(picks))
     else:
-        drawn = [first + rng.choice(n, size=int(cfg.rate * n), replace=False)
-                 for first, n in zip(lo.tolist(), (hi - lo).tolist())]
-        # each segment's picks lie in its own [lo, hi), so one sort orders all
-        picks = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *drawn]))
-    positions = maskable[picks]
+        picks = core.draw_subsets(keys, _counters(_PICKS, number), n, target)
+        picks += np.repeat(lo - (np.cumsum(n) - n), target)
+    flat_positions = maskable[picks]
+    # segment s holds target[s] of the positions, in order
+    segment = np.repeat(np.arange(len(n)), target)
+    positions = flat_positions - window[segment] * seq_len
+    position_keys, position_numbers = keys[segment], number[segment]
 
-    u = rng.random(len(positions))
+    u = core.draw_uniform(position_keys, _counters(_ACTIONS, position_numbers, positions))
     actions = np.full(len(positions), ACTION_KEEP, dtype=np.uint8)
     actions[u < cfg.p_mask + cfg.p_random] = ACTION_RANDOM
     actions[u < cfg.p_mask] = ACTION_MASK
-    masked = seq.tokens.copy()
-    masked[positions[actions == ACTION_MASK]] = mask_id
-    randomized = positions[actions == ACTION_RANDOM]
+    originals = flat[flat_positions]
+    flat[flat_positions[actions == ACTION_MASK]] = mask_id
+    randomized = actions == ACTION_RANDOM
     # the r-th non-special id is r plus the count of specials j with
     # specials[j] - j (the non-special ids below it) <= r
-    r = rng.integers(0, vocab_size - len(specials), size=len(randomized))
+    r, _ = core.draw_below(
+        position_keys[randomized],
+        _counters(_IDS, position_numbers[randomized], positions[randomized]),
+        np.uint64(vocab_size - len(specials)),
+    )
+    r = r.astype(np.int64)
     skip = specials - np.arange(len(specials))
-    masked[randomized] = r + np.searchsorted(skip, r, side="right")
+    flat[flat_positions[randomized]] = r + np.searchsorted(skip, r, side="right")
     plan = MaskPlan(
         positions=positions,
         actions=actions,
-        originals=seq.tokens[positions],
+        originals=originals,
+        counts=np.bincount(window[segment], minlength=len(windows)),
         rate=cfg.rate,
         scheme=cfg.scheme,
     )
-    return masked, plan
-
-
-def window_rng(run_seed: int, window_index: int) -> np.random.Generator:
-    """Independent per-window generator derived from the run seed."""
-    digest = hashlib.blake2b(
-        struct.pack("<QQ", run_seed & 0xFFFFFFFFFFFFFFFF, window_index),
-        digest_size=8,
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+    return rows, plan
 
 
 # packed.bin (documented in README): MAGIC and _HEADER, then per window
@@ -263,35 +325,40 @@ MASK_DTYPE = np.dtype([("pos", "<u2"), ("action", "u1"), ("orig", "<u2")])
 def write_packed(
     path,
     sidecar_path,
-    records: Iterable[tuple[np.ndarray, PackedSequence, MaskPlan]],
+    records: Iterable[tuple[np.ndarray, Sequence[PackedSequence], MaskPlan]],
     seq_len: int,
 ) -> int:
     """Write *records* to *path* and their metadata to *sidecar_path*, both
-    replaced atomically; returns the window count. *seq_len* is in
-    2..MAX_SEQ_LEN, as load_config checks."""
+    replaced atomically; returns the window count. A record is a list of
+    consecutive windows as ``apply_masking`` gives it: their masked rows,
+    the windows and their plan. *seq_len* is in 2..MAX_SEQ_LEN, as
+    load_config checks."""
     n = 0
     with open_replacing(path, "wb") as fh, open_replacing(sidecar_path) as side:
         fh.write(MAGIC + _HEADER.pack(VERSION, seq_len))
-        for masked_tokens, seq, plan in records:
-            bounds = np.array([b[:2] for b in seq.boundaries], dtype=BOUND_DTYPE)
+        for rows, windows, plan in records:
             masks = np.empty(len(plan.positions), MASK_DTYPE)
             masks["pos"] = plan.positions
             masks["action"] = plan.actions
             masks["orig"] = plan.originals
-            fh.writelines((masked_tokens.astype("<u2").tobytes(),
-                           _COUNTS.pack(seq.pad_count, len(bounds)), bounds.tobytes(),
-                           _N_MASKED.pack(len(masks)), masks.tobytes()))
-            meta = {
-                "window": n,
-                "doc_ids": [d for _, _, d in seq.boundaries],
-                "pad_count": seq.pad_count,
-                "n_masked": len(plan.positions),
-                "scheme": plan.scheme,
-                "rate": plan.rate,
-            }
-            side.write(canonical_json(meta))
-            side.write("\n")
-            n += 1
+            counts = np.asarray(plan.counts, dtype=np.int64)
+            ends = np.cumsum(counts).tolist()
+            for row, seq, n_masked, end in zip(rows.astype("<u2"), windows, counts.tolist(), ends):
+                bounds = np.array([b[:2] for b in seq.boundaries], dtype=BOUND_DTYPE)
+                fh.writelines((row.tobytes(), _COUNTS.pack(seq.pad_count, len(bounds)),
+                               bounds.tobytes(), _N_MASKED.pack(n_masked),
+                               masks[end - n_masked:end].tobytes()))
+                meta = {
+                    "window": n,
+                    "doc_ids": [d for _, _, d in seq.boundaries],
+                    "pad_count": seq.pad_count,
+                    "n_masked": n_masked,
+                    "scheme": plan.scheme,
+                    "rate": plan.rate,
+                }
+                side.write(canonical_json(meta))
+                side.write("\n")
+                n += 1
     return n
 
 

@@ -22,6 +22,7 @@ from corpusprep.config import ConfigError, PipelineConfig, stage_errors
 from corpusprep.core import (
     SourceStats,
     StageStats,
+    chunks,
     normalize_text,
     read_jsonl,
     write_json,
@@ -30,6 +31,9 @@ from corpusprep.core import (
 )
 
 REPORT_NAME = "report.json"
+# positions of the windows pack masks in one apply_masking call, which
+# bounds the kernel's temporaries to a few MiB
+MASK_CHUNK = 1 << 16
 
 
 class StageFailure(RuntimeError):
@@ -197,17 +201,19 @@ def pack_docs(docs, cfg: PipelineConfig, out_bin, vocab) -> dict:
     )
 
     def records():
-        for i, seq in enumerate(windows):
-            rng = packing.window_rng(cfg.seed, i)
+        first = 0
+        for chunk in chunks(windows, lambda _: cfg.pack.seq_len, MASK_CHUNK):
             masked, plan = packing.apply_masking(
-                seq,
+                chunk,
                 cfg.pack.mask,
                 mask_id=vocab.mask_id,
                 special_ids=vocab.special_ids,
                 vocab_size=vocab.size,
-                rng=rng,
+                seed=cfg.seed,
+                first=first,
             )
-            yield masked, seq, plan
+            yield masked, chunk, plan
+            first += len(chunk)
 
     sidecar = Path(out_bin).with_suffix(".meta.jsonl")
     n = packing.write_packed(out_bin, sidecar, records(), cfg.pack.seq_len)

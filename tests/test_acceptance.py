@@ -39,7 +39,6 @@ from corpusprep.packing import (
     MaskConfig,
     apply_masking,
     pack_greedy,
-    window_rng,
 )
 from corpusprep.pipeline import run_pipeline
 from corpusprep.sampler import BucketQuota, assign_bucket, sample_to_quota
@@ -315,29 +314,34 @@ class TestMaskingRates:
         cfg = MaskConfig(scheme="span", rate=rate)
         maskable = masked = 0
         actions = Counter()
-        for i, w in enumerate(windows):
+        for first in range(0, len(windows), 128):
+            chunk = windows[first:first + 128]
             _, plan = apply_masking(
-                w,
+                chunk,
                 cfg,
                 mask_id=vocab.mask_id,
                 special_ids=vocab.special_ids,
                 vocab_size=vocab.size,
-                rng=window_rng(0, i),
+                seed=0,
+                first=first,
             )
-            for s, e, _ in w.boundaries:
-                maskable += sum(
-                    1
-                    for t in w.tokens[s:e].tolist()
-                    if t not in vocab.special_ids
-                )
             masked += len(plan.positions)
-            actions.update(plan.actions)
-            in_bounds = set()
-            for s, e, _ in w.boundaries:
-                in_bounds.update(range(s, e))
-            for pos, orig in zip(plan.positions, plan.originals):
-                assert pos in in_bounds  # never a pad position
-                assert orig not in vocab.special_ids
+            actions.update(plan.actions.tolist())
+            ends = np.cumsum(plan.counts)
+            for w, count, end in zip(chunk, plan.counts, ends):
+                for s, e, _ in w.boundaries:
+                    maskable += sum(
+                        1
+                        for t in w.tokens[s:e].tolist()
+                        if t not in vocab.special_ids
+                    )
+                in_bounds = set()
+                for s, e, _ in w.boundaries:
+                    in_bounds.update(range(s, e))
+                for pos, orig in zip(plan.positions[end - count:end].tolist(),
+                                     plan.originals[end - count:end].tolist()):
+                    assert pos in in_bounds  # never a pad position
+                    assert orig not in vocab.special_ids
         assert maskable >= 1_000_000
         empirical = masked / maskable
         splits = {a: actions[a] / masked for a in (ACTION_MASK, ACTION_RANDOM,

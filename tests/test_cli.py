@@ -1046,6 +1046,36 @@ class TestPackCommand:
         ).read_bytes()
 
 
+    def test_run_and_pack_draw_nothing_from_numpy_random(self, tmp_path, monkeypatch, capsys):
+        """Masking draws with core's counter-based draws only. MinHash
+        parameters (dedup_near) and the uniform sample still use numpy's
+        Generator, so the run leaves those two out."""
+        stages = ["filter", "dedup_exact", "lm_score", "token_count", "sample", "pack"]
+        workspace = build_workspace(tmp_path / "ws", n_docs=200, stages=stages)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.random drawn from")
+
+        class Refusing(np.random.Generator):
+            pass
+
+        for name in dir(np.random.Generator):
+            if not name.startswith("_"):
+                setattr(Refusing, name, refuse)
+        for name in dir(np.random):
+            if callable(getattr(np.random, name)) and not name.startswith("_"):
+                monkeypatch.setattr(np.random, name, refuse)
+        monkeypatch.setattr(np.random, "Generator", Refusing)
+        assert main(["run", "--config", str(workspace)]) == EXIT_OK
+        work = workspace.parent / "work"
+        out = tmp_path / "repacked.bin"
+        rc = main(["pack", "--config", str(workspace), "--input",
+                   str(work / "04_sample.jsonl"), "--output", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_bytes() == (work / "packed.bin").read_bytes()
+        assert len((work / "packed.meta.jsonl").read_text("utf-8").splitlines()) > 1
+
+
 def test_model_reached_only_through_load_model(workspace, monkeypatch):
     """validate and run_pipeline each get the LM from one ngram_lm.load_model
     call, looked up on the module, and read no model file past it, so a

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusprep import core, packing, pipeline
+from corpusprep.config import PackConfig, PipelineConfig
+from corpusprep.core import Document, draw_below, draw_key, draw_subsets, draw_uniform, draw_words
 from corpusprep.packing import (
     ACTION_KEEP,
     ACTION_MASK,
@@ -14,17 +17,16 @@ from corpusprep.packing import (
     MaskConfig,
     MaskPlan,
     PackedSequence,
-    _span_arrays,
+    _spans,
     apply_masking,
     pack_greedy,
     read_packed,
     truncated_geometric_pmf,
-    window_rng,
     write_packed,
 )
-from packing_reference import apply_masking as reference_apply_masking
+from corpusprep.subword import SPECIAL_TOKENS, SubwordVocab, unescape_token
 from packing_reference import pack_greedy as reference_pack_greedy
-from synthetic import lognormal_token_docs
+from synthetic import lognormal_token_docs, make_basic_vocab
 
 BOS, EOS, PAD, MASK = 3, 4, 1, 2
 SPECIALS = frozenset({0, 1, 2, 3, 4})
@@ -141,14 +143,29 @@ class TestPackGreedy:
             assert g.pad_count == w.pad_count
 
 
-def sample_spans(
-    segment_length, rate, geom_p=DEFAULT_GEOM_P, max_span=DEFAULT_MAX_SPAN, *, rng
+def many_spans(
+    count, segment_length, rate, geom_p=DEFAULT_GEOM_P, max_span=DEFAULT_MAX_SPAN, *, seed
 ):
-    """The spans of _span_arrays as a list of (start, length) pairs."""
-    starts, lengths = _span_arrays(
-        np.array([0]), np.array([segment_length]), rate, geom_p, max_span, rng
+    """The spans of *count* segments of *segment_length* maskable
+    positions, each the first segment of one of windows 0..count-1 of the
+    run seeded *seed*: a list of (start, length) pairs per segment."""
+    keys = np.array([draw_key(seed, i) for i in range(count)], dtype=np.uint64)
+    n = np.full(count, segment_length, dtype=np.int64)
+    segments, starts, lengths = _spans(
+        keys, np.zeros(count, dtype=np.int64), n, (rate * n).astype(np.int64),
+        geom_p, max_span,
     )
-    return list(zip(starts.tolist(), lengths.tolist()))
+    out = [[] for _ in range(count)]
+    for seg, start, length in zip(segments.tolist(), starts.tolist(), lengths.tolist()):
+        out[seg].append((start, length))
+    return out
+
+
+def sample_spans(
+    segment_length, rate, geom_p=DEFAULT_GEOM_P, max_span=DEFAULT_MAX_SPAN, *, seed
+):
+    """The spans of one segment, the first of window 0 of run *seed*."""
+    return many_spans(1, segment_length, rate, geom_p, max_span, seed=seed)[0]
 
 
 _RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
@@ -156,16 +173,13 @@ _RATES = st.one_of(st.floats(0.01, 0.95), st.just(0.95), st.just(1.0))
 
 class TestSampleSpans:
     def test_tiny_rate_empty(self):
-        rng = np.random.default_rng(0)
-        assert sample_spans(100, 0.005, rng=rng) == []
+        assert sample_spans(100, 0.005, seed=0) == []
 
     def test_full_rate_single_position(self):
-        rng = np.random.default_rng(0)
-        assert sample_spans(1, 1.0, max_span=1, rng=rng) == [(0, 1)]
+        assert sample_spans(1, 1.0, max_span=1, seed=0) == [(0, 1)]
 
     def test_spans_non_overlapping_within_bounds(self):
-        rng = np.random.default_rng(1)
-        spans = sample_spans(500, 0.3, rng=rng)
+        spans = sample_spans(500, 0.3, seed=1)
         occupied = set()
         for start, length in spans:
             assert start >= 0 and start + length <= 500
@@ -174,21 +188,18 @@ class TestSampleSpans:
             occupied |= cells
 
     def test_coverage_hits_target_exactly(self):
-        rng = np.random.default_rng(2)
-        for L, rate in [(512, 0.3), (1000, 0.15), (257, 0.2)]:
-            spans = sample_spans(L, rate, rng=rng)
+        for seed, (L, rate) in enumerate([(512, 0.3), (1000, 0.15), (257, 0.2)]):
+            spans = sample_spans(L, rate, seed=seed)
             assert sum(ln for _, ln in spans) == int(rate * L)
 
     def test_rate_and_span_length_statistics(self):
         # analytic truncated-geometric mean as the oracle
         pmf = truncated_geometric_pmf(0.2, 10)
         expected_mean = float(np.sum(np.arange(1, 11) * pmf))
-        rng = np.random.default_rng(3)
         total = covered = 0
         lengths = []
-        for _ in range(1000):
-            L = 1000
-            spans = sample_spans(L, 0.3, geom_p=0.2, max_span=10, rng=rng)
+        L = 1000
+        for spans in many_spans(1000, L, 0.3, geom_p=0.2, max_span=10, seed=3):
             total += L
             covered += sum(ln for _, ln in spans)
             lengths.extend(ln for _, ln in spans)
@@ -198,10 +209,9 @@ class TestSampleSpans:
 
     def test_span_lengths_follow_truncated_geometric(self):
         pmf = truncated_geometric_pmf(0.2, 10)
-        rng = np.random.default_rng(11)
         counts = np.zeros(10)
-        for _ in range(2_000):
-            for _, ln in sample_spans(1000, 0.3, geom_p=0.2, max_span=10, rng=rng):
+        for spans in many_spans(2_000, 1000, 0.3, geom_p=0.2, max_span=10, seed=11):
+            for _, ln in spans:
                 counts[ln - 1] += 1
         total_variation = 0.5 * np.abs(counts / counts.sum() - pmf).sum()
         assert total_variation <= 0.02
@@ -209,10 +219,9 @@ class TestSampleSpans:
     def test_coverage_balanced_across_segment(self):
         # the clamped span must not favour one end of the segment
         L, rate = 80, 0.15
-        rng = np.random.default_rng(12)
         covered = np.zeros(L)
-        for _ in range(40_000):
-            for start, ln in sample_spans(L, rate, rng=rng):
+        for spans in many_spans(40_000, L, rate, seed=12):
+            for start, ln in spans:
                 covered[start : start + ln] += 1
         halves = covered.reshape(2, -1).sum(axis=1) / (40_000 * L / 2)
         assert abs(halves[0] - halves[1]) <= 0.004
@@ -225,16 +234,45 @@ class TestSampleSpans:
         # chi-square with L-1 degrees of freedom.
         L, rate, segments = 40, 0.25, 20_000
         k = int(rate * L)
-        rng = np.random.default_rng(13)
         covered = np.zeros(L)
-        for _ in range(segments):
-            spans = sample_spans(L, rate, max_span=1, rng=rng)
+        for spans in many_spans(segments, L, rate, max_span=1, seed=13):
             assert len(spans) == k
             for start, _ in spans:
                 covered[start] += 1
         expected = segments * k / L
         statistic = ((covered - expected) ** 2 / expected).sum() * (L - 1) / (L - k)
         assert statistic < 72.05  # the 0.999 quantile of chi-square(39)
+
+    def test_clamped_span_index_passes_chi_square(self, monkeypatch):
+        # Every drawn length is 4, so a target of 21 takes five spans of 4
+        # and the clamped one of 1, which must land at each of the 6
+        # places equally often: chi-square with 5 degrees of freedom.
+        monkeypatch.setattr(packing, "truncated_geometric_pmf",
+                            lambda p, max_span: np.array([0.0, 0.0, 0.0, 1.0]))
+        segments = 12_000
+        places = np.zeros(6)
+        for spans in many_spans(segments, 84, 0.25, max_span=4, seed=14):
+            lengths = [ln for _, ln in spans]
+            assert sorted(lengths) == [1, 4, 4, 4, 4, 4]
+            places[lengths.index(1)] += 1
+        expected = segments / 6
+        assert ((places - expected) ** 2 / expected).sum() < 20.52  # 0.999 quantile
+
+    def test_segments_left_short_draw_again(self, monkeypatch):
+        # a segment whose budget of lengths falls short of its target
+        # draws more in round 1, and still covers exactly its target
+        real, rounds = core.draw_uniform, set()
+
+        def recorded(keys, counters):
+            rounds.update((counters >> np.uint64(32) & np.uint64(0xFFFFFF)).tolist())
+            return real(keys, counters)
+
+        monkeypatch.setattr(core, "draw_uniform", recorded)
+        L, rate, max_span = 60, 0.5, 30
+        for spans in many_spans(20_000, L, rate, 0.05, max_span, seed=15):
+            assert sum(ln for _, ln in spans) == int(rate * L)
+            assert all(1 <= ln <= max_span for _, ln in spans)
+        assert rounds == {0, 1}
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -245,9 +283,7 @@ class TestSampleSpans:
         st.integers(0, 2**32),
     )
     def test_span_invariants(self, length, rate, geom_p, max_span, seed):
-        spans = sample_spans(
-            length, rate, geom_p, max_span, rng=np.random.default_rng(seed)
-        )
+        spans = sample_spans(length, rate, geom_p, max_span, seed=seed)
         assert sum(ln for _, ln in spans) == int(rate * length)
         assert all(1 <= ln <= max_span for _, ln in spans)
         ends = [0] + [s + ln for s, ln in spans]
@@ -255,9 +291,114 @@ class TestSampleSpans:
         assert ends[-1] <= length
 
     def test_deterministic_given_seed(self):
-        a = sample_spans(300, 0.25, rng=np.random.default_rng(9))
-        b = sample_spans(300, 0.25, rng=np.random.default_rng(9))
-        assert a == b
+        assert sample_spans(300, 0.25, seed=9) == sample_spans(300, 0.25, seed=9)
+
+
+def splitmix(key, counter):
+    """SplitMix64's finalizer over key + (counter + 1) * gamma, in Python
+    ints: the oracle of core.draw_words."""
+    mask = (1 << 64) - 1
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def u64(values):
+    return np.array(values, dtype=np.uint64)
+
+
+class TestDraws:
+    """core's counter-based draws: known answers, which hold for every
+    numpy version, and their laws."""
+
+    def test_known_answers(self):
+        # SplitMix64's first outputs from seed 0
+        words = draw_words(u64([0] * 5), u64(range(5)))
+        assert words.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+                                  0xF88BB8A8724C81EC, 0x1B39896A51A8749B]
+        assert draw_key(0, 0) == 0x0E7494F907A55052
+        key = draw_key(3701, 5)
+        assert key == 0xDB7141D54367F9D6
+        counters = [0, 1, 1 << 32, (1 << 64) - 1]
+        assert draw_words(u64([key] * 4), u64(counters)).tolist() == [
+            0xE1BFE969A9F62D7A, 0x2A8E96FFB11C9727, 0x5906CEFB0540F99A, 0x42AC75391C2705FA]
+        assert draw_uniform(u64([0] * 3), u64(range(3))).tolist() == [
+            (0xE220A8397B1DCDAF >> 11) * 2.0**-53, (0x6E789E6AA1B965F4 >> 11) * 2.0**-53,
+            (0x06C45D188009454F >> 11) * 2.0**-53]
+        values, used = draw_below(u64([0] * 8), u64(range(8)), u64(10))
+        assert values.tolist() == [8, 4, 0, 9, 1, 3, 1, 7]
+        assert used.tolist() == list(range(8))
+        # at bound 3 * 2**30 a quarter of the words are rejected; counters
+        # 2, 3, 5, 8, 9 and 11 are drawn again in round 1
+        values, used = draw_below(u64([0] * 12), u64(range(12)), u64(3 << 30))
+        assert values.tolist() == [2845343274, 1390048975, 1936869104, 376792772,
+                                   342566671, 1779308141, 560067598, 2485325419,
+                                   2909726665, 2482323408, 1277112741, 89298014]
+        assert (used >> np.uint64(32)).tolist() == [0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1]
+
+    def test_masking_known_answer(self):
+        wins, _ = pack_greedy([("d", list(range(100, 130)))], 32, BOS, EOS, PAD)
+        masked, plan = apply_masking(wins, MaskConfig(), MASK, SPECIALS, VOCAB, 3701, 0)
+        # 30 ids, 9 masked: spans of 4 and 5, actions 0 = mask, 1 = random
+        assert plan.positions.tolist() == [8, 9, 10, 11, 22, 23, 24, 25, 26]
+        assert plan.actions.tolist() == [0, 0, 0, 0, 0, 2, 0, 1, 1]
+        assert masked[0][plan.positions].tolist() == [2, 2, 2, 2, 2, 122, 2, 497, 510]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=20),
+           st.integers(1, 2**32))
+    def test_words_and_bounded_integers_match_python_ints(self, addresses, bound):
+        keys, counters = u64([a for a, _ in addresses]), u64([c for _, c in addresses])
+        assert draw_words(keys, counters).tolist() == [splitmix(k, c) for k, c in addresses]
+        values, used = draw_below(keys, counters, u64(bound))
+        for (key, counter), value, last in zip(addresses, values.tolist(), used.tolist()):
+            while True:  # Lemire's rejection, one round at a time
+                product = (splitmix(key, counter) >> 32) * bound
+                if product & 0xFFFFFFFF >= (1 << 32) % bound:
+                    break
+                counter = (counter + (1 << 32)) & ((1 << 64) - 1)
+            assert (value, last) == (product >> 32, counter)
+
+    @pytest.mark.parametrize("bound, cells, quantile", [
+        # 0.999 quantiles of chi-square(cells - 1); above 2**30, values are
+        # binned by their top bits, the last cell of 2**32 - 1 one short
+        (3, 3, 13.82),
+        (10, 10, 27.88),
+        (2**32 - 1, 16, 37.70),
+        # rejects a quarter of the words
+        (3 << 30, 3, 13.82),
+    ])
+    def test_bounded_integers_pass_chi_square(self, bound, cells, quantile):
+        draws = 60_000
+        values, _ = draw_below(u64([draw_key(7, bound)]), u64(range(draws)), u64(bound))
+        assert values.max() < bound
+        counts = np.bincount((values * u64(cells) // u64(bound)).astype(np.int64), minlength=cells)
+        expected = draws / cells
+        assert ((counts - expected) ** 2 / expected).sum() < quantile
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_subsets_of_five_pass_chi_square(self, k):
+        # drawn directly (k = 2) or as the complement of a 2-subset (k = 3);
+        # each of the 10 subsets equally likely: chi-square(9)
+        groups = 20_000
+        chosen = draw_subsets(u64([draw_key(8, k)] * groups), u64(range(groups)) << u64(16),
+                              np.full(groups, 5), np.full(groups, k))
+        assert len(chosen) == k * groups
+        within = (chosen - np.repeat(np.arange(groups) * 5, k)).reshape(groups, k)
+        assert (np.diff(within, axis=1) > 0).all()
+        counts = Counter(map(tuple, within.tolist()))
+        assert len(counts) == 10
+        expected = groups / 10
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 27.88
+
+    def test_empty_and_full_subsets(self):
+        chosen = draw_subsets(u64([1, 2, 3, 4]), u64([0, 0, 0, 0]),
+                              np.array([0, 4, 4, 3]), np.array([0, 0, 4, 1]))
+        # group starts 0, 0, 4, 8: nothing, nothing, all of 4..7, one of 8..10
+        assert chosen[:4].tolist() == [4, 5, 6, 7]
+        assert len(chosen) == 5 and 8 <= chosen[4] <= 10
 
 
 class TestApplyMasking:
@@ -270,35 +411,29 @@ class TestApplyMasking:
         # one document of ordinary ids: its maskable positions are 1..300
         wins, _ = pack_greedy([("d", list(range(100, 400)))], 512, BOS, EOS, PAD)
         cfg = MaskConfig(scheme="span", rate=0.3)
-        _, plan = apply_masking(wins[0], cfg, MASK, SPECIALS, VOCAB, window_rng(5, 0))
-        spans = sample_spans(300, cfg.rate, cfg.geom_p, cfg.max_span, rng=window_rng(5, 0))
+        _, plan = apply_masking(wins, cfg, MASK, SPECIALS, VOCAB, 5, 0)
+        spans = sample_spans(300, cfg.rate, cfg.geom_p, cfg.max_span, seed=5)
         assert plan.positions.tolist() == [1 + s + j for s, ln in spans for j in range(ln)]
 
     def test_zero_positions_identity(self):
         w = self._window()
         cfg = MaskConfig(scheme="token", rate=0.0001)
-        masked, plan = apply_masking(
-            w, cfg, MASK, SPECIALS, VOCAB, np.random.default_rng(0)
-        )
-        if not len(plan.positions):
-            assert np.array_equal(masked, w.tokens)
+        masked, plan = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 0, 0)
+        assert len(plan.positions) == 0 and plan.counts.tolist() == [0]
+        assert np.array_equal(masked[0], w.tokens)
 
     def test_all_mask_action_config(self):
         w = self._window()
         cfg = MaskConfig(scheme="token", rate=0.999, p_mask=1.0, p_random=0.0)
-        masked, plan = apply_masking(
-            w, cfg, MASK, SPECIALS, VOCAB, np.random.default_rng(0)
-        )
+        masked, plan = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 0, 0)
         for pos in plan.positions:
-            assert masked[pos] == MASK
+            assert masked[0][pos] == MASK
 
     def test_specials_and_padding_never_masked(self):
         w = self._window()
         for scheme in ("span", "token"):
             cfg = MaskConfig(scheme=scheme, rate=0.4)
-            _, plan = apply_masking(
-                w, cfg, MASK, SPECIALS, VOCAB, np.random.default_rng(1)
-            )
+            _, plan = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 1, 0)
             for pos in plan.positions:
                 assert int(w.tokens[pos]) not in SPECIALS
                 assert pos < len(w.tokens) - w.pad_count
@@ -315,12 +450,12 @@ class TestApplyMasking:
         for scheme in ("span", "token"):
             cfg = MaskConfig(scheme=scheme, rate=0.5)
             for seed in range(50):
-                for i, w in enumerate(wins):
-                    _, plan = apply_masking(
-                        w, cfg, MASK, SPECIALS, VOCAB, window_rng(seed, i)
-                    )
+                _, plan = apply_masking(wins, cfg, MASK, SPECIALS, VOCAB, seed, 0)
+                ends = np.cumsum(plan.counts)
+                for w, n, end in zip(wins, plan.counts, ends):
                     assert unk in w.tokens.tolist()
-                    assert not SPECIALS & {int(w.tokens[p]) for p in plan.positions}
+                    positions = plan.positions[end - n:end]
+                    assert not SPECIALS & {int(w.tokens[p]) for p in positions}
 
     def test_random_ids_are_exactly_the_non_special_ids(self):
         specials = frozenset({0, 3, 7, 8, 20})  # not one contiguous run
@@ -329,18 +464,31 @@ class TestApplyMasking:
         cfg = MaskConfig(scheme="token", rate=0.5, p_mask=0.0, p_random=1.0)
         drawn = Counter()
         for seed in range(20):
-            for i, w in enumerate(wins):
-                rng = window_rng(seed, i)
-                masked, plan = apply_masking(w, cfg, 8, specials, 25, rng)
-                drawn.update(masked[plan.positions].tolist())
+            masked, plan = apply_masking(wins, cfg, 8, specials, 25, seed, 0)
+            window = np.repeat(np.arange(len(wins)), plan.counts)
+            drawn.update(masked[window, plan.positions].tolist())
         assert set(drawn) == set(range(25)) - specials
+
+    def test_only_specials_or_zero_targets_mask_nothing(self):
+        # a vocabulary of the five specials alone: no id can be drawn, and
+        # no position is maskable
+        docs = [(f"d{i}", [0, 1, 2, 3, 4] * (i + 1)) for i in range(6)]
+        wins, _ = pack_greedy(docs, 16, BOS, EOS, PAD)
+        # segments of 1..3 ordinary ids, whose target floor(0.3 * n) is 0
+        short = [(f"s{i}", [100 + i] * (1 + i % 3)) for i in range(9)]
+        short_wins, _ = pack_greedy(short, 16, BOS, EOS, PAD)
+        for scheme in ("span", "token"):
+            cfg = MaskConfig(scheme=scheme, rate=0.3)
+            for windows, vocab_size in ((wins, 5), (short_wins, VOCAB)):
+                masked, plan = apply_masking(windows, cfg, MASK, SPECIALS, vocab_size, 3, 0)
+                assert len(plan.positions) == 0
+                assert plan.counts.tolist() == [0] * len(windows)
+                assert masked.tolist() == [w.tokens.tolist() for w in windows]
 
     def test_spans_stay_within_document_segments(self):
         w = self._window(seed=2)
         cfg = MaskConfig(scheme="span", rate=0.3)
-        _, plan = apply_masking(
-            w, cfg, MASK, SPECIALS, VOCAB, np.random.default_rng(2)
-        )
+        _, plan = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 2, 0)
         segments = [(s, e) for s, e, _ in w.boundaries]
         runs = []
         for pos in plan.positions:
@@ -352,18 +500,13 @@ class TestApplyMasking:
             assert any(s <= start and end <= e for s, e in segments)
 
     def test_action_split_statistics(self):
-        rng = np.random.default_rng(3)
         docs = lognormal_token_docs(800, VOCAB, SPECIALS, mean_len=300, seed=4)
         wins, _ = pack_greedy(docs, 512, BOS, EOS, PAD)
-        counts = Counter()
-        n_positions = 0
-        for i, w in enumerate(wins):
-            _, plan = apply_masking(
-                w, MaskConfig(scheme="token", rate=0.15), MASK, SPECIALS, VOCAB,
-                window_rng(77, i),
-            )
-            counts.update(plan.actions)
-            n_positions += len(plan.positions)
+        _, plan = apply_masking(
+            wins, MaskConfig(scheme="token", rate=0.15), MASK, SPECIALS, VOCAB, 77, 0
+        )
+        counts = Counter(plan.actions.tolist())
+        n_positions = len(plan.positions)
         assert n_positions > 20_000
         assert abs(counts[ACTION_MASK] / n_positions - 0.8) <= 0.01
         assert abs(counts[ACTION_RANDOM] / n_positions - 0.1) <= 0.01
@@ -372,15 +515,15 @@ class TestApplyMasking:
     def test_deterministic_given_window_seed(self):
         w = self._window(seed=5)
         cfg = MaskConfig()
-        m1, p1 = apply_masking(w, cfg, MASK, SPECIALS, VOCAB, window_rng(1, 0))
-        m2, p2 = apply_masking(w, cfg, MASK, SPECIALS, VOCAB, window_rng(1, 0))
+        m1, p1 = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 1, 0)
+        m2, p2 = apply_masking([w], cfg, MASK, SPECIALS, VOCAB, 1, 0)
         assert np.array_equal(m1, m2)
         assert np.array_equal(p1.positions, p2.positions)
         assert np.array_equal(p1.actions, p2.actions)
 
 
 class TestMaskingInvariants:
-    """Properties of every mask plan, whatever the generator draws."""
+    """Properties of every mask plan, whatever the draws."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -406,23 +549,24 @@ class TestMaskingInvariants:
         cfg = MaskConfig(
             scheme=scheme, rate=rate, p_mask=action_p[0], p_random=action_p[1]
         )
-        for i, w in enumerate(wins):
-            before = w.tokens.copy()
-            masked, plan = apply_masking(
-                w, cfg, MASK, SPECIALS, 41, window_rng(seed, i)
-            )
+        before_all = [w.tokens.copy() for w in wins]
+        rows, plan = apply_masking(wins, cfg, MASK, SPECIALS, 41, seed, 0)
+        assert rows.dtype == np.uint16 and rows.shape == (len(wins), seq_len)
+        assert len(plan.actions) == len(plan.originals) == len(plan.positions)
+        assert sum(plan.counts) == len(plan.positions)
+        ends = np.cumsum(plan.counts).tolist()
+        for w, before, masked, n, end in zip(wins, before_all, rows, plan.counts, ends):
             assert np.array_equal(w.tokens, before)
-            assert masked.dtype == np.uint16 and len(masked) == seq_len
             tokens = before.tolist()
-            positions = plan.positions.tolist()
+            positions = plan.positions[end - n:end].tolist()
             assert positions == sorted(set(positions))
             for s, e, _ in w.boundaries:
                 n_maskable = sum(t not in SPECIALS for t in tokens[s:e])
                 in_segment = [p for p in positions if s <= p < e]
                 assert len(in_segment) == int(rate * n_maskable)
-            assert plan.originals.tolist() == [tokens[p] for p in positions]
-            assert len(plan.actions) == len(plan.positions)
-            for p, action, orig in zip(plan.positions, plan.actions, plan.originals):
+            originals = plan.originals[end - n:end].tolist()
+            assert originals == [tokens[p] for p in positions]
+            for p, action, orig in zip(positions, plan.actions[end - n:end], originals):
                 if action == ACTION_MASK:
                     assert masked[p] == MASK
                 elif action == ACTION_RANDOM:
@@ -433,50 +577,74 @@ class TestMaskingInvariants:
             assert masked[unplanned].tolist() == before[unplanned].tolist()
 
 
-class TestMaskingMatchesReference:
-    """apply_masking against the per-segment loop kept in
-    tests/packing_reference.py, from the same generator state."""
+@pytest.fixture(scope="module")
+def packing_vocab() -> SubwordVocab:
+    pieces = [unescape_token(t) for t in make_basic_vocab()]
+    return SubwordVocab(pieces=pieces, specials={t: i for i, t in enumerate(SPECIAL_TOKENS)})
 
-    @settings(deadline=None, max_examples=200)
-    @example([[0] * 30, [50] * 2, list(range(5, 45))], 16, True, "span", 1.0,
-             (0.2, 10), 0)
-    @example([[0, 60, 0, 61] * 9, [70]], 33, False, "token", 0.05, (0.5, 3), 1)
+
+class TestChunkedMasking:
+    """A window's masking depends on the seed, its number, its tokens and
+    boundaries and the mask config, never on the windows masked with it."""
+
+    @settings(deadline=None, max_examples=60)
+    @example([[0] * 30, [50] * 2, list(range(5, 45))], 16, True, "span", 1.0, 0)
+    @example([[0, 60, 0, 61] * 9, [70]], 33, False, "token", 0.05, 1)
     @given(
-        st.lists(
-            st.lists(st.integers(0, 80), min_size=0, max_size=90),
-            min_size=1,
-            max_size=8,
-        ),
+        st.lists(st.lists(st.integers(0, 80), max_size=90), min_size=1, max_size=8),
         st.sampled_from([8, 16, 33, 64, 128]),
         st.booleans(),
         st.sampled_from(["span", "token"]),
         _RATES,
-        st.sampled_from([(0.2, 10), (0.5, 3), (0.9, 1), (0.05, 20)]),
         st.integers(0, 2**32),
     )
-    def test_equal_to_per_segment_loop(self, docs, seq_len, split, scheme, rate,
-                                       span_shape, seed):
-        # ids below 5 are specials, <unk> (0) among them, so segments hold
-        # unmaskable tokens inside; short segments and low rates give
-        # segments whose target is 0, and long documents split windows
-        wins, _ = pack_greedy(
-            [(f"d{i}", ids) for i, ids in enumerate(docs)],
-            seq_len, BOS, EOS, PAD, split=split,
-        )
-        cfg = MaskConfig(scheme=scheme, rate=rate, geom_p=span_shape[0],
-                         max_span=span_shape[1])
-        for i, w in enumerate(wins):
-            got_rng, want_rng = window_rng(seed, i), window_rng(seed, i)
-            got_masked, got = apply_masking(w, cfg, MASK, SPECIALS, 81, got_rng)
-            want_masked, want = reference_apply_masking(
-                w, cfg, MASK, SPECIALS, 81, want_rng
-            )
-            assert got_masked.dtype == want_masked.dtype
-            assert got_masked.tolist() == want_masked.tolist()
-            for name in ("positions", "actions", "originals"):
-                g, r = getattr(got, name), getattr(want, name)
-                assert g.dtype == r.dtype and g.tolist() == r.tolist(), name
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    def test_mask_chunk_does_not_change_the_output(
+        self, tmp_path_factory, packing_vocab, docs, seq_len, split, scheme, rate, seed
+    ):
+        # ids below 5 are specials, <unk> (0) among them; short segments
+        # and low rates give segments whose target is 0
+        vocab = packing_vocab
+        cfg = PipelineConfig(seed=seed, pack=PackConfig(
+            seq_len=seq_len, split=split, mask=MaskConfig(scheme=scheme, rate=rate)))
+        out = tmp_path_factory.mktemp("chunks")
+        real, calls, written = packing.apply_masking, [], []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        for limit in (1, 1 << 40):
+            docs_in = [Document(id=f"d{i}", source="s", text="",
+                                token_ids=(vocab, np.array(ids, dtype=np.uint16)))
+                       for i, ids in enumerate(docs)]
+            calls.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pipeline, "MASK_CHUNK", limit)
+                m.setattr(packing, "apply_masking", counted)
+                report = pipeline.pack_docs(docs_in, cfg, out / f"{limit}.bin", vocab)
+            # one window per call, then all windows in one
+            assert calls == ([1] * report["windows"] if limit == 1 else [report["windows"]])
+            written.append(((out / f"{limit}.bin").read_bytes(),
+                            (out / f"{limit}.meta.jsonl").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_window_alone_is_its_slice_of_a_chunk(self):
+        docs = lognormal_token_docs(120, VOCAB, SPECIALS, mean_len=150, seed=21)
+        wins, _ = pack_greedy(docs, 256, BOS, EOS, PAD)
+        for scheme in ("span", "token"):
+            cfg = MaskConfig(scheme=scheme)
+            rows, plan = apply_masking(wins, cfg, MASK, SPECIALS, VOCAB, 9, 0)
+            ends = np.cumsum(plan.counts)
+            for i in (0, 1, len(wins) // 2, len(wins) - 1):
+                alone_rows, alone = apply_masking(wins[i:i + 1], cfg, MASK, SPECIALS, VOCAB, 9, i)
+                part = slice(ends[i] - plan.counts[i], ends[i])
+                assert alone_rows.tolist() == rows[i:i + 1].tolist()
+                assert alone.counts.tolist() == [plan.counts[i]]
+                for name in ("positions", "actions", "originals"):
+                    assert getattr(alone, name).tolist() == getattr(plan, name)[part].tolist()
+            # the window's number is part of its draws
+            other, _ = apply_masking(wins[1:2], cfg, MASK, SPECIALS, VOCAB, 9, 2)
+            assert other.tolist() != rows[1:2].tolist()
 
 
 class TestBinaryFormat:
@@ -484,23 +652,26 @@ class TestBinaryFormat:
         docs = lognormal_token_docs(50, VOCAB, SPECIALS, mean_len=100, seed=8)
         wins, _ = pack_greedy(docs, 256, BOS, EOS, PAD)
         cfg = MaskConfig()
+        # lists of 3 windows, as pack_docs hands them on
         records = []
-        for i, w in enumerate(wins):
-            masked, plan = apply_masking(
-                w, cfg, MASK, SPECIALS, VOCAB, window_rng(5, i)
-            )
-            records.append((masked, w, plan))
+        for first in range(0, len(wins), 3):
+            chunk = wins[first:first + 3]
+            rows, plan = apply_masking(chunk, cfg, MASK, SPECIALS, VOCAB, 5, first)
+            records.append((rows, chunk, plan))
         bin_path = tmp_path / "packed.bin"
         side_path = tmp_path / "packed.meta.jsonl"
         n = write_packed(bin_path, side_path, records, 256)
         assert n == len(wins)
-        back = list(read_packed(bin_path))
-        assert len(back) == len(wins)
-        for rec, (masked, w, plan) in zip(back, records):
-            assert np.array_equal(rec["tokens"], masked)
-            assert rec["pad_count"] == w.pad_count
-            assert rec["boundaries"] == [(s, e) for s, e, _ in w.boundaries]
-            assert [m[0] for m in rec["masks"]] == plan.positions.tolist()
+        back = iter(read_packed(bin_path))
+        for rows, chunk, plan in records:
+            ends = np.cumsum(plan.counts)
+            for masked, w, count, end in zip(rows, chunk, plan.counts, ends):
+                rec = next(back)
+                assert np.array_equal(rec["tokens"], masked)
+                assert rec["pad_count"] == w.pad_count
+                assert rec["boundaries"] == [(s, e) for s, e, _ in w.boundaries]
+                assert [m[0] for m in rec["masks"]] == plan.positions[end - count:end].tolist()
+        assert next(back, None) is None
         side_lines = side_path.read_text().strip().split("\n")
         assert len(side_lines) == len(wins)
 
@@ -515,16 +686,17 @@ class TestBinaryFormat:
         seq_len = 16
         bounds = [(0, 6, "a"), (6, 12, "b")]
         plan = MaskPlan(
-            positions=[1, 2, 8], actions=[0, 1, 2], originals=[7, 8, 9],
-            rate=0.3, scheme="span",
+            positions=[1, 2, 8, 1, 2, 8], actions=[0, 1, 2] * 2, originals=[7, 8, 9] * 2,
+            counts=[3, 3], rate=0.3, scheme="span",
         )
         seq = PackedSequence(
             tokens=np.arange(seq_len, dtype=np.uint16), boundaries=bounds,
             pad_count=4,
         )
         path = tmp_path / "p.bin"
-        write_packed(path, tmp_path / "p.meta.jsonl", [(seq.tokens, seq, plan)] * 2, seq_len)
-        record = 2 * seq_len + 4 + 8 * len(bounds) + 2 + 5 * len(plan.positions)
+        rows = np.stack([seq.tokens] * 2)
+        write_packed(path, tmp_path / "p.meta.jsonl", [(rows, [seq, seq], plan)], seq_len)
+        record = 2 * seq_len + 4 + 8 * len(bounds) + 2 + 5 * 3
         header = 10
         assert path.stat().st_size == header + 2 * record
         into_record = {
@@ -539,9 +711,9 @@ class TestBinaryFormat:
             list(read_packed(path))
 
     @settings(deadline=None, max_examples=100)
-    @given(st.data(), st.integers(2, 40), st.integers(0, 5))
-    def test_round_trip_property(self, tmp_path_factory, data, seq_len, n_windows):
-        records = []
+    @given(st.data(), st.integers(2, 40), st.integers(0, 5), st.booleans())
+    def test_round_trip_property(self, tmp_path_factory, data, seq_len, n_windows, one_record):
+        windows = []
         for _ in range(n_windows):
             # non-pad prefix cut into document segments; the rest is padding,
             # up to a window that is all padding
@@ -559,29 +731,44 @@ class TestBinaryFormat:
             positions = sorted(
                 data.draw(st.sets(st.integers(0, max(n_real - 1, 0)), max_size=n_real))
             )
-            plan = MaskPlan(
-                positions=positions,
-                actions=[data.draw(st.sampled_from([0, 1, 2])) for _ in positions],
-                originals=[data.draw(words) for _ in positions],
-                rate=0.3,
-                scheme="span",
-            )
+            masks = [(p, data.draw(st.sampled_from([0, 1, 2])), data.draw(words))
+                     for p in positions]
             seq = PackedSequence(
                 tokens=tokens.copy(), boundaries=bounds, pad_count=seq_len - n_real
             )
-            records.append((tokens, seq, plan))
+            windows.append((tokens, seq, masks))
+
+        def record(group):
+            """The windows of *group* as one write_packed record."""
+            masks = [m for _, _, window_masks in group for m in window_masks]
+            plan = MaskPlan(
+                positions=[p for p, _, _ in masks],
+                actions=[a for _, a, _ in masks],
+                originals=[o for _, _, o in masks],
+                counts=[len(window_masks) for _, _, window_masks in group],
+                rate=0.3,
+                scheme="span",
+            )
+            rows = np.array([t for t, _, _ in group], dtype=np.uint16).reshape(-1, seq_len)
+            return rows, [seq for _, seq, _ in group], plan
+
+        if one_record:
+            records = [record(windows)] if windows else []
+        else:
+            records = [record([w]) for w in windows]
         out = tmp_path_factory.mktemp("rt")
         n = write_packed(out / "p.bin", out / "p.meta.jsonl", records, seq_len)
         back = list(read_packed(out / "p.bin"))
         assert n == len(back) == n_windows
-        for rec, (tokens, seq, plan) in zip(back, records):
+        for rec, (tokens, seq, masks) in zip(back, windows):
             assert rec["tokens"].tolist() == tokens.tolist()
             assert rec["pad_count"] == seq.pad_count
             assert rec["boundaries"] == [(s, e) for s, e, _ in seq.boundaries]
-            assert rec["masks"] == list(
-                zip(plan.positions, plan.actions, plan.originals)
-            )
+            assert rec["masks"] == masks
         side = (out / "p.meta.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["doc_ids"] for line in side] == [
-            [d for _, _, d in seq.boundaries] for _, seq, _ in records
+            [d for _, _, d in seq.boundaries] for _, seq, _ in windows
+        ]
+        assert [json.loads(line)["n_masked"] for line in side] == [
+            len(masks) for _, _, masks in windows
         ]

@@ -567,6 +567,8 @@ class TestAtomicWrites:
         def run_failing():
             calls.clear()
             with monkeypatch.context() as m:
+                # one window per apply_masking call
+                m.setattr(pipeline, "MASK_CHUNK", 1)
                 m.setattr(packing, "apply_masking", failing)
                 with pytest.raises(StageFailure, match="window 3"):
                     run_pipeline(cfg)
@@ -762,6 +764,17 @@ class TestSourceTree:
                 else:
                     continue
                 assert not names & {"lru_cache", "cache"}, (path.name, n.lineno)
+
+    def test_packing_draws_without_numpy_random(self):
+        """packing.py never names np.random: its draws are core's
+        counter-based ones, which no numpy version changes."""
+        path = Path(__file__).parent.parent / "src" / "corpusprep" / "packing.py"
+        for n in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(n, ast.Attribute) and n.attr == "random":
+                assert not (isinstance(n.value, ast.Name) and n.value.id in {"np", "numpy"}), n.lineno
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
+                assert not any(m.startswith("numpy.random") for m in modules), n.lineno
 
     def test_every_definition_is_used(self):
         """Every function, class and method that src/corpusprep defines is

@@ -154,3 +154,36 @@ def test_bench_pairs_reports_failed_runs_and_differing_digests():
     assert lines[0].endswith("change correct=False failed=1/5 digest=d2")
     assert lines[2] == "output digests: DIFFER"
     assert "won 0/2 pairs" in lines[3] and lines[3].endswith("claim not met")
+
+
+def test_bench_pairs_record_adds_each_workload(tmp_path):
+    from bench_pairs import parse_result, record
+
+    def pairs(parent_walls, change_walls):
+        return [(parse_result(canned_run(p)), parse_result(canned_run(c)))
+                for p, c in zip(parent_walls, change_walls)]
+
+    facts = {"parent": {"commit": "abc1234", "src_lines": 3131},
+             "change": {"commit": "abc1234-dirty", "src_lines": 3100},
+             "python": "3.11.7", "numpy": "2.4.6"}
+    path = tmp_path / "BENCH.json"
+    mixed = {"name": "mixed", "seed": 7, "pairs_run": 4, "seconds": 8}
+    record(path, mixed, pairs([0.20, 0.21, 0.22, 0.23], [0.10, 0.11, 0.12, 0.30]),
+           BENCH_DECLARED, facts)
+    record(path, dict(mixed, name="long_pack"), pairs([0.1, 0.1], [0.1, 0.1]),
+           BENCH_DECLARED, facts)
+    data = json.loads(path.read_text("utf-8"))
+    assert sorted(data["workloads"]) == ["long_pack", "mixed"]
+    got = data["workloads"]["mixed"]
+    assert got["seed"] == 7 and got["seconds"] == 8 and got["facts"] == facts
+    assert [p["first"] for p in got["pairs"]] == ["parent", "change"] * 2
+    assert got["pairs"][3]["parent"] == {"correct": True, "failed": 0, "attempted": 5,
+                                         "digest": "d1", "wall_s": 0.23, "mb_per_s": 1 / 0.23}
+    assert got["pairs"][3]["change"]["wall_s"] == 0.30
+    wall = got["metrics"]["wall_s"]
+    # sorted parent runs 0.20 .. 0.23: quartiles at positions 0.75 and 2.25
+    assert wall["parent"] == pytest.approx({"q1": 0.2075, "median": 0.215, "q3": 0.2225})
+    assert wall["change"]["median"] == pytest.approx(0.115)
+    assert (wall["won"], wall["regression"], wall["claim_holds"]) == (3, "none", False)
+    assert wall["unit"] == "s" and wall["better"] == "lower" and wall["bound"] == 0.25
+    assert data["workloads"]["long_pack"]["metrics"]["mb_per_s"]["won"] == 0
